@@ -421,10 +421,9 @@ def _verify_stage(config: RunConfig, freq, pf, ct, result, ws, out: Path) -> dic
     _write_trajectory_csv(out, conj)
 
     lyap_T = config.lyapunov_T
-    est_T = lyapunov_exponent(sys_full, lyap_T, config.lyapunov_renorm_dt, ws=ws,
-                              seed=config.seed)
     est_4T = lyapunov_exponent(sys_full, 4 * lyap_T, config.lyapunov_renorm_dt,
                                ws=ws, seed=config.seed)
+    estimate_T = est_4T.prefix_exponent(lyap_T)
     _write_lyapunov_csv(out, est_4T)
 
     energy_drift = None
@@ -442,10 +441,10 @@ def _verify_stage(config: RunConfig, freq, pf, ct, result, ws, out: Path) -> dic
             "horizon": config.conjugacy_T,
         },
         "lyapunov": {
-            "estimate_T": est_T.top_exponent,
+            "estimate_T": estimate_T,
             "estimate_4T": est_4T.top_exponent,
             "horizon_T": lyap_T,
-            "shrink_factor": (abs(est_T.top_exponent) / max(abs(est_4T.top_exponent), 1e-300)),
+            "shrink_factor": (abs(estimate_T) / max(abs(est_4T.top_exponent), 1e-300)),
         },
         "energy_drift": energy_drift,
         "state_norm_ratio": float(
@@ -571,6 +570,11 @@ def _cmd_validate(config: RunConfig, out: Path) -> int:
         return EXIT_CONFIG
 
 
+def _report_cell(value) -> str:
+    # fields a step did not compute (consistency_defect with the oracle off) are null
+    return "" if value is None else f"{value:.6e}"
+
+
 def _cmd_report(out: Path) -> int:
     """Re-render CSV outputs from stored checkpoints without recomputation."""
     summary_path = out / "summary.json"
@@ -584,12 +588,11 @@ def _cmd_report(out: Path) -> int:
         f.write("m,eps_m,K_eff,divisor_min,homological_residual,P_norm,"
                 "symplectic_defect,consistency_defect,weighted_size\n")
         for rec in steps:
-            f.write(
-                f"{rec['m']},{rec['eps_m']:.6e},{rec['K_eff']},"
-                f"{rec['divisor_min']:.6e},{rec['homological_residual']:.6e},"
-                f"{rec['P_norm']:.6e},{rec['symplectic_defect']:.6e},"
-                f"{rec['consistency_defect']:.6e},{rec['weighted_size']:.6e}\n"
-            )
+            cells = [str(rec["m"]), _report_cell(rec["eps_m"]), str(rec["K_eff"])]
+            cells += [_report_cell(rec[key]) for key in
+                      ("divisor_min", "homological_residual", "P_norm",
+                       "symplectic_defect", "consistency_defect", "weighted_size")]
+            f.write(",".join(cells) + "\n")
     print(f"re-rendered reports under {out}")
     return EXIT_CONVERGED
 

@@ -238,7 +238,6 @@ def measure_scan(
 
     excluded = (np.cumsum(diff[:-1]) > 0) | edge_hits
     if prev_mask is not None:
-        fraction = float(np.mean(excluded[~prev_mask.astype(bool)])) if np.any(~prev_mask) else 0.0
         base = ~prev_mask.astype(bool)
         fraction = float(np.sum(excluded & base) / max(np.sum(base), 1))
     else:

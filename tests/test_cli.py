@@ -160,6 +160,19 @@ class TestMain:
         assert code == EXIT_CONVERGED
         assert (out / "steps_report.csv").exists()
 
+    def test_report_with_null_consistency_defect(self, tmp_path):
+        step = {"m": 0, "eps_m": 1e-3, "K_eff": 3, "divisor_min": 0.25,
+                "homological_residual": 1e-14, "P_norm": 2e-3,
+                "symplectic_defect": 1e-15, "consistency_defect": None,
+                "weighted_size": 4e-4}
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").write_text(json.dumps({"steps": [step]}))
+        assert main(["report", "--out", str(out)]) == EXIT_CONVERGED
+        rows = (out / "steps_report.csv").read_text().splitlines()
+        assert rows[1] == ("0,1.000000e-03,3,2.500000e-01,1.000000e-14,"
+                           "2.000000e-03,1.000000e-15,,4.000000e-04")
+
     def test_validate_command(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(TINY))

@@ -8,6 +8,9 @@ from qpwave.galerkin import WeightedSpace, assemble_initial_forms, coupling_tens
 from qpwave.kam import NormalForm, generator_of, uform_from_blocks
 from qpwave.potential import FrequencySpec, fourier_analyze, make_potential
 from qpwave.verify import (
+    _STAGE_CENTERS,
+    _W0,
+    _W1,
     StabilityError,
     TruncatedWaveSystem,
     compare_through_chain,
@@ -117,6 +120,49 @@ class TestWaveSystem:
         assert np.max(np.abs(u - u_direct)) < 1e-7
 
 
+def integrate_substeps(sys, initial, T, record_every):
+    """Reference splitting: the same scheme as integrate_full, applied one
+    substep at a time to the (q, p) state."""
+    J = sys.J
+    n_steps = int(math.ceil(T / (0.1 / J) - 1e-12))
+    dt = T / n_steps
+    k = sys._modes
+    drift_sizes = (0.5 * _W1 * dt, 0.5 * (_W1 + _W0) * dt, 0.5 * (_W0 + _W1) * dt,
+                   0.5 * _W1 * dt)
+    rot = [(np.cos(k * a), np.sin(k * a)) for a in drift_sizes]
+    kick_sizes = tuple(w * dt for w in (_W1, _W0, _W1))
+    q, p = initial[:J].astype(float), initial[J:].astype(float)
+    times, states = [0.0], [np.concatenate([q, p])]
+    for step in range(n_steps):
+        M = sys.coupling_at((step + np.array(_STAGE_CENTERS)) * dt)
+        for stage in range(3):
+            c, s = rot[stage]
+            q, p = c * q + s * p, -s * q + c * p
+            p = p - (2.0 * sys.eps * kick_sizes[stage]) * (M[stage] @ q)
+        c, s = rot[3]
+        q, p = c * q + s * p, -s * q + c * p
+        if (step + 1) % record_every == 0 or step + 1 == n_steps:
+            times.append((step + 1) * dt)
+            states.append(np.concatenate([q, p]))
+    return np.asarray(times), np.asarray(states)
+
+
+class TestBlockPropagators:
+    @pytest.mark.parametrize("T, record_every, chunk", [
+        (50.0, 7, 256),   # 6000 steps: a partial last block
+        (2.0, 4, 8),      # 120 steps = 15 full blocks; records on block ends
+        (2.0, 5, 7),      # 120 steps: partial last block, records cross blocks
+    ])
+    def test_matches_substep_reference(self, T, record_every, chunk):
+        sys, *_ = build_system(J=6, eps=1e-2)
+        y0 = 0.3 * np.random.default_rng(4).standard_normal(12)
+        times, states = integrate_full(sys, y0, T, record_every=record_every, chunk=chunk)
+        ref_times, ref_states = integrate_substeps(sys, y0, T, record_every)
+        assert np.array_equal(times, ref_times)
+        rel = np.max(np.abs(states - ref_states)) / np.max(np.abs(ref_states))
+        assert rel <= 1e-11
+
+
 class TestReduced:
     def test_exact_rotation_and_invariants(self):
         lam = np.array([1.0, 2.0, 3.5])
@@ -158,6 +204,15 @@ class TestLyapunov:
         sys, *_ = build_system(eps=0.0, J=6)
         with pytest.raises(ValueError):
             lyapunov_exponent(sys, T=20.0, renorm_dt=1.0)
+
+    def test_prefix_exponent_equals_shorter_run(self):
+        sys, *_ = build_system(J=8, eps=1e-2)
+        ws = WeightedSpace(3, 8)
+        long = lyapunov_exponent(sys, T=80.0, renorm_dt=0.2, ws=ws)
+        short = lyapunov_exponent(sys, T=20.0, renorm_dt=0.2, ws=ws)
+        assert long.prefix_exponent(20.0) == short.top_exponent
+        with pytest.raises(ValueError):
+            long.prefix_exponent(10.0)
 
     def test_known_exponent_recovered(self):
         a = 0.37
