@@ -10,6 +10,7 @@ from .galerkin import (
     weighted_norm,
 )
 from .kam import (
+    CertificateError,
     HomologicalSolution,
     IterationState,
     KamEngine,

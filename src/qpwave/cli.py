@@ -5,7 +5,7 @@ reduce -> verify, with per-step checkpoints under <out>/steps and a
 deterministic summary.json (timings quarantined under their own key).
 
 Exit codes: 0 converged, 2 resonant scaling value, 3 step-size abort,
-4 config error.
+4 config error, 5 step certificate failed.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from . import resonance
 from .galerkin import QuadraticForm, WeightedSpace, assemble_initial_forms, coupling_tensor
 from .kam import (
+    CertificateError,
     ChainStep,
     KamEngine,
     KamOptions,
@@ -49,12 +50,14 @@ from .verify import (
     lyapunov_exponent,
     multiplier_decay,
     qp_to_u,
+    u_norm,
 )
 
 EXIT_CONVERGED = 0
 EXIT_RESONANT = 2
 EXIT_STEPSIZE = 3
 EXIT_CONFIG = 4
+EXIT_CERTIFICATE = 5
 
 SCHEMA_VERSION = 1
 
@@ -305,42 +308,36 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
         raise PipelineAbort(EXIT_RESONANT, "resonant_tau",
                             f"tau={config.tau} rejected: {screen.worst.as_dict()}")
 
-    # 5. reduce
+    # 5. reduce (a degenerate schedule gets no pieces and no steps)
     t0 = time.time()
-    if sched.degenerate:
-        engine = None
-        from .kam import KamResult
-
-        result = KamResult(normal_form=nf0, chain=TransformChain(), history=[],
-                           pieces=[], xi=np.zeros(config.J_max), composed_norm=0.0,
-                           converged=True)
+    opts = KamOptions(picard_tol=config.picard_tol,
+                      residual_tol=config.residual_tol,
+                      norm_grid=config.norm_grid)
+    restored = load_checkpoints(out) if resume and not sched.degenerate else None
+    if restored is not None:
+        m_next, mu_history, pieces, chain, records = restored
+        nf = NormalForm(J=config.J_max,
+                        mu_history=[(e, mu) for e, mu in mu_history])
+        engine = KamEngine(pieces, freq, sched, ws, K_theta=config.K_theta,
+                           options=opts, normal_form=nf, chain=chain,
+                           m_start=m_next, diagnostics=list(records))
     else:
-        opts = KamOptions(picard_tol=config.picard_tol,
-                          residual_tol=config.residual_tol,
-                          norm_grid=config.norm_grid)
-        restored = load_checkpoints(out) if resume else None
-        if restored is not None:
-            m_next, mu_history, pieces, chain, records = restored
-            nf = NormalForm(J=config.J_max,
-                            mu_history=[(e, mu) for e, mu in mu_history])
-            engine = KamEngine(pieces, freq, sched, ws, K_theta=config.K_theta,
-                               options=opts, normal_form=nf, chain=chain,
-                               m_start=m_next, diagnostics=list(records))
-        else:
-            pieces = seed_pieces(dec, sched.eps0, sched)
-            engine = KamEngine(pieces, freq, sched, ws, K_theta=config.K_theta,
-                               options=opts)
-        try:
-            while not engine.finished:
-                record = engine.step()
-                save_checkpoint(out, engine, record)
-        except ResonanceError as e:
-            raise PipelineAbort(EXIT_RESONANT, "resonant_tau",
-                                f"reduce, step m={engine.state.m}: {e}")
-        except StepSizeError as e:
-            raise PipelineAbort(EXIT_STEPSIZE, "step_size_abort",
-                                f"reduce, step m={engine.state.m}: {e}")
-        result = engine.result()
+        pieces = seed_pieces(dec, sched.eps0, sched)
+        engine = KamEngine(pieces, freq, sched, ws, K_theta=config.K_theta,
+                           options=opts)
+    try:
+        while not engine.finished:
+            record = engine.step()
+            save_checkpoint(out, engine, record)
+    except ResonanceError as e:
+        raise PipelineAbort(EXIT_RESONANT, "resonant_tau",
+                            f"reduce, step m={engine.state.m}: {e}")
+    except StepSizeError as e:
+        raise PipelineAbort(EXIT_STEPSIZE, "step_size_abort",
+                            f"reduce, step m={engine.state.m}: {e}")
+    except CertificateError as e:
+        raise PipelineAbort(EXIT_CERTIFICATE, "certificate_failed", f"reduce, {e}")
+    result = engine.result()
     timings["reduce"] = time.time() - t0
 
     summary["steps"] = result.history
@@ -416,7 +413,7 @@ def _verify_stage(config: RunConfig, freq, pf, ct, result, ws, out: Path) -> dic
     lam = result.normal_form.lambdas()
     conj = compare_through_chain(result.chain, times, states, lam, theta0,
                                  freq.omega, ws, subsample=sub)
-    tol = 10.0 * max(result.final_remainder_norm, float(getattr(result, "final_weighted_size", 0.0)),
+    tol = 10.0 * max(result.final_remainder_norm, result.final_weighted_size,
                      _eps_floor(config))
     _write_trajectory_csv(out, conj)
 
@@ -426,6 +423,7 @@ def _verify_stage(config: RunConfig, freq, pf, ct, result, ws, out: Path) -> dic
     estimate_T = est_4T.prefix_exponent(lyap_T)
     _write_lyapunov_csv(out, est_4T)
 
+    norms = u_norm(qp_to_u(states, J), ws)
     energy_drift = None
     if config.eps == 0.0:
         e0 = sys_full.energy(states[0])
@@ -447,9 +445,7 @@ def _verify_stage(config: RunConfig, freq, pf, ct, result, ws, out: Path) -> dic
             "shrink_factor": (abs(estimate_T) / max(abs(est_4T.top_exponent), 1e-300)),
         },
         "energy_drift": energy_drift,
-        "state_norm_ratio": float(
-            _u_sup_norm(states, ws, J) / max(_u_norm_single(states[0], ws, J), 1e-300)
-        ),
+        "state_norm_ratio": float(np.max(norms) / max(norms[0], 1e-300)),
     }
 
 
@@ -457,18 +453,6 @@ def _eps_floor(config: RunConfig) -> float:
     if config.eps == 0.0:
         return 0.0
     return float(config.eps ** ((4.0 / 3.0) ** config.M))
-
-
-def _u_norm_single(state, ws, J):
-    u = qp_to_u(state.reshape(1, -1), J)[0]
-    w = np.concatenate([ws.metric_weights, ws.metric_weights])
-    return float(np.sqrt(np.sum((w * np.abs(u)) ** 2)))
-
-
-def _u_sup_norm(states, ws, J):
-    u = qp_to_u(states, J)
-    w = np.concatenate([ws.metric_weights, ws.metric_weights])
-    return float(np.max(np.sqrt(np.sum((w[None, :] * np.abs(u)) ** 2, axis=1))))
 
 
 def _write_resonance_csv(out: Path, scan):
@@ -571,7 +555,7 @@ def _cmd_validate(config: RunConfig, out: Path) -> int:
 
 
 def _report_cell(value) -> str:
-    # fields a step did not compute (consistency_defect with the oracle off) are null
+    # a null step field renders as an empty cell
     return "" if value is None else f"{value:.6e}"
 
 

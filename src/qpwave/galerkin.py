@@ -179,20 +179,6 @@ class QuadraticForm:
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(b))) if b.size else 0.0 for b in self.blocks())
 
-    def active_band(self, rel_floor: float = 1e-13) -> int:
-        """Largest |k|_inf carrying a coefficient above rel_floor * max."""
-        top = self.max_abs()
-        if top == 0.0:
-            return 0
-        band = 0
-        rings = kinf(self.n, self.K)
-        for b in self.blocks():
-            mags = np.abs(b).reshape(rings.shape + (-1,)).max(axis=-1)
-            hit = rings[mags > rel_floor * top]
-            if hit.size:
-                band = max(band, int(hit.max()))
-        return band
-
     def truncate(self, K_cut: int) -> tuple["QuadraticForm", "QuadraticForm"]:
         """Split into (modes |k|_inf <= K_cut, modes |k|_inf > K_cut); exact."""
         if K_cut < 0:

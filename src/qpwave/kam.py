@@ -24,11 +24,13 @@ import numpy as np
 
 from . import resonance
 from .fourier import (
+    eval_at_points,
     grid_to_window,
     kdot,
     kinf,
     product_grid_size,
     project_window_grid,
+    theta_grid_points,
     window_to_grid,
 )
 from .galerkin import QuadraticForm, WeightedSpace
@@ -57,6 +59,10 @@ class StepSizeError(RuntimeError):
 
 class SelfAdjointnessError(ValueError):
     """Diagonal correction came out non-real."""
+
+
+class CertificateError(RuntimeError):
+    """A step's certificate exceeded its tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +216,24 @@ def jsym_matrix(J: int) -> np.ndarray:
     return JS
 
 
-def bracket(QA: np.ndarray, QB: np.ndarray) -> np.ndarray:
-    """u-form of the Poisson bracket of two quadratic Hamiltonians."""
-    return 2.0 * (QA @ jsym_mul(QB) - QB @ jsym_mul(QA))
-
-
 def bracket_sym(QA: np.ndarray, JS_QB: np.ndarray) -> np.ndarray:
-    """bracket(QA, QB) for symmetric QA, QB, given JS_QB = jsym_mul(QB).
+    """u-form of the Poisson bracket of symmetric QA, QB, given JS_QB = jsym_mul(QB).
 
-    For symmetric operands QB JSYM QA = -(QA JSYM QB)^T, so one product
-    suffices: bracket = 2 (P + P^T) with P = QA @ JS_QB.
+    The bracket is 2 (QA JSYM QB - QB JSYM QA). For symmetric operands
+    QB JSYM QA = -(QA JSYM QB)^T, so one product suffices: bracket = 2 (P + P^T)
+    with P = QA @ JS_QB.
     """
     P = QA @ JS_QB
     swap = tuple(range(P.ndim - 2)) + (P.ndim - 1, P.ndim - 2)
     return 2.0 * (P + P.transpose(swap))
+
+
+def uform_grid(qf: QuadraticForm, G: int) -> np.ndarray:
+    """u-form values of qf on the flat theta grid, shape (G^n, 2J, 2J)."""
+    n, J = qf.n, qf.J
+    hat = uform_from_blocks(qf.zz, qf.zzbar, qf.zbzb)
+    g = window_to_grid(hat.reshape(hat.shape[:n] + (-1,)), n, qf.K, G)
+    return g.reshape(-1, 2 * J, 2 * J)
 
 
 def generator_of(Q: np.ndarray) -> np.ndarray:
@@ -270,18 +280,6 @@ class HomologicalSolution:
     norm_report: dict
     K_m: int
 
-    def generator_window(self) -> np.ndarray:
-        """Window coefficients of the flow matrix B with u' = eps B u."""
-        swap = tuple(range(self.F.zz.ndim - 2)) + (self.F.zz.ndim - 1, self.F.zz.ndim - 2)
-        J = self.F.J
-        shape = self.F.zz.shape[:-2] + (2 * J, 2 * J)
-        B = np.zeros(shape, dtype=complex)
-        B[..., :J, :J] = 1j * self.F.zzbar
-        B[..., :J, J:] = 2j * self.F.zbzb
-        B[..., J:, :J] = -2j * self.F.zz
-        B[..., J:, J:] = -1j * self.F.zzbar.transpose(swap)
-        return B
-
 
 def _divisor_arrays(nf_lam: np.ndarray, omega: np.ndarray, n: int, K: int):
     kw = kdot(omega, n, K)[..., None, None]
@@ -300,7 +298,6 @@ def solve_homological(
     K_m: int,
     gamma_m: float,
     ws: WeightedSpace | None = None,
-    check_thresholds: bool = True,
     norm_grid: int = 12,
 ) -> HomologicalSolution:
     """Solve the step's homological equations on the |k| <= K_m window.
@@ -332,7 +329,7 @@ def solve_homological(
         mask = np.broadcast_to(in_support, checked.shape).copy()
         if kind == "zzbar":
             mask[center][diag_sel] = False  # k = 0 diagonal handled separately
-        if check_thresholds and np.any((checked < 0) & mask):
+        if np.any((checked < 0) & mask):
             flat = np.argmin(np.where(mask, checked, np.inf))
             idx = np.unravel_index(flat, checked.shape)
             kvec = tuple(int(a) - K for a in idx[:n])
@@ -397,9 +394,13 @@ def homological_residual(
 # Flow transform
 
 
+_PICARD_MAX_TERMS = 80
+
+
 @dataclass
 class FlowResult:
     grid: int
+    B: np.ndarray            # (G^n, 2J, 2J) flow generator, u' = eps B u
     Phi: np.ndarray          # (G^n, 2J, 2J) values on the flat theta grid
     P_hat: np.ndarray        # window coefficients of Phi - id
     n: int
@@ -418,7 +419,6 @@ def flow_transform(
     ws: WeightedSpace,
     grid: int,
     picard_tol: float = 1e-12,
-    max_terms: int = 80,
 ) -> FlowResult:
     """Time-1 map of the step generator at frozen angle, per theta grid point.
 
@@ -428,9 +428,7 @@ def flow_transform(
     """
     F = sol.F
     n, K, J = F.n, F.K, F.J
-    B_hat = sol.generator_window()
-    B = window_to_grid(B_hat.reshape(B_hat.shape[:n] + (-1,)), n, K, grid)
-    B = B.reshape((grid,) * n + (2 * J, 2 * J)).reshape(-1, 2 * J, 2 * J)
+    B = generator_of(uform_grid(F, grid))
     w2 = doubled_weights(ws)
 
     gen_norm = float(np.max(np.linalg.norm(B * (w2[:, None] / w2[None, :]),
@@ -445,7 +443,7 @@ def flow_transform(
     U = eye.copy()
     term = eye.copy()
     terms_used = 0
-    for j in range(1, max_terms + 1):
+    for j in range(1, _PICARD_MAX_TERMS + 1):
         term = (eps_m / j) * (B @ term)
         U += term
         terms_used = j
@@ -464,7 +462,7 @@ def flow_transform(
     form = np.matmul(U.transpose(0, 2, 1), jsym_mul(U))
     defect = float(np.max(np.abs(form - JS)))
 
-    return FlowResult(grid=grid, Phi=U, P_hat=P_hat, n=n, K=K, J=J, eps_m=eps_m,
+    return FlowResult(grid=grid, B=B, Phi=U, P_hat=P_hat, n=n, K=K, J=J, eps_m=eps_m,
                       P_norm=P_norm, symplectic_defect=defect,
                       picard_terms=terms_used, generator_norm=gen_norm)
 
@@ -497,8 +495,6 @@ class TransformChain:
 
     def matrices_at(self, thetas: np.ndarray) -> np.ndarray:
         """Composed map Psi_0 Psi_1 ... Psi_{M-1} at each theta, (P, 2J, 2J)."""
-        from .fourier import eval_at_points
-
         thetas = np.atleast_2d(thetas)
         if not self.steps:
             raise ValueError("empty chain")
@@ -510,20 +506,10 @@ class TransformChain:
             out = out @ (np.eye(2 * J) + P)
         return out
 
-    def step_matrices_at(self, m: int, thetas: np.ndarray) -> np.ndarray:
-        from .fourier import eval_at_points
-
-        step = self.steps[m]
-        P = eval_at_points(step.P_hat, step.n, step.K, np.atleast_2d(thetas))
-        return np.eye(2 * step.J) + P
-
     def measure_composed_norm(self, ws: WeightedSpace, grid: int = 12) -> float:
         if not self.steps:
             return 0.0
-        n = self.steps[0].n
-        from .fourier import theta_grid_points
-
-        pts = theta_grid_points(n, grid)
+        pts = theta_grid_points(self.steps[0].n, grid)
         mats = self.matrices_at(pts)
         eye = np.eye(mats.shape[-1])
         self.composed_norm = uform_opnorm(mats - eye, ws)
@@ -535,10 +521,12 @@ class TransformChain:
 
 
 _FACT = [math.factorial(i) for i in range(80)]
+_SERIES_RTOL = 1e-13
+_SERIES_MAX_TERMS = 60
 
 
 def _lie_series(T0: np.ndarray, JS_S: np.ndarray, eps: float, coeff_offset: int,
-                w2: np.ndarray, rtol: float, max_terms: int):
+                w2: np.ndarray):
     """sum_j ad^j(T0) * eps^j / (j + coeff_offset)! for symmetric operands.
 
     Iterates on the product grid without intermediate window projection (the
@@ -549,13 +537,13 @@ def _lie_series(T0: np.ndarray, JS_S: np.ndarray, eps: float, coeff_offset: int,
     term = T0
     acc = term / _FACT[coeff_offset]
     sizes = [_uform_size(term, w2) / _FACT[coeff_offset]]
-    for j in range(1, max_terms):
+    for j in range(1, _SERIES_MAX_TERMS):
         term = eps * bracket_sym(term, JS_S)
         coeff = 1.0 / _FACT[j + coeff_offset]
         size = _uform_size(term, w2) * coeff
         acc = acc + coeff * term
         sizes.append(size)
-        if size <= rtol * max(sizes[0], 1e-300):
+        if size <= _SERIES_RTOL * max(sizes[0], 1e-300):
             return acc, sizes
         if j >= 3 and sizes[-1] > sizes[-2] > sizes[-3]:
             raise StepSizeError("remainder series is not decaying; reduce eps")
@@ -579,8 +567,6 @@ def push_remainder(
     strips_next: list,
     ws: WeightedSpace,
     grid: int,
-    series_rtol: float = 1e-13,
-    max_terms: int = 60,
 ) -> tuple:
     """Assemble the next remainder family from the four step contributions:
     the high-frequency tail, the double-bracket stream seeded by
@@ -594,15 +580,7 @@ def push_remainder(
 
     low, tail = R_mm.truncate(min(sol.K_m, K))
 
-    S_hat = uform_from_blocks(sol.F.zz, sol.F.zzbar, sol.F.zbzb)
-    S_u = window_to_grid(S_hat.reshape(S_hat.shape[:n] + (-1,)), n, K, grid)
-    S_u = S_u.reshape(gshape).reshape(-1, 2 * J, 2 * J)
-    JS_S = jsym_mul(S_u)
-
-    def to_grid_u(qf: QuadraticForm) -> np.ndarray:
-        hat = uform_from_blocks(qf.zz, qf.zzbar, qf.zbzb)
-        g = window_to_grid(hat.reshape(hat.shape[:n] + (-1,)), n, K, grid)
-        return g.reshape(gshape).reshape(-1, 2 * J, 2 * J)
+    JS_S = 0.5 * flow.B  # jsym_mul of the generator's u-form
 
     # seed of the double-bracket stream: diag(mu) - truncated R_mm
     center = (K,) * n
@@ -610,16 +588,15 @@ def push_remainder(
     star = star.scaled(-1.0)
     diag_sel = (np.arange(J), np.arange(J))
     star.zzbar[center][diag_sel] += sol.diag_avg
-    star_u = to_grid_u(star)
-    R_u = to_grid_u(R_mm)
 
+    # the grid seeds stay unnamed so that each is freed once bracketed (peak memory)
     series_terms = {}
-    acc_b, sizes_b = _lie_series(bracket_sym(star_u, JS_S), JS_S, eps_m, 2, w2,
-                                 series_rtol, max_terms)
+    acc_b, sizes_b = _lie_series(bracket_sym(uform_grid(star, grid), JS_S), JS_S,
+                                 eps_m, 2, w2)
     series_terms["double_bracket"] = sizes_b
 
-    acc_c, sizes_c = _lie_series(bracket_sym(R_u, JS_S), JS_S, eps_m, 1, w2,
-                                 series_rtol, max_terms)
+    acc_c, sizes_c = _lie_series(bracket_sym(uform_grid(R_mm, grid), JS_S), JS_S,
+                                 eps_m, 1, w2)
     series_terms["single_bracket"] = sizes_c
 
     def window_blocks(u_grid: np.ndarray) -> tuple:
@@ -636,8 +613,7 @@ def push_remainder(
     new_pieces.append(first)
 
     for idx, piece in enumerate(pieces[1:]):
-        p_u = to_grid_u(piece)
-        acc_p, sizes_p = _lie_series(p_u, JS_S, eps_m, 0, w2, series_rtol, max_terms)
+        acc_p, sizes_p = _lie_series(uform_grid(piece, grid), JS_S, eps_m, 0, w2)
         series_terms[f"transport_{idx}"] = sizes_p
         blocks = window_blocks(acc_p)
         moved = QuadraticForm(n=n, K=K, J=J, zz=blocks[0], zzbar=blocks[1],
@@ -679,16 +655,14 @@ def recompose_generator(
 
     Independent of the series assembly; used to certify each step.
     """
-    n, K, J, G = flow.n, flow.K, flow.J, flow.grid
+    n, J, G = flow.n, flow.J, flow.grid
     gshape = (G,) * n + (2 * J, 2 * J)
 
     L = np.zeros((G,) * n + (2 * J, 2 * J), dtype=complex)
     lamd = np.concatenate([1j * lam_old, -1j * lam_old])
     L[..., np.arange(2 * J), np.arange(2 * J)] = lamd
     for eps_l, piece in zip(eps_weights_old, pieces_old):
-        Q_hat = uform_from_blocks(piece.zz, piece.zzbar, piece.zbzb)
-        Qg = window_to_grid(Q_hat.reshape(Q_hat.shape[:n] + (-1,)), n, K, G)
-        L += eps_l * generator_of(Qg.reshape(gshape))
+        L += eps_l * generator_of(uform_grid(piece, G)).reshape(gshape)
 
     Phi = flow.Phi.reshape(gshape)
     hat = np.fft.fftn(Phi, axes=tuple(range(n)), norm="forward")
@@ -725,9 +699,7 @@ def consistency_defect(
     Q_asm = np.zeros((G**n, 2 * J, 2 * J), dtype=complex)
     Q_asm += normal_uform(lam_new)
     for eps_l, piece in zip(eps_new, pieces_new):
-        hat = uform_from_blocks(piece.zz, piece.zzbar, piece.zbzb)
-        g = window_to_grid(hat.reshape(hat.shape[:n] + (-1,)), n, K, G)
-        Q_asm = Q_asm + eps_l * g.reshape(gshape).reshape(-1, 2 * J, 2 * J)
+        Q_asm = Q_asm + eps_l * uform_grid(piece, G)
 
     # compare inside the coefficient window only (the assembly lives there)
     diff = Q_target - Q_asm
@@ -753,13 +725,8 @@ class IterationState:
 @dataclass
 class KamOptions:
     picard_tol: float = 1e-12
-    residual_tol: float = 1e-10
-    grid: int | None = None
+    residual_tol: float = 1e-10  # bound on each step's consistency_defect
     norm_grid: int = 12
-    screen: bool = True
-    check_consistency: bool = True
-    series_rtol: float = 1e-13
-    max_series_terms: int = 60
 
 
 @dataclass
@@ -816,7 +783,7 @@ class KamEngine:
             diagnostics=diagnostics or [],
         )
         self.chain = chain or TransformChain()
-        self.grid = self.opts.grid or product_grid_size(K_theta)
+        self.grid = product_grid_size(K_theta)
 
     @property
     def finished(self) -> bool:
@@ -836,14 +803,13 @@ class KamEngine:
         omega = self.freq.omega
 
         lam = st.normal_form.lambdas()
-        if self.opts.screen:
-            screen = resonance.screen_tau(
-                self.freq.tau, lam, np.asarray(self.freq.omega0), K_eff, gamma_m,
-                self.ws.J_max,
-            )
-            if not screen.passed:
-                q = screen.worst
-                raise ResonanceError(q.kind, q.k, q.i, q.j, q.value, q.threshold)
+        screen = resonance.screen_tau(
+            self.freq.tau, lam, np.asarray(self.freq.omega0), K_eff, gamma_m,
+            self.ws.J_max,
+        )
+        if not screen.passed:
+            q = screen.worst
+            raise ResonanceError(q.kind, q.k, q.i, q.j, q.value, q.threshold)
 
         R_mm = st.remainder[0]
         active_norm = float(max(
@@ -861,18 +827,19 @@ class KamEngine:
 
         strips_next = [float(s) for s in sched.strip[m + 1:]]
         new_pieces, push_diag = push_remainder(
-            st.remainder, sol, flow, eps_m, eps_next, strips_next, self.ws,
-            self.grid, series_rtol=self.opts.series_rtol,
-            max_terms=self.opts.max_series_terms,
+            st.remainder, sol, flow, eps_m, eps_next, strips_next, self.ws, self.grid,
         )
 
-        consistency = None
-        if self.opts.check_consistency:
-            eps_old = [self._eps_at(m + i) for i in range(len(st.remainder))]
-            eps_new_w = [self._eps_at(m + 1 + i) for i in range(len(new_pieces))]
-            consistency = consistency_defect(
-                st.normal_form.lambdas(), st.remainder, eps_old,
-                nf_new.lambdas(), new_pieces, eps_new_w, flow, omega,
+        eps_old = [self._eps_at(m + i) for i in range(len(st.remainder))]
+        eps_new_w = [self._eps_at(m + 1 + i) for i in range(len(new_pieces))]
+        consistency = consistency_defect(
+            st.normal_form.lambdas(), st.remainder, eps_old,
+            nf_new.lambdas(), new_pieces, eps_new_w, flow, omega,
+        )
+        if not consistency <= self.opts.residual_tol:  # NaN fails too
+            raise CertificateError(
+                f"step m={m}: consistency_defect {consistency:.3e} > "
+                f"residual_tol {self.opts.residual_tol:.1e}"
             )
 
         self.chain.append(flow)
@@ -920,8 +887,7 @@ class KamEngine:
         lam = nf.lambdas()
         j = nf.base
         xi = lam**2 - j**2
-        composed = (self.chain.measure_composed_norm(self.ws)
-                    if self.chain.steps else 0.0)
+        composed = self.chain.measure_composed_norm(self.ws)
         final_active = 0.0
         total = 0.0
         for i, piece in enumerate(self.state.remainder):
@@ -949,7 +915,10 @@ class KamEngine:
 def seed_pieces(decomposition, eps0: float, schedule: Schedule) -> list:
     """Bookkeeping weights for the split remainder: level l enters with weight
     eps_l, so the stored piece is (eps0 / eps_l) * raw piece; the smoothing
-    residual is folded into the last level."""
+    residual is folded into the last level. A degenerate schedule (eps0 = 0)
+    has nothing to reduce and gets no pieces."""
+    if schedule.degenerate:
+        return []
     pieces = []
     for l, piece in enumerate(decomposition.pieces):
         eps_l = float(np.exp((4.0 / 3.0) ** l * math.log(eps0)))
@@ -972,11 +941,6 @@ def kam_run(
     options: KamOptions | None = None,
 ) -> KamResult:
     """Full reduction: truncate, solve, update, flow, push, for m = 0..M-1."""
-    J = ws.J_max
-    if schedule.degenerate:
-        nf = NormalForm(J=J)
-        return KamResult(normal_form=nf, chain=TransformChain(), history=[],
-                         pieces=[], xi=np.zeros(J), composed_norm=0.0, converged=True)
     pieces = seed_pieces(decomposition, schedule.eps0, schedule)
     engine = KamEngine(pieces, freq, schedule, ws, K_theta=pf.K_theta, options=options)
     return engine.run()

@@ -25,6 +25,7 @@ from .fourier import (
     kvalues,
     reality_enforce,
     reality_residual,
+    theta_grid_points,
 )
 
 MAX_SAMPLE_ENTRIES = 200_000_000  # quadrature sampling budget
@@ -63,9 +64,6 @@ class FrequencySpec:
     @property
     def omega(self) -> np.ndarray:
         return self.tau * np.asarray(self.omega0)
-
-    def with_tau(self, tau: float) -> "FrequencySpec":
-        return FrequencySpec(self.omega0, float(tau), self.gamma)
 
     def diophantine_margin(self, K_check: int) -> float:
         """min over 0 < |k|_inf <= K_check of |<k, omega0>| * |k|_inf^(n+1) / gamma.
@@ -149,12 +147,6 @@ class ValidationReport:
         }
 
 
-def _theta_sample_points(n: int, G: int) -> np.ndarray:
-    ax = 2.0 * np.pi * np.arange(G) / G
-    mesh = np.meshgrid(*([ax] * n), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def _x_sample_points(G: int) -> np.ndarray:
     # Uniform full-period grid, wrapped back into [-pi, pi) where hulls live.
     x = 2.0 * np.pi * np.arange(G) / G
@@ -172,7 +164,7 @@ def validate_assumptions(
     if grid < 4 or K_check < 1:
         raise ValueError("need grid >= 4 and K_check >= 1")
     n = p.freq.n
-    th = _theta_sample_points(n, grid)
+    th = theta_grid_points(n, grid)
     x = _x_sample_points(4 * grid)
     vals = np.asarray(p.hull(th[:, None, :], x[None, :]), dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -216,7 +208,7 @@ def fourier_analyze(
         raise ResourceBudgetError(
             f"sampling grid {Gt}^{n} x {Gx} exceeds the memory budget"
         )
-    th = _theta_sample_points(n, Gt)
+    th = theta_grid_points(n, Gt)
     x = _x_sample_points(Gx)
     vals = np.asarray(p.hull(th[:, None, :], x[None, :]), dtype=float)
     if not np.all(np.isfinite(vals)):

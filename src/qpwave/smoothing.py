@@ -33,7 +33,7 @@ def _transition(t: np.ndarray) -> np.ndarray:
 
 @dataclass
 class JacksonKernel:
-    """Radially symmetric flat-top bump profile and its sampled multiplier.
+    """Radially symmetric flat-top bump profile and its Fourier multiplier.
 
     phi(r) = 1 for r <= flat_radius, smooth monotone decay to 0 at r = 1,
     zero outside the closed unit ball. The Fourier-side action of convolving
@@ -41,8 +41,6 @@ class JacksonKernel:
     """
 
     flat_radius: float = 0.5
-    sigma: float | None = None
-    K_hat_samples: np.ndarray | None = None
 
     def phi(self, r: np.ndarray) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))
@@ -54,10 +52,7 @@ class JacksonKernel:
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         radii = np.linalg.norm(kgrid(n, K), axis=-1)
-        env = self.phi(sigma * radii)
-        self.sigma = sigma
-        self.K_hat_samples = env
-        return env
+        return self.phi(sigma * radii)
 
 
 def smooth_at_scale(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qpwave.cli import (
+    EXIT_CERTIFICATE,
     EXIT_CONFIG,
     EXIT_CONVERGED,
     EXIT_RESONANT,
@@ -70,6 +71,16 @@ class TestPipeline:
         assert summary["verify"]["energy_drift"] is not None
         assert summary["verify"]["energy_drift"] < 1e-8
 
+    def test_eps_zero_resume_reads_no_checkpoint(self, tmp_path):
+        cfg = tiny_config(eps=0.0)
+        out = tmp_path / "run0"
+        fresh = run_pipeline(cfg, out)
+        # a stray step directory without a manifest would break a checkpoint read
+        (out / "steps" / "step_000").mkdir(parents=True)
+        resumed = run_pipeline(cfg, out, resume=True)
+        assert json.dumps(strip_timings(fresh), sort_keys=True) == \
+               json.dumps(strip_timings(resumed), sort_keys=True)
+
     def test_resonant_tau_exits_with_status(self, tmp_path):
         tau, _ = find_resonant_tau((1.0, np.sqrt(2.0)), J_max=8, K_search=2)
         cfg = tiny_config(tau=float(tau))
@@ -120,6 +131,17 @@ class TestPipeline:
         resumed = run_pipeline(cfg, out, resume=True)
         assert json.dumps(strip_timings(full), sort_keys=True) == \
                json.dumps(strip_timings(resumed), sort_keys=True)
+
+
+class TestCertificateAbort:
+    def test_consistency_above_residual_tol_aborts_with_code_5(self, tmp_path):
+        out = tmp_path / "cert"
+        with pytest.raises(PipelineAbort) as err:
+            run_pipeline(tiny_config(residual_tol=1e-30), out)
+        assert err.value.code == EXIT_CERTIFICATE
+        assert err.value.status == "certificate_failed"
+        assert "step m=0" in err.value.detail
+        assert not (out / "steps" / "step_000").exists()
 
 
 class TestStepSizeAbort:

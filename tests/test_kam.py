@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qpwave.fourier import reality_enforce, window_to_grid
+from qpwave.fourier import eval_at_points, reality_enforce, theta_grid_points
 from qpwave.galerkin import QuadraticForm, WeightedSpace, assemble_initial_forms, coupling_tensor
 from qpwave.kam import (
+    CertificateError,
     InvalidParameterError,
     KamEngine,
     KamOptions,
@@ -17,11 +18,14 @@ from qpwave.kam import (
     build_schedule,
     consistency_defect,
     flow_transform,
+    generator_of,
     homological_residual,
     kam_run,
     push_remainder,
     seed_pieces,
     solve_homological,
+    uform_from_blocks,
+    uform_grid,
     update_normal_form,
 )
 from qpwave.potential import FrequencySpec, fourier_analyze, make_potential
@@ -212,6 +216,19 @@ def small_solution(rng, n=2, K=2, J=4, tau=1.31, gamma=1e-5):
     return qf, sol, omega
 
 
+class TestUformGrid:
+    def test_matches_pointwise_evaluation(self):
+        rng = np.random.default_rng(11)
+        _, sol, _ = small_solution(rng, n=2, K=2, J=4)
+        F, G = sol.F, 7
+        pts = theta_grid_points(F.n, G)
+        blocks = [eval_at_points(b, F.n, F.K, pts) for b in F.blocks()]
+        expect = uform_from_blocks(*blocks)
+        got = uform_grid(F, G)
+        assert got.shape == (G**2, 8, 8)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
 class TestFlowTransform:
     def test_zero_generator_gives_identity(self):
         qf = QuadraticForm.zeros(2, 2, 3)
@@ -238,10 +255,7 @@ class TestFlowTransform:
         eps = 1e-3
         G = 10
         flow = flow_transform(sol, eps, ws, grid=G, picard_tol=1e-14)
-        B_hat = sol.generator_window()
-        n, K = 2, 2
-        Bg = window_to_grid(B_hat.reshape(B_hat.shape[:n] + (-1,)), n, K, G)
-        Bg = Bg.reshape(G, G, 8, 8)
+        Bg = generator_of(uform_grid(sol.F, G)).reshape(G, G, 8, 8)
         for pick in ((0, 0), (3, 7), (5, 2)):
             oracle = rk4_flow_oracle(Bg[pick], eps)
             got = flow.Phi.reshape(G, G, 8, 8)[pick]
@@ -376,3 +390,16 @@ class TestConsistencyOracle:
                            options=KamOptions(norm_grid=8))
         rec = engine.step()
         assert rec["consistency_defect"] < 1e-9
+
+    def test_defect_above_residual_tol_stops_the_step(self):
+        pf, dec, freq, sched, ws = small_pipeline(M=2)
+        pieces = seed_pieces(dec, sched.eps0, sched)
+        engine = KamEngine(pieces, freq, sched, ws, K_theta=pf.K_theta,
+                           options=KamOptions(norm_grid=8, residual_tol=1e-30))
+        with pytest.raises(CertificateError, match=r"step m=0: consistency_defect"):
+            engine.step()
+        # nothing of the failed step was committed
+        assert engine.state.m == 0
+        assert engine.state.remainder is pieces
+        assert not engine.state.diagnostics
+        assert not engine.chain.steps
