@@ -2,12 +2,11 @@
 
 from .galerkin import (
     CouplingTensor,
-    NormReport,
     QuadraticForm,
     WeightedSpace,
     assemble_initial_forms,
     coupling_tensor,
-    weighted_norm,
+    form_norm,
 )
 from .kam import (
     CertificateError,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -291,8 +290,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
     # 4. screen + measure at entry parameters
     t0 = time.time()
     nf0 = NormalForm(J=config.J_max)
-    K0_eff = (int(min(math.ceil(sched.cutoff[0]), config.K_theta))
-              if not sched.degenerate else config.K_theta)
+    K0_eff = sched.K_eff(0, config.K_theta)
     screen = resonance.screen_tau(config.tau, nf0, np.asarray(config.omega0),
                                   K0_eff, float(sched.gamma_steps[0]), config.J_max)
     scan = resonance.measure_scan(nf0, freq, K0_eff, float(sched.gamma_steps[0]),
@@ -347,25 +345,23 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
     }
 
     # nested admissible-set bookkeeping: per-step scans with the running
-    # frequencies, chaining the excluded masks across steps
+    # frequencies, chaining the excluded masks across steps; step 0's is the
+    # stage 4 scan (base frequencies, same cutoff and gamma_0, no mask)
     if not sched.degenerate:
-        mask = None
+        scan_m, mask = scan, scan.excluded_mask
         per_step_scans = []
-        nf_m = NormalForm(J=config.J_max)
         hist = result.normal_form.mu_history
         for m in range(sched.M):
-            lam_m = nf_m.lambdas()
-            K_eff = int(min(math.ceil(sched.cutoff[m]), config.K_theta))
-            scan_m = resonance.measure_scan(
-                lam_m, freq, K_eff, float(sched.gamma_steps[m]), config.J_max,
-                config.tau_grid_points, m=m, prev_mask=mask,
-            )
-            mask = scan_m.excluded_mask if mask is None else (mask | scan_m.excluded_mask)
+            if m > 0:
+                scan_m = resonance.measure_scan(
+                    NormalForm(J=config.J_max, mu_history=hist[:m]), freq,
+                    sched.K_eff(m, config.K_theta), float(sched.gamma_steps[m]),
+                    config.J_max, config.tau_grid_points, m=m, prev_mask=mask,
+                )
+                mask = mask | scan_m.excluded_mask
             entry = scan_m.as_dict()
             entry["cumulative_admissible_fraction"] = float(1.0 - np.mean(mask))
             per_step_scans.append(entry)
-            if m < len(hist):
-                nf_m = NormalForm(J=config.J_max, mu_history=hist[: m + 1])
         summary["resonance"]["per_step"] = per_step_scans
     summary["contraction_exponents"] = result.contraction_exponents()
     summary["composed_transform_norm"] = result.composed_norm
@@ -378,7 +374,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
     # 6. verify
     if config.run_verify:
         t0 = time.time()
-        summary["verify"] = _verify_stage(config, freq, pf, ct, result, ws, out)
+        summary["verify"] = _verify_stage(config, freq, pf, ct, result, ws, sched, out)
         timings["verify"] = time.time() - t0
 
     summary["status"] = "converged"
@@ -388,7 +384,8 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
     return summary
 
 
-def _verify_stage(config: RunConfig, freq, pf, ct, result, ws, out: Path) -> dict:
+def _verify_stage(config: RunConfig, freq, pf, ct, result, ws, sched: Schedule,
+                  out: Path) -> dict:
     rng = np.random.default_rng(config.seed)
     J = config.J_max
     theta0 = np.zeros(config.n)
@@ -414,7 +411,7 @@ def _verify_stage(config: RunConfig, freq, pf, ct, result, ws, out: Path) -> dic
     conj = compare_through_chain(result.chain, times, states, lam, theta0,
                                  freq.omega, ws, subsample=sub)
     tol = 10.0 * max(result.final_remainder_norm, result.final_weighted_size,
-                     _eps_floor(config))
+                     sched.eps_at(sched.M))
     _write_trajectory_csv(out, conj)
 
     lyap_T = config.lyapunov_T
@@ -447,12 +444,6 @@ def _verify_stage(config: RunConfig, freq, pf, ct, result, ws, out: Path) -> dic
         "energy_drift": energy_drift,
         "state_norm_ratio": float(np.max(norms) / max(norms[0], 1e-300)),
     }
-
-
-def _eps_floor(config: RunConfig) -> float:
-    if config.eps == 0.0:
-        return 0.0
-    return float(config.eps ** ((4.0 / 3.0) ** config.M))
 
 
 def _write_resonance_csv(out: Path, scan):
@@ -499,30 +490,28 @@ def sweep_tau(config: RunConfig, out_dir: str | Path) -> dict:
         raise PipelineAbort(EXIT_CONFIG, "config_error", "sweep needs >= 2 points")
     taus = np.linspace(float(lo), float(hi), count)
     results = []
-    statuses = []
     for i, tau in enumerate(taus):
         sub = RunConfig.from_dict({**config.as_dict(), "tau": float(tau),
                                    "tau_sweep": None})
         sub_out = out / f"tau_{i:03d}"
         try:
             s = run_pipeline(sub, sub_out)
-            statuses.append("converged")
             results.append({"tau": float(tau), "status": "converged",
                             "max_abs_xi": s["multiplier"]["max_abs"]})
         except PipelineAbort as e:
-            statuses.append(e.status)
             results.append({"tau": float(tau), "status": e.status,
                             "detail": e.detail})
-    converged = sum(1 for s in statuses if s == "converged")
-    frac = converged / count
-    gamma = config.gamma
+    # only the resonance screen excludes a tau; step-size aborts and failed
+    # certificates are neither converged nor excluded
+    statuses = [r["status"] for r in results]
+    excluded = statuses.count("resonant_tau") / count
     aggregate = {
         "schema_version": SCHEMA_VERSION,
         "taus": taus.tolist(),
         "results": results,
-        "converged_fraction": frac,
-        "excluded_fraction": 1.0 - frac,
-        "empirical_constant": (1.0 - frac) / gamma ** (1.0 / 3.0),
+        "converged_fraction": statuses.count("converged") / count,
+        "excluded_fraction": excluded,
+        "empirical_constant": excluded / config.gamma ** (1.0 / 3.0),
         "bound_form": "converged_fraction >= 1 - c * gamma^(1/3)",
     }
     _write_json(out / "sweep_summary.json", aggregate)
@@ -595,7 +584,7 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("--steps", type=int, default=None, help="override M")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None,
-                        help="advisory thread cap (wall clock only)")
+                        help="BLAS thread cap (needs threadpoolctl)")
     args = parser.parse_args(argv)
 
     overrides: dict = {"tau": args.tau, "seed": args.seed, "threads": args.threads}
@@ -614,10 +603,11 @@ def main(argv: list | None = None) -> int:
     if config.threads:
         try:
             import threadpoolctl
-
-            threadpoolctl.threadpool_limits(config.threads)
         except ImportError:
-            pass
+            print("config error: --threads needs the threadpoolctl package",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+        threadpoolctl.threadpool_limits(config.threads)
 
     out = Path(args.out)
     try:

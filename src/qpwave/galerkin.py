@@ -269,15 +269,6 @@ class QuadraticForm:
         )
 
 
-@dataclass
-class NormReport:
-    weighted_op_norm: float
-    lipschitz_norm: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {"weighted_op_norm": self.weighted_op_norm, "lipschitz_norm": self.lipschitz_norm}
-
-
 # ---------------------------------------------------------------------------
 # Assembly and norms
 
@@ -308,72 +299,7 @@ def assemble_initial_forms(
     return qf
 
 
-def _sup_weighted_norm(qf: QuadraticForm, ws: WeightedSpace, G: int) -> float:
-    """Grid maximum of the weighted block norms, sharpened by a deterministic
-    pattern search so the value is stable under grid refinement."""
-    from .fourier import eval_at_points
-
-    s = ws.sqrt_weights
-    scale = s[:, None] * s[None, :]
-
-    def at_points(thetas: np.ndarray) -> np.ndarray:
-        best = np.zeros(thetas.shape[0])
-        for b in qf.blocks():
-            vals = eval_at_points(b, qf.n, qf.K, thetas) * scale
-            d = ws.metric_weights
-            weighted = vals * (d[:, None] / d[None, :])
-            best = np.maximum(best, np.linalg.norm(weighted, ord=2, axis=(-2, -1)))
-        return best
-
-    from .fourier import theta_grid_points
-
-    pts = theta_grid_points(qf.n, G)
-    vals = at_points(pts)
-    theta = pts[int(np.argmax(vals))].copy()
-    best = float(np.max(vals))
-    h = 2.0 * np.pi / G
-    for _ in range(60):
-        moved = False
-        cands = []
-        for d in range(qf.n):
-            for sgn in (1.0, -1.0):
-                c = theta.copy()
-                c[d] += sgn * h
-                cands.append(c)
-        cand_vals = at_points(np.asarray(cands))
-        top = int(np.argmax(cand_vals))
-        if cand_vals[top] > best:
-            best = float(cand_vals[top])
-            theta = np.asarray(cands)[top]
-            moved = True
-        if not moved:
-            h *= 0.5
-            if h < 1e-9:
-                break
-    return best
-
-
-def weighted_norm(
-    qf: QuadraticForm,
-    ws: WeightedSpace,
-    theta_grid: int = 16,
-    qf_pair: tuple["QuadraticForm", "QuadraticForm", float] | None = None,
-) -> NormReport:
-    """sup over theta of the h_N -> h_N norm of J * block(theta) * J, computed
-    from the named grid and sharpened to the nearby smooth maximum.
-
-    qf_pair = (qf_plus, qf_minus, dtau) adds a symmetric-difference Lipschitz
-    entry in the scaling parameter.
-    """
-    if theta_grid < 1:
-        raise ValueError("need at least one theta grid point")
-    if ws.J_max != qf.J:
-        raise DimensionError("weighted space and form disagree on J")
-    G = max(theta_grid, 1)
-    norm = _sup_weighted_norm(qf, ws, G)
-    lip = 0.0
-    if qf_pair is not None:
-        qp, qm, dtau = qf_pair
-        diff = qp - qm
-        lip = _sup_weighted_norm(diff, ws, G) / (2.0 * dtau)
-    return NormReport(weighted_op_norm=float(norm), lipschitz_norm=float(lip))
+def form_norm(qf: QuadraticForm, ws: WeightedSpace, G: int) -> float:
+    """Grid maximum over theta of the h_N -> h_N norm of J * block(theta) * J,
+    over the three blocks, on a uniform grid of at least window size."""
+    return float(max(ws.opnorm_weighted(v) for v in qf.grid_values(G)))

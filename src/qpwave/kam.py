@@ -33,7 +33,7 @@ from .fourier import (
     theta_grid_points,
     window_to_grid,
 )
-from .galerkin import QuadraticForm, WeightedSpace
+from .galerkin import QuadraticForm, WeightedSpace, form_norm
 from .potential import FrequencySpec
 
 
@@ -91,6 +91,19 @@ class Schedule:
     @property
     def degenerate(self) -> bool:
         return self.eps0 == 0.0
+
+    def eps_at(self, level: int) -> float:
+        """Level weight eps_l = eps0^((4/3)^l), at any level (0 if degenerate)."""
+        if self.degenerate:
+            return 0.0
+        return float(np.exp((4.0 / 3.0) ** level * math.log(self.eps0)))
+
+    def K_eff(self, m: int, K_theta: int) -> int:
+        """Step m's mode cutoff, capped at the theta window (the whole window
+        for a degenerate schedule)."""
+        if self.degenerate:
+            return K_theta
+        return int(min(math.ceil(self.cutoff[m]), K_theta))
 
     def as_dict(self) -> dict:
         return {
@@ -247,6 +260,15 @@ def normal_uform(lam: np.ndarray) -> np.ndarray:
     Q[:J, J:] = 0.5 * np.diag(lam)
     Q[J:, :J] = 0.5 * np.diag(lam)
     return Q
+
+
+def hamiltonian_grid(lam: np.ndarray, pieces: list, weights: list, G: int) -> np.ndarray:
+    """u-form of lam + sum_l w_l p_l on the flat theta grid, (G^n, 2J, 2J):
+    the pieces are summed as window coefficients and moved to the grid once."""
+    total = pieces[0].scaled(weights[0])
+    for w, piece in zip(weights[1:], pieces[1:]):
+        total = total + piece.scaled(w)
+    return normal_uform(lam) + uform_grid(total, G)
 
 
 def doubled_weights(ws: WeightedSpace) -> np.ndarray:
@@ -410,7 +432,6 @@ class FlowResult:
     P_norm: float
     symplectic_defect: float
     picard_terms: int
-    generator_norm: float
 
 
 def flow_transform(
@@ -431,8 +452,7 @@ def flow_transform(
     B = generator_of(uform_grid(F, grid))
     w2 = doubled_weights(ws)
 
-    gen_norm = float(np.max(np.linalg.norm(B * (w2[:, None] / w2[None, :]),
-                                           ord=2, axis=(-2, -1))))
+    gen_norm = uform_opnorm(B, ws)
     if eps_m * gen_norm >= 0.5:
         raise StepSizeError(
             f"flow generator too large: eps*|B| = {eps_m * gen_norm:.3e} >= 0.5"
@@ -464,7 +484,7 @@ def flow_transform(
 
     return FlowResult(grid=grid, B=B, Phi=U, P_hat=P_hat, n=n, K=K, J=J, eps_m=eps_m,
                       P_norm=P_norm, symplectic_defect=defect,
-                      picard_terms=terms_used, generator_norm=gen_norm)
+                      picard_terms=terms_used)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +624,7 @@ def push_remainder(
         return blocks_from_uform(hat)
 
     bc_blocks = window_blocks(acc_b + acc_c)
+    del acc_b, acc_c  # peak memory: the transport loop below needs neither
 
     new_pieces = []
     first = tail.scaled(eps_m / eps_next)
@@ -628,13 +649,10 @@ def push_remainder(
             strips_next[-1] if strips_next else piece.strip)
         piece.symmetrize()
 
-    tail_norm = max(ws.opnorm_weighted(v) for v in tail.grid_values(8))
     last_sizes = [s[-1] for s in series_terms.values() if s]
     spec_ok = all(s <= 1e-3 * eps_next for s in last_sizes)
-    piece_norms = [
-        float(max(ws.opnorm_weighted(v) for v in p.grid_values(8))) for p in new_pieces
-    ]
-    diag = PushDiagnostics(series_terms=series_terms, tail_norm=float(tail_norm),
+    piece_norms = [form_norm(p, ws, 8) for p in new_pieces]
+    diag = PushDiagnostics(series_terms=series_terms, tail_norm=form_norm(tail, ws, 8),
                            spec_truncation_ok=bool(spec_ok), new_piece_norms=piece_norms)
     return new_pieces, diag
 
@@ -657,12 +675,7 @@ def recompose_generator(
     """
     n, J, G = flow.n, flow.J, flow.grid
     gshape = (G,) * n + (2 * J, 2 * J)
-
-    L = np.zeros((G,) * n + (2 * J, 2 * J), dtype=complex)
-    lamd = np.concatenate([1j * lam_old, -1j * lam_old])
-    L[..., np.arange(2 * J), np.arange(2 * J)] = lamd
-    for eps_l, piece in zip(eps_weights_old, pieces_old):
-        L += eps_l * generator_of(uform_grid(piece, G)).reshape(gshape)
+    L = generator_of(hamiltonian_grid(lam_old, pieces_old, eps_weights_old, G)).reshape(gshape)
 
     Phi = flow.Phi.reshape(gshape)
     hat = np.fft.fftn(Phi, axes=tuple(range(n)), norm="forward")
@@ -695,15 +708,10 @@ def consistency_defect(
     n, K, J, G = flow.n, flow.K, flow.J, flow.grid
     Q_target = recompose_generator(lam_old, pieces_old, eps_old, flow, omega)
 
-    gshape = (G,) * n + (2 * J, 2 * J)
-    Q_asm = np.zeros((G**n, 2 * J, 2 * J), dtype=complex)
-    Q_asm += normal_uform(lam_new)
-    for eps_l, piece in zip(eps_new, pieces_new):
-        Q_asm = Q_asm + eps_l * uform_grid(piece, G)
+    Q_asm = hamiltonian_grid(lam_new, pieces_new, eps_new, G)
 
     # compare inside the coefficient window only (the assembly lives there)
-    diff = Q_target - Q_asm
-    diff = project_window_grid(diff.reshape(gshape), n, K).reshape(-1, 2 * J, 2 * J)
+    diff = project_window_grid((Q_target - Q_asm).reshape((G,) * n + (2 * J, 2 * J)), n, K)
     scale = float(np.max(np.abs(Q_asm)))
     return float(np.max(np.abs(diff))) / scale
 
@@ -717,8 +725,6 @@ class IterationState:
     m: int
     normal_form: NormalForm
     remainder: list
-    schedule: Schedule
-    tau: float
     diagnostics: list = field(default_factory=list)
 
 
@@ -740,9 +746,6 @@ class KamResult:
     converged: bool
     final_weighted_size: float = 0.0   # eps_M * |R_MM| (next active piece)
     final_remainder_norm: float = 0.0  # sum_l eps_l * |R_{l,M}| over all pieces
-
-    def multiplier(self) -> np.ndarray:
-        return self.xi
 
     def contraction_exponents(self) -> list:
         """log(eps_{m+1} |R_{m+1}|) / log(eps_m |R_m|) for each completed step."""
@@ -778,8 +781,6 @@ class KamEngine:
             m=m_start,
             normal_form=normal_form or NormalForm(J=J),
             remainder=pieces,
-            schedule=schedule,
-            tau=freq.tau,
             diagnostics=diagnostics or [],
         )
         self.chain = chain or TransformChain()
@@ -796,10 +797,10 @@ class KamEngine:
         m = st.m
         sched = self.schedule
         eps_m = float(sched.eps[m])
-        eps_next = float(np.exp(sched.log_eps[m] * (4.0 / 3.0)))
+        eps_next = sched.eps_at(m + 1)
         gamma_m = float(sched.gamma_steps[m])
         K_raw = float(sched.cutoff[m])
-        K_eff = int(min(math.ceil(K_raw), self.K_theta))
+        K_eff = sched.K_eff(m, self.K_theta)
         omega = self.freq.omega
 
         lam = st.normal_form.lambdas()
@@ -812,9 +813,7 @@ class KamEngine:
             raise ResonanceError(q.kind, q.k, q.i, q.j, q.value, q.threshold)
 
         R_mm = st.remainder[0]
-        active_norm = float(max(
-            self.ws.opnorm_weighted(v) for v in R_mm.grid_values(self.opts.norm_grid)
-        ))
+        active_norm = form_norm(R_mm, self.ws, self.opts.norm_grid)
 
         sol = solve_homological(R_mm, st.normal_form, omega, K_eff, gamma_m,
                                 ws=self.ws, norm_grid=self.opts.norm_grid)
@@ -830,8 +829,8 @@ class KamEngine:
             st.remainder, sol, flow, eps_m, eps_next, strips_next, self.ws, self.grid,
         )
 
-        eps_old = [self._eps_at(m + i) for i in range(len(st.remainder))]
-        eps_new_w = [self._eps_at(m + 1 + i) for i in range(len(new_pieces))]
+        eps_old = [sched.eps_at(m + i) for i in range(len(st.remainder))]
+        eps_new_w = [sched.eps_at(m + 1 + i) for i in range(len(new_pieces))]
         consistency = consistency_defect(
             st.normal_form.lambdas(), st.remainder, eps_old,
             nf_new.lambdas(), new_pieces, eps_new_w, flow, omega,
@@ -874,9 +873,6 @@ class KamEngine:
         st.diagnostics.append(record)
         return record
 
-    def _eps_at(self, level: int) -> float:
-        return float(np.exp((4.0 / 3.0) ** level * math.log(self.schedule.eps0)))
-
     def run(self) -> KamResult:
         while not self.finished:
             self.step()
@@ -891,11 +887,8 @@ class KamEngine:
         final_active = 0.0
         total = 0.0
         for i, piece in enumerate(self.state.remainder):
-            norm = float(max(
-                self.ws.opnorm_weighted(v)
-                for v in piece.grid_values(self.opts.norm_grid)
-            ))
-            weight = self._eps_at(self.state.m + i)
+            norm = form_norm(piece, self.ws, self.opts.norm_grid)
+            weight = self.schedule.eps_at(self.state.m + i)
             total += weight * norm
             if i == 0:
                 final_active = weight * norm
@@ -919,14 +912,12 @@ def seed_pieces(decomposition, eps0: float, schedule: Schedule) -> list:
     has nothing to reduce and gets no pieces."""
     if schedule.degenerate:
         return []
-    pieces = []
-    for l, piece in enumerate(decomposition.pieces):
-        eps_l = float(np.exp((4.0 / 3.0) ** l * math.log(eps0)))
-        pieces.append(piece.scaled(eps0 / eps_l))
+    pieces = [piece.scaled(eps0 / schedule.eps_at(l))
+              for l, piece in enumerate(decomposition.pieces)]
     if pieces:
         last = len(pieces) - 1
-        eps_last = float(np.exp((4.0 / 3.0) ** last * math.log(eps0)))
-        pieces[last] = pieces[last] + decomposition.residual_form.scaled(eps0 / eps_last)
+        pieces[last] = pieces[last] + decomposition.residual_form.scaled(
+            eps0 / schedule.eps_at(last))
         for l, p in enumerate(pieces):
             p.strip = float(schedule.strip[l]) if l < len(schedule.strip) else p.strip
     return pieces

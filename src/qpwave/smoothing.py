@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import kgrid
-from .galerkin import QuadraticForm, WeightedSpace
+from .galerkin import QuadraticForm, WeightedSpace, form_norm
 
 
 class ScheduleError(ValueError):
@@ -138,12 +138,9 @@ def decompose(
     piece_norms = []
     bound_constants = []
     for l, piece in enumerate(pieces):
-        wn = max(ws.opnorm_weighted(v) for v in piece.grid_values(G))
-        piece_norms.append(float(wn))
-        if l >= 1:
-            bound_constants.append(float(wn / strips[l - 1] ** ws.N))
-        else:
-            bound_constants.append(float(wn))
+        wn = form_norm(piece, ws, G)
+        piece_norms.append(wn)
+        bound_constants.append(wn / strips[l - 1] ** ws.N if l >= 1 else wn)
 
     return DyadicDecomposition(
         pieces=pieces,

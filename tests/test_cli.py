@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,10 @@ class TestPipeline:
             assert rec["homological_residual"] <= 1e-10
             assert rec["symplectic_defect"] <= 1e-8
         assert summary["verify"]["conjugacy"]["within_tolerance"]
+        # step 0's per-step scan is the entry scan
+        step0 = dict(summary["resonance"]["per_step"][0])
+        del step0["cumulative_admissible_fraction"]
+        assert step0 == summary["resonance"]["scan"]
 
     def test_eps_zero_run(self, tmp_path):
         summary = run_pipeline(tiny_config(eps=0.0), tmp_path / "run0")
@@ -170,6 +175,17 @@ class TestSweep:
         for r in agg["results"]:
             assert r["status"] == "resonant_tau"
 
+    def test_step_size_abort_is_not_a_resonance_exclusion(self, tmp_path):
+        tau, _ = find_resonant_tau((1.0, np.sqrt(2.0)), J_max=8, K_search=2)
+        cfg = tiny_config(eps=0.4, potential={"preset": "finite_smooth",
+                                              "scale": 3.0, "theta_band": 2},
+                          tau_sweep=[float(tau), 1.29, 2], run_verify=False)
+        agg = sweep_tau(cfg, tmp_path / "sweep3")
+        assert [r["status"] for r in agg["results"]] == ["resonant_tau", "step_size_abort"]
+        assert agg["converged_fraction"] == 0.0
+        assert agg["excluded_fraction"] == 0.5
+        assert agg["empirical_constant"] == 0.5 / 0.05 ** (1.0 / 3.0)
+
 
 class TestMain:
     def test_run_and_report_commands(self, tmp_path):
@@ -201,6 +217,18 @@ class TestMain:
         code = main(["validate", "--config", str(cfg_path), "--out",
                      str(tmp_path / "v")])
         assert code == EXIT_CONVERGED
+
+    def test_threads_without_threadpoolctl_is_config_error(self, tmp_path, monkeypatch,
+                                                           capsys):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY))
+        out = tmp_path / "t"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--threads", "2"])
+        assert code == EXIT_CONFIG
+        assert "threadpoolctl" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "config.json"

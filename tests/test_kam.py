@@ -19,8 +19,10 @@ from qpwave.kam import (
     consistency_defect,
     flow_transform,
     generator_of,
+    hamiltonian_grid,
     homological_residual,
     kam_run,
+    normal_uform,
     push_remainder,
     seed_pieces,
     solve_homological,
@@ -64,6 +66,22 @@ class TestSchedule:
         with pytest.raises(InvalidParameterError):
             build_schedule(0.0, 6, 0.05, 2, 3)
         assert Schedule.degenerate_schedule(2, 6, 0.05).degenerate
+
+    def test_eps_at_matches_eps_list(self):
+        s = build_schedule(1e-3, N=6, gamma=0.05, n=2, M=5)
+        # the level exponent (4/3)^l may differ by an ulp (scalar vs array
+        # power); exp scales that by |log eps_l|
+        for level in range(s.M + 1):
+            assert s.eps_at(level) == pytest.approx(s.eps[level], rel=1e-14)
+        assert s.eps_at(s.M + 1) == pytest.approx(1e-3 ** ((4 / 3) ** (s.M + 1)), rel=1e-12)
+        assert Schedule.degenerate_schedule(2, 6, 0.05).eps_at(3) == 0.0
+
+    def test_K_eff_caps_at_window(self):
+        s = build_schedule(1e-3, N=6, gamma=0.05, n=2, M=3)
+        for m in range(s.M + 1):
+            assert s.K_eff(m, 16) == 16  # cutoffs in the hundreds: capped
+            assert s.K_eff(m, 10**9) == math.ceil(s.cutoff[m])
+        assert Schedule.degenerate_schedule(2, 6, 0.05).K_eff(0, 7) == 7
 
 
 class TestNormalForm:
@@ -228,6 +246,18 @@ class TestUformGrid:
         assert got.shape == (G**2, 8, 8)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
+    def test_hamiltonian_grid_matches_per_piece_sum(self):
+        rng = np.random.default_rng(12)
+        n, K, J, G = 2, 2, 4, 7
+        pieces = [small_solution(rng, n=n, K=K, J=J)[0] for _ in range(3)]
+        weights = [1e-3, 1e-4, 1e-5]
+        lam = np.arange(1, J + 1) + 1e-3 * rng.standard_normal(J)
+        # reference: each piece moved to the grid on its own, then summed
+        expect = normal_uform(lam) + sum(w * uform_grid(p, G) for w, p in zip(weights, pieces))
+        got = hamiltonian_grid(lam, pieces, weights, G)
+        assert got.shape == (G**n, 2 * J, 2 * J)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
 
 class TestFlowTransform:
     def test_zero_generator_gives_identity(self):
@@ -343,8 +373,7 @@ class TestEngine:
         assert np.max(np.abs(res.xi)) < 4 * sched.eps0
         assert res.composed_norm <= math.sqrt(sched.eps0)
         # the leftover off-diagonal part is small on the last step's scale
-        eps_M = float(np.exp((4.0 / 3.0) ** sched.M * math.log(sched.eps0)))
-        assert res.final_weighted_size <= 2.0 * eps_M
+        assert res.final_weighted_size <= 2.0 * sched.eps_at(sched.M)
 
     def test_contraction_of_weighted_size(self):
         pf, dec, freq, sched, ws = small_pipeline(M=3)
