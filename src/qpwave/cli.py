@@ -22,6 +22,7 @@ import numpy as np
 from . import resonance
 from .galerkin import QuadraticForm, WeightedSpace, assemble_initial_forms, coupling_tensor
 from .kam import (
+    SYMPLECTIC_TOL,
     CertificateError,
     ChainStep,
     KamEngine,
@@ -105,6 +106,10 @@ class RunConfig:
         for name in ("picard_tol", "residual_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # a Picard series cut off above the gate can leave a symplectic defect above it
+        if self.picard_tol > SYMPLECTIC_TOL:
+            raise ValueError(f"picard_tol must be <= {SYMPLECTIC_TOL:.0e}, the bound on "
+                             "each step's symplectic_defect")
         if min(self.J_max, self.K_theta, self.M) < 1:
             raise ValueError("truncations and step count must be >= 1")
 

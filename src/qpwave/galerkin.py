@@ -62,6 +62,51 @@ def coupling_tensor(J_max: int) -> CouplingTensor:
 
 
 # ---------------------------------------------------------------------------
+# Spectral norms
+
+# |A|_F >= |A|_2, but the rounded Frobenius norm of a rank-one matrix can fall
+# a few ulp below the SVD's sigma_max; this factor covers both roundings
+FROBENIUS_MARGIN = 1.0 + 1e-12
+_SVD_FIRST = 16
+# below this largest bound, squared entries may underflow and the Frobenius
+# norm is no longer a bound within the margin
+_FROBENIUS_FLOOR = 1e-100
+
+
+def _sigma_max(mats: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(mats, compute_uv=False).max(axis=-1)
+
+
+def max_spectral_norm(mats: np.ndarray) -> float:
+    """Largest spectral norm in a (..., r, c) batch, equal bit for bit to
+    np.max(np.linalg.norm(mats, ord=2, axis=(-2, -1))).
+
+    Each matrix's Frobenius norm bounds its spectral norm, so the SVD runs only
+    on the matrices with the largest bounds and then on those whose bound
+    still reaches the maximum found so far.
+    """
+    mats = np.asarray(mats)
+    flat = mats.reshape((-1,) + mats.shape[-2:])
+    bound = np.linalg.norm(flat, axis=(-2, -1)) * FROBENIUS_MARGIN
+    top = float(np.max(bound))
+    if not _FROBENIUS_FLOOR <= top < np.inf:  # zero, tiny, huge or NaN entries
+        return float(np.max(np.linalg.norm(mats, ord=2, axis=(-2, -1))))
+    first = np.argsort(bound)[-_SVD_FIRST:]
+    best = _sigma_max(flat[first]).max()
+    rest = bound >= best
+    rest[first] = False
+    if rest.any():
+        best = max(best, _sigma_max(flat[rest]).max())
+    return float(best)
+
+
+def metric_opnorm(mats: np.ndarray, d: np.ndarray) -> float:
+    """Largest operator norm in a (..., r, r) batch for the metric diag(d):
+    the spectral norm of diag(d) mat diag(d)^-1."""
+    return max_spectral_norm(mats * (d[:, None] / d[None, :]))
+
+
+# ---------------------------------------------------------------------------
 # Weighted sequence space
 
 
@@ -94,9 +139,7 @@ class WeightedSpace:
 
     def opnorm(self, mat: np.ndarray) -> float:
         """Operator norm h_N -> h_N of a (..., J, J) matrix (max over leading dims)."""
-        d = self.metric_weights
-        weighted = mat * (d[:, None] / d[None, :])
-        return float(np.max(np.linalg.norm(weighted, ord=2, axis=(-2, -1))))
+        return metric_opnorm(mat, self.metric_weights)
 
     def opnorm_weighted(self, mat: np.ndarray) -> float:
         """Operator norm h_N -> h_N of J * mat * J."""

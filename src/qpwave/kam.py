@@ -33,7 +33,7 @@ from .fourier import (
     theta_grid_points,
     window_to_grid,
 )
-from .galerkin import QuadraticForm, WeightedSpace, form_norm
+from .galerkin import QuadraticForm, WeightedSpace, form_norm, metric_opnorm
 from .potential import FrequencySpec
 
 
@@ -278,9 +278,7 @@ def doubled_weights(ws: WeightedSpace) -> np.ndarray:
 
 def uform_opnorm(Q: np.ndarray, ws: WeightedSpace) -> float:
     """Weighted operator norm (doubled h_N metric) of (..., 2J, 2J) matrices."""
-    w2 = doubled_weights(ws)
-    weighted = Q * (w2[:, None] / w2[None, :])
-    return float(np.max(np.linalg.norm(weighted, ord=2, axis=(-2, -1))))
+    return metric_opnorm(Q, doubled_weights(ws))
 
 
 def _uform_size(Q: np.ndarray, w2: np.ndarray, stride: int = 7) -> float:
@@ -417,6 +415,7 @@ def homological_residual(
 
 
 _PICARD_MAX_TERMS = 80
+SYMPLECTIC_TOL = 1e-12  # bound on each step's symplectic_defect, enforced by KamEngine.step
 
 
 @dataclass
@@ -823,11 +822,18 @@ class KamEngine:
 
         flow = flow_transform(sol, eps_m, self.ws, self.grid,
                               picard_tol=self.opts.picard_tol)
+        if not flow.symplectic_defect <= SYMPLECTIC_TOL:  # NaN fails too
+            raise CertificateError(
+                f"step m={m}: symplectic_defect {flow.symplectic_defect:.3e} > "
+                f"{SYMPLECTIC_TOL:.1e}"
+            )
 
         strips_next = [float(s) for s in sched.strip[m + 1:]]
         new_pieces, push_diag = push_remainder(
             st.remainder, sol, flow, eps_m, eps_next, strips_next, self.ws, self.grid,
         )
+        if not push_diag.spec_truncation_ok:
+            raise CertificateError(f"step m={m}: series_truncation_spec_ok is false")
 
         eps_old = [sched.eps_at(m + i) for i in range(len(st.remainder))]
         eps_new_w = [sched.eps_at(m + 1 + i) for i in range(len(new_pieces))]

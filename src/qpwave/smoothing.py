@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import kgrid
-from .galerkin import QuadraticForm, WeightedSpace, form_norm
+from .galerkin import QuadraticForm, WeightedSpace, form_norm, max_spectral_norm
 
 
 class ScheduleError(ValueError):
@@ -130,9 +130,7 @@ def decompose(
 
     G = max(theta_grid, 2 * qf.K + 2, 8)
     def supnorm(form: QuadraticForm) -> float:
-        return max(
-            float(np.max(np.linalg.norm(v, ord=2, axis=(-2, -1)))) for v in form.grid_values(G)
-        )
+        return max(max_spectral_norm(v) for v in form.grid_values(G))
 
     ws = ws or WeightedSpace(N=2, J_max=qf.J)
     piece_norms = []

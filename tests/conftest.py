@@ -1,0 +1,28 @@
+import dataclasses
+
+import pytest
+
+from qpwave import kam
+
+
+@pytest.fixture
+def fail_certificate(monkeypatch):
+    """Returns a function that makes one per-step certificate fail in every
+    following KamEngine.step: the flow's symplectic_defect or the remainder
+    push's series_truncation_spec_ok."""
+
+    def inject(gate: str):
+        if gate == "symplectic_defect":
+            flow_transform = kam.flow_transform
+            monkeypatch.setattr(kam, "flow_transform", lambda *a, **k: dataclasses.replace(
+                flow_transform(*a, **k), symplectic_defect=1e-9))
+        else:
+            push_remainder = kam.push_remainder
+
+            def failing_push(*a, **k):
+                pieces, diag = push_remainder(*a, **k)
+                return pieces, dataclasses.replace(diag, spec_truncation_ok=False)
+
+            monkeypatch.setattr(kam, "push_remainder", failing_push)
+
+    return inject

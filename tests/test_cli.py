@@ -148,6 +148,18 @@ class TestCertificateAbort:
         assert "step m=0" in err.value.detail
         assert not (out / "steps" / "step_000").exists()
 
+    @pytest.mark.parametrize("gate", ["symplectic_defect", "series_truncation_spec_ok"])
+    def test_failed_step_certificate_aborts_with_code_5(self, tmp_path, fail_certificate,
+                                                         gate):
+        fail_certificate(gate)
+        out = tmp_path / "cert"
+        with pytest.raises(PipelineAbort) as err:
+            run_pipeline(tiny_config(), out)
+        assert err.value.code == EXIT_CERTIFICATE
+        assert err.value.status == "certificate_failed"
+        assert f"step m=0: {gate}" in err.value.detail
+        assert not (out / "steps" / "step_000").exists()
+
 
 class TestStepSizeAbort:
     def test_oversized_perturbation_aborts_with_code_3(self, tmp_path):
@@ -236,6 +248,15 @@ class TestMain:
         code = main(["run", "--config", str(cfg_path), "--out",
                      str(tmp_path / "x")])
         assert code == EXIT_CONFIG
+
+    def test_picard_tol_looser_than_symplectic_gate_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TINY, "picard_tol": 1e-9}))
+        out = tmp_path / "p"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "picard_tol must be <= 1e-12" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resonant_exit_code(self, tmp_path):
         tau, _ = find_resonant_tau((1.0, np.sqrt(2.0)), J_max=8, K_search=2)

@@ -9,6 +9,7 @@ from qpwave.galerkin import (
     assemble_initial_forms,
     coupling_tensor,
     form_norm,
+    max_spectral_norm,
 )
 from qpwave.potential import FrequencySpec, fourier_analyze, make_potential
 
@@ -138,6 +139,75 @@ class TestWeightedNorm:
                 assert wn == pytest.approx(sv, rel=1e-10)
                 best = max(best, sv)
         assert form_norm(qf, ws, G) == pytest.approx(best, rel=1e-10)
+
+
+def svd_max(mats) -> float:
+    """Reference: every matrix through the SVD."""
+    return float(np.max(np.linalg.norm(mats, ord=2, axis=(-2, -1))))
+
+
+class TestMaxSpectralNorm:
+    """The pruned kernel must equal the full SVD sweep exactly, not approximately."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_complex_and_real_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((300, 8, 8)) + 1j * rng.standard_normal((300, 8, 8))
+        assert max_spectral_norm(z) == svd_max(z)
+        assert max_spectral_norm(z.real) == svd_max(z.real)
+
+    def test_extra_leading_dimensions(self):
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal((4, 5, 6, 6)) + 1j * rng.standard_normal((4, 5, 6, 6))
+        assert max_spectral_norm(z) == svd_max(z)
+        rect = rng.standard_normal((3, 7, 5, 4))
+        assert max_spectral_norm(rect) == svd_max(rect)
+
+    def test_single_matrix(self):
+        a = np.random.default_rng(8).standard_normal((5, 5))
+        assert max_spectral_norm(a) == svd_max(a)
+
+    def test_all_zero_batch(self):
+        z = np.zeros((40, 6, 6), complex)
+        assert max_spectral_norm(z) == 0.0 == svd_max(z)
+
+    def test_tiny_entries_are_not_zero(self):
+        # squares of these entries underflow, so their Frobenius norms read 0
+        a = np.full((20, 3, 3), 1e-170)
+        assert max_spectral_norm(a) == svd_max(a) > 0.0
+
+    def test_ties(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((6, 6))
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        batch = np.stack([a] * 40 + [a.T] * 10 + [2 * q] * 30)
+        assert max_spectral_norm(batch) == svd_max(batch)
+
+    def test_maximum_on_rank_one_matrix(self):
+        # a rank-one matrix r whose rounded Frobenius norm is below its sigma_max,
+        # behind 16 matrices whose bounds are larger and whose norm s lies
+        # strictly between the two: pruning r on its bare Frobenius norm
+        # would return s
+        rng = np.random.default_rng(10)
+        for _ in range(10_000):
+            r = np.outer(rng.standard_normal(4), rng.standard_normal(4))
+            fro, sigma = np.linalg.norm(r), np.linalg.norm(r, 2)
+            s = np.nextafter(fro, np.inf)
+            x = np.diag([s, s / 2, s / 4, s / 8])
+            if s < sigma and np.linalg.norm(x, 2) == s:
+                break
+        else:
+            pytest.fail("no rank-one matrix with a rounding gap of 2 ulp found")
+        batch = np.stack([x] * 16 + [r] + [0.1 * r] * 20)
+        assert max_spectral_norm(batch) == svd_max(batch) == sigma
+
+    def test_random_batches_peaking_on_rank_one(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            u = rng.standard_normal((50, 5, 1)) + 1j * rng.standard_normal((50, 5, 1))
+            v = rng.standard_normal((50, 1, 5))
+            batch = u @ v
+            assert max_spectral_norm(batch) == svd_max(batch)
 
 
 class TestIsometry:

@@ -7,6 +7,7 @@ from qpwave.fourier import eval_at_points, reality_enforce, theta_grid_points
 from qpwave.galerkin import QuadraticForm, WeightedSpace, assemble_initial_forms, coupling_tensor
 from qpwave.kam import (
     CertificateError,
+    HomologicalSolution,
     InvalidParameterError,
     KamEngine,
     KamOptions,
@@ -14,6 +15,7 @@ from qpwave.kam import (
     ResonanceError,
     Schedule,
     SelfAdjointnessError,
+    StepSizeError,
     TransformChain,
     build_schedule,
     consistency_defect,
@@ -28,6 +30,7 @@ from qpwave.kam import (
     solve_homological,
     uform_from_blocks,
     uform_grid,
+    uform_opnorm,
     update_normal_form,
 )
 from qpwave.potential import FrequencySpec, fourier_analyze, make_potential
@@ -305,6 +308,36 @@ class TestFlowTransform:
         assert np.max(np.abs(np.conj(Phi) - swapped)) < 1e-12
 
 
+def rotation_solution(c: float, J: int = 4) -> HomologicalSolution:
+    """F = c <z, zbar>: generator B = diag(i c I, -i c I), so |B| = |c| while
+    its Frobenius norm is |c| sqrt(2J)."""
+    F = QuadraticForm.zeros(1, 0, J)
+    F.zzbar[0] = c * np.eye(J)
+    return HomologicalSolution(F=F, diag_avg=np.zeros(J), divisor_min=1.0,
+                               norm_report={}, K_m=0)
+
+
+class TestFlowStepSizeGuard:
+    def test_generator_too_large_raises(self):
+        ws = WeightedSpace(3, 4)
+        with pytest.raises(StepSizeError,
+                           match=r"flow generator too large: eps\*\|B\| = 6\.000e-01 >= 0\.5"):
+            flow_transform(rotation_solution(2.0), 0.3, ws, grid=4)
+
+    def test_frobenius_bound_above_exact_norm_below_proceeds(self):
+        ws, eps, J = WeightedSpace(3, 4), 0.3, 4
+        sol = rotation_solution(1.0, J)
+        B = generator_of(uform_grid(sol.F, 4))
+        # the bound alone would reject; the exact norm accepts
+        assert eps * np.max(np.linalg.norm(B, axis=(-2, -1))) >= 0.5
+        assert eps * uform_opnorm(B, ws) == pytest.approx(0.3, abs=1e-15)
+        flow = flow_transform(sol, eps, ws, grid=4)
+        rot = np.exp(1j * eps)
+        expect = np.diag([rot] * J + [np.conj(rot)] * J)
+        assert np.max(np.abs(flow.Phi - expect)) < 1e-12
+        assert flow.P_norm == pytest.approx(abs(rot - 1.0), rel=1e-12)
+
+
 class TestPushRemainder:
     def test_zero_generator_shifts_pieces(self):
         rng = np.random.default_rng(6)
@@ -428,6 +461,22 @@ class TestConsistencyOracle:
         with pytest.raises(CertificateError, match=r"step m=0: consistency_defect"):
             engine.step()
         # nothing of the failed step was committed
+        assert engine.state.m == 0
+        assert engine.state.remainder is pieces
+        assert not engine.state.diagnostics
+        assert not engine.chain.steps
+
+
+class TestCertificateGates:
+    @pytest.mark.parametrize("gate", ["symplectic_defect", "series_truncation_spec_ok"])
+    def test_failed_certificate_stops_the_step(self, fail_certificate, gate):
+        pf, dec, freq, sched, ws = small_pipeline(M=2)
+        pieces = seed_pieces(dec, sched.eps0, sched)
+        engine = KamEngine(pieces, freq, sched, ws, K_theta=pf.K_theta,
+                           options=KamOptions(norm_grid=8))
+        fail_certificate(gate)
+        with pytest.raises(CertificateError, match=rf"step m=0: {gate}"):
+            engine.step()
         assert engine.state.m == 0
         assert engine.state.remainder is pieces
         assert not engine.state.diagnostics
