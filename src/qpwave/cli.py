@@ -5,13 +5,16 @@ reduce -> verify, with per-step checkpoints under <out>/steps and a
 deterministic summary.json (timings quarantined under their own key).
 
 Exit codes: 0 converged, 2 resonant scaling value, 3 step-size abort,
-4 config error, 5 step certificate failed.
+4 config error, 5 certificate failed (a step's or the verify stage's
+conjugacy), 6 internal error (numpy linear algebra, memory or I/O).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -58,6 +61,7 @@ EXIT_RESONANT = 2
 EXIT_STEPSIZE = 3
 EXIT_CONFIG = 4
 EXIT_CERTIFICATE = 5
+EXIT_INTERNAL = 6
 
 SCHEMA_VERSION = 1
 
@@ -153,9 +157,14 @@ def _write_json(path: Path, payload: dict):
 
 
 def save_checkpoint(out: Path, engine: KamEngine, record: dict):
+    """Write step m's checkpoint into a temporary sibling, then rename it to
+    step_<m>, so that a step_* directory is either complete or absent."""
     m_done = engine.state.m  # steps completed
     step_dir = out / "steps" / f"step_{m_done - 1:03d}"
-    step_dir.mkdir(parents=True, exist_ok=True)
+    tmp_dir = step_dir.with_name(f".{step_dir.name}.tmp")  # not matched by step_*
+    if tmp_dir.exists():
+        shutil.rmtree(tmp_dir)
+    tmp_dir.mkdir(parents=True)
     st = engine.state
     manifest = {
         "schema": SCHEMA_VERSION,
@@ -166,22 +175,29 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict):
         "chain_step": None,
     }
     for i, piece in enumerate(st.remainder):
-        piece.save(step_dir, f"piece_{i}")
+        piece.save(tmp_dir, f"piece_{i}")
         manifest["pieces"].append(f"piece_{i}")
     last = engine.chain.steps[-1]
-    _save_complex(step_dir / "transform.bin", last.P_hat)
+    _save_complex(tmp_dir / "transform.bin", last.P_hat)
     manifest["chain_step"] = {
         "shape": list(last.P_hat.shape),
         "n": last.n, "K": last.K, "J": last.J, "eps_m": last.eps_m,
         "P_norm": last.P_norm, "symplectic_defect": last.symplectic_defect,
     }
-    _write_json(step_dir / "state.json", manifest)
+    _write_json(tmp_dir / "state.json", manifest)
+    if step_dir.exists():
+        shutil.rmtree(step_dir)
+    os.replace(tmp_dir, step_dir)
 
 
 def load_checkpoints(out: Path):
-    """Rebuild (m_next, mu_history, pieces, chain, records) from disk."""
-    steps_dir = out / "steps"
-    step_dirs = sorted(steps_dir.glob("step_*"))
+    """Rebuild (m_next, mu_history, pieces, chain, records) from disk, from
+    the step directories up to the first one without a state.json."""
+    step_dirs = []
+    for d in sorted((out / "steps").glob("step_*")):
+        if not (d / "state.json").exists():
+            break  # an interrupted write: resume recomputes from this step on
+        step_dirs.append(d)
     if not step_dirs:
         return None
     chain = TransformChain()
@@ -210,8 +226,12 @@ def load_checkpoints(out: Path):
 
 
 class PipelineAbort(Exception):
-    def __init__(self, code: int, status: str, detail: str):
+    """A run that ends without converging. ``summary`` is the full summary
+    when run_pipeline has already written it to summary.json."""
+
+    def __init__(self, code: int, status: str, detail: str, summary: dict | None = None):
         self.code, self.status, self.detail = code, status, detail
+        self.summary = summary
         super().__init__(detail)
 
 
@@ -235,9 +255,25 @@ def _build_inputs(config: RunConfig, tau: float):
     return freq, spec, table
 
 
+# failures of the machinery rather than of the mathematics
+_INTERNAL_ERRORS = (np.linalg.LinAlgError, MemoryError, OSError)
+
+
 def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -> dict:
-    """Execute the full pipeline; returns the summary dict (also written)."""
-    out = Path(out_dir)
+    """Execute the full pipeline; returns the summary dict (also written).
+
+    A numpy linear-algebra error, MemoryError or OSError becomes a
+    PipelineAbort with status internal_error naming the stage, and the step
+    in reduce."""
+    stages = ["setup"]  # entered so far; the last is the current one
+    try:
+        return _pipeline(config, Path(out_dir), resume, stages)
+    except _INTERNAL_ERRORS as e:
+        raise PipelineAbort(EXIT_INTERNAL, "internal_error",
+                            f"{stages[-1]}: {type(e).__name__}: {e}") from e
+
+
+def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     timings: dict = {}
     t_start = time.time()
@@ -254,6 +290,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
         raise PipelineAbort(EXIT_CONFIG, "config_error", str(e))
 
     # 1. validate
+    stages.append("validate")
     t0 = time.time()
     try:
         report = validate_assumptions(spec, config.K_check, config.validation_grid)
@@ -266,16 +303,19 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
                             f"potential assumptions failed: {report.as_dict()}")
 
     # 2. analyze
+    stages.append("analyze")
     t0 = time.time()
     pf = fourier_analyze(spec, config.K_theta, config.J_max)
     summary["potential_tail"] = {"tail_norm": pf.tail_norm, "flagged": pf.tail_flagged}
     timings["analyze"] = time.time() - t0
 
+    stages.append("assemble")
     ws = WeightedSpace(config.smoothness_N, config.J_max)
     ct = coupling_tensor(config.J_max)
     qf0 = assemble_initial_forms(pf, ct, ws)
 
     # 3. schedule and analytic split
+    stages.append("schedule_split")
     t0 = time.time()
     if config.eps == 0.0:
         sched = Schedule.degenerate_schedule(config.n, config.smoothness_N, config.gamma)
@@ -293,6 +333,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
     timings["schedule_split"] = time.time() - t0
 
     # 4. screen + measure at entry parameters
+    stages.append("screen")
     t0 = time.time()
     nf0 = NormalForm(J=config.J_max)
     K0_eff = sched.K_eff(0, config.K_theta)
@@ -312,6 +353,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
                             f"tau={config.tau} rejected: {screen.worst.as_dict()}")
 
     # 5. reduce (a degenerate schedule gets no pieces and no steps)
+    stages.append("reduce")
     t0 = time.time()
     opts = KamOptions(picard_tol=config.picard_tol,
                       residual_tol=config.residual_tol,
@@ -330,6 +372,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
                            options=opts)
     try:
         while not engine.finished:
+            stages.append(f"reduce, step m={engine.state.m}")
             record = engine.step()
             save_checkpoint(out, engine, record)
     except ResonanceError as e:
@@ -340,6 +383,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
                             f"reduce, step m={engine.state.m}: {e}")
     except CertificateError as e:
         raise PipelineAbort(EXIT_CERTIFICATE, "certificate_failed", f"reduce, {e}")
+    stages.append("reduce")
     result = engine.result()
     timings["reduce"] = time.time() - t0
 
@@ -377,15 +421,25 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
     summary["multiplier"] = mult.as_dict()
 
     # 6. verify
+    detail = None
     if config.run_verify:
+        stages.append("verify")
         t0 = time.time()
         summary["verify"] = _verify_stage(config, freq, pf, ct, result, ws, sched, out)
         timings["verify"] = time.time() - t0
+        conj = summary["verify"]["conjugacy"]
+        if not conj["within_tolerance"]:
+            detail = (f"verify: conjugacy max_rel_deviation {conj['max_rel_deviation']:.3e}"
+                      f" > tolerance {conj['tolerance']:.3e}")
+            summary["detail"] = detail
 
-    summary["status"] = "converged"
+    stages.append("summary")
+    summary["status"] = "converged" if detail is None else "certificate_failed"
     timings["total"] = time.time() - t_start
     summary["timings"] = timings
     _write_json(out / "summary.json", summary)
+    if detail is not None:
+        raise PipelineAbort(EXIT_CERTIFICATE, summary["status"], detail, summary=summary)
     return summary
 
 
@@ -415,8 +469,9 @@ def _verify_stage(config: RunConfig, freq, pf, ct, result, ws, sched: Schedule,
     lam = result.normal_form.lambdas()
     conj = compare_through_chain(result.chain, times, states, lam, theta0,
                                  freq.omega, ws, subsample=sub)
+    # residual_tol floors the tolerance at roundoff: at eps=0 every other term is 0
     tol = 10.0 * max(result.final_remainder_norm, result.final_weighted_size,
-                     sched.eps_at(sched.M))
+                     sched.eps_at(sched.M), config.residual_tol)
     _write_trajectory_csv(out, conj)
 
     lyap_T = config.lyapunov_T
@@ -630,9 +685,9 @@ def main(argv: list | None = None) -> int:
         print(f"status: {summary['status']}; summary at {out / 'summary.json'}")
         return EXIT_CONVERGED
     except PipelineAbort as e:
-        payload = {"status": e.status, "detail": e.detail,
-                   "config": config.as_dict()}
-        _write_json(out / "summary.json", payload)
+        if e.summary is None:  # else run_pipeline wrote the full summary
+            _write_json(out / "summary.json", {"status": e.status, "detail": e.detail,
+                                               "config": config.as_dict()})
         print(f"{e.status}: {e.detail}", file=sys.stderr)
         return e.code
 

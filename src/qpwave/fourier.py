@@ -4,9 +4,16 @@ Coefficient arrays for a function on the n-torus are stored on a hypercube
 window |k|_inf <= K: shape (2K+1,)*n + tail, axis index i <-> mode k = i - K.
 Grid values use the convention f(theta_m) = sum_k c_k exp(i<k, theta_m>) on the
 uniform grid theta_m = 2*pi*m/G.
+
+Window <-> grid transforms are exact-window DFTs: one dense G x (2K+1) or
+(2K+1) x G matrix applied along each theta axis, so only window modes are
+ever touched.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -22,16 +29,20 @@ _SMOOTH_SIZES = sorted(
 
 
 def fast_grid_size(minimum: int) -> int:
-    """Smallest 5-smooth FFT size >= minimum."""
+    """Smallest 5-smooth size >= minimum.
+
+    The DFT-matrix transforms run at any G. The 5-smooth sizes are kept only
+    so that grids, and every number computed on them, stay as they are."""
     for s in _SMOOTH_SIZES:
         if s >= minimum:
             return s
-    raise ValueError(f"no cached FFT size >= {minimum}")
+    raise ValueError(f"no cached grid size >= {minimum}")
 
 
 def product_grid_size(K: int) -> int:
     """Grid large enough that pairwise products of window-K data read back
-    alias-free on the window (needs G > 3K)."""
+    alias-free on the window (needs G > 3K), rounded up to a 5-smooth size
+    only so that grids stay as they are (see fast_grid_size)."""
     return fast_grid_size(3 * K + 2)
 
 
@@ -59,43 +70,78 @@ def kinf(n: int, K: int) -> np.ndarray:
     return np.max(np.abs(kgrid(n, K)), axis=-1)
 
 
-def embed_window(coeffs: np.ndarray, n: int, K: int, G: int) -> np.ndarray:
-    """Place window coefficients into an FFT-layout array of size G per axis."""
+def _phases(G: int, modes: np.ndarray) -> np.ndarray:
+    """exp(i k theta_g) for theta_g = 2 pi g / G, shape (G, len(modes)). The
+    phase index g*k is reduced mod G in integers, so every entry is one of the
+    G roots of unity, exact to roundoff."""
+    gk = np.outer(np.arange(G), modes) % G
+    return np.exp(2j * np.pi * gk / G)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=None)
+def _to_grid(K: int, G: int) -> np.ndarray:
+    """E[g, k] = exp(i k theta_g): window coefficients -> grid values, G x (2K+1)."""
     if G < 2 * K + 1:
-        raise ValueError("FFT grid too small for the coefficient window")
-    out_shape = (G,) * n + coeffs.shape[n:]
-    out = np.zeros(out_shape, dtype=complex)
-    idx = tuple(kvalues(K) % G for _ in range(n))
-    out[np.ix_(*idx)] = coeffs
-    return out
+        raise ValueError("grid too small for the coefficient window")
+    return _frozen(_phases(G, kvalues(K)))
 
 
-def extract_window(fft_coeffs: np.ndarray, n: int, K: int) -> np.ndarray:
-    G = fft_coeffs.shape[0]
-    idx = tuple(kvalues(K) % G for _ in range(n))
-    return fft_coeffs[np.ix_(*idx)]
+@functools.lru_cache(maxsize=None)
+def _to_window(K: int, G: int) -> np.ndarray:
+    """E^H / G: grid values -> window coefficients, (2K+1) x G."""
+    return _frozen(np.ascontiguousarray(_to_grid(K, G).conj().T) / G)
+
+
+@functools.lru_cache(maxsize=None)
+def spectral_derivative_matrix(G: int) -> np.ndarray:
+    """G x G matrix of d/dtheta on G uniform samples: FFT, multiply mode k by
+    i k, inverse FFT. Modes follow ``np.fft.fftfreq``; for even G the Nyquist
+    mode -G/2 is kept, as the FFT derivative keeps it."""
+    modes = np.rint(np.fft.fftfreq(G, d=1.0 / G)).astype(int)
+    E = _phases(G, modes)
+    return _frozen((E * (1j * modes)) @ E.conj().T / G)
+
+
+def _along(mat: np.ndarray, x: np.ndarray, ax: int) -> np.ndarray:
+    """mat applied along axis ax of x: one broadcast matmul on the
+    (pre, axis, post) view, so no axis is moved."""
+    shape = x.shape
+    y = np.matmul(mat, x.reshape(math.prod(shape[:ax]), shape[ax], -1))
+    return y.reshape(shape[:ax] + (mat.shape[0],) + shape[ax + 1:])
+
+
+def _per_axis(mat: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """mat applied along each of the first n axes of x."""
+    for ax in range(n):
+        x = _along(mat, x, ax)
+    return x
 
 
 def window_to_grid(coeffs: np.ndarray, n: int, K: int, G: int) -> np.ndarray:
     """Values sum_k c_k e^{i k.theta} on the uniform G^n grid."""
-    return np.fft.ifftn(embed_window(coeffs, n, K, G), axes=tuple(range(n)), norm="forward")
+    return _per_axis(_to_grid(K, G), coeffs, n)
 
 
 def grid_to_window(values: np.ndarray, n: int, K: int) -> np.ndarray:
     """Read window coefficients off uniform grid samples."""
-    hat = np.fft.fftn(values, axes=tuple(range(n)), norm="forward")
-    return extract_window(hat, n, K)
+    return _per_axis(_to_window(K, values.shape[0]), values, n)
 
 
 def project_window_grid(values: np.ndarray, n: int, K: int) -> np.ndarray:
     """Kill all grid content outside the coefficient window, in place of values."""
     G = values.shape[0]
-    hat = np.fft.fftn(values, axes=tuple(range(n)), norm="forward")
-    mask = np.zeros((G,) * n, dtype=bool)
-    idx = tuple(kvalues(K) % G for _ in range(n))
-    mask[np.ix_(*idx)] = True
-    hat *= mask.reshape(mask.shape + (1,) * (values.ndim - n))
-    return np.fft.ifftn(hat, axes=tuple(range(n)), norm="forward")
+    return _per_axis(_to_grid(K, G), _per_axis(_to_window(K, G), values, n), n)
+
+
+def omega_derivative(values: np.ndarray, omega: np.ndarray, n: int) -> np.ndarray:
+    """omega . d_theta of grid values of shape (G,)*n + tail, spectral per axis."""
+    D = spectral_derivative_matrix(values.shape[0])
+    return sum(float(omega[ax]) * _along(D, values, ax) for ax in range(n))
 
 
 def eval_at_points(coeffs: np.ndarray, n: int, K: int, thetas: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from .fourier import (
     grid_to_window,
     kdot,
     kinf,
+    omega_derivative,
     product_grid_size,
     project_window_grid,
     theta_grid_points,
@@ -677,15 +678,9 @@ def recompose_generator(
     L = generator_of(hamiltonian_grid(lam_old, pieces_old, eps_weights_old, G)).reshape(gshape)
 
     Phi = flow.Phi.reshape(gshape)
-    hat = np.fft.fftn(Phi, axes=tuple(range(n)), norm="forward")
-    freqs = np.fft.fftfreq(G, d=1.0 / G)  # integer modes in FFT layout
-    kw = np.zeros((G,) * n)
-    for ax in range(n):
-        shape = [1] * n
-        shape[ax] = G
-        kw = kw + np.asarray(omega, float)[ax] * freqs.reshape(shape)
-    dPhi = np.fft.ifftn(hat * (1j * kw)[..., None, None], axes=tuple(range(n)),
-                        norm="forward")
+    # d_theta I = 0: differentiating Phi - I keeps the matmul's rounding relative
+    # to |Phi - I| (D's row sums are zero only to ~1e-14)
+    dPhi = omega_derivative(Phi - np.eye(2 * J), omega, n)
 
     flatten = (-1, 2 * J, 2 * J)
     rhs = (L @ Phi).reshape(flatten) - dPhi.reshape(flatten)

@@ -1,14 +1,18 @@
+import dataclasses
 import json
+import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qpwave import cli, kam
 from qpwave.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
     EXIT_CONVERGED,
+    EXIT_INTERNAL,
     EXIT_RESONANT,
     PipelineAbort,
     RunConfig,
@@ -80,8 +84,9 @@ class TestPipeline:
         cfg = tiny_config(eps=0.0)
         out = tmp_path / "run0"
         fresh = run_pipeline(cfg, out)
-        # a stray step directory without a manifest would break a checkpoint read
+        # a stray step directory with an unreadable manifest would break a checkpoint read
         (out / "steps" / "step_000").mkdir(parents=True)
+        (out / "steps" / "step_000" / "state.json").write_text("not json")
         resumed = run_pipeline(cfg, out, resume=True)
         assert json.dumps(strip_timings(fresh), sort_keys=True) == \
                json.dumps(strip_timings(resumed), sort_keys=True)
@@ -129,13 +134,34 @@ class TestPipeline:
         out = tmp_path / "partial"
         run_pipeline(cfg, out)
         steps = sorted((out / "steps").glob("step_*"))
-        import shutil
-
         shutil.rmtree(steps[-1])
         (out / "summary.json").unlink()
         resumed = run_pipeline(cfg, out, resume=True)
         assert json.dumps(strip_timings(full), sort_keys=True) == \
                json.dumps(strip_timings(resumed), sort_keys=True)
+
+    def test_checkpoints_leave_only_complete_step_directories(self, tmp_path):
+        out = tmp_path / "run"
+        run_pipeline(tiny_config(), out)
+        names = sorted(p.name for p in (out / "steps").iterdir())
+        assert names == ["step_000", "step_001"]
+        for name in names:
+            assert (out / "steps" / name / "state.json").exists()
+
+    def test_resume_skips_step_without_state_json(self, tmp_path):
+        cfg = tiny_config()
+        full = run_pipeline(cfg, tmp_path / "full")
+        # an interrupted write of the newest step: binaries, no manifest
+        out = tmp_path / "partial"
+        run_pipeline(cfg, out)
+        newest = sorted((out / "steps").glob("step_*"))[-1]
+        (newest / "state.json").unlink()
+        assert any(newest.glob("*.bin"))
+        (out / "summary.json").unlink()
+        resumed = run_pipeline(cfg, out, resume=True)
+        assert json.dumps(strip_timings(full), sort_keys=True) == \
+               json.dumps(strip_timings(resumed), sort_keys=True)
+        assert (newest / "state.json").exists()
 
 
 class TestCertificateAbort:
@@ -159,6 +185,25 @@ class TestCertificateAbort:
         assert err.value.status == "certificate_failed"
         assert f"step m=0: {gate}" in err.value.detail
         assert not (out / "steps" / "step_000").exists()
+
+
+    def test_conjugacy_outside_tolerance_aborts_with_code_5(self, tmp_path, monkeypatch):
+        compare = cli.compare_through_chain
+        monkeypatch.setattr(cli, "compare_through_chain", lambda *a, **k: dataclasses.replace(
+            compare(*a, **k), max_rel_deviation=1.0))
+        out = tmp_path / "conj"
+        with pytest.raises(PipelineAbort) as err:
+            run_pipeline(tiny_config(), out)
+        assert err.value.code == EXIT_CERTIFICATE
+        assert err.value.status == "certificate_failed"
+        assert err.value.detail.startswith("verify: conjugacy")
+        # the full summary is on disk, with the verify section that failed
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "certificate_failed"
+        assert summary["detail"] == err.value.detail
+        assert summary["verify"]["conjugacy"]["max_rel_deviation"] == 1.0
+        assert not summary["verify"]["conjugacy"]["within_tolerance"]
+        assert len(summary["steps"]) == 2
 
 
 class TestStepSizeAbort:
@@ -265,6 +310,42 @@ class TestMain:
         code = main(["run", "--config", str(cfg_path), "--out",
                      str(tmp_path / "r")])
         assert code == EXIT_RESONANT
+
+    def test_conjugacy_failure_exit_code_keeps_full_summary(self, tmp_path, monkeypatch):
+        compare = cli.compare_through_chain
+        monkeypatch.setattr(cli, "compare_through_chain", lambda *a, **k: dataclasses.replace(
+            compare(*a, **k), max_rel_deviation=1.0))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY))
+        out = tmp_path / "c"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CERTIFICATE
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "certificate_failed"
+        assert "verify" in summary and "steps" in summary
+
+    def test_linalg_error_is_internal_error_naming_stage_and_step(self, tmp_path,
+                                                                  monkeypatch):
+        def broken(*a, **k):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(kam, "flow_transform", broken)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY))
+        out = tmp_path / "i"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "internal_error"
+        assert summary["detail"].startswith("reduce, step m=0: LinAlgError: Singular matrix")
+
+    def test_os_error_names_its_stage(self, tmp_path, monkeypatch):
+        def broken(*a, **k):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_resonance_csv", broken)
+        with pytest.raises(PipelineAbort) as err:
+            run_pipeline(tiny_config(), tmp_path / "o")
+        assert err.value.code == EXIT_INTERNAL
+        assert err.value.detail == "screen: OSError: disk full"
 
     def test_tau_override_and_steps(self, tmp_path):
         cfg_path = tmp_path / "config.json"

@@ -1,0 +1,127 @@
+"""The theta transforms against the zero-padded FFT they replace."""
+
+import numpy as np
+import pytest
+
+from qpwave.fourier import (
+    grid_to_window,
+    kvalues,
+    omega_derivative,
+    project_window_grid,
+    spectral_derivative_matrix,
+    window_to_grid,
+)
+
+# (n, K, G): odd and even G, G = 2K+1 exactly, up to three torus dimensions
+CASES = [(1, 4, 9), (1, 5, 16), (1, 6, 27), (2, 3, 7), (2, 4, 15), (2, 6, 20),
+         (2, 8, 27), (3, 2, 5), (3, 2, 8), (3, 3, 12)]
+TAILS = [(), (3,), (2, 4)]
+
+
+# -- the FFT path, kept as the oracle ---------------------------------------
+
+
+def _fft_index(n, K, G):
+    return np.ix_(*[kvalues(K) % G] * n)
+
+
+def fft_window_to_grid(coeffs, n, K, G):
+    padded = np.zeros((G,) * n + coeffs.shape[n:], dtype=complex)
+    padded[_fft_index(n, K, G)] = coeffs
+    return np.fft.ifftn(padded, axes=tuple(range(n)), norm="forward")
+
+
+def fft_grid_to_window(values, n, K):
+    hat = np.fft.fftn(values, axes=tuple(range(n)), norm="forward")
+    return hat[_fft_index(n, K, values.shape[0])]
+
+
+def fft_project(values, n, K):
+    return fft_window_to_grid(fft_grid_to_window(values, n, K), n, K, values.shape[0])
+
+
+def fft_derivative(values, axis):
+    G = values.shape[axis]
+    modes = np.fft.fftfreq(G, d=1.0 / G)
+    shape = [1] * values.ndim
+    shape[axis] = G
+    hat = np.fft.fft(values, axis=axis, norm="forward")
+    return np.fft.ifft(hat * (1j * modes).reshape(shape), axis=axis, norm="forward")
+
+
+# ---------------------------------------------------------------------------
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("n,K,G", CASES)
+@pytest.mark.parametrize("tail", TAILS)
+def test_transforms_match_fft(n, K, G, tail):
+    rng = np.random.default_rng(1000 * n + 10 * K + G)
+    coeffs = _complex(rng, (2 * K + 1,) * n + tail)
+    values = _complex(rng, (G,) * n + tail)
+
+    grid = window_to_grid(coeffs, n, K, G)
+    assert grid.shape == (G,) * n + tail
+    assert _rel(grid, fft_window_to_grid(coeffs, n, K, G)) <= 1e-13
+
+    hat = grid_to_window(values, n, K)
+    assert hat.shape == (2 * K + 1,) * n + tail
+    assert _rel(hat, fft_grid_to_window(values, n, K)) <= 1e-13
+
+    projected = project_window_grid(values, n, K)
+    assert projected.shape == values.shape
+    assert _rel(projected, fft_project(values, n, K)) <= 1e-13
+
+
+@pytest.mark.parametrize("n,K,G", CASES)
+def test_round_trip_returns_window(n, K, G):
+    coeffs = _complex(np.random.default_rng(G), (2 * K + 1,) * n + (2, 2))
+    back = grid_to_window(window_to_grid(coeffs, n, K, G), n, K)
+    assert _rel(back, coeffs) <= 1e-13
+
+
+def test_real_coefficients_promote_to_complex():
+    coeffs = np.random.default_rng(3).standard_normal((9, 9))
+    grid = window_to_grid(coeffs, 2, 4, 15)
+    assert grid.dtype == complex
+    assert _rel(grid, fft_window_to_grid(coeffs, 2, 4, 15)) <= 1e-13
+
+
+def test_grid_smaller_than_window_raises():
+    coeffs = np.zeros((9, 9), dtype=complex)
+    with pytest.raises(ValueError):
+        window_to_grid(coeffs, 2, 4, 8)
+
+
+def test_matrices_are_read_only():
+    from qpwave.fourier import _to_grid, _to_window
+
+    for mat in (_to_grid(4, 15), _to_window(4, 15), spectral_derivative_matrix(15)):
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("G", [15, 20, 27])
+def test_spectral_derivative_matches_fft(G):
+    rng = np.random.default_rng(G)
+    values = _complex(rng, (G, 3))
+    D = spectral_derivative_matrix(G)
+    assert D.shape == (G, G)
+    assert _rel(D @ values, fft_derivative(values, 0)) <= 1e-13
+
+
+@pytest.mark.parametrize("G", [15, 20, 27])
+def test_omega_derivative_matches_fft(G):
+    rng = np.random.default_rng(G + 1)
+    omega = np.array([1.0, np.sqrt(2.0)])
+    values = _complex(rng, (G, G, 2, 2))
+    expected = omega[0] * fft_derivative(values, 0) + omega[1] * fft_derivative(values, 1)
+    assert _rel(omega_derivative(values, omega, 2), expected) <= 1e-13
+
