@@ -27,7 +27,6 @@ from .galerkin import QuadraticForm, WeightedSpace, assemble_initial_forms, coup
 from .kam import (
     SYMPLECTIC_TOL,
     CertificateError,
-    ChainStep,
     KamEngine,
     KamOptions,
     NormalForm,
@@ -177,13 +176,10 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict):
     for i, piece in enumerate(st.remainder):
         piece.save(tmp_dir, f"piece_{i}")
         manifest["pieces"].append(f"piece_{i}")
-    last = engine.chain.steps[-1]
-    _save_complex(tmp_dir / "transform.bin", last.P_hat)
-    manifest["chain_step"] = {
-        "shape": list(last.P_hat.shape),
-        "n": last.n, "K": last.K, "J": last.J, "eps_m": last.eps_m,
-        "P_norm": last.P_norm, "symplectic_defect": last.symplectic_defect,
-    }
+    # the step's eps_m, P_norm and symplectic_defect are in the record
+    P_hat = engine.chain.steps[-1]
+    _save_complex(tmp_dir / "transform.bin", P_hat)
+    manifest["chain_step"] = {"shape": list(P_hat.shape)}
     _write_json(tmp_dir / "state.json", manifest)
     if step_dir.exists():
         shutil.rmtree(step_dir)
@@ -206,13 +202,8 @@ def load_checkpoints(out: Path):
     for d in step_dirs:
         with open(d / "state.json") as f:
             manifest = json.load(f)
-        info = manifest["chain_step"]
-        P_hat = _load_complex(d / "transform.bin", info["shape"])
-        chain.steps.append(ChainStep(
-            P_hat=P_hat, n=info["n"], K=info["K"], J=info["J"],
-            eps_m=info["eps_m"], P_norm=info["P_norm"],
-            symplectic_defect=info["symplectic_defect"],
-        ))
+        chain.steps.append(_load_complex(d / "transform.bin",
+                                         manifest["chain_step"]["shape"]))
         records.append(manifest["record"])
     last_dir = step_dirs[-1]
     pieces = [QuadraticForm.load(last_dir, name) for name in manifest["pieces"]]
@@ -650,11 +641,12 @@ def main(argv: list | None = None) -> int:
     overrides: dict = {"tau": args.tau, "seed": args.seed, "threads": args.threads}
     if args.steps is not None:
         overrides["M"] = args.steps
-    if args.tau_sweep:
-        lo, hi, count = args.tau_sweep.split(":")
-        overrides["tau_sweep"] = [float(lo), float(hi), int(count)]
-
     try:
+        if args.tau_sweep:
+            parts = args.tau_sweep.split(":")
+            if len(parts) != 3:
+                raise ValueError(f"--tau-sweep must be LO:HI:COUNT, got {args.tau_sweep!r}")
+            overrides["tau_sweep"] = [float(parts[0]), float(parts[1]), int(parts[2])]
         config = load_config(args.config, overrides)
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)

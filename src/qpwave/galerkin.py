@@ -133,6 +133,12 @@ class WeightedSpace:
     def metric_weights(self) -> np.ndarray:
         return self.modes**self.N
 
+    @property
+    def doubled_metric_weights(self) -> np.ndarray:
+        """The metric weights on doubled coordinates u = (z, zbar)."""
+        w = self.metric_weights
+        return np.concatenate([w, w])
+
     def norm(self, z: np.ndarray) -> float:
         z = np.asarray(z)
         return float(np.sqrt(np.sum(self.modes ** (2 * self.N) * np.abs(z) ** 2, axis=-1)))
@@ -228,13 +234,10 @@ class QuadraticForm:
             raise ValueError("K_cut must be >= 0")
         rings = kinf(self.n, self.K)
         low_mask = (rings <= K_cut).reshape(rings.shape + (1, 1))
-        low = self.copy()
-        high = self.copy()
-        for name in self.BLOCKS:
-            full = getattr(self, name)
-            setattr(low, name, np.where(low_mask, full, 0.0))
-            setattr(high, name, np.where(low_mask, 0.0, full))
-        return low, high
+        low = [np.where(low_mask, b, 0.0) for b in self.blocks()]
+        high = [np.where(low_mask, 0.0, b) for b in self.blocks()]
+        return tuple(QuadraticForm(self.n, self.K, self.J, *blocks, self.strip, dict(self.meta))
+                     for blocks in (low, high))
 
     def symmetrize(self):
         """Enforce the exact index symmetry of the zz and zbzb blocks."""

@@ -94,10 +94,11 @@ class Schedule:
         return self.eps0 == 0.0
 
     def eps_at(self, level: int) -> float:
-        """Level weight eps_l = eps0^((4/3)^l), at any level (0 if degenerate)."""
+        """Level weight eps_l = eps0^((4/3)^l), at any level (0 if degenerate);
+        equal to eps[l] bit for bit."""
         if self.degenerate:
             return 0.0
-        return float(np.exp((4.0 / 3.0) ** level * math.log(self.eps0)))
+        return float(np.exp(_log_level_weight(self.eps0, level)))
 
     def K_eff(self, m: int, K_theta: int) -> int:
         """Step m's mode cutoff, capped at the theta window (the whole window
@@ -121,15 +122,20 @@ class Schedule:
                    np.array([gamma]), False)
 
 
+def _log_level_weight(eps0: float, level: int) -> float:
+    """log eps_l = (4/3)^l log eps0, the one formula of the level weights (in
+    scalar arithmetic: numpy's array power can differ by an ulp)."""
+    return (4.0 / 3.0) ** level * math.log(eps0)
+
+
 def build_schedule(eps0: float, N: int, gamma: float, n: int, M: int) -> Schedule:
     """All lists are computed in log space; length M+1 (indices 0..M)."""
     if not (0.0 < eps0 < 1.0):
         raise InvalidParameterError("eps0 must lie in (0, 1)")
     if M < 1 or N < 2:
         raise InvalidParameterError("need M >= 1 and N >= 2")
-    v = np.arange(M + 2, dtype=float)
-    log_eps = (4.0 / 3.0) ** v * math.log(eps0)  # indices 0..M+1
-    eps = np.exp(log_eps)
+    log_eps = np.array([_log_level_weight(eps0, v) for v in range(M + 2)])  # indices 0..M+1
+    eps = np.array([float(np.exp(x)) for x in log_eps])  # as in eps_at
     strip_raw = np.exp(log_eps[1 : M + 2] / N)  # s_v, v = 0..M
     clamped = bool(strip_raw[0] > 0.5)
     strip = strip_raw * (0.5 / strip_raw[0]) if clamped else strip_raw.copy()
@@ -272,14 +278,9 @@ def hamiltonian_grid(lam: np.ndarray, pieces: list, weights: list, G: int) -> np
     return normal_uform(lam) + uform_grid(total, G)
 
 
-def doubled_weights(ws: WeightedSpace) -> np.ndarray:
-    w = ws.metric_weights
-    return np.concatenate([w, w])
-
-
 def uform_opnorm(Q: np.ndarray, ws: WeightedSpace) -> float:
     """Weighted operator norm (doubled h_N metric) of (..., 2J, 2J) matrices."""
-    return metric_opnorm(Q, doubled_weights(ws))
+    return metric_opnorm(Q, ws.doubled_metric_weights)
 
 
 def _uform_size(Q: np.ndarray, w2: np.ndarray, stride: int = 7) -> float:
@@ -326,7 +327,10 @@ def solve_homological(
     Fourier-coefficient division F_hat = -i R_hat / divisor with divisors
     <k,w> + lam_i + lam_j (zz), <k,w> - lam_i - lam_j (zbzb) and
     <k,w> - lam_i + lam_j (zzbar); the averaged zzbar diagonal is removed and
-    returned for the normal-form update.
+    returned for the normal-form update. This is each step's small-divisor
+    gate: every divisor on the window is checked against
+    resonance.divisor_threshold first; ResonanceError names the worst divisor
+    of the first block that fails.
     """
     qf = remainder_mm
     n, K, J = qf.n, qf.K, qf.J
@@ -334,12 +338,11 @@ def solve_homological(
     low, _ = qf.truncate(min(K_m, K))
     div_zz, div_zzbar, div_zbzb = _divisor_arrays(lam, np.asarray(omega, float), n, K)
 
-    rings = kinf(n, K)
-    in_support = (rings <= K_m)[..., None, None]
-    A_k = rings.astype(float) ** (2 * n + 3) + 8.0
+    rings = kinf(n, K)[..., None, None]
+    in_support = rings <= K_m
     i_idx = np.arange(1, J + 1)
     gap = np.abs(i_idx[:, None] - i_idx[None, :]).astype(float)
-    thresholds = (gap + 1.0) * gamma_m / A_k[..., None, None]
+    thresholds = resonance.divisor_threshold(gap, rings, gamma_m, n)
 
     center = (K,) * n
     diag_sel = (np.arange(J), np.arange(J))
@@ -428,7 +431,6 @@ class FlowResult:
     n: int
     K: int
     J: int
-    eps_m: float
     P_norm: float
     symplectic_defect: float
     picard_terms: int
@@ -450,7 +452,7 @@ def flow_transform(
     F = sol.F
     n, K, J = F.n, F.K, F.J
     B = generator_of(uform_grid(F, grid))
-    w2 = doubled_weights(ws)
+    w2 = ws.doubled_metric_weights
 
     gen_norm = uform_opnorm(B, ws)
     if eps_m * gen_norm >= 0.5:
@@ -482,7 +484,7 @@ def flow_transform(
     form = np.matmul(U.transpose(0, 2, 1), jsym_mul(U))
     defect = float(np.max(np.abs(form - JS)))
 
-    return FlowResult(grid=grid, B=B, Phi=U, P_hat=P_hat, n=n, K=K, J=J, eps_m=eps_m,
+    return FlowResult(grid=grid, B=B, Phi=U, P_hat=P_hat, n=n, K=K, J=J,
                       P_norm=P_norm, symplectic_defect=defect,
                       picard_terms=terms_used)
 
@@ -492,44 +494,34 @@ def flow_transform(
 
 
 @dataclass
-class ChainStep:
-    P_hat: np.ndarray
-    n: int
-    K: int
-    J: int
-    eps_m: float
-    P_norm: float
-    symplectic_defect: float
-
-
-@dataclass
 class TransformChain:
+    """Each step's P_hat, the window coefficients of Phi - id, shape
+    (2K+1,)*n + (2J, 2J)."""
+
     steps: list = field(default_factory=list)
     composed_norm: float = 0.0
 
     def append(self, flow: FlowResult):
-        self.steps.append(ChainStep(
-            P_hat=flow.P_hat, n=flow.n, K=flow.K, J=flow.J, eps_m=flow.eps_m,
-            P_norm=flow.P_norm, symplectic_defect=flow.symplectic_defect,
-        ))
+        self.steps.append(flow.P_hat)
 
     def matrices_at(self, thetas: np.ndarray) -> np.ndarray:
         """Composed map Psi_0 Psi_1 ... Psi_{M-1} at each theta, (P, 2J, 2J)."""
         thetas = np.atleast_2d(thetas)
         if not self.steps:
             raise ValueError("empty chain")
-        J = self.steps[0].J
-        out = np.broadcast_to(np.eye(2 * J, dtype=complex),
-                              (thetas.shape[0], 2 * J, 2 * J)).copy()
-        for step in self.steps:
-            P = eval_at_points(step.P_hat, step.n, step.K, thetas)
-            out = out @ (np.eye(2 * J) + P)
+        dim = self.steps[0].shape[-1]
+        out = np.broadcast_to(np.eye(dim, dtype=complex),
+                              (thetas.shape[0], dim, dim)).copy()
+        for P_hat in self.steps:
+            n = P_hat.ndim - 2
+            P = eval_at_points(P_hat, n, P_hat.shape[0] // 2, thetas)
+            out = out @ (np.eye(dim) + P)
         return out
 
     def measure_composed_norm(self, ws: WeightedSpace, grid: int = 12) -> float:
         if not self.steps:
             return 0.0
-        pts = theta_grid_points(self.steps[0].n, grid)
+        pts = theta_grid_points(self.steps[0].ndim - 2, grid)
         mats = self.matrices_at(pts)
         eye = np.eye(mats.shape[-1])
         self.composed_norm = uform_opnorm(mats - eye, ws)
@@ -595,7 +587,7 @@ def push_remainder(
     """
     R_mm = pieces[0]
     n, K, J = R_mm.n, R_mm.K, R_mm.J
-    w2 = doubled_weights(ws)
+    w2 = ws.doubled_metric_weights
     gshape = (grid,) * n + (2 * J, 2 * J)
 
     low, tail = R_mm.truncate(min(sol.K_m, K))
@@ -790,25 +782,17 @@ class KamEngine:
         st = self.state
         m = st.m
         sched = self.schedule
-        eps_m = float(sched.eps[m])
+        eps_m = sched.eps_at(m)
         eps_next = sched.eps_at(m + 1)
         gamma_m = float(sched.gamma_steps[m])
         K_raw = float(sched.cutoff[m])
         K_eff = sched.K_eff(m, self.K_theta)
         omega = self.freq.omega
 
-        lam = st.normal_form.lambdas()
-        screen = resonance.screen_tau(
-            self.freq.tau, lam, np.asarray(self.freq.omega0), K_eff, gamma_m,
-            self.ws.J_max,
-        )
-        if not screen.passed:
-            q = screen.worst
-            raise ResonanceError(q.kind, q.k, q.i, q.j, q.value, q.threshold)
-
         R_mm = st.remainder[0]
         active_norm = form_norm(R_mm, self.ws, self.opts.norm_grid)
 
+        # the small-divisor gate: a ResonanceError leaves the state untouched
         sol = solve_homological(R_mm, st.normal_form, omega, K_eff, gamma_m,
                                 ws=self.ws, norm_grid=self.opts.norm_grid)
         residual = homological_residual(sol, R_mm, st.normal_form, omega)

@@ -3,8 +3,8 @@
 Admissibility of a scaling value tau in [1, 2] requires every divisor
 -<k, omega0> tau + lam_i - lam_j (difference family) and
 -<k, omega0> tau + lam_i + lam_j (sum family, covering both quadratic blocks
-through the symmetric k window) to clear the threshold
-(|i - j| + 1) gamma_m / A_k with A_k = |k|_inf^(2n+3) + 8.
+through the symmetric k window) to clear ``divisor_threshold``, which
+kam.solve_homological applies to every divisor it divides by.
 
 Measurement of the excluded subset is a grid scan over [1, 2], realized by
 exact interval marking (each query excludes an explicit interval in tau).
@@ -82,6 +82,12 @@ def _lambda_array(nf, J_max: int) -> np.ndarray:
     return lam[:J_max]
 
 
+def divisor_threshold(gap, k_inf, gamma_m: float, n: int):
+    """Admissibility threshold (|i-j| + 1) gamma_m / (|k|_inf^(2n+3) + 8) for
+    index gap |i-j| and ring |k|_inf (arrays broadcast)."""
+    return (gap + 1.0) * gamma_m / (np.asarray(k_inf, dtype=float) ** (2 * n + 3) + 8.0)
+
+
 def _enumerate_queries(lam: np.ndarray, omega0: np.ndarray, K_m: int,
                        gamma_m: float, J_max: int):
     """Affine query family: value(tau) = a * tau + b, threshold t.
@@ -96,7 +102,6 @@ def _enumerate_queries(lam: np.ndarray, omega0: np.ndarray, K_m: int,
     kv = kgrid(n, K_m).reshape(-1, n)
     kdots = kv @ omega0
     kinf_v = np.max(np.abs(kv), axis=1)
-    A_k = kinf_v.astype(float) ** (2 * n + 3) + 8.0
 
     out = []
     # difference family, grouped by the index gap d = i - j
@@ -115,7 +120,7 @@ def _enumerate_queries(lam: np.ndarray, omega0: np.ndarray, K_m: int,
         if k_sel.size == 0:
             continue
         a = -kdots[k_sel]
-        t = (abs(d) + 1.0) * gamma_m / A_k[k_sel]
+        t = divisor_threshold(abs(d), kinf_v[k_sel], gamma_m, n)
         A = np.repeat(a, i_arr.size)
         B = np.tile(b_arr, k_sel.size)
         T = np.repeat(t, i_arr.size)
@@ -135,7 +140,8 @@ def _enumerate_queries(lam: np.ndarray, omega0: np.ndarray, K_m: int,
         a = -kdots
         A = np.repeat(a, ii.size)
         B = np.tile(sums, kv.shape[0])
-        T = np.repeat(1.0 / A_k, ii.size) * np.tile(gaps + 1.0, kv.shape[0]) * gamma_m
+        T = divisor_threshold(np.tile(gaps, kv.shape[0]), np.repeat(kinf_v, ii.size),
+                              gamma_m, n)
         KI = np.repeat(np.arange(kv.shape[0]), ii.size)
         I = np.tile(ii, kv.shape[0])
         Jj = np.tile(jj, kv.shape[0])

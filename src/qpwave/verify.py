@@ -175,8 +175,7 @@ def qp_to_u(states: np.ndarray, J: int) -> np.ndarray:
 
 
 def u_norm(u: np.ndarray, ws: WeightedSpace) -> np.ndarray:
-    w = ws.metric_weights
-    w2 = np.concatenate([w, w])
+    w2 = ws.doubled_metric_weights
     return np.sqrt(np.sum((w2[None, :] * np.abs(u)) ** 2, axis=-1))
 
 
@@ -339,9 +338,8 @@ def lyapunov_exponent(
     _require_lyapunov_horizon(T, renorm_dt)
     ws = ws or WeightedSpace(N=2, J_max=sys.J)
     rng = np.random.default_rng(seed)
-    w0 = rng.standard_normal(2 * sys.J) * np.concatenate([1.0 / ws.metric_weights] * 2)
-
-    wmetric = np.concatenate([ws.metric_weights, ws.metric_weights])
+    wmetric = ws.doubled_metric_weights
+    w0 = rng.standard_normal(2 * sys.J) * (1.0 / wmetric)
 
     def norm_fn(y):
         return float(np.sqrt(np.sum((wmetric * y) ** 2)))

@@ -146,7 +146,9 @@ class TestPipeline:
         names = sorted(p.name for p in (out / "steps").iterdir())
         assert names == ["step_000", "step_001"]
         for name in names:
-            assert (out / "steps" / name / "state.json").exists()
+            state = json.loads((out / "steps" / name / "state.json").read_text())
+            # eps_m, P_norm and symplectic_defect live in the step record
+            assert list(state["chain_step"]) == ["shape"]
 
     def test_resume_skips_step_without_state_json(self, tmp_path):
         cfg = tiny_config()
@@ -293,6 +295,12 @@ class TestMain:
         code = main(["run", "--config", str(cfg_path), "--out",
                      str(tmp_path / "x")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag", ["1.1:1.9", "1.1:x:3"])
+    def test_malformed_tau_sweep_is_config_error(self, tmp_path, capsys, flag):
+        code = main(["sweep", "--tau-sweep", flag, "--out", str(tmp_path / "s")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_picard_tol_looser_than_symplectic_gate_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"

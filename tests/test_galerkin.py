@@ -228,6 +228,12 @@ class TestIsometry:
             sobolev = np.sqrt(np.sum(dvals**2) * (2 * np.pi / G) / np.pi)
             assert ws.norm(u) == pytest.approx(sobolev, rel=1e-8)
 
+    def test_doubled_metric_weights_repeat_for_zbar(self):
+        ws = WeightedSpace(3, 5)
+        w2 = ws.doubled_metric_weights
+        assert np.array_equal(w2[:5], ws.metric_weights)
+        assert np.array_equal(w2[5:], ws.metric_weights)
+
 
 class TestQuadraticForm:
     def test_truncate_high_zero_when_k_large(self):
@@ -236,6 +242,20 @@ class TestQuadraticForm:
         low, high = qf.truncate(2)
         assert high.max_abs() == 0.0
         assert np.array_equal(low.zz, qf.zz)
+
+    def test_truncate_parts_own_their_blocks_and_meta(self):
+        rng = np.random.default_rng(2)
+        qf = random_form(rng, n=2, K=2, J=3)
+        qf.strip, qf.meta = 0.25, {"level": 1}
+        before = qf.copy()
+        low, high = qf.truncate(1)
+        for part in (low, high):
+            assert part.strip == 0.25 and part.meta == {"level": 1}
+            assert part.meta is not qf.meta
+            for b in part.blocks():
+                b += 1.0
+        for name in qf.BLOCKS:
+            assert np.array_equal(getattr(qf, name), getattr(before, name))
 
     def test_truncate_zero_keeps_average_only(self):
         rng = np.random.default_rng(1)

@@ -34,6 +34,7 @@ from qpwave.kam import (
     update_normal_form,
 )
 from qpwave.potential import FrequencySpec, fourier_analyze, make_potential
+from qpwave.resonance import find_resonant_tau, screen_tau
 from qpwave.smoothing import JacksonKernel, decompose
 
 OMEGA0 = (1.0, np.sqrt(2.0))
@@ -71,11 +72,12 @@ class TestSchedule:
         assert Schedule.degenerate_schedule(2, 6, 0.05).degenerate
 
     def test_eps_at_matches_eps_list(self):
+        for eps0 in (0.05, 0.3):
+            s = build_schedule(eps0, N=6, gamma=0.05, n=2, M=8)
+            assert [s.eps_at(level) for level in range(s.M + 1)] == s.eps.tolist()
         s = build_schedule(1e-3, N=6, gamma=0.05, n=2, M=5)
-        # the level exponent (4/3)^l may differ by an ulp (scalar vs array
-        # power); exp scales that by |log eps_l|
         for level in range(s.M + 1):
-            assert s.eps_at(level) == pytest.approx(s.eps[level], rel=1e-14)
+            assert s.eps_at(level) == s.eps[level]
         assert s.eps_at(s.M + 1) == pytest.approx(1e-3 ** ((4 / 3) ** (s.M + 1)), rel=1e-12)
         assert Schedule.degenerate_schedule(2, 6, 0.05).eps_at(3) == 0.0
 
@@ -192,6 +194,36 @@ class TestHomologicalSolve:
         assert abs(err.value.k[0]) == 2 and abs(err.value.k[1]) == 2
         assert abs(err.value.i - err.value.j) == 1
         assert abs(err.value.divisor) < err.value.threshold
+
+    def test_divisor_check_covers_the_screen(self):
+        # wherever screen_tau rejects, solve_homological's divisor check
+        # rejects the same (tau * omega0, lam, K_m, gamma_m); the check does not
+        # read the remainder, so an empty one suffices
+        rng = np.random.default_rng(20260808)
+        omega0 = np.asarray(OMEGA0)
+        resonant = [find_resonant_tau(omega0, J_max=8, K_search=K)[0] for K in (1, 2, 3)]
+        rejected = 0
+        for case in range(240):
+            J = int(rng.integers(3, 9))
+            K_m = int(rng.integers(1, 4))
+            gamma_m = float(rng.uniform(0.01, 0.4))
+            nf = NormalForm(J=J)
+            if case % 2:
+                nf = update_normal_form(nf, rng.standard_normal(J) / nf.base, 1e-2)
+            if case % 3:
+                tau = resonant[case % len(resonant)] + rng.uniform(-0.02, 0.02)
+            else:
+                tau = rng.uniform(1.0, 2.0)
+            if not 1.0 <= tau <= 2.0:
+                continue
+            screen = screen_tau(tau, nf, omega0, K_m, gamma_m, J)
+            # within 1e-12 of a threshold the two roundings of <k, omega> may disagree
+            if screen.passed or screen.min_margin > -1e-12:
+                continue
+            rejected += 1
+            with pytest.raises(ResonanceError):
+                solve_homological(empty_form(2, 3, J), nf, tau * omega0, K_m, gamma_m)
+        assert rejected >= 60
 
     def test_structure_of_solution(self):
         # real-type symmetric input: F_zz/F_zbzb symmetric, F conjugate-paired
@@ -408,6 +440,12 @@ class TestEngine:
         # the leftover off-diagonal part is small on the last step's scale
         assert res.final_weighted_size <= 2.0 * sched.eps_at(sched.M)
 
+    def test_eps_next_is_next_steps_eps_m(self):
+        pf, dec, freq, sched, ws = small_pipeline(M=3)
+        hist = kam_run(pf, dec, freq, sched, ws, KamOptions(norm_grid=8)).history
+        for rec, nxt in zip(hist, hist[1:]):
+            assert rec["eps_next"] == nxt["eps_m"]
+
     def test_contraction_of_weighted_size(self):
         pf, dec, freq, sched, ws = small_pipeline(M=3)
         res = kam_run(pf, dec, freq, sched, ws, KamOptions(norm_grid=8))
@@ -426,8 +464,6 @@ class TestEngine:
         assert not res.chain.steps
 
     def test_resonant_tau_aborts_with_context(self):
-        from qpwave.resonance import find_resonant_tau
-
         tau, q = find_resonant_tau(OMEGA0, J_max=8, K_search=2)
         pf, dec, freq, sched, ws = small_pipeline(tau=tau)
         with pytest.raises(ResonanceError):

@@ -5,6 +5,7 @@ from qpwave.kam import NormalForm
 from qpwave.potential import FrequencySpec
 from qpwave.resonance import (
     brute_force_mask,
+    divisor_threshold,
     find_resonant_tau,
     measure_scan,
     screen_tau,
@@ -15,6 +16,20 @@ OMEGA0 = np.array([1.0, np.sqrt(2.0)])
 
 def freq_template(gamma=0.05):
     return FrequencySpec(tuple(OMEGA0), 1.5, gamma)
+
+
+class TestDivisorThreshold:
+    def test_hand_computed_values(self):
+        # n = 2: A_k = |k|_inf^7 + 8; (|i-j| + 1) gamma_m / A_k
+        assert divisor_threshold(2, 1, 0.05, 2) == pytest.approx(0.15 / 9, rel=1e-15)
+        assert divisor_threshold(0, 2, 0.05, 2) == pytest.approx(0.05 / 136, rel=1e-15)
+        # n = 1, k = 0: A_0 = 8
+        assert divisor_threshold(3, 0, 0.4, 1) == pytest.approx(0.2, rel=1e-15)
+
+    def test_broadcasts_gap_against_ring(self):
+        t = divisor_threshold(np.array([0.0, 1.0]), np.array([[1], [2]]), 0.05, 2)
+        assert t.shape == (2, 2)
+        assert t[1, 1] == pytest.approx(2 * 0.05 / 136, rel=1e-15)
 
 
 class TestScreen:
