@@ -16,6 +16,7 @@ from .kam import (
     KamOptions,
     KamResult,
     NormalForm,
+    RealStructureError,
     ResonanceError,
     Schedule,
     StepSizeError,

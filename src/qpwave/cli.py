@@ -30,6 +30,7 @@ from .kam import (
     KamEngine,
     KamOptions,
     NormalForm,
+    RealStructureError,
     ResonanceError,
     Schedule,
     StepSizeError,
@@ -149,6 +150,22 @@ def _load_complex(path: Path, shape) -> np.ndarray:
     return np.frombuffer(path.read_bytes(), dtype="<c16").reshape(shape).astype(complex)
 
 
+def machine_info() -> dict:
+    """What a run's timings depend on beyond its config: numpy and its BLAS,
+    the core count and the BLAS thread settings of the environment."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy < 1.26 has no dict mode
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+    }
+
+
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
@@ -247,7 +264,7 @@ def _build_inputs(config: RunConfig, tau: float):
 
 
 # failures of the machinery rather than of the mathematics
-_INTERNAL_ERRORS = (np.linalg.LinAlgError, MemoryError, OSError)
+_INTERNAL_ERRORS = (np.linalg.LinAlgError, RealStructureError, MemoryError, OSError)
 
 
 def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -> dict:
@@ -427,6 +444,7 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
     stages.append("summary")
     summary["status"] = "converged" if detail is None else "certificate_failed"
     timings["total"] = time.time() - t_start
+    timings["machine"] = machine_info()
     summary["timings"] = timings
     _write_json(out / "summary.json", summary)
     if detail is not None:

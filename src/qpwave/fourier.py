@@ -101,10 +101,12 @@ def _to_window(K: int, G: int) -> np.ndarray:
 def spectral_derivative_matrix(G: int) -> np.ndarray:
     """G x G matrix of d/dtheta on G uniform samples: FFT, multiply mode k by
     i k, inverse FFT. Modes follow ``np.fft.fftfreq``; for even G the Nyquist
-    mode -G/2 is kept, as the FFT derivative keeps it."""
+    mode -G/2 is kept, as the FFT derivative keeps it, and makes the matrix
+    complex. For odd G the matrix is real and is returned as float64."""
     modes = np.rint(np.fft.fftfreq(G, d=1.0 / G)).astype(int)
     E = _phases(G, modes)
-    return _frozen((E * (1j * modes)) @ E.conj().T / G)
+    D = (E * (1j * modes)) @ E.conj().T / G
+    return _frozen(D if G % 2 == 0 else np.ascontiguousarray(D.real))
 
 
 def _along(mat: np.ndarray, x: np.ndarray, ax: int) -> np.ndarray:

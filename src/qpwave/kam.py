@@ -1,15 +1,22 @@
 """Iterative reduction of the lattice Hamiltonian to constant coefficients.
 
-State lives in doubled coordinates u = (z, zbar). A quadratic Hamiltonian
-piece ``<A z, z> + <B z, zbar> + <C zbar, zbar>`` is carried either as a
-QuadraticForm (window Fourier coefficients per block) or as its symmetric
-u-form matrix Q = [[A, B^T/2], [B/2, C]] with H = <Q u, u>.
+A quadratic Hamiltonian piece ``<A z, z> + <B z, zbar> + <C zbar, zbar>`` is
+carried as a QuadraticForm: window Fourier coefficients per block, in the
+doubled coordinates u = (z, zbar). Its u-form is the symmetric matrix
+Q = [[A, B^T/2], [B/2, C]] with H = <Q u, u>.
+
+Everything pointwise on the theta grid runs in the real coordinates
+x = (q, p) instead, with u = T x, T = [[I, -iI], [I, iI]] / sqrt(2)
+(z = (q - i p)/sqrt(2), as in verify.qp_to_u). A real Hamiltonian has the
+real symmetric (q, p) form S = T^T Q T, so brackets, flows, series and norms
+on the grid work on float64 arrays; window coefficients stay complex u-forms.
 
 Conventions (fixed once, verified by the recomposition oracle):
-  * flow of a Hamiltonian G:  du/dt = 2 * JSYM * Q_G * u, where
-    JSYM = [[0, +i I], [-i I, 0]] (also the symplectic form matrix),
-  * Poisson bracket {G, H} = dG(X_H) has u-form
-    2 * (Q_G JSYM Q_H - Q_H JSYM Q_G),
+  * flow of a Hamiltonian G:  dx/dt = 2 * JR * S_G * x, where
+    JR = [[0, I], [-I, 0]] = T^H JSYM conj(T) and JSYM = [[0, +iI], [-iI, 0]]
+    is the u-coordinate symplectic form,
+  * Poisson bracket {G, H} = dG(X_H) has (q, p) form
+    2 * (S_G JR S_H - S_H JR S_G),
   * each step's change of variables is the time-1 flow of eps_m * F at frozen
     angle, applied pointwise in theta; recomposition uses the transport rule
     L+ = Phi^-1 (L Phi - omega . d_theta Phi).
@@ -17,6 +24,7 @@ Conventions (fixed once, verified by the recomposition oracle):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -195,99 +203,144 @@ def update_normal_form(nf: NormalForm, diag_avg: np.ndarray, eps_m: float,
 
 
 # ---------------------------------------------------------------------------
-# u-form block algebra
+# The (q, p) grid layer
+
+STRUCTURE_RTOL = 1e-12  # relative structure defect a form may carry onto the grid
 
 
-def uform_from_blocks(zz: np.ndarray, zzbar: np.ndarray, zbzb: np.ndarray) -> np.ndarray:
-    """Symmetric u-form [[A, B^T/2], [B/2, C]] for <Az,z>+<Bz,zb>+<Czb,zb>."""
-    J = zz.shape[-1]
-    shape = zz.shape[:-2] + (2 * J, 2 * J)
-    Q = np.zeros(shape, dtype=complex)
-    swap = tuple(range(zz.ndim - 2)) + (zz.ndim - 1, zz.ndim - 2)
-    Q[..., :J, :J] = zz
-    Q[..., :J, J:] = 0.5 * zzbar.transpose(swap)
-    Q[..., J:, :J] = 0.5 * zzbar
-    Q[..., J:, J:] = zbzb
-    return Q
+class RealStructureError(ValueError):
+    """A form is not a real Hamiltonian (conj(zz) != zbzb or zzbar not
+    Hermitian), so its (q, p) form is not real."""
 
 
-def blocks_from_uform(Q: np.ndarray) -> tuple:
-    J = Q.shape[-1] // 2
-    swap = tuple(range(Q.ndim - 2)) + (Q.ndim - 1, Q.ndim - 2)
-    zz = 0.5 * (Q[..., :J, :J] + Q[..., :J, :J].transpose(swap))
-    zbzb = 0.5 * (Q[..., J:, J:] + Q[..., J:, J:].transpose(swap))
-    zzbar = Q[..., J:, :J] + Q[..., :J, J:].transpose(swap)
-    return zz, zzbar, zbzb
+@functools.lru_cache(maxsize=None)
+def qp_unitary(J: int) -> np.ndarray:
+    """T = [[I, -iI], [I, iI]] / sqrt(2), u = T (q, p); read-only."""
+    eye = np.eye(J)
+    T = np.block([[eye, -1j * eye], [eye, 1j * eye]]) / math.sqrt(2.0)
+    T.flags.writeable = False
+    return T
 
 
-def jsym_mul(Q: np.ndarray) -> np.ndarray:
-    """JSYM @ Q with JSYM = [[0, +iI], [-iI, 0]]."""
-    J = Q.shape[-2] // 2
-    out = np.empty_like(Q)
-    out[..., :J, :] = 1j * Q[..., J:, :]
-    out[..., J:, :] = -1j * Q[..., :J, :]
+@functools.lru_cache(maxsize=None)
+def jr_matrix(J: int) -> np.ndarray:
+    """JR = [[0, I], [-I, 0]]; read-only."""
+    JR = np.zeros((2 * J, 2 * J))
+    JR[:J, J:] = np.eye(J)
+    JR[J:, :J] = -np.eye(J)
+    JR.flags.writeable = False
+    return JR
+
+
+def jr_mul(S: np.ndarray) -> np.ndarray:
+    """JR @ S for (..., 2J, 2J) arrays, by block rows."""
+    J = S.shape[-2] // 2
+    out = np.empty_like(S)
+    out[..., :J, :] = S[..., J:, :]
+    out[..., J:, :] = -S[..., :J, :]
     return out
 
 
-def jsym_matrix(J: int) -> np.ndarray:
-    JS = np.zeros((2 * J, 2 * J), dtype=complex)
-    JS[:J, J:] = 1j * np.eye(J)
-    JS[J:, :J] = -1j * np.eye(J)
-    return JS
+def _swap(a: np.ndarray) -> tuple:
+    return tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
+
+
+def qp_from_blocks(zz: np.ndarray, zzbar: np.ndarray, zbzb: np.ndarray) -> np.ndarray:
+    """(q, p) form T^T Q T of the u-form Q = [[zz, zzbar^T/2], [zzbar/2, zbzb]],
+    written out by blocks; works on window coefficients as on values."""
+    J = zz.shape[-1]
+    zzbar_t = zzbar.transpose(_swap(zzbar))
+    mean = 0.5 * (zz + zbzb)
+    diff = 0.5j * (zbzb - zz)
+    sym = 0.25 * (zzbar + zzbar_t)
+    skew = 0.25j * (zzbar - zzbar_t)
+    S = np.empty(zz.shape[:-2] + (2 * J, 2 * J), dtype=complex)
+    S[..., :J, :J] = mean + sym
+    S[..., :J, J:] = diff - skew
+    S[..., J:, :J] = diff + skew
+    S[..., J:, J:] = sym - mean
+    return S
+
+
+def blocks_from_qp(S: np.ndarray) -> tuple:
+    """(zz, zzbar, zbzb) of the u-form conj(T) S T^H, the inverse of
+    qp_from_blocks (zz and zbzb symmetrized)."""
+    J = S.shape[-1] // 2
+    tr = _swap(S)
+    qq, qp, pq, pp = S[..., :J, :J], S[..., :J, J:], S[..., J:, :J], S[..., J:, J:]
+    real = 0.5 * (qq - pp)
+    imag = 0.5 * (qp + pq)
+    real = 0.5 * (real + real.transpose(tr))
+    imag = 0.5j * (imag + imag.transpose(tr))
+    trace = qq + pp
+    cross = 1j * (qp - pq)
+    zzbar = 0.5 * (trace + trace.transpose(tr) + cross - cross.transpose(tr))
+    return real + imag, zzbar, real - imag
+
+
+def check_real_structure(qf: QuadraticForm) -> None:
+    """The grid layer's precondition: the form is a real Hamiltonian to
+    STRUCTURE_RTOL relative (its (q, p) values are then real)."""
+    defect, scale = qf.structure_defect(), qf.max_abs()
+    if not defect <= STRUCTURE_RTOL * scale:  # NaN fails too
+        raise RealStructureError(
+            f"form is not a real Hamiltonian: structure defect {defect:.3e} > "
+            f"{STRUCTURE_RTOL:.0e} * max |coefficient| {scale:.3e}"
+        )
+
+
+def qp_grid(qf: QuadraticForm, G: int) -> np.ndarray:
+    """Real (q, p) form values of qf on the flat theta grid, (G^n, 2J, 2J)."""
+    check_real_structure(qf)
+    n, J = qf.n, qf.J
+    hat = qp_from_blocks(qf.zz, qf.zzbar, qf.zbzb)
+    g = window_to_grid(hat.reshape(hat.shape[:n] + (-1,)), n, qf.K, G)
+    return np.ascontiguousarray(g.real).reshape(-1, 2 * J, 2 * J)
 
 
 def bracket_sym(QA: np.ndarray, JS_QB: np.ndarray) -> np.ndarray:
-    """u-form of the Poisson bracket of symmetric QA, QB, given JS_QB = jsym_mul(QB).
+    """(q, p) form of the Poisson bracket of symmetric QA, QB, given
+    JS_QB = jr_mul(QB).
 
-    The bracket is 2 (QA JSYM QB - QB JSYM QA). For symmetric operands
-    QB JSYM QA = -(QA JSYM QB)^T, so one product suffices: bracket = 2 (P + P^T)
+    The bracket is 2 (QA JR QB - QB JR QA). For symmetric operands
+    QB JR QA = -(QA JR QB)^T, so one product suffices: bracket = 2 (P + P^T)
     with P = QA @ JS_QB.
     """
     P = QA @ JS_QB
-    swap = tuple(range(P.ndim - 2)) + (P.ndim - 1, P.ndim - 2)
-    return 2.0 * (P + P.transpose(swap))
+    out = P + P.transpose(_swap(P))
+    out *= 2.0
+    return out
 
 
-def uform_grid(qf: QuadraticForm, G: int) -> np.ndarray:
-    """u-form values of qf on the flat theta grid, shape (G^n, 2J, 2J)."""
-    n, J = qf.n, qf.J
-    hat = uform_from_blocks(qf.zz, qf.zzbar, qf.zbzb)
-    g = window_to_grid(hat.reshape(hat.shape[:n] + (-1,)), n, qf.K, G)
-    return g.reshape(-1, 2 * J, 2 * J)
-
-
-def generator_of(Q: np.ndarray) -> np.ndarray:
-    """Linear vector field u' = L u generated by <Q u, u>."""
-    return 2.0 * jsym_mul(Q)
-
-
-def normal_uform(lam: np.ndarray) -> np.ndarray:
-    J = lam.shape[0]
-    Q = np.zeros((2 * J, 2 * J), dtype=complex)
-    Q[:J, J:] = 0.5 * np.diag(lam)
-    Q[J:, :J] = 0.5 * np.diag(lam)
-    return Q
+def generator_of(S: np.ndarray) -> np.ndarray:
+    """Linear vector field x' = L x generated by <S x, x>."""
+    return 2.0 * jr_mul(S)
 
 
 def hamiltonian_grid(lam: np.ndarray, pieces: list, weights: list, G: int) -> np.ndarray:
-    """u-form of lam + sum_l w_l p_l on the flat theta grid, (G^n, 2J, 2J):
-    the pieces are summed as window coefficients and moved to the grid once."""
+    """(q, p) form of lam + sum_l w_l p_l on the flat theta grid, (G^n, 2J, 2J):
+    the pieces are summed as window coefficients and moved to the grid once.
+    The normal form sum_j lam_j |z_j|^2 is diag(lam, lam) / 2."""
     total = pieces[0].scaled(weights[0])
     for w, piece in zip(weights[1:], pieces[1:]):
         total = total + piece.scaled(w)
-    return normal_uform(lam) + uform_grid(total, G)
+    half = 0.5 * np.concatenate([lam, lam])
+    S = qp_grid(total, G)
+    S[:, np.arange(half.size), np.arange(half.size)] += half
+    return S
 
 
 def uform_opnorm(Q: np.ndarray, ws: WeightedSpace) -> float:
-    """Weighted operator norm (doubled h_N metric) of (..., 2J, 2J) matrices."""
+    """Weighted operator norm (doubled h_N metric) of (..., 2J, 2J) matrices,
+    u-forms or (q, p) forms alike: diag(w, w) commutes with T, T is unitary."""
     return metric_opnorm(Q, ws.doubled_metric_weights)
 
 
-def _uform_size(Q: np.ndarray, w2: np.ndarray, stride: int = 7) -> float:
-    """Cheap weighted Frobenius bound used for series stopping decisions."""
-    flat = Q.reshape(-1, Q.shape[-2], Q.shape[-1])[::stride]
-    weighted = flat * (w2[:, None] / w2[None, :])
-    return float(np.max(np.linalg.norm(weighted, axis=(-2, -1))))
+def _grid_size(S: np.ndarray, w2: np.ndarray) -> float:
+    """Grid maximum of the weighted Frobenius norm of real (q, p) arrays,
+    |diag(w2) S diag(w2)^-1|_F, over every grid point; for series stopping."""
+    ratio2 = ((w2[:, None] / w2[None, :]) ** 2).ravel()
+    return float(np.sqrt(np.max(np.square(S).reshape(S.shape[0], -1) @ ratio2)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +478,9 @@ SYMPLECTIC_TOL = 1e-12  # bound on each step's symplectic_defect, enforced by Ka
 @dataclass
 class FlowResult:
     grid: int
-    B: np.ndarray            # (G^n, 2J, 2J) flow generator, u' = eps B u
-    Phi: np.ndarray          # (G^n, 2J, 2J) values on the flat theta grid
-    P_hat: np.ndarray        # window coefficients of Phi - id
+    B: np.ndarray            # (G^n, 2J, 2J) real (q, p) flow generator, x' = eps B x
+    Phi: np.ndarray          # (G^n, 2J, 2J) real (q, p) map on the flat theta grid
+    P_hat: np.ndarray        # window coefficients of the u-form map T (Phi - id) T^H
     n: int
     K: int
     J: int
@@ -451,7 +504,7 @@ def flow_transform(
     """
     F = sol.F
     n, K, J = F.n, F.K, F.J
-    B = generator_of(uform_grid(F, grid))
+    B = generator_of(qp_grid(F, grid))
     w2 = ws.doubled_metric_weights
 
     gen_norm = uform_opnorm(B, ws)
@@ -461,28 +514,28 @@ def flow_transform(
         )
 
     npts = B.shape[0]
-    eye = np.broadcast_to(np.eye(2 * J, dtype=complex), (npts, 2 * J, 2 * J))
+    eye = np.broadcast_to(np.eye(2 * J), (npts, 2 * J, 2 * J))
     U = eye.copy()
     term = eye.copy()
     terms_used = 0
     for j in range(1, _PICARD_MAX_TERMS + 1):
-        term = (eps_m / j) * (B @ term)
+        term = B @ term
+        term *= eps_m / j
         U += term
         terms_used = j
-        size = _uform_size(term, w2, stride=max(1, npts // 128))
-        base = _uform_size(U, w2, stride=max(1, npts // 128))
-        if size <= picard_tol * max(base, 1.0):
+        if _grid_size(term, w2) <= picard_tol * max(_grid_size(U, w2), 1.0):
             break
     else:
         raise StepSizeError("Picard iteration did not converge; reduce eps")
 
     P = U - eye
-    P_hat = grid_to_window(P.reshape((grid,) * n + (2 * J, 2 * J)), n, K)
+    P_qp = grid_to_window(P.reshape((grid,) * n + (2 * J, 2 * J)), n, K)
+    T = qp_unitary(J)
+    P_hat = T @ P_qp @ T.conj().T
     P_norm = uform_opnorm(P, ws)
 
-    JS = jsym_matrix(J)
-    form = np.matmul(U.transpose(0, 2, 1), jsym_mul(U))
-    defect = float(np.max(np.abs(form - JS)))
+    form = np.matmul(U.transpose(0, 2, 1), jr_mul(U))
+    defect = float(np.max(np.abs(form - jr_matrix(J))))
 
     return FlowResult(grid=grid, B=B, Phi=U, P_hat=P_hat, n=n, K=K, J=J,
                       P_norm=P_norm, symplectic_defect=defect,
@@ -548,12 +601,13 @@ def _lie_series(T0: np.ndarray, JS_S: np.ndarray, eps: float, coeff_offset: int,
     """
     term = T0
     acc = term / _FACT[coeff_offset]
-    sizes = [_uform_size(term, w2) / _FACT[coeff_offset]]
+    sizes = [_grid_size(term, w2) / _FACT[coeff_offset]]
     for j in range(1, _SERIES_MAX_TERMS):
-        term = eps * bracket_sym(term, JS_S)
+        term = bracket_sym(term, JS_S)
+        term *= eps
         coeff = 1.0 / _FACT[j + coeff_offset]
-        size = _uform_size(term, w2) * coeff
-        acc = acc + coeff * term
+        size = _grid_size(term, w2) * coeff
+        acc += coeff * term
         sizes.append(size)
         if size <= _SERIES_RTOL * max(sizes[0], 1e-300):
             return acc, sizes
@@ -592,7 +646,7 @@ def push_remainder(
 
     low, tail = R_mm.truncate(min(sol.K_m, K))
 
-    JS_S = 0.5 * flow.B  # jsym_mul of the generator's u-form
+    JS_S = 0.5 * flow.B  # jr_mul of the generator's (q, p) form
 
     # seed of the double-bracket stream: diag(mu) - truncated R_mm
     center = (K,) * n
@@ -603,17 +657,16 @@ def push_remainder(
 
     # the grid seeds stay unnamed so that each is freed once bracketed (peak memory)
     series_terms = {}
-    acc_b, sizes_b = _lie_series(bracket_sym(uform_grid(star, grid), JS_S), JS_S,
+    acc_b, sizes_b = _lie_series(bracket_sym(qp_grid(star, grid), JS_S), JS_S,
                                  eps_m, 2, w2)
     series_terms["double_bracket"] = sizes_b
 
-    acc_c, sizes_c = _lie_series(bracket_sym(uform_grid(R_mm, grid), JS_S), JS_S,
+    acc_c, sizes_c = _lie_series(bracket_sym(qp_grid(R_mm, grid), JS_S), JS_S,
                                  eps_m, 1, w2)
     series_terms["single_bracket"] = sizes_c
 
-    def window_blocks(u_grid: np.ndarray) -> tuple:
-        hat = grid_to_window(u_grid.reshape(gshape), n, K)
-        return blocks_from_uform(hat)
+    def window_blocks(qp_values: np.ndarray) -> tuple:
+        return blocks_from_qp(grid_to_window(qp_values.reshape(gshape), n, K))
 
     bc_blocks = window_blocks(acc_b + acc_c)
     del acc_b, acc_c  # peak memory: the transport loop below needs neither
@@ -626,7 +679,7 @@ def push_remainder(
     new_pieces.append(first)
 
     for idx, piece in enumerate(pieces[1:]):
-        acc_p, sizes_p = _lie_series(uform_grid(piece, grid), JS_S, eps_m, 0, w2)
+        acc_p, sizes_p = _lie_series(qp_grid(piece, grid), JS_S, eps_m, 0, w2)
         series_terms[f"transport_{idx}"] = sizes_p
         blocks = window_blocks(acc_p)
         moved = QuadraticForm(n=n, K=K, J=J, zz=blocks[0], zzbar=blocks[1],
@@ -660,10 +713,12 @@ def recompose_generator(
     flow: FlowResult,
     omega: np.ndarray,
 ) -> np.ndarray:
-    """Exact transported u-form on the flow grid:
-    Q+ = 1/2 JSYM [ Phi^-1 (L Phi - omega . d_theta Phi) ].
+    """Exact transported (q, p) form on the flow grid:
+    S+ = -1/2 JR [ Phi^-1 (L Phi - omega . d_theta Phi) ].
 
-    Independent of the series assembly; used to certify each step.
+    Independent of the series assembly; used to certify each step. Real,
+    except at even grid sizes, where the kept Nyquist mode of the derivative
+    is imaginary.
     """
     n, J, G = flow.n, flow.J, flow.grid
     gshape = (G,) * n + (2 * J, 2 * J)
@@ -676,8 +731,12 @@ def recompose_generator(
 
     flatten = (-1, 2 * J, 2 * J)
     rhs = (L @ Phi).reshape(flatten) - dPhi.reshape(flatten)
-    Lplus = np.linalg.solve(Phi.reshape(flatten), rhs)
-    return 0.5 * jsym_mul(Lplus)
+    if np.iscomplexobj(rhs):  # one real LU for both parts
+        parts = np.linalg.solve(flow.Phi, np.concatenate([rhs.real, rhs.imag], axis=-1))
+        Lplus = parts[..., :2 * J] + 1j * parts[..., 2 * J:]
+    else:
+        Lplus = np.linalg.solve(flow.Phi, rhs)
+    return -0.5 * jr_mul(Lplus)
 
 
 def consistency_defect(
@@ -690,7 +749,8 @@ def consistency_defect(
     flow: FlowResult,
     omega: np.ndarray,
 ) -> float:
-    """Relative gap between the recomposed and the assembled new Hamiltonian."""
+    """Relative gap between the recomposed and the assembled new Hamiltonian,
+    entrywise in (q, p) coordinates."""
     n, K, J, G = flow.n, flow.K, flow.J, flow.grid
     Q_target = recompose_generator(lam_old, pieces_old, eps_old, flow, omega)
 

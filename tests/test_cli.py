@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -120,11 +121,25 @@ class TestPipeline:
             run_pipeline(cfg, tmp_path / "cfg")
         assert err.value.code == EXIT_CONFIG
 
-    def test_determinism_bit_identical(self, tmp_path):
+    def test_determinism_bit_identical(self, tmp_path, monkeypatch):
+        # timings.machine records the BLAS thread settings; the stripped
+        # summaries do not see them
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         s1 = run_pipeline(tiny_config(), tmp_path / "a")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
         s2 = run_pipeline(tiny_config(), tmp_path / "b")
         assert json.dumps(strip_timings(s1), sort_keys=True) == \
                json.dumps(strip_timings(s2), sort_keys=True)
+        m1, m2 = s1["timings"]["machine"], s2["timings"]["machine"]
+        assert m1["numpy"] == np.__version__
+        assert m1["cpu_count"] == os.cpu_count()
+        assert set(m1["blas"]) == {"name", "version"}
+        assert (m1["OPENBLAS_NUM_THREADS"], m1["OMP_NUM_THREADS"]) == ("1", None)
+        assert (m2["OPENBLAS_NUM_THREADS"], m2["OMP_NUM_THREADS"]) == ("2", "2")
+        on_disk = json.loads((tmp_path / "b" / "summary.json").read_text())
+        assert on_disk["timings"]["machine"] == m2
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg = tiny_config()
@@ -344,6 +359,16 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "internal_error"
         assert summary["detail"].startswith("reduce, step m=0: LinAlgError: Singular matrix")
+
+    def test_real_structure_error_is_internal_error(self, tmp_path, monkeypatch):
+        def broken(qf):
+            raise kam.RealStructureError("form is not a real Hamiltonian")
+
+        monkeypatch.setattr(kam, "check_real_structure", broken)
+        with pytest.raises(PipelineAbort) as err:
+            run_pipeline(tiny_config(), tmp_path / "r")
+        assert err.value.code == EXIT_INTERNAL
+        assert err.value.detail.startswith("reduce, step m=0: RealStructureError: ")
 
     def test_os_error_names_its_stage(self, tmp_path, monkeypatch):
         def broken(*a, **k):

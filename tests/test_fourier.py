@@ -114,6 +114,7 @@ def test_spectral_derivative_matches_fft(G):
     values = _complex(rng, (G, 3))
     D = spectral_derivative_matrix(G)
     assert D.shape == (G, G)
+    assert D.dtype == (complex if G % 2 == 0 else np.float64)  # even G: imaginary Nyquist
     assert _rel(D @ values, fft_derivative(values, 0)) <= 1e-13
 
 

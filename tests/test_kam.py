@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qpwave import kam
 from qpwave.fourier import eval_at_points, reality_enforce, theta_grid_points
 from qpwave.galerkin import QuadraticForm, WeightedSpace, assemble_initial_forms, coupling_tensor
 from qpwave.kam import (
@@ -12,24 +13,29 @@ from qpwave.kam import (
     KamEngine,
     KamOptions,
     NormalForm,
+    RealStructureError,
     ResonanceError,
     Schedule,
     SelfAdjointnessError,
     StepSizeError,
     TransformChain,
+    blocks_from_qp,
+    bracket_sym,
     build_schedule,
     consistency_defect,
     flow_transform,
     generator_of,
     hamiltonian_grid,
     homological_residual,
+    jr_matrix,
+    jr_mul,
     kam_run,
-    normal_uform,
     push_remainder,
+    qp_from_blocks,
+    qp_grid,
+    qp_unitary,
     seed_pieces,
     solve_homological,
-    uform_from_blocks,
-    uform_grid,
     uform_opnorm,
     update_normal_form,
 )
@@ -38,6 +44,65 @@ from qpwave.resonance import find_resonant_tau, screen_tau
 from qpwave.smoothing import JacksonKernel, decompose
 
 OMEGA0 = (1.0, np.sqrt(2.0))
+
+
+# The complex u-form formulas in u = (z, zbar), kept here as the oracle of the
+# (q, p) grid layer.
+
+
+def uform_from_blocks(zz, zzbar, zbzb):
+    """Symmetric u-form [[A, B^T/2], [B/2, C]] for <Az,z>+<Bz,zb>+<Czb,zb>."""
+    J = zz.shape[-1]
+    swap = tuple(range(zz.ndim - 2)) + (zz.ndim - 1, zz.ndim - 2)
+    Q = np.zeros(zz.shape[:-2] + (2 * J, 2 * J), dtype=complex)
+    Q[..., :J, :J] = zz
+    Q[..., :J, J:] = 0.5 * zzbar.transpose(swap)
+    Q[..., J:, :J] = 0.5 * zzbar
+    Q[..., J:, J:] = zbzb
+    return Q
+
+
+def jsym_matrix(J):
+    JS = np.zeros((2 * J, 2 * J), dtype=complex)
+    JS[:J, J:] = 1j * np.eye(J)
+    JS[J:, :J] = -1j * np.eye(J)
+    return JS
+
+
+def uform_bracket(QA, QB):
+    JS = jsym_matrix(QA.shape[-1] // 2)
+    return 2.0 * (QA @ JS @ QB - QB @ JS @ QA)
+
+
+def uform_generator(Q):
+    """u' = 2 JSYM Q u."""
+    return 2.0 * jsym_matrix(Q.shape[-1] // 2) @ Q
+
+
+def to_qp(Q):
+    T = qp_unitary(Q.shape[-1] // 2)
+    return T.T @ Q @ T
+
+
+def to_uform(S):
+    """u-form of a (q, p) form, conj(T) S T^H."""
+    T = qp_unitary(S.shape[-1] // 2)
+    return T.conj() @ S @ T.conj().T
+
+
+def map_to_u(Phi):
+    """A (q, p) linear map in u coordinates, T Phi T^H."""
+    T = qp_unitary(Phi.shape[-1] // 2)
+    return T @ Phi @ T.conj().T
+
+
+def hermitian_zzbar(rng, n, K, J):
+    """Window coefficients of a theta-dependent Hermitian (not symmetric) block."""
+    arr = rng.standard_normal((2 * K + 1,) * n + (J, J)) \
+        + 1j * rng.standard_normal((2 * K + 1,) * n + (J, J))
+    M = reality_enforce(arr, n, K)
+    tr = tuple(range(n)) + (n + 1, n)
+    return 0.5 * (M + np.conj(M[(slice(None, None, -1),) * n]).transpose(tr))
 
 
 class TestSchedule:
@@ -269,16 +334,83 @@ def small_solution(rng, n=2, K=2, J=4, tau=1.31, gamma=1e-5):
     return qf, sol, omega
 
 
+class TestQpLayer:
+    def test_T_round_trip(self):
+        rng = np.random.default_rng(21)
+        J = 3
+        T = qp_unitary(J)
+        assert np.max(np.abs(T.conj().T @ T - np.eye(2 * J))) < 1e-15
+        with pytest.raises(ValueError):
+            T[0, 0] = 0.0  # cached and read-only
+        # blockwise formulas against the matrix products, both ways
+        zz = rng.standard_normal((5, J, J)) + 1j * rng.standard_normal((5, J, J))
+        zz = zz + zz.transpose(0, 2, 1)
+        zbzb = rng.standard_normal((5, J, J)) + 1j * rng.standard_normal((5, J, J))
+        zbzb = zbzb + zbzb.transpose(0, 2, 1)
+        zzbar = rng.standard_normal((5, J, J)) + 1j * rng.standard_normal((5, J, J))
+        Q = uform_from_blocks(zz, zzbar, zbzb)
+        S = qp_from_blocks(zz, zzbar, zbzb)
+        assert np.max(np.abs(S - to_qp(Q))) < 1e-14
+        assert np.max(np.abs(to_uform(S) - Q)) < 1e-14
+        for got, want in zip(blocks_from_qp(S), (zz, zzbar, zbzb)):
+            assert np.max(np.abs(got - want)) < 1e-14
+
+    def test_jr_is_jsym_in_qp(self):
+        J = 4
+        T = qp_unitary(J)
+        JR = jr_matrix(J)
+        assert JR.dtype == np.float64
+        assert np.max(np.abs(T.conj().T @ jsym_matrix(J) @ T.conj() - JR)) < 1e-15
+        S = np.random.default_rng(22).standard_normal((3, 2 * J, 2 * J))
+        assert np.array_equal(jr_mul(S), JR @ S)
+
+    def test_bracket_is_the_uform_bracket(self):
+        rng = np.random.default_rng(23)
+        J = 4
+        SA, SB = rng.standard_normal((2, 6, 2 * J, 2 * J))
+        SA, SB = SA + SA.transpose(0, 2, 1), SB + SB.transpose(0, 2, 1)
+        got = bracket_sym(SA, jr_mul(SB))
+        assert got.dtype == np.float64
+        want = to_qp(uform_bracket(to_uform(SA), to_uform(SB)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_grid_arrays_between_the_transforms_are_real(self, monkeypatch):
+        pf, dec, freq, sched, ws = small_pipeline(M=2)
+        seen = []
+        lie_series = kam._lie_series
+
+        def recording(T0, JS_S, *a):
+            acc, sizes = lie_series(T0, JS_S, *a)
+            seen.extend([T0.dtype, JS_S.dtype, acc.dtype])
+            return acc, sizes
+
+        monkeypatch.setattr(kam, "_lie_series", recording)
+        flows = []
+        flow_transform = kam.flow_transform
+        monkeypatch.setattr(kam, "flow_transform",
+                            lambda *a, **k: flows.append(flow_transform(*a, **k)) or flows[-1])
+        engine = KamEngine(seed_pieces(dec, sched.eps0, sched), freq, sched, ws,
+                           K_theta=pf.K_theta, options=KamOptions(norm_grid=8))
+        engine.step()
+        assert seen and all(d == np.float64 for d in seen)
+        assert flows[0].Phi.dtype == np.float64
+        assert flows[0].B.dtype == np.float64
+        assert np.iscomplexobj(flows[0].P_hat)  # window coefficients stay complex
+
+
 class TestUformGrid:
+    """A form's values on the grid, as real (q, p) forms."""
+
     def test_matches_pointwise_evaluation(self):
         rng = np.random.default_rng(11)
         _, sol, _ = small_solution(rng, n=2, K=2, J=4)
         F, G = sol.F, 7
         pts = theta_grid_points(F.n, G)
         blocks = [eval_at_points(b, F.n, F.K, pts) for b in F.blocks()]
-        expect = uform_from_blocks(*blocks)
-        got = uform_grid(F, G)
+        expect = to_qp(uform_from_blocks(*blocks))
+        got = qp_grid(F, G)
         assert got.shape == (G**2, 8, 8)
+        assert got.dtype == np.float64
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_hamiltonian_grid_matches_per_piece_sum(self):
@@ -287,12 +419,14 @@ class TestUformGrid:
         pieces = [small_solution(rng, n=n, K=K, J=J)[0] for _ in range(3)]
         weights = [1e-3, 1e-4, 1e-5]
         lam = np.arange(1, J + 1) + 1e-3 * rng.standard_normal(J)
-        # reference: each piece moved to the grid on its own, then summed
-        expect = normal_uform(lam) + sum(w * uform_grid(p, G) for w, p in zip(weights, pieces))
+        # reference: each piece moved to the grid on its own, then summed, and
+        # the normal form lam_j z_j zbar_j moved from its u-form
+        normal = np.zeros((2 * J, 2 * J), dtype=complex)
+        normal[:J, J:] = normal[J:, :J] = 0.5 * np.diag(lam)
+        expect = to_qp(normal) + sum(w * qp_grid(p, G) for w, p in zip(weights, pieces))
         got = hamiltonian_grid(lam, pieces, weights, G)
         assert got.shape == (G**n, 2 * J, 2 * J)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
-
 
 class TestFlowTransform:
     def test_zero_generator_gives_identity(self):
@@ -320,18 +454,23 @@ class TestFlowTransform:
         eps = 1e-3
         G = 10
         flow = flow_transform(sol, eps, ws, grid=G, picard_tol=1e-14)
-        Bg = generator_of(uform_grid(sol.F, G)).reshape(G, G, 8, 8)
+        # independent route: the u-form generator from pointwise block values
+        pts = theta_grid_points(sol.F.n, G)
+        blocks = [eval_at_points(b, sol.F.n, sol.F.K, pts) for b in sol.F.blocks()]
+        Bg = uform_generator(uform_from_blocks(*blocks)).reshape(G, G, 8, 8)
         for pick in ((0, 0), (3, 7), (5, 2)):
             oracle = rk4_flow_oracle(Bg[pick], eps)
-            got = flow.Phi.reshape(G, G, 8, 8)[pick]
+            got = map_to_u(flow.Phi.reshape(G, G, 8, 8)[pick])
             assert np.max(np.abs(got - oracle)) < 1e-8
 
     def test_real_structure_of_map(self):
         rng = np.random.default_rng(5)
         _, sol, _ = small_solution(rng)
         flow = flow_transform(sol, 1e-3, WeightedSpace(3, 4), grid=10)
+        assert flow.Phi.dtype == np.float64  # Phi is real
+        # and so, in u coordinates, conj(Phi) is Phi with z and zbar swapped
         J = 4
-        Phi = flow.Phi
+        Phi = map_to_u(flow.Phi)
         swapped = np.empty_like(Phi)
         swapped[:, :J, :J] = Phi[:, J:, J:]
         swapped[:, :J, J:] = Phi[:, J:, :J]
@@ -359,19 +498,35 @@ class TestFlowStepSizeGuard:
     def test_frobenius_bound_above_exact_norm_below_proceeds(self):
         ws, eps, J = WeightedSpace(3, 4), 0.3, 4
         sol = rotation_solution(1.0, J)
-        B = generator_of(uform_grid(sol.F, 4))
+        B = generator_of(qp_grid(sol.F, 4))
         # the bound alone would reject; the exact norm accepts
         assert eps * np.max(np.linalg.norm(B, axis=(-2, -1))) >= 0.5
         assert eps * uform_opnorm(B, ws) == pytest.approx(0.3, abs=1e-15)
         flow = flow_transform(sol, eps, ws, grid=4)
         rot = np.exp(1j * eps)
         expect = np.diag([rot] * J + [np.conj(rot)] * J)
-        assert np.max(np.abs(flow.Phi - expect)) < 1e-12
+        assert np.max(np.abs(map_to_u(flow.Phi) - expect)) < 1e-12
         assert flow.P_norm == pytest.approx(abs(rot - 1.0), rel=1e-12)
 
 
 class TestPushRemainder:
     def test_zero_generator_shifts_pieces(self):
+        rng = np.random.default_rng(6)
+        n, K, J = 2, 2, 3
+        zero = QuadraticForm.zeros(n, K, J)
+        other = QuadraticForm.zeros(n, K, J)
+        other.zzbar = hermitian_zzbar(rng, n, K, J)
+        sol = solve_homological(zero, NormalForm(J=J), 1.3 * np.asarray(OMEGA0), K, 0.05)
+        ws = WeightedSpace(2, J)
+        flow = flow_transform(sol, 1e-3, ws, grid=8)
+        new_pieces, diag = push_remainder([zero, other], sol, flow, 1e-3, 1e-4,
+                                          [0.1], ws, grid=8)
+        assert len(new_pieces) == 1
+        assert np.max(np.abs(new_pieces[0].zzbar - other.zzbar)) < 1e-15
+
+    def test_non_hermitian_piece_raises(self):
+        # the piece this class's shift test used before the real grid layer:
+        # real at real theta, but zzbar not Hermitian
         rng = np.random.default_rng(6)
         n, K, J = 2, 2, 3
         zero = QuadraticForm.zeros(n, K, J)
@@ -382,10 +537,8 @@ class TestPushRemainder:
         sol = solve_homological(zero, NormalForm(J=J), 1.3 * np.asarray(OMEGA0), K, 0.05)
         ws = WeightedSpace(2, J)
         flow = flow_transform(sol, 1e-3, ws, grid=8)
-        new_pieces, diag = push_remainder([zero, other], sol, flow, 1e-3, 1e-4,
-                                          [0.1], ws, grid=8)
-        assert len(new_pieces) == 1
-        assert np.max(np.abs(new_pieces[0].zzbar - other.zzbar)) < 1e-15
+        with pytest.raises(RealStructureError, match="not a real Hamiltonian"):
+            push_remainder([zero, other], sol, flow, 1e-3, 1e-4, [0.1], ws, grid=8)
 
     def test_pure_tail_rescales(self):
         rng = np.random.default_rng(7)
@@ -393,7 +546,8 @@ class TestPushRemainder:
         qf = QuadraticForm.zeros(n, K, J)
         arr = rng.standard_normal(qf.zz.shape) + 1j * rng.standard_normal(qf.zz.shape)
         full = reality_enforce(arr, n, K)
-        _, high = QuadraticForm(n, K, J, full, full.copy(), full.copy()).truncate(1)
+        herm = hermitian_zzbar(rng, n, K, J)
+        _, high = QuadraticForm(n, K, J, full, herm, full.copy()).truncate(1)
         qf.zz, qf.zzbar, qf.zbzb = high.zz, high.zzbar, high.zbzb
         qf.symmetrize()
         K_m = 1
@@ -406,6 +560,27 @@ class TestPushRemainder:
         expect = qf.scaled(eps / eps_next)
         expect.symmetrize()
         assert np.max(np.abs(new_pieces[0].zzbar - expect.zzbar)) < 1e-12
+
+
+    def test_term_large_only_off_the_old_sample_keeps_the_series_running(self):
+        # the stopping rule reads every grid point: a seed living only at point
+        # 3 (off the former every-7th sample) is summed to convergence
+        rng = np.random.default_rng(8)
+        J, npts, eps = 2, 10, 0.1
+        S_F = rng.standard_normal((2 * J, 2 * J))
+        S_F = (S_F + S_F.T) / np.linalg.norm(S_F + S_F.T, 2)
+        JS_S = np.broadcast_to(jr_mul(S_F), (npts, 2 * J, 2 * J)).copy()
+        A = rng.standard_normal((2 * J, 2 * J))
+        T0 = np.zeros((npts, 2 * J, 2 * J))
+        T0[3] = A + A.T
+        acc, sizes = kam._lie_series(T0, JS_S, eps, 0, np.ones(2 * J))
+        assert len(sizes) > 5
+        term, want = T0[3], T0[3].copy()
+        for j in range(1, 40):
+            term = eps * bracket_sym(term, JS_S[0])
+            want = want + term / math.factorial(j)
+        assert np.max(np.abs(acc[3] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not np.delete(acc, 3, axis=0).any()
 
 
 def small_pipeline(J=8, K=3, M=2, eps=1e-3, N=5, tau=1.29, gamma=0.05, scale=0.1):

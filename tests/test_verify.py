@@ -5,7 +5,7 @@ import pytest
 
 from qpwave.fourier import window_to_grid
 from qpwave.galerkin import WeightedSpace, assemble_initial_forms, coupling_tensor
-from qpwave.kam import NormalForm, generator_of, uform_from_blocks
+from qpwave.kam import NormalForm
 from qpwave.potential import FrequencySpec, fourier_analyze, make_potential
 from qpwave.verify import (
     _STAGE_CENTERS,
@@ -23,6 +23,27 @@ from qpwave.verify import (
 )
 
 OMEGA0 = (1.0, np.sqrt(2.0))
+
+
+def uform_from_blocks(zz, zzbar, zbzb):
+    """Symmetric u-form [[A, B^T/2], [B/2, C]] for <Az,z>+<Bz,zb>+<Czb,zb>."""
+    J = zz.shape[-1]
+    swap = tuple(range(zz.ndim - 2)) + (zz.ndim - 1, zz.ndim - 2)
+    Q = np.zeros(zz.shape[:-2] + (2 * J, 2 * J), dtype=complex)
+    Q[..., :J, :J] = zz
+    Q[..., :J, J:] = 0.5 * zzbar.transpose(swap)
+    Q[..., J:, :J] = 0.5 * zzbar
+    Q[..., J:, J:] = zbzb
+    return Q
+
+
+def generator_of(Q):
+    """u' = 2 JSYM Q u with JSYM = [[0, +iI], [-iI, 0]], in u = (z, zbar)."""
+    J = Q.shape[-1] // 2
+    JS = np.zeros((2 * J, 2 * J), dtype=complex)
+    JS[:J, J:] = 1j * np.eye(J)
+    JS[J:, :J] = -1j * np.eye(J)
+    return 2.0 * JS @ Q
 
 
 def build_system(J=6, K=2, eps=1e-2, tau=1.37, scale=0.5, N=4, theta0=None):
