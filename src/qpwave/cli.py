@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import sys
 import time
@@ -166,6 +167,18 @@ def machine_info() -> dict:
     }
 
 
+def peak_rss_mib() -> float:
+    """Peak resident set size of this process so far, in MiB (Linux reports
+    ru_maxrss in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _stage_done(timings: dict, stage: str, t0: float):
+    """Record a pipeline stage's wall time and the peak RSS after it."""
+    timings[stage] = time.time() - t0
+    timings["peak_rss_mb"].append([stage, peak_rss_mib()])
+
+
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
@@ -283,7 +296,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
 
 def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
     out.mkdir(parents=True, exist_ok=True)
-    timings: dict = {}
+    timings: dict = {"peak_rss_mb": []}  # [stage or step, peak RSS so far] in run order
     t_start = time.time()
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -305,7 +318,7 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
     except InvalidPotentialError as e:
         raise PipelineAbort(EXIT_CONFIG, "config_error", str(e))
     summary["validation"] = report.as_dict()
-    timings["validate"] = time.time() - t0
+    _stage_done(timings, "validate", t0)
     if not report.all_ok:
         raise PipelineAbort(EXIT_CONFIG, "config_error",
                             f"potential assumptions failed: {report.as_dict()}")
@@ -315,7 +328,7 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
     t0 = time.time()
     pf = fourier_analyze(spec, config.K_theta, config.J_max)
     summary["potential_tail"] = {"tail_norm": pf.tail_norm, "flagged": pf.tail_flagged}
-    timings["analyze"] = time.time() - t0
+    _stage_done(timings, "analyze", t0)
 
     stages.append("assemble")
     ws = WeightedSpace(config.smoothness_N, config.J_max)
@@ -337,8 +350,9 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
             "residual_norm": dec.residual_norm,
             "bound_constants": dec.bound_constants,
         }
+    del qf0  # the split was its only reader
     summary["schedule"] = sched.as_dict()
-    timings["schedule_split"] = time.time() - t0
+    _stage_done(timings, "schedule_split", t0)
 
     # 4. screen + measure at entry parameters
     stages.append("screen")
@@ -355,7 +369,7 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
         "scan": scan.as_dict(),
     }
     _write_resonance_csv(out, scan)
-    timings["screen"] = time.time() - t0
+    _stage_done(timings, "screen", t0)
     if not screen.passed:
         raise PipelineAbort(EXIT_RESONANT, "resonant_tau",
                             f"tau={config.tau} rejected: {screen.worst.as_dict()}")
@@ -375,14 +389,17 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
                            options=opts, normal_form=nf, chain=chain,
                            m_start=m_next, diagnostics=list(records))
     else:
-        pieces = seed_pieces(dec, sched.eps0, sched)
-        engine = KamEngine(pieces, freq, sched, ws, K_theta=config.K_theta,
-                           options=opts)
+        engine = KamEngine(seed_pieces(dec, sched.eps0, sched), freq, sched, ws,
+                           K_theta=config.K_theta, options=opts)
+    # the engine alone holds the step-0 or restored pieces, so that each step
+    # frees the pieces it replaces; the decomposition is done with
+    restored = pieces = dec = None
     try:
         while not engine.finished:
             stages.append(f"reduce, step m={engine.state.m}")
             record = engine.step()
             save_checkpoint(out, engine, record)
+            timings["peak_rss_mb"].append([f"step {record['m']}", peak_rss_mib()])
     except ResonanceError as e:
         raise PipelineAbort(EXIT_RESONANT, "resonant_tau",
                             f"reduce, step m={engine.state.m}: {e}")
@@ -393,7 +410,7 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
         raise PipelineAbort(EXIT_CERTIFICATE, "certificate_failed", f"reduce, {e}")
     stages.append("reduce")
     result = engine.result()
-    timings["reduce"] = time.time() - t0
+    _stage_done(timings, "reduce", t0)
 
     summary["steps"] = result.history
     summary["normal_form"] = {
@@ -434,7 +451,7 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
         stages.append("verify")
         t0 = time.time()
         summary["verify"] = _verify_stage(config, freq, pf, ct, result, ws, sched, out)
-        timings["verify"] = time.time() - t0
+        _stage_done(timings, "verify", t0)
         conj = summary["verify"]["conjugacy"]
         if not conj["within_tolerance"]:
             detail = (f"verify: conjugacy max_rel_deviation {conj['max_rel_deviation']:.3e}"

@@ -109,18 +109,31 @@ def spectral_derivative_matrix(G: int) -> np.ndarray:
     return _frozen(D if G % 2 == 0 else np.ascontiguousarray(D.real))
 
 
-def _along(mat: np.ndarray, x: np.ndarray, ax: int) -> np.ndarray:
+def _along(mat: np.ndarray, x: np.ndarray, ax: int, out: np.ndarray | None = None) -> np.ndarray:
     """mat applied along axis ax of x: one broadcast matmul on the
-    (pre, axis, post) view, so no axis is moved."""
+    (pre, axis, post) view, so no axis is moved; written to out if given. A
+    complex mat meets real x as its real and imaginary parts, so x is never
+    copied to complex."""
     shape = x.shape
-    y = np.matmul(mat, x.reshape(math.prod(shape[:ax]), shape[ax], -1))
-    return y.reshape(shape[:ax] + (mat.shape[0],) + shape[ax + 1:])
+    oshape = shape[:ax] + (mat.shape[0],) + shape[ax + 1:]
+    x = x.reshape(math.prod(shape[:ax]), shape[ax], -1)
+    y = None if out is None else out.reshape(x.shape[0], mat.shape[0], x.shape[2])
+    if np.iscomplexobj(mat) and not np.iscomplexobj(x):
+        if y is None:
+            y = np.empty((x.shape[0], mat.shape[0], x.shape[2]), dtype=complex)
+        y.real = np.matmul(mat.real, x)
+        y.imag = np.matmul(mat.imag, x)
+    else:
+        y = np.matmul(mat, x, out=y)
+    return y.reshape(oshape)
 
 
-def _per_axis(mat: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """mat applied along each of the first n axes of x."""
-    for ax in range(n):
-        x = _along(mat, x, ax)
+def _per_axis(mat: np.ndarray, x: np.ndarray, n: int, first: int = 0,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """mat applied along each of the axes first..n-1 of x; the last
+    application is written to out if given."""
+    for ax in range(first, n):
+        x = _along(mat, x, ax, out=out if ax == n - 1 else None)
     return x
 
 
@@ -134,16 +147,47 @@ def grid_to_window(values: np.ndarray, n: int, K: int) -> np.ndarray:
     return _per_axis(_to_window(K, values.shape[0]), values, n)
 
 
-def project_window_grid(values: np.ndarray, n: int, K: int) -> np.ndarray:
-    """Kill all grid content outside the coefficient window, in place of values."""
+def window_to_grid_rows(coeffs: np.ndarray, n: int, K: int, G: int, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of the first theta axis of window_to_grid(coeffs, n, K, G),
+    from those rows of the cached matrix only: no other grid row is built."""
+    E = _to_grid(K, G)
+    return _per_axis(E, _along(E[rows], coeffs, 0), n, first=1)
+
+
+def grid_to_window_by_rows(slabs, n: int, K: int, G: int) -> np.ndarray:
+    """grid_to_window of grid values delivered as (rows, values) slabs: values
+    holds the grid rows ``rows`` of the first theta axis, and the slabs'
+    rows partition range(G). Each slab is transformed along the other axes
+    into its rows of one (G,) + (2K+1,)*(n-1) buffer, and the first axis is
+    transformed once at the end, so no full grid array is ever needed."""
+    Einv = _to_window(K, G)
+    buf = None
+    for rows, values in slabs:
+        part = _per_axis(Einv, values, n, first=1)
+        if buf is None:
+            buf = np.empty((G,) + part.shape[1:], dtype=part.dtype)
+        buf[rows] = part
+    return _along(Einv, buf, 0)
+
+
+def project_window_grid(values: np.ndarray, n: int, K: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Kill all grid content outside the coefficient window, in place of values.
+    The result is written to out if given (complex; values itself may be out,
+    as values is read in full before out is written)."""
     G = values.shape[0]
-    return _per_axis(_to_grid(K, G), _per_axis(_to_window(K, G), values, n), n)
+    return _per_axis(_to_grid(K, G), _per_axis(_to_window(K, G), values, n), n, out=out)
 
 
-def omega_derivative(values: np.ndarray, omega: np.ndarray, n: int) -> np.ndarray:
-    """omega . d_theta of grid values of shape (G,)*n + tail, spectral per axis."""
+def omega_derivative(values: np.ndarray, omega: np.ndarray, n: int,
+                     rows: slice = slice(None)) -> np.ndarray:
+    """omega . d_theta of grid values of shape (G,)*n + tail, spectral per
+    axis, on the grid rows ``rows`` of the first theta axis (all by default).
+    The first axis couples every row: its derivative applies those rows of
+    the derivative matrix to the whole of values."""
     D = spectral_derivative_matrix(values.shape[0])
-    return sum(float(omega[ax]) * _along(D, values, ax) for ax in range(n))
+    parts = [_along(D[rows], values, 0)] + [_along(D, values[rows], ax) for ax in range(1, n)]
+    return sum(float(omega[ax]) * part for ax, part in enumerate(parts))
 
 
 def eval_at_points(coeffs: np.ndarray, n: int, K: int, thetas: np.ndarray) -> np.ndarray:
@@ -152,17 +196,28 @@ def eval_at_points(coeffs: np.ndarray, n: int, K: int, thetas: np.ndarray) -> np
     Only modes whose max-magnitude exceeds a relative floor participate, so the
     cost tracks the active band rather than the full window.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    return eval_modes(*active_modes(coeffs, n, K), thetas)
+
+
+def active_modes(coeffs: np.ndarray, n: int, K: int) -> tuple:
+    """(mode vectors (A, n), coefficients (A,) + tail) of the window modes that
+    eval_at_points sums, both read-only: those whose max magnitude exceeds a
+    relative floor."""
     W = window_width(K)
     flat = coeffs.reshape((W**n,) + coeffs.shape[n:])
     mags = np.abs(flat).reshape(W**n, -1).max(axis=1)
     top = mags.max()
     active = np.nonzero(mags > 1e-300 + 1e-16 * top)[0]
-    if active.size == 0:
-        return np.zeros((thetas.shape[0],) + coeffs.shape[n:], dtype=complex)
-    kv = kgrid(n, K).reshape(W**n, n)[active]
-    phases = np.exp(1j * (thetas @ kv.T))  # (P, active)
-    return np.tensordot(phases, flat[active], axes=(1, 0))
+    return _frozen(kgrid(n, K).reshape(W**n, n)[active]), _frozen(flat[active])
+
+
+def eval_modes(modes: np.ndarray, values: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """sum_a values_a e^{i modes_a.theta} at each point, shape (P,) + tail."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if modes.shape[0] == 0:
+        return np.zeros((thetas.shape[0],) + values.shape[1:], dtype=complex)
+    phases = np.exp(1j * (thetas @ modes.T))  # (P, active)
+    return np.tensordot(phases, values, axes=(1, 0))
 
 
 def theta_grid_points(n: int, G: int) -> np.ndarray:

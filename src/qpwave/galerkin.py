@@ -9,6 +9,7 @@ coefficients on a hypercube Fourier window.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,13 +40,19 @@ class CouplingTensor:
     def coefficient(self, j: int, l: int, k: int) -> float:
         return self.entries.get((j, l, k), 0.0)
 
-    def dense(self) -> np.ndarray:
-        """Dense (j, l, k) array, 0-based indices shifted by one."""
+    @functools.cached_property
+    def _dense(self) -> np.ndarray:
         J = self.J_max
         out = np.zeros((J, J, J))
         for (j, l, k), v in self.entries.items():
             out[j - 1, l - 1, k - 1] = v
+        out.flags.writeable = False
         return out
+
+    def dense(self) -> np.ndarray:
+        """Dense (j, l, k) array, 0-based indices shifted by one; built once
+        per tensor and returned read-only."""
+        return self._dense
 
 
 def coupling_tensor(J_max: int) -> CouplingTensor:

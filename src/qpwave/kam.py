@@ -34,6 +34,7 @@ from . import resonance
 from .fourier import (
     eval_at_points,
     grid_to_window,
+    grid_to_window_by_rows,
     kdot,
     kinf,
     omega_derivative,
@@ -41,6 +42,7 @@ from .fourier import (
     project_window_grid,
     theta_grid_points,
     window_to_grid,
+    window_to_grid_rows,
 )
 from .galerkin import QuadraticForm, WeightedSpace, form_norm, metric_opnorm
 from .potential import FrequencySpec
@@ -203,6 +205,22 @@ def update_normal_form(nf: NormalForm, diag_avg: np.ndarray, eps_m: float,
 
 
 # ---------------------------------------------------------------------------
+# Slabs: the pointwise layer runs over slabs of the theta grid
+
+SLAB_POINTS = 50  # grid points per slab
+
+
+def _slabs(G: int, n: int) -> list:
+    """(rows, points) of each slab of the flat G^n grid: a range of rows of
+    the first theta axis and the matching range of flat grid points, about
+    SLAB_POINTS points (at least one row)."""
+    row = G ** (n - 1)
+    step = max(1, round(SLAB_POINTS / row))
+    return [(slice(r0, min(r0 + step, G)), slice(r0 * row, min(r0 + step, G) * row))
+            for r0 in range(0, G, step)]
+
+
+# ---------------------------------------------------------------------------
 # The (q, p) grid layer
 
 STRUCTURE_RTOL = 1e-12  # relative structure defect a form may carry onto the grid
@@ -289,13 +307,25 @@ def check_real_structure(qf: QuadraticForm) -> None:
         )
 
 
+def qp_window(qf: QuadraticForm) -> np.ndarray:
+    """Window coefficients of qf's (q, p) form, (2K+1,)*n + ((2J)^2,), after
+    the real-structure check that makes its grid values real."""
+    check_real_structure(qf)
+    hat = qp_from_blocks(qf.zz, qf.zzbar, qf.zbzb)
+    return hat.reshape(hat.shape[:qf.n] + (-1,))
+
+
+def qp_rows(hat: np.ndarray, n: int, K: int, G: int, rows: slice) -> np.ndarray:
+    """Real (q, p) form values, flat (points, 2J, 2J), of the qp window
+    coefficients hat on the grid rows ``rows`` of the first theta axis."""
+    dim = math.isqrt(hat.shape[-1])
+    g = window_to_grid_rows(hat, n, K, G, rows)
+    return np.ascontiguousarray(g.real).reshape(-1, dim, dim)
+
+
 def qp_grid(qf: QuadraticForm, G: int) -> np.ndarray:
     """Real (q, p) form values of qf on the flat theta grid, (G^n, 2J, 2J)."""
-    check_real_structure(qf)
-    n, J = qf.n, qf.J
-    hat = qp_from_blocks(qf.zz, qf.zzbar, qf.zbzb)
-    g = window_to_grid(hat.reshape(hat.shape[:n] + (-1,)), n, qf.K, G)
-    return np.ascontiguousarray(g.real).reshape(-1, 2 * J, 2 * J)
+    return qp_rows(qp_window(qf), qf.n, qf.K, G, slice(None))
 
 
 def bracket_sym(QA: np.ndarray, JS_QB: np.ndarray) -> np.ndarray:
@@ -317,17 +347,18 @@ def generator_of(S: np.ndarray) -> np.ndarray:
     return 2.0 * jr_mul(S)
 
 
-def hamiltonian_grid(lam: np.ndarray, pieces: list, weights: list, G: int) -> np.ndarray:
-    """(q, p) form of lam + sum_l w_l p_l on the flat theta grid, (G^n, 2J, 2J):
-    the pieces are summed as window coefficients and moved to the grid once.
-    The normal form sum_j lam_j |z_j|^2 is diag(lam, lam) / 2."""
+def hamiltonian_window(lam: np.ndarray, pieces: list, weights: list) -> np.ndarray:
+    """qp window coefficients of lam + sum_l w_l p_l: the pieces are summed as
+    window coefficients, and the normal form sum_j lam_j |z_j|^2, whose
+    (q, p) form is diag(lam, lam) / 2, is added at k = 0."""
     total = pieces[0].scaled(weights[0])
     for w, piece in zip(weights[1:], pieces[1:]):
         total = total + piece.scaled(w)
-    half = 0.5 * np.concatenate([lam, lam])
-    S = qp_grid(total, G)
-    S[:, np.arange(half.size), np.arange(half.size)] += half
-    return S
+    hat = qp_window(total)
+    dim = 2 * total.J
+    center = hat[(total.K,) * total.n].reshape(dim, dim)
+    center[np.arange(dim), np.arange(dim)] += 0.5 * np.concatenate([lam, lam])
+    return hat
 
 
 def uform_opnorm(Q: np.ndarray, ws: WeightedSpace) -> float:
@@ -516,10 +547,10 @@ def flow_transform(
     npts = B.shape[0]
     eye = np.broadcast_to(np.eye(2 * J), (npts, 2 * J, 2 * J))
     U = eye.copy()
-    term = eye.copy()
+    term, spare = eye.copy(), np.empty_like(U)  # each term is written over the one before last
     terms_used = 0
     for j in range(1, _PICARD_MAX_TERMS + 1):
-        term = B @ term
+        term, spare = np.matmul(B, term, out=spare), term
         term *= eps_m / j
         U += term
         terms_used = j
@@ -527,6 +558,7 @@ def flow_transform(
             break
     else:
         raise StepSizeError("Picard iteration did not converge; reduce eps")
+    del term, spare
 
     P = U - eye
     P_qp = grid_to_window(P.reshape((grid,) * n + (2 * J, 2 * J)), n, K)
@@ -534,8 +566,9 @@ def flow_transform(
     P_hat = T @ P_qp @ T.conj().T
     P_norm = uform_opnorm(P, ws)
 
-    form = np.matmul(U.transpose(0, 2, 1), jr_mul(U))
-    defect = float(np.max(np.abs(form - jr_matrix(J))))
+    JR = jr_matrix(J)
+    defect = max(float(np.max(np.abs(np.matmul(U[pts].transpose(0, 2, 1), jr_mul(U[pts])) - JR)))
+                 for _, pts in _slabs(grid, n))
 
     return FlowResult(grid=grid, B=B, Phi=U, P_hat=P_hat, n=n, K=K, J=J,
                       P_norm=P_norm, symplectic_defect=defect,
@@ -594,9 +627,10 @@ def _lie_series(T0: np.ndarray, JS_S: np.ndarray, eps: float, coeff_offset: int,
                 w2: np.ndarray):
     """sum_j ad^j(T0) * eps^j / (j + coeff_offset)! for symmetric operands.
 
-    Iterates on the product grid without intermediate window projection (the
+    Iterates on grid values without intermediate window projection (the
     beyond-window content of the decayed operands is far below the series
-    floor); the caller projects the accumulated stream once.
+    floor); the caller projects the accumulated stream once. The stopping
+    rule reads every grid point of T0, relative to T0's own size.
     Returns (accumulated grid array, per-term sizes).
     """
     term = T0
@@ -614,6 +648,44 @@ def _lie_series(T0: np.ndarray, JS_S: np.ndarray, eps: float, coeff_offset: int,
         if j >= 3 and sizes[-1] > sizes[-2] > sizes[-3]:
             raise StepSizeError("remainder series is not decaying; reduce eps")
     raise StepSizeError("remainder series did not converge within the term cap")
+
+
+def _streamed_series(streams: dict, B: np.ndarray, eps: float, n: int, K: int, G: int,
+                     w2: np.ndarray, series_terms: dict) -> np.ndarray:
+    """Window coefficients, (2K+1,)*n + (2J, 2J), of the summed Lie series
+    of ``streams``, each series run whole on one slab of the grid at a time.
+
+    streams maps a name to (qp window coefficients, coeff_offset, bracketed):
+    a stream's grid seed is the form's values, or for a bracketed stream
+    their bracket with the step generator S_F. B = 2 JR S_F is the flow
+    generator on the flat grid, so the bracket operand jr_mul(S_F) is B / 2;
+    the factor 1/2 rides on the seed and on eps instead (a power of two, so
+    every term is bit for bit the one with B / 2). Each slab's seeds come
+    from its rows of the window -> grid transform, and its summed series
+    goes straight back to the window (grid_to_window_by_rows): no grid array
+    but B spans more than a slab. Each slab's term sizes go to
+    series_terms["name[slab]"].
+    """
+    dim = B.shape[-1]
+
+    def slab_sums():
+        for i, (rows, pts) in enumerate(_slabs(G, n)):
+            B_s = B[pts]
+            total = None
+            for name, (hat, offset, bracketed) in streams.items():
+                seed = qp_rows(hat, n, K, G, rows)
+                if bracketed:
+                    seed = bracket_sym(seed, B_s)
+                    seed *= 0.5
+                acc, series_terms[f"{name}[{i}]"] = _lie_series(seed, B_s, 0.5 * eps,
+                                                                offset, w2)
+                if total is None:
+                    total = acc
+                else:
+                    total += acc
+            yield rows, total.reshape((-1,) + (G,) * (n - 1) + (dim, dim))
+
+    return grid_to_window_by_rows(slab_sums(), n, K, G)
 
 
 @dataclass
@@ -637,39 +709,31 @@ def push_remainder(
     """Assemble the next remainder family from the four step contributions:
     the high-frequency tail, the double-bracket stream seeded by
     diag(mu) - Gamma R, the single-bracket stream seeded by R_mm, and the
-    Lie-series transport of the higher pieces.
+    Lie-series transport of the higher pieces. Every stream runs slab by slab
+    (_streamed_series), and series_terms holds the term sizes of each slab.
     """
     R_mm = pieces[0]
     n, K, J = R_mm.n, R_mm.K, R_mm.J
     w2 = ws.doubled_metric_weights
-    gshape = (grid,) * n + (2 * J, 2 * J)
 
     low, tail = R_mm.truncate(min(sol.K_m, K))
 
-    JS_S = 0.5 * flow.B  # jr_mul of the generator's (q, p) form
-
     # seed of the double-bracket stream: diag(mu) - truncated R_mm
     center = (K,) * n
-    star = low.copy()
-    star = star.scaled(-1.0)
+    star = low.scaled(-1.0)
     diag_sel = (np.arange(J), np.arange(J))
     star.zzbar[center][diag_sel] += sol.diag_avg
+    del low
 
-    # the grid seeds stay unnamed so that each is freed once bracketed (peak memory)
     series_terms = {}
-    acc_b, sizes_b = _lie_series(bracket_sym(qp_grid(star, grid), JS_S), JS_S,
-                                 eps_m, 2, w2)
-    series_terms["double_bracket"] = sizes_b
 
-    acc_c, sizes_c = _lie_series(bracket_sym(qp_grid(R_mm, grid), JS_S), JS_S,
-                                 eps_m, 1, w2)
-    series_terms["single_bracket"] = sizes_c
+    def stream(streams: dict) -> tuple:
+        coeffs = _streamed_series(streams, flow.B, eps_m, n, K, grid, w2, series_terms)
+        return blocks_from_qp(coeffs)
 
-    def window_blocks(qp_values: np.ndarray) -> tuple:
-        return blocks_from_qp(grid_to_window(qp_values.reshape(gshape), n, K))
-
-    bc_blocks = window_blocks(acc_b + acc_c)
-    del acc_b, acc_c  # peak memory: the transport loop below needs neither
+    bc_blocks = stream({"double_bracket": (qp_window(star), 2, True),
+                        "single_bracket": (qp_window(R_mm), 1, True)})
+    del star
 
     new_pieces = []
     first = tail.scaled(eps_m / eps_next)
@@ -677,11 +741,10 @@ def push_remainder(
     first.zzbar = first.zzbar + (eps_m**2 / eps_next) * bc_blocks[1]
     first.zbzb = first.zbzb + (eps_m**2 / eps_next) * bc_blocks[2]
     new_pieces.append(first)
+    del bc_blocks
 
     for idx, piece in enumerate(pieces[1:]):
-        acc_p, sizes_p = _lie_series(qp_grid(piece, grid), JS_S, eps_m, 0, w2)
-        series_terms[f"transport_{idx}"] = sizes_p
-        blocks = window_blocks(acc_p)
+        blocks = stream({f"transport_{idx}": (qp_window(piece), 0, False)})
         moved = QuadraticForm(n=n, K=K, J=J, zz=blocks[0], zzbar=blocks[1],
                               zbzb=blocks[2], strip=piece.strip, meta=dict(piece.meta))
         if idx == 0:
@@ -694,6 +757,7 @@ def push_remainder(
             strips_next[-1] if strips_next else piece.strip)
         piece.symmetrize()
 
+    # one decision over the last term of every slab of every stream
     last_sizes = [s[-1] for s in series_terms.values() if s]
     spec_ok = all(s <= 1e-3 * eps_next for s in last_sizes)
     piece_norms = [form_norm(p, ws, 8) for p in new_pieces]
@@ -713,30 +777,35 @@ def recompose_generator(
     flow: FlowResult,
     omega: np.ndarray,
 ) -> np.ndarray:
-    """Exact transported (q, p) form on the flow grid:
+    """Exact transported (q, p) form on the flat flow grid, (G^n, 2J, 2J):
     S+ = -1/2 JR [ Phi^-1 (L Phi - omega . d_theta Phi) ].
 
     Independent of the series assembly; used to certify each step. Real,
     except at even grid sizes, where the kept Nyquist mode of the derivative
-    is imaginary.
+    is imaginary. Computed slab by slab: besides Phi and the result, only
+    Phi - I spans the grid, since its derivative along the first theta axis
+    reads every row.
     """
-    n, J, G = flow.n, flow.J, flow.grid
-    gshape = (G,) * n + (2 * J, 2 * J)
-    L = generator_of(hamiltonian_grid(lam_old, pieces_old, eps_weights_old, G)).reshape(gshape)
-
-    Phi = flow.Phi.reshape(gshape)
+    n, K, J, G = flow.n, flow.K, flow.J, flow.grid
+    dim = 2 * J
+    ham = hamiltonian_window(lam_old, pieces_old, eps_weights_old)
     # d_theta I = 0: differentiating Phi - I keeps the matmul's rounding relative
     # to |Phi - I| (D's row sums are zero only to ~1e-14)
-    dPhi = omega_derivative(Phi - np.eye(2 * J), omega, n)
-
-    flatten = (-1, 2 * J, 2 * J)
-    rhs = (L @ Phi).reshape(flatten) - dPhi.reshape(flatten)
-    if np.iscomplexobj(rhs):  # one real LU for both parts
-        parts = np.linalg.solve(flow.Phi, np.concatenate([rhs.real, rhs.imag], axis=-1))
-        Lplus = parts[..., :2 * J] + 1j * parts[..., 2 * J:]
-    else:
-        Lplus = np.linalg.solve(flow.Phi, rhs)
-    return -0.5 * jr_mul(Lplus)
+    PmI = (flow.Phi - np.eye(dim)).reshape((G,) * n + (dim, dim))
+    out = None
+    for rows, pts in _slabs(G, n):
+        Phi = flow.Phi[pts]
+        dPhi = omega_derivative(PmI, omega, n, rows).reshape(-1, dim, dim)
+        rhs = generator_of(qp_rows(ham, n, K, G, rows)) @ Phi - dPhi
+        if np.iscomplexobj(rhs):  # one real LU for both parts
+            parts = np.linalg.solve(Phi, np.concatenate([rhs.real, rhs.imag], axis=-1))
+            Lplus = parts[..., :dim] + 1j * parts[..., dim:]
+        else:
+            Lplus = np.linalg.solve(Phi, rhs)
+        if out is None:
+            out = np.empty(flow.Phi.shape, dtype=Lplus.dtype)
+        out[pts] = -0.5 * jr_mul(Lplus)
+    return out
 
 
 def consistency_defect(
@@ -752,14 +821,21 @@ def consistency_defect(
     """Relative gap between the recomposed and the assembled new Hamiltonian,
     entrywise in (q, p) coordinates."""
     n, K, J, G = flow.n, flow.K, flow.J, flow.grid
-    Q_target = recompose_generator(lam_old, pieces_old, eps_old, flow, omega)
+    diff = recompose_generator(lam_old, pieces_old, eps_old, flow, omega)
+    ham = hamiltonian_window(lam_new, pieces_new, eps_new)
+    scale = 0.0
+    for rows, pts in _slabs(G, n):
+        Q_asm = qp_rows(ham, n, K, G, rows)
+        diff[pts] -= Q_asm
+        scale = max(scale, float(np.max(np.abs(Q_asm))))
+    del ham, Q_asm
 
-    Q_asm = hamiltonian_grid(lam_new, pieces_new, eps_new, G)
-
-    # compare inside the coefficient window only (the assembly lives there)
-    diff = project_window_grid((Q_target - Q_asm).reshape((G,) * n + (2 * J, 2 * J)), n, K)
-    scale = float(np.max(np.abs(Q_asm)))
-    return float(np.max(np.abs(diff))) / scale
+    # compare inside the coefficient window only (the assembly lives there);
+    # a complex diff (even G) takes its projection in place
+    diff = diff.reshape((G,) * n + (2 * J, 2 * J))
+    diff = project_window_grid(diff, n, K, out=diff if np.iscomplexobj(diff) else None)
+    diff = diff.reshape(-1, 2 * J, 2 * J)
+    return max(float(np.max(np.abs(diff[pts]))) for _, pts in _slabs(G, n)) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ leading shape, and return values of the matching shape.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -20,7 +21,9 @@ from typing import Callable
 import numpy as np
 
 from .fourier import (
+    active_modes,
     eval_at_points,
+    eval_modes,
     kgrid,
     kvalues,
     reality_enforce,
@@ -114,10 +117,15 @@ class PotentialFourier:
     def reality_defect(self) -> float:
         return reality_residual(self.v_hat, self.n, self.K_theta)
 
+    @functools.cached_property
+    def _active_modes(self) -> tuple:
+        """The active window modes of v_hat, found once per object."""
+        return active_modes(self.v_hat, self.n, self.K_theta)
+
     def v_of_theta(self, theta: np.ndarray) -> np.ndarray:
         """Mode amplitudes v_j at theta points, shape (P, J_max); complex with
         negligible imaginary part when the reality invariant holds."""
-        return eval_at_points(self.v_hat, self.n, self.K_theta, theta)
+        return eval_modes(*self._active_modes, theta)
 
 
 @dataclass

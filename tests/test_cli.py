@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import json
 import os
 import shutil
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +181,73 @@ class TestPipeline:
         assert json.dumps(strip_timings(full), sort_keys=True) == \
                json.dumps(strip_timings(resumed), sort_keys=True)
         assert (newest / "state.json").exists()
+
+
+def _watch_lifetimes(monkeypatch, source: str) -> tuple:
+    """Weakrefs to the decomposition and to the block arrays of the pieces the
+    engine starts from (cli.<source>: seed_pieces or load_checkpoints), and the
+    names still alive at each checkpoint after a gc.collect()."""
+    refs, alive_at = {}, {}
+    decompose = cli.decompose
+
+    def watched_decompose(*a, **k):
+        dec = decompose(*a, **k)
+        refs["decomposition"] = weakref.ref(dec)
+        return dec
+
+    start = getattr(cli, source)
+
+    def watched_start(*a, **k):
+        got = start(*a, **k)
+        pieces = got if source == "seed_pieces" else got[2]
+        for i, piece in enumerate(pieces):
+            for name, block in zip(("zz", "zzbar", "zbzb"), piece.blocks()):
+                refs[f"piece {i} {name}"] = weakref.ref(block)
+        return got
+
+    save = cli.save_checkpoint
+
+    def watched_save(out, engine, record):
+        save(out, engine, record)
+        gc.collect()
+        alive_at[record["m"]] = sorted(name for name, ref in refs.items() if ref() is not None)
+
+    monkeypatch.setattr(cli, "decompose", watched_decompose)
+    monkeypatch.setattr(cli, source, watched_start)
+    monkeypatch.setattr(cli, "save_checkpoint", watched_save)
+    return refs, alive_at
+
+
+class TestMemory:
+    def test_stage_data_is_released_once_the_engine_is_seeded(self, tmp_path, monkeypatch):
+        refs, alive_at = _watch_lifetimes(monkeypatch, "seed_pieces")
+        run_pipeline(tiny_config(), tmp_path / "run")
+        assert "decomposition" in refs and "piece 0 zz" in refs
+        assert alive_at[1] == []
+
+    def test_restored_pieces_are_released_after_the_first_resumed_step(self, tmp_path,
+                                                                         monkeypatch):
+        out = tmp_path / "run"
+        run_pipeline(tiny_config(), out)
+        shutil.rmtree(sorted((out / "steps").glob("step_*"))[-1])
+        refs, alive_at = _watch_lifetimes(monkeypatch, "load_checkpoints")
+        run_pipeline(tiny_config(), out, resume=True)
+        assert "decomposition" in refs and "piece 0 zz" in refs
+        assert list(alive_at) == [1]
+        assert alive_at[1] == []
+
+    def test_peak_rss_recorded_after_each_stage_and_step(self, tmp_path):
+        summary = run_pipeline(tiny_config(), tmp_path / "run")
+        peaks = summary["timings"]["peak_rss_mb"]
+        assert [label for label, _ in peaks] == [
+            "validate", "analyze", "schedule_split", "screen", "step 0", "step 1",
+            "reduce", "verify"]
+        mib = [value for _, value in peaks]
+        assert mib[0] > 0 and mib == sorted(mib)  # a running peak never falls
+        on_disk = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert on_disk["timings"]["peak_rss_mb"] == peaks
+        # quarantined under timings: the stripped summary does not see it
+        assert "peak_rss" not in json.dumps(strip_timings(summary))
 
 
 class TestCertificateAbort:

@@ -5,11 +5,13 @@ import pytest
 
 from qpwave.fourier import (
     grid_to_window,
+    grid_to_window_by_rows,
     kvalues,
     omega_derivative,
     project_window_grid,
     spectral_derivative_matrix,
     window_to_grid,
+    window_to_grid_rows,
 )
 
 # (n, K, G): odd and even G, G = 2K+1 exactly, up to three torus dimensions
@@ -126,3 +128,61 @@ def test_omega_derivative_matches_fft(G):
     expected = omega[0] * fft_derivative(values, 0) + omega[1] * fft_derivative(values, 1)
     assert _rel(omega_derivative(values, omega, 2), expected) <= 1e-13
 
+
+
+# -- slabs: rows of the first theta axis ------------------------------------
+
+
+def _row_slabs(G, step):
+    return [slice(r, min(r + step, G)) for r in range(0, G, step)]
+
+
+# steps 1, 2 and one that does not divide G (G = 5..27 here)
+SLAB_STEPS = [1, 2, 4]
+
+
+@pytest.mark.parametrize("n,K,G", CASES)
+@pytest.mark.parametrize("step", SLAB_STEPS)
+def test_window_to_grid_rows_are_rows_of_the_transform(n, K, G, step):
+    coeffs = _complex(np.random.default_rng(7 * G + step), (2 * K + 1,) * n + (2, 3))
+    grid = window_to_grid(coeffs, n, K, G)
+    for rows in _row_slabs(G, step):
+        got = window_to_grid_rows(coeffs, n, K, G, rows)
+        assert got.shape == grid[rows].shape
+        assert _rel(got, grid[rows]) <= 1e-13
+
+
+@pytest.mark.parametrize("n,K,G", CASES)
+@pytest.mark.parametrize("step", SLAB_STEPS)
+@pytest.mark.parametrize("real", [False, True])
+def test_grid_to_window_by_rows_sums_the_slabs(n, K, G, step, real):
+    rng = np.random.default_rng(11 * G + step)
+    shape = (G,) * n + (2, 3)
+    values = rng.standard_normal(shape) if real else _complex(rng, shape)
+    got = grid_to_window_by_rows(((rows, values[rows]) for rows in _row_slabs(G, step)),
+                                 n, K, G)
+    assert got.shape == (2 * K + 1,) * n + (2, 3)
+    assert _rel(got, fft_grid_to_window(values, n, K)) <= 1e-13
+    assert _rel(got, grid_to_window(values, n, K)) <= 1e-13
+
+
+@pytest.mark.parametrize("G", [15, 20, 27])
+@pytest.mark.parametrize("step", SLAB_STEPS)
+def test_omega_derivative_rows_are_rows_of_the_derivative(G, step):
+    rng = np.random.default_rng(G + step)
+    omega = np.array([1.0, np.sqrt(2.0)])
+    values = rng.standard_normal((G, G, 2, 2))  # real, as Phi - I in the oracle
+    full = omega_derivative(values, omega, 2)
+    assert _rel(full, omega[0] * fft_derivative(values, 0)
+                + omega[1] * fft_derivative(values, 1)) <= 1e-13
+    for rows in _row_slabs(G, step):
+        assert _rel(omega_derivative(values, omega, 2, rows), full[rows]) <= 1e-13
+
+
+@pytest.mark.parametrize("n,K,G", [(1, 5, 16), (2, 4, 15), (2, 6, 20)])
+def test_projection_written_over_its_input(n, K, G):
+    values = _complex(np.random.default_rng(G), (G,) * n + (3,))
+    expected = fft_project(values, n, K)
+    got = project_window_grid(values, n, K, out=values)
+    assert np.shares_memory(got, values)
+    assert _rel(values, expected) <= 1e-13

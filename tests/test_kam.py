@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpwave import kam
-from qpwave.fourier import eval_at_points, reality_enforce, theta_grid_points
+from qpwave.fourier import eval_at_points, grid_to_window, reality_enforce, theta_grid_points
 from qpwave.galerkin import QuadraticForm, WeightedSpace, assemble_initial_forms, coupling_tensor
 from qpwave.kam import (
     CertificateError,
@@ -25,7 +25,7 @@ from qpwave.kam import (
     consistency_defect,
     flow_transform,
     generator_of,
-    hamiltonian_grid,
+    hamiltonian_window,
     homological_residual,
     jr_matrix,
     jr_mul,
@@ -33,6 +33,7 @@ from qpwave.kam import (
     push_remainder,
     qp_from_blocks,
     qp_grid,
+    qp_rows,
     qp_unitary,
     seed_pieces,
     solve_homological,
@@ -424,7 +425,7 @@ class TestUformGrid:
         normal = np.zeros((2 * J, 2 * J), dtype=complex)
         normal[:J, J:] = normal[J:, :J] = 0.5 * np.diag(lam)
         expect = to_qp(normal) + sum(w * qp_grid(p, G) for w, p in zip(weights, pieces))
-        got = hamiltonian_grid(lam, pieces, weights, G)
+        got = qp_rows(hamiltonian_window(lam, pieces, weights), n, K, G, slice(None))
         assert got.shape == (G**n, 2 * J, 2 * J)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
@@ -581,6 +582,93 @@ class TestPushRemainder:
             want = want + term / math.factorial(j)
         assert np.max(np.abs(acc[3] - want)) <= 1e-13 * np.max(np.abs(want))
         assert not np.delete(acc, 3, axis=0).any()
+
+
+def whole_grid_push(pieces, sol, flow, eps_m, eps_next, ws, grid):
+    """The new pieces of push_remainder with every Lie series run on whole
+    grid arrays under one stopping rule per stream: the form before the
+    slabs, kept as the reference of the streamed push."""
+    R_mm = pieces[0]
+    n, K, J = R_mm.n, R_mm.K, R_mm.J
+    w2 = ws.doubled_metric_weights
+    JS_S = 0.5 * flow.B
+    low, tail = R_mm.truncate(min(sol.K_m, K))
+    star = low.scaled(-1.0)
+    star.zzbar[(K,) * n][(np.arange(J), np.arange(J))] += sol.diag_avg
+
+    def window_blocks(values):
+        return blocks_from_qp(grid_to_window(values.reshape((grid,) * n + (2 * J, 2 * J)), n, K))
+
+    acc_b, _ = kam._lie_series(bracket_sym(qp_grid(star, grid), JS_S), JS_S, eps_m, 2, w2)
+    acc_c, _ = kam._lie_series(bracket_sym(qp_grid(R_mm, grid), JS_S), JS_S, eps_m, 1, w2)
+    bc = window_blocks(acc_b + acc_c)
+    first = tail.scaled(eps_m / eps_next)
+    first.zz = first.zz + (eps_m**2 / eps_next) * bc[0]
+    first.zzbar = first.zzbar + (eps_m**2 / eps_next) * bc[1]
+    first.zbzb = first.zbzb + (eps_m**2 / eps_next) * bc[2]
+    new_pieces = [first]
+    for idx, piece in enumerate(pieces[1:]):
+        acc_p, _ = kam._lie_series(qp_grid(piece, grid), JS_S, eps_m, 0, w2)
+        moved = QuadraticForm(n, K, J, *window_blocks(acc_p))
+        if idx == 0:
+            new_pieces[0] = new_pieces[0] + moved
+        else:
+            new_pieces.append(moved)
+    for piece in new_pieces:
+        piece.symmetrize()
+    return new_pieces
+
+
+class TestStreamedPush:
+    # the default slab, uneven slabs (5, 5, 2 rows of a 12-point axis) and one
+    # slab holding the whole grid
+    @pytest.mark.parametrize("slab_points", [kam.SLAB_POINTS, 60, 10_000])
+    def test_matches_the_whole_grid_series(self, monkeypatch, slab_points):
+        pf, dec, freq, sched, ws = small_pipeline(M=3)
+        monkeypatch.setattr(kam, "SLAB_POINTS", slab_points)
+        push = kam.push_remainder
+        checked = []
+
+        def compare(pieces, sol, flow, eps_m, eps_next, strips_next, ws, grid):
+            want = whole_grid_push(pieces, sol, flow, eps_m, eps_next, ws, grid)
+            got, diag = push(pieces, sol, flow, eps_m, eps_next, strips_next, ws, grid)
+            assert len(got) == len(want) == len(pieces) - 1
+            for g, w in zip(got, want):
+                for gb, wb in zip(g.blocks(), w.blocks()):
+                    assert np.max(np.abs(gb - wb)) <= 1e-12 * np.max(np.abs(wb))
+            n_slabs = len(kam._slabs(grid, pieces[0].n))
+            assert len(diag.series_terms) == n_slabs * (len(pieces) + 1)
+            checked.append(n_slabs)
+            return got, diag
+
+        monkeypatch.setattr(kam, "push_remainder", compare)
+        engine = KamEngine(seed_pieces(dec, sched.eps0, sched), freq, sched, ws,
+                           K_theta=pf.K_theta, options=KamOptions(norm_grid=8))
+        engine.step()
+        assert checked == [len(kam._slabs(engine.grid, 2))]
+        assert checked[0] == {kam.SLAB_POINTS: 3, 60: 3, 10_000: 1}[slab_points]
+
+    def test_zero_and_roundoff_slabs_do_not_stop_the_stream(self):
+        # the generator vanishes on the first slab (zero seed there) and sits
+        # at 1e-16 of its size on the second (seed at roundoff)
+        rng = np.random.default_rng(31)
+        n, K, J, G = 2, 3, 3, 12
+        _, sol, _ = small_solution(rng, n=n, K=K, J=J)
+        B = generator_of(qp_grid(sol.F, G))
+        B[:48] = 0.0
+        B[48:96] *= 1e-16
+        form = small_solution(rng, n=n, K=K, J=J)[0]
+        w2 = WeightedSpace(2, J).doubled_metric_weights
+        eps = 0.05
+        terms = {}
+        got = kam._streamed_series({"s": (kam.qp_window(form), 1, True)}, B, eps, n, K, G,
+                                   w2, terms)
+        assert terms["s[0]"] == [0.0, 0.0]
+        assert 0.0 < terms["s[1]"][0] < 1e-12 * terms["s[2]"][0]
+        JS_S = 0.5 * B
+        acc, _ = kam._lie_series(bracket_sym(qp_grid(form, G), JS_S), JS_S, eps, 1, w2)
+        want = grid_to_window(acc.reshape((G,) * n + (2 * J, 2 * J)), n, K)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def small_pipeline(J=8, K=3, M=2, eps=1e-3, N=5, tau=1.29, gamma=0.05, scale=0.1):
