@@ -137,37 +137,28 @@ def _per_axis(mat: np.ndarray, x: np.ndarray, n: int, first: int = 0,
     return x
 
 
-def window_to_grid(coeffs: np.ndarray, n: int, K: int, G: int) -> np.ndarray:
-    """Values sum_k c_k e^{i k.theta} on the uniform G^n grid."""
-    return _per_axis(_to_grid(K, G), coeffs, n)
-
-
-def grid_to_window(values: np.ndarray, n: int, K: int) -> np.ndarray:
-    """Read window coefficients off uniform grid samples."""
-    return _per_axis(_to_window(K, values.shape[0]), values, n)
-
-
-def window_to_grid_rows(coeffs: np.ndarray, n: int, K: int, G: int, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of the first theta axis of window_to_grid(coeffs, n, K, G),
-    from those rows of the cached matrix only: no other grid row is built."""
+def window_to_grid(coeffs: np.ndarray, n: int, K: int, G: int,
+                   rows: slice = slice(None)) -> np.ndarray:
+    """Values sum_k c_k e^{i k.theta} on the uniform G^n grid, on the grid
+    rows ``rows`` of the first theta axis (all by default): only those rows
+    of the transform matrix are applied, so no other grid row is built."""
     E = _to_grid(K, G)
     return _per_axis(E, _along(E[rows], coeffs, 0), n, first=1)
 
 
-def grid_to_window_by_rows(slabs, n: int, K: int, G: int) -> np.ndarray:
-    """grid_to_window of grid values delivered as (rows, values) slabs: values
-    holds the grid rows ``rows`` of the first theta axis, and the slabs'
-    rows partition range(G). Each slab is transformed along the other axes
-    into its rows of one (G,) + (2K+1,)*(n-1) buffer, and the first axis is
-    transformed once at the end, so no full grid array is ever needed."""
-    Einv = _to_window(K, G)
-    buf = None
-    for rows, values in slabs:
-        part = _per_axis(Einv, values, n, first=1)
-        if buf is None:
-            buf = np.empty((G,) + part.shape[1:], dtype=part.dtype)
-        buf[rows] = part
-    return _along(Einv, buf, 0)
+def grid_to_window(values: np.ndarray, n: int, K: int, first: int = 0) -> np.ndarray:
+    """Read window coefficients off uniform grid samples, along the theta
+    axes first..n-1 (all by default; none when first = n).
+
+    With first=1, values may hold any rows of the first theta axis: slabs of
+    rows are read along the other axes one at a time and stacked in row
+    order, and the stack is read along the first axis once at the end, as
+    the only theta axis (grid_to_window(stack, 1, K)). No full grid array is
+    then ever needed.
+    """
+    if first == n:
+        return values
+    return _per_axis(_to_window(K, values.shape[first]), values, n, first=first)
 
 
 def project_window_grid(values: np.ndarray, n: int, K: int,

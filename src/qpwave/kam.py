@@ -34,7 +34,6 @@ from . import resonance
 from .fourier import (
     eval_at_points,
     grid_to_window,
-    grid_to_window_by_rows,
     kdot,
     kinf,
     omega_derivative,
@@ -42,7 +41,6 @@ from .fourier import (
     project_window_grid,
     theta_grid_points,
     window_to_grid,
-    window_to_grid_rows,
 )
 from .galerkin import QuadraticForm, WeightedSpace, form_norm, metric_opnorm
 from .potential import FrequencySpec
@@ -319,7 +317,7 @@ def qp_rows(hat: np.ndarray, n: int, K: int, G: int, rows: slice) -> np.ndarray:
     """Real (q, p) form values, flat (points, 2J, 2J), of the qp window
     coefficients hat on the grid rows ``rows`` of the first theta axis."""
     dim = math.isqrt(hat.shape[-1])
-    g = window_to_grid_rows(hat, n, K, G, rows)
+    g = window_to_grid(hat, n, K, G, rows)
     return np.ascontiguousarray(g.real).reshape(-1, dim, dim)
 
 
@@ -661,31 +659,33 @@ def _streamed_series(streams: dict, B: np.ndarray, eps: float, n: int, K: int, G
     generator on the flat grid, so the bracket operand jr_mul(S_F) is B / 2;
     the factor 1/2 rides on the seed and on eps instead (a power of two, so
     every term is bit for bit the one with B / 2). Each slab's seeds come
-    from its rows of the window -> grid transform, and its summed series
-    goes straight back to the window (grid_to_window_by_rows): no grid array
-    but B spans more than a slab. Each slab's term sizes go to
+    from its rows of the window -> grid transform, and its summed series is
+    read back along the other theta axes into its rows of one
+    (G,) + (2K+1,)*(n-1) + (2J, 2J) stack, which is read along the first
+    axis once at the end (grid_to_window, first=1): no grid array but B
+    spans more than a slab. Each slab's term sizes go to
     series_terms["name[slab]"].
     """
     dim = B.shape[-1]
-
-    def slab_sums():
-        for i, (rows, pts) in enumerate(_slabs(G, n)):
-            B_s = B[pts]
-            total = None
-            for name, (hat, offset, bracketed) in streams.items():
-                seed = qp_rows(hat, n, K, G, rows)
-                if bracketed:
-                    seed = bracket_sym(seed, B_s)
-                    seed *= 0.5
-                acc, series_terms[f"{name}[{i}]"] = _lie_series(seed, B_s, 0.5 * eps,
-                                                                offset, w2)
-                if total is None:
-                    total = acc
-                else:
-                    total += acc
-            yield rows, total.reshape((-1,) + (G,) * (n - 1) + (dim, dim))
-
-    return grid_to_window_by_rows(slab_sums(), n, K, G)
+    stack = None
+    for i, (rows, pts) in enumerate(_slabs(G, n)):
+        B_s = B[pts]
+        total = None
+        for name, (hat, offset, bracketed) in streams.items():
+            seed = qp_rows(hat, n, K, G, rows)
+            if bracketed:
+                seed = bracket_sym(seed, B_s)
+                seed *= 0.5
+            acc, series_terms[f"{name}[{i}]"] = _lie_series(seed, B_s, 0.5 * eps, offset, w2)
+            if total is None:
+                total = acc
+            else:
+                total += acc
+        part = grid_to_window(total.reshape((-1,) + (G,) * (n - 1) + (dim, dim)), n, K, first=1)
+        if stack is None:
+            stack = np.empty((G,) + part.shape[1:], dtype=part.dtype)
+        stack[rows] = part
+    return grid_to_window(stack, 1, K)
 
 
 @dataclass

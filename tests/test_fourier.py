@@ -5,13 +5,11 @@ import pytest
 
 from qpwave.fourier import (
     grid_to_window,
-    grid_to_window_by_rows,
     kvalues,
     omega_derivative,
     project_window_grid,
     spectral_derivative_matrix,
     window_to_grid,
-    window_to_grid_rows,
 )
 
 # (n, K, G): odd and even G, G = 2K+1 exactly, up to three torus dimensions
@@ -147,7 +145,7 @@ def test_window_to_grid_rows_are_rows_of_the_transform(n, K, G, step):
     coeffs = _complex(np.random.default_rng(7 * G + step), (2 * K + 1,) * n + (2, 3))
     grid = window_to_grid(coeffs, n, K, G)
     for rows in _row_slabs(G, step):
-        got = window_to_grid_rows(coeffs, n, K, G, rows)
+        got = window_to_grid(coeffs, n, K, G, rows)
         assert got.shape == grid[rows].shape
         assert _rel(got, grid[rows]) <= 1e-13
 
@@ -155,12 +153,14 @@ def test_window_to_grid_rows_are_rows_of_the_transform(n, K, G, step):
 @pytest.mark.parametrize("n,K,G", CASES)
 @pytest.mark.parametrize("step", SLAB_STEPS)
 @pytest.mark.parametrize("real", [False, True])
-def test_grid_to_window_by_rows_sums_the_slabs(n, K, G, step, real):
+def test_grid_to_window_reads_slabs_then_the_first_axis(n, K, G, step, real):
     rng = np.random.default_rng(11 * G + step)
     shape = (G,) * n + (2, 3)
     values = rng.standard_normal(shape) if real else _complex(rng, shape)
-    got = grid_to_window_by_rows(((rows, values[rows]) for rows in _row_slabs(G, step)),
-                                 n, K, G)
+    stack = np.concatenate([grid_to_window(values[rows], n, K, first=1)
+                            for rows in _row_slabs(G, step)])
+    assert stack.shape == (G,) + (2 * K + 1,) * (n - 1) + (2, 3)
+    got = grid_to_window(stack, 1, K)
     assert got.shape == (2 * K + 1,) * n + (2, 3)
     assert _rel(got, fft_grid_to_window(values, n, K)) <= 1e-13
     assert _rel(got, grid_to_window(values, n, K)) <= 1e-13
