@@ -26,6 +26,7 @@ import numpy as np
 from . import resonance
 from .galerkin import QuadraticForm, WeightedSpace, assemble_initial_forms, coupling_tensor
 from .kam import (
+    STEP_TIMINGS,
     SYMPLECTIC_TOL,
     CertificateError,
     KamEngine,
@@ -394,10 +395,12 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
     # the engine alone holds the step-0 or restored pieces, so that each step
     # frees the pieces it replaces; the decomposition is done with
     restored = pieces = dec = None
+    timings["steps"] = []  # the engine's sub-stage times of each step run here
     try:
         while not engine.finished:
             stages.append(f"reduce, step m={engine.state.m}")
             record = engine.step()
+            timings["steps"].append({"m": record["m"], **engine.step_timings})
             save_checkpoint(out, engine, record)
             timings["peak_rss_mb"].append([f"step {record['m']}", peak_rss_mib()])
     except ResonanceError as e:
@@ -634,6 +637,23 @@ def _report_cell(value) -> str:
     return "" if value is None else f"{value:.6e}"
 
 
+def _write_timings_report(path: Path, timings: dict):
+    """One row per stage and step in run order (the order of
+    timings.peak_rss_mb): stage seconds, step sub-stage seconds, peak RSS so
+    far; then the total. Cells a summary lacks stay empty (a run from before
+    timings.steps has no sub-stage cells)."""
+    steps = {f"step {entry['m']}": entry for entry in timings.get("steps", [])}
+    with open(path, "w") as f:
+        f.write(",".join(("entry", "seconds") + STEP_TIMINGS + ("peak_rss_mb",)) + "\n")
+        for name, rss in timings.get("peak_rss_mb", []):
+            sub = steps.get(name, {})
+            cells = [name, _report_cell(timings.get(name))]
+            cells += [_report_cell(sub.get(key)) for key in STEP_TIMINGS]
+            f.write(",".join(cells + [_report_cell(rss)]) + "\n")
+        f.write(",".join(["total", _report_cell(timings.get("total"))]
+                         + [""] * (len(STEP_TIMINGS) + 1)) + "\n")
+
+
 def _cmd_report(out: Path) -> int:
     """Re-render CSV outputs from stored checkpoints without recomputation."""
     summary_path = out / "summary.json"
@@ -652,6 +672,7 @@ def _cmd_report(out: Path) -> int:
                       ("divisor_min", "homological_residual", "P_norm",
                        "symplectic_defect", "consistency_defect", "weighted_size")]
             f.write(",".join(cells) + "\n")
+    _write_timings_report(out / "timings_report.csv", summary.get("timings", {}))
     print(f"re-rendered reports under {out}")
     return EXIT_CONVERGED
 

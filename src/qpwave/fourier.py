@@ -7,7 +7,8 @@ uniform grid theta_m = 2*pi*m/G.
 
 Window <-> grid transforms are exact-window DFTs: one dense G x (2K+1) or
 (2K+1) x G matrix applied along each theta axis, so only window modes are
-ever touched.
+ever touched. Real fields (RealGrid, RealWindow) run on the k_last >= 0 half
+of the last theta axis, which they cross in real arithmetic.
 """
 
 from __future__ import annotations
@@ -98,6 +99,31 @@ def _to_window(K: int, G: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def _half_to_grid(K: int, G: int) -> np.ndarray:
+    """[cos | -sin](k theta_g), k = 0..K, G x 2(K+1): applied to the stacked
+    real and imaginary parts [Re h; Im h] of half-window coefficients it gives
+    Re sum_{k>=0} h_k e^{i k theta_g}."""
+    E = _to_grid(K, G)[:, K:]
+    return _frozen(np.concatenate([E.real, -E.imag], axis=1))
+
+
+@functools.lru_cache(maxsize=None)
+def _half_to_window(K: int, G: int) -> np.ndarray:
+    """[Re; Im] of the k >= 0 rows of E^H / G, 2(K+1) x G: real grid values
+    -> stacked real and imaginary parts of their k >= 0 coefficients."""
+    W = _to_window(K, G)[K:]
+    return _frozen(np.concatenate([W.real, W.imag]))
+
+
+def _read_half(values: np.ndarray, ax: int, K: int) -> np.ndarray:
+    """k >= 0 coefficients along axis ax of real grid values (complex), by one
+    real matmul."""
+    re_im = _along(_half_to_window(K, values.shape[ax]), values, ax)
+    re, im = np.split(re_im, 2, axis=ax)
+    return re + 1j * im
+
+
+@functools.lru_cache(maxsize=None)
 def spectral_derivative_matrix(G: int) -> np.ndarray:
     """G x G matrix of d/dtheta on G uniform samples: FFT, multiply mode k by
     i k, inverse FFT. Modes follow ``np.fft.fftfreq``; for even G the Nyquist
@@ -165,9 +191,88 @@ def project_window_grid(values: np.ndarray, n: int, K: int,
                         out: np.ndarray | None = None) -> np.ndarray:
     """Kill all grid content outside the coefficient window, in place of values.
     The result is written to out if given (complex; values itself may be out,
-    as values is read in full before out is written)."""
+    as values is read in full before out is written). Real values go through
+    RealWindow and RealGrid and give real values (out is then not used)."""
     G = values.shape[0]
+    if not np.iscomplexobj(values):
+        return RealGrid(RealWindow(n, K, G).put(values).coefficients(), n, K, G).rows()
     return _per_axis(_to_grid(K, G), _per_axis(_to_window(K, G), values, n), n, out=out)
+
+
+class RealGrid:
+    """Real grid values Re sum_k c_k e^{i k.theta} of window coefficients
+    (2K+1,)*n + tail on the uniform G^n grid, read rows of the first theta
+    axis at a time.
+
+    The coefficients are folded onto the k_last >= 0 half of the last theta
+    axis: h_k = c_k + conj(c_-k) for k_last > 0 and h_k = c_k at k_last = 0.
+    The fold is exact whether or not c is conjugate-symmetric, so the values
+    are the real part of window_to_grid up to rounding. The axes before the
+    last are transformed once, here (window_to_grid on the half); the source
+    keeps the real and imaginary parts side by side, float64 of shape
+    (G,)*(n-1) + (2(K+1),) + tail, and no reference to the coefficients.
+    Each rows() call is then one real [cos | -sin] matmul along the last axis.
+    """
+
+    def __init__(self, coeffs: np.ndarray, n: int, K: int, G: int):
+        before = (slice(None),) * (n - 1)
+        mirror = np.flip(coeffs, axis=tuple(range(n)))  # c_-k at the index of c_k
+        half = np.conj(mirror[before + (slice(K, None),)]).astype(complex, copy=False)
+        half += coeffs[before + (slice(K, None),)]
+        half[before + (0,)] = coeffs[before + (K,)]
+        if n > 1:
+            half = window_to_grid(half, n - 1, K, G)
+        self.source = np.concatenate([half.real, half.imag], axis=n - 1)
+        self.n, self.K, self.G = n, K, G
+
+    def rows(self, rows: slice = slice(None)) -> np.ndarray:
+        """Values on the grid rows ``rows`` of the first theta axis, float64,
+        (rows,) + (G,)*(n-1) + tail."""
+        cs = _half_to_grid(self.K, self.G)
+        if self.n == 1:
+            return _along(cs[rows], self.source, 0)
+        return _along(cs, self.source[rows], self.n - 1)
+
+
+class RealWindow:
+    """Window coefficients (2K+1,)*n + tail of a real field, read off its
+    values on the uniform G^n grid rows of the first theta axis at a time.
+
+    Each put() reads its rows along the last theta axis onto the k_last >= 0
+    half with one real matmul, then along the axes between
+    (grid_to_window, first=1), and files them in a stack of all G rows.
+    coefficients() reads the stack along the first axis once and fills the
+    negative half by conjugate reflection, c_-k = conj(c_k), as for any real
+    field. For n = 1 the first axis is the last: the stack holds the values,
+    and coefficients() makes the real read.
+    """
+
+    def __init__(self, n: int, K: int, G: int):
+        self.n, self.K, self.G = n, K, G
+        self.stack = None
+
+    def put(self, values: np.ndarray, rows: slice = slice(None)) -> "RealWindow":
+        """File the real values, (rows,) + (G,)*(n-1) + tail, of the grid rows
+        ``rows`` of the first theta axis (all by default)."""
+        n, K = self.n, self.K
+        if n > 1:
+            values = grid_to_window(_read_half(values, n - 1, K), n - 1, K, first=1)
+        if self.stack is None:
+            self.stack = np.empty((self.G,) + values.shape[1:], dtype=values.dtype)
+        self.stack[rows] = values
+        return self
+
+    def coefficients(self) -> np.ndarray:
+        """The window coefficients, complex; the stack is released."""
+        n, K = self.n, self.K
+        half = _read_half(self.stack, 0, K) if n == 1 else grid_to_window(self.stack, 1, K)
+        self.stack = None
+        before = (slice(None),) * (n - 1)
+        out = np.empty((2 * K + 1,) * n + half.shape[n:], dtype=complex)
+        out[before + (slice(K, None),)] = half
+        mirror = np.flip(out, axis=tuple(range(n)))
+        out[before + (slice(None, K),)] = np.conj(mirror[before + (slice(None, K),)])
+        return out
 
 
 def omega_derivative(values: np.ndarray, omega: np.ndarray, n: int,

@@ -26,14 +26,16 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import resonance
 from .fourier import (
+    RealGrid,
+    RealWindow,
     eval_at_points,
-    grid_to_window,
     kdot,
     kinf,
     omega_derivative,
@@ -313,17 +315,18 @@ def qp_window(qf: QuadraticForm) -> np.ndarray:
     return hat.reshape(hat.shape[:qf.n] + (-1,))
 
 
-def qp_rows(hat: np.ndarray, n: int, K: int, G: int, rows: slice) -> np.ndarray:
-    """Real (q, p) form values, flat (points, 2J, 2J), of the qp window
-    coefficients hat on the grid rows ``rows`` of the first theta axis."""
-    dim = math.isqrt(hat.shape[-1])
-    g = window_to_grid(hat, n, K, G, rows)
-    return np.ascontiguousarray(g.real).reshape(-1, dim, dim)
+def qp_rows(source: RealGrid, rows: slice) -> np.ndarray:
+    """Real (q, p) form values, flat (points, 2J, 2J), on the grid rows
+    ``rows`` of the first theta axis, from the RealGrid of qp window
+    coefficients (built once per form, then read slab by slab)."""
+    values = source.rows(rows)
+    dim = math.isqrt(values.shape[-1])
+    return values.reshape(-1, dim, dim)
 
 
 def qp_grid(qf: QuadraticForm, G: int) -> np.ndarray:
     """Real (q, p) form values of qf on the flat theta grid, (G^n, 2J, 2J)."""
-    return qp_rows(qp_window(qf), qf.n, qf.K, G, slice(None))
+    return qp_rows(RealGrid(qp_window(qf), qf.n, qf.K, G), slice(None))
 
 
 def bracket_sym(QA: np.ndarray, JS_QB: np.ndarray) -> np.ndarray:
@@ -559,7 +562,7 @@ def flow_transform(
     del term, spare
 
     P = U - eye
-    P_qp = grid_to_window(P.reshape((grid,) * n + (2 * J, 2 * J)), n, K)
+    P_qp = RealWindow(n, K, grid).put(P.reshape((grid,) * n + (2 * J, 2 * J))).coefficients()
     T = qp_unitary(J)
     P_hat = T @ P_qp @ T.conj().T
     P_norm = uform_opnorm(P, ws)
@@ -653,26 +656,24 @@ def _streamed_series(streams: dict, B: np.ndarray, eps: float, n: int, K: int, G
     """Window coefficients, (2K+1,)*n + (2J, 2J), of the summed Lie series
     of ``streams``, each series run whole on one slab of the grid at a time.
 
-    streams maps a name to (qp window coefficients, coeff_offset, bracketed):
-    a stream's grid seed is the form's values, or for a bracketed stream
-    their bracket with the step generator S_F. B = 2 JR S_F is the flow
-    generator on the flat grid, so the bracket operand jr_mul(S_F) is B / 2;
-    the factor 1/2 rides on the seed and on eps instead (a power of two, so
-    every term is bit for bit the one with B / 2). Each slab's seeds come
-    from its rows of the window -> grid transform, and its summed series is
-    read back along the other theta axes into its rows of one
-    (G,) + (2K+1,)*(n-1) + (2J, 2J) stack, which is read along the first
-    axis once at the end (grid_to_window, first=1): no grid array but B
-    spans more than a slab. Each slab's term sizes go to
+    streams maps a name to (RealGrid of the qp window coefficients,
+    coeff_offset, bracketed): a stream's grid seed is the form's values, or
+    for a bracketed stream their bracket with the step generator S_F.
+    B = 2 JR S_F is the flow generator on the flat grid, so the bracket
+    operand jr_mul(S_F) is B / 2; the factor 1/2 rides on the seed and on eps
+    instead (a power of two, so every term is bit for bit the one with B / 2).
+    Each slab's seeds are its rows of the stream's RealGrid, and its summed
+    series is filed into one RealWindow, read once at the end: no grid array
+    but B spans more than a slab. Each slab's term sizes go to
     series_terms["name[slab]"].
     """
     dim = B.shape[-1]
-    stack = None
+    window = RealWindow(n, K, G)
     for i, (rows, pts) in enumerate(_slabs(G, n)):
         B_s = B[pts]
         total = None
-        for name, (hat, offset, bracketed) in streams.items():
-            seed = qp_rows(hat, n, K, G, rows)
+        for name, (source, offset, bracketed) in streams.items():
+            seed = qp_rows(source, rows)
             if bracketed:
                 seed = bracket_sym(seed, B_s)
                 seed *= 0.5
@@ -681,11 +682,8 @@ def _streamed_series(streams: dict, B: np.ndarray, eps: float, n: int, K: int, G
                 total = acc
             else:
                 total += acc
-        part = grid_to_window(total.reshape((-1,) + (G,) * (n - 1) + (dim, dim)), n, K, first=1)
-        if stack is None:
-            stack = np.empty((G,) + part.shape[1:], dtype=part.dtype)
-        stack[rows] = part
-    return grid_to_window(stack, 1, K)
+        window.put(total.reshape((-1,) + (G,) * (n - 1) + (dim, dim)), rows)
+    return window.coefficients()
 
 
 @dataclass
@@ -727,12 +725,16 @@ def push_remainder(
 
     series_terms = {}
 
+    def source(qf: QuadraticForm) -> RealGrid:
+        # built once per stream; its window is released once the source exists
+        return RealGrid(qp_window(qf), n, K, grid)
+
     def stream(streams: dict) -> tuple:
         coeffs = _streamed_series(streams, flow.B, eps_m, n, K, grid, w2, series_terms)
         return blocks_from_qp(coeffs)
 
-    bc_blocks = stream({"double_bracket": (qp_window(star), 2, True),
-                        "single_bracket": (qp_window(R_mm), 1, True)})
+    bc_blocks = stream({"double_bracket": (source(star), 2, True),
+                        "single_bracket": (source(R_mm), 1, True)})
     del star
 
     new_pieces = []
@@ -744,7 +746,7 @@ def push_remainder(
     del bc_blocks
 
     for idx, piece in enumerate(pieces[1:]):
-        blocks = stream({f"transport_{idx}": (qp_window(piece), 0, False)})
+        blocks = stream({f"transport_{idx}": (source(piece), 0, False)})
         moved = QuadraticForm(n=n, K=K, J=J, zz=blocks[0], zzbar=blocks[1],
                               zbzb=blocks[2], strip=piece.strip, meta=dict(piece.meta))
         if idx == 0:
@@ -788,7 +790,7 @@ def recompose_generator(
     """
     n, K, J, G = flow.n, flow.K, flow.J, flow.grid
     dim = 2 * J
-    ham = hamiltonian_window(lam_old, pieces_old, eps_weights_old)
+    ham = RealGrid(hamiltonian_window(lam_old, pieces_old, eps_weights_old), n, K, G)
     # d_theta I = 0: differentiating Phi - I keeps the matmul's rounding relative
     # to |Phi - I| (D's row sums are zero only to ~1e-14)
     PmI = (flow.Phi - np.eye(dim)).reshape((G,) * n + (dim, dim))
@@ -796,7 +798,7 @@ def recompose_generator(
     for rows, pts in _slabs(G, n):
         Phi = flow.Phi[pts]
         dPhi = omega_derivative(PmI, omega, n, rows).reshape(-1, dim, dim)
-        rhs = generator_of(qp_rows(ham, n, K, G, rows)) @ Phi - dPhi
+        rhs = generator_of(qp_rows(ham, rows)) @ Phi - dPhi
         if np.iscomplexobj(rhs):  # one real LU for both parts
             parts = np.linalg.solve(Phi, np.concatenate([rhs.real, rhs.imag], axis=-1))
             Lplus = parts[..., :dim] + 1j * parts[..., dim:]
@@ -822,16 +824,17 @@ def consistency_defect(
     entrywise in (q, p) coordinates."""
     n, K, J, G = flow.n, flow.K, flow.J, flow.grid
     diff = recompose_generator(lam_old, pieces_old, eps_old, flow, omega)
-    ham = hamiltonian_window(lam_new, pieces_new, eps_new)
+    ham = RealGrid(hamiltonian_window(lam_new, pieces_new, eps_new), n, K, G)
     scale = 0.0
     for rows, pts in _slabs(G, n):
-        Q_asm = qp_rows(ham, n, K, G, rows)
+        Q_asm = qp_rows(ham, rows)
         diff[pts] -= Q_asm
         scale = max(scale, float(np.max(np.abs(Q_asm))))
     del ham, Q_asm
 
     # compare inside the coefficient window only (the assembly lives there);
-    # a complex diff (even G) takes its projection in place
+    # a real diff (odd G) takes the real path, a complex one (even G: the
+    # Nyquist mode of the derivative) its projection in place
     diff = diff.reshape((G,) * n + (2 * J, 2 * J))
     diff = project_window_grid(diff, n, K, out=diff if np.iscomplexobj(diff) else None)
     diff = diff.reshape(-1, 2 * J, 2 * J)
@@ -877,8 +880,17 @@ class KamResult:
         return [float(np.log(b) / np.log(a)) for a, b in zip(sizes, sizes[1:])]
 
 
+# the sub-stages of a step that KamEngine.step times, in seconds
+STEP_TIMINGS = ("norms_s", "solve_s", "flow_s", "push_s", "oracle_s")
+
+
 class KamEngine:
-    """Stepper owning one reduction run (single writer of its state)."""
+    """Stepper owning one reduction run (single writer of its state).
+
+    step_timings holds the last completed step's sub-stage wall times, keyed
+    by STEP_TIMINGS: the active-piece norm, the homological solve with its
+    residual, the flow, the push and the oracle. It is kept apart from the
+    step record, so records and checkpoints stay bit-reproducible."""
 
     def __init__(
         self,
@@ -907,6 +919,7 @@ class KamEngine:
         )
         self.chain = chain or TransformChain()
         self.grid = product_grid_size(K_theta)
+        self.step_timings: dict = {}
 
     @property
     def finished(self) -> bool:
@@ -925,8 +938,10 @@ class KamEngine:
         K_eff = sched.K_eff(m, self.K_theta)
         omega = self.freq.omega
 
+        clock = [time.perf_counter()]
         R_mm = st.remainder[0]
         active_norm = form_norm(R_mm, self.ws, self.opts.norm_grid)
+        clock.append(time.perf_counter())
 
         # the small-divisor gate: a ResonanceError leaves the state untouched
         sol = solve_homological(R_mm, st.normal_form, omega, K_eff, gamma_m,
@@ -934,6 +949,7 @@ class KamEngine:
         residual = homological_residual(sol, R_mm, st.normal_form, omega)
 
         nf_new = update_normal_form(st.normal_form, sol.diag_avg, eps_m)
+        clock.append(time.perf_counter())
 
         flow = flow_transform(sol, eps_m, self.ws, self.grid,
                               picard_tol=self.opts.picard_tol)
@@ -942,6 +958,7 @@ class KamEngine:
                 f"step m={m}: symplectic_defect {flow.symplectic_defect:.3e} > "
                 f"{SYMPLECTIC_TOL:.1e}"
             )
+        clock.append(time.perf_counter())
 
         strips_next = [float(s) for s in sched.strip[m + 1:]]
         new_pieces, push_diag = push_remainder(
@@ -949,6 +966,7 @@ class KamEngine:
         )
         if not push_diag.spec_truncation_ok:
             raise CertificateError(f"step m={m}: series_truncation_spec_ok is false")
+        clock.append(time.perf_counter())
 
         eps_old = [sched.eps_at(m + i) for i in range(len(st.remainder))]
         eps_new_w = [sched.eps_at(m + 1 + i) for i in range(len(new_pieces))]
@@ -961,6 +979,7 @@ class KamEngine:
                 f"step m={m}: consistency_defect {consistency:.3e} > "
                 f"residual_tol {self.opts.residual_tol:.1e}"
             )
+        clock.append(time.perf_counter())
 
         self.chain.append(flow)
         record = {
@@ -992,6 +1011,7 @@ class KamEngine:
         st.normal_form = nf_new
         st.m = m + 1
         st.diagnostics.append(record)
+        self.step_timings = {key: b - a for key, a, b in zip(STEP_TIMINGS, clock, clock[1:])}
         return record
 
     def run(self) -> KamResult:

@@ -143,6 +143,24 @@ class TestPipeline:
         on_disk = json.loads((tmp_path / "b" / "summary.json").read_text())
         assert on_disk["timings"]["machine"] == m2
 
+    def test_step_timings_stay_out_of_records(self, tmp_path):
+        s1 = run_pipeline(tiny_config(), tmp_path / "a")
+        s2 = run_pipeline(tiny_config(), tmp_path / "b")
+        assert json.dumps(strip_timings(s1), sort_keys=True) == \
+               json.dumps(strip_timings(s2), sort_keys=True)
+        for summary in (s1, s2):
+            steps = summary["timings"]["steps"]
+            assert [entry["m"] for entry in steps] == [rec["m"] for rec in summary["steps"]]
+            for entry in steps:
+                assert set(entry) == {"m", *kam.STEP_TIMINGS}
+                assert all(entry[key] >= 0.0 for key in kam.STEP_TIMINGS)
+        for rec in s1["steps"]:
+            assert not set(rec) & set(kam.STEP_TIMINGS)
+        for state in sorted((tmp_path / "a" / "steps").glob("step_*/state.json")):
+            text = state.read_text()
+            assert "timings" not in text
+            assert not any(key in text for key in kam.STEP_TIMINGS)
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg = tiny_config()
         full = run_pipeline(cfg, tmp_path / "full")
@@ -340,6 +358,24 @@ class TestMain:
         code = main(["report", "--out", str(out)])
         assert code == EXIT_CONVERGED
         assert (out / "steps_report.csv").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        rows = [row.split(",") for row in
+                (out / "timings_report.csv").read_text().splitlines()]
+        assert rows[0] == ["entry", "seconds", *kam.STEP_TIMINGS, "peak_rss_mb"]
+        names = [row[0] for row in rows[1:]]
+        assert names == [name for name, _ in summary["timings"]["peak_rss_mb"]] + ["total"]
+        assert names[:5] == ["validate", "analyze", "schedule_split", "screen", "step 0"]
+        by_name = {row[0]: row for row in rows[1:]}
+        for entry in summary["timings"]["steps"]:
+            row = by_name[f"step {entry['m']}"]
+            assert row[1] == ""
+            assert [float(c) for c in row[2:-1]] == pytest.approx(
+                [entry[key] for key in kam.STEP_TIMINGS], rel=1e-6)
+        assert float(by_name["reduce"][1]) == pytest.approx(summary["timings"]["reduce"],
+                                                            rel=1e-6)
+        assert by_name["reduce"][2:-1] == [""] * len(kam.STEP_TIMINGS)
+        assert float(by_name["total"][1]) == pytest.approx(summary["timings"]["total"],
+                                                           rel=1e-6)
 
     def test_report_with_null_consistency_defect(self, tmp_path):
         step = {"m": 0, "eps_m": 1e-3, "K_eff": 3, "divisor_min": 0.25,
@@ -353,6 +389,23 @@ class TestMain:
         rows = (out / "steps_report.csv").read_text().splitlines()
         assert rows[1] == ("0,1.000000e-03,3,2.500000e-01,1.000000e-14,"
                            "2.000000e-03,1.000000e-15,,4.000000e-04")
+        # a summary without timings renders its timings report empty
+        timing_rows = (out / "timings_report.csv").read_text().splitlines()
+        assert timing_rows[1:] == ["total,,,,,,,"]
+
+    def test_report_of_a_summary_without_step_timings(self, tmp_path):
+        # a run from before timings.steps: stage rows only, sub-stage cells empty
+        timings = {"validate": 0.5, "reduce": 2.0, "total": 3.0,
+                   "peak_rss_mb": [["validate", 30.0], ["step 0", 40.0], ["reduce", 41.0]]}
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").write_text(json.dumps({"steps": [], "timings": timings}))
+        assert main(["report", "--out", str(out)]) == EXIT_CONVERGED
+        rows = (out / "timings_report.csv").read_text().splitlines()
+        assert rows[1:] == ["validate,5.000000e-01,,,,,,3.000000e+01",
+                            "step 0,,,,,,,4.000000e+01",
+                            "reduce,2.000000e+00,,,,,,4.100000e+01",
+                            "total,3.000000e+00,,,,,,"]
 
     def test_validate_command(self, tmp_path):
         cfg_path = tmp_path / "config.json"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qpwave.fourier import (
+    RealGrid,
+    RealWindow,
     grid_to_window,
     kvalues,
     omega_derivative,
@@ -186,3 +188,80 @@ def test_projection_written_over_its_input(n, K, G):
     got = project_window_grid(values, n, K, out=values)
     assert np.shares_memory(got, values)
     assert _rel(values, expected) <= 1e-13
+
+
+# -- real fields: the k_last >= 0 half, crossed in real arithmetic ----------
+
+
+# CASES plus K = 0, at odd and even G, for n = 1, 2, 3
+REAL_CASES = CASES + [(1, 0, 1), (1, 0, 4), (2, 0, 3), (2, 0, 4), (3, 0, 2)]
+
+
+def _hermitian(rng, n, K, tail):
+    """Window coefficients of a real field: c_-k = conj(c_k)."""
+    c = _complex(rng, (2 * K + 1,) * n + tail)
+    return 0.5 * (c + np.conj(np.flip(c, axis=tuple(range(n)))))
+
+
+@pytest.mark.parametrize("n,K,G", REAL_CASES)
+@pytest.mark.parametrize("step", SLAB_STEPS)
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_real_grid_rows_are_the_real_part_of_window_to_grid(n, K, G, step, symmetric):
+    rng = np.random.default_rng(13 * G + 5 * K + step)
+    tail = (2, 3)
+    coeffs = _hermitian(rng, n, K, tail) if symmetric else _complex(rng, (2 * K + 1,) * n + tail)
+    want = window_to_grid(coeffs, n, K, G).real
+    grid = RealGrid(coeffs, n, K, G)
+    assert grid.source.dtype == np.float64
+    assert grid.source.shape == (G,) * (n - 1) + (2 * (K + 1),) + tail
+    whole = grid.rows()
+    assert whole.dtype == np.float64
+    assert _rel(whole, want) <= 1e-13
+    for rows in _row_slabs(G, step):
+        got = grid.rows(rows)
+        assert got.shape == want[rows].shape
+        assert _rel(got, want[rows]) <= 1e-13
+
+
+def test_real_grid_folds_an_asymmetric_window_exactly():
+    # a real field's window with a deliberate 1e-13 structure defect: the fold
+    # keeps the real part of the full transform, which reading the k_last >= 0
+    # half as if c_-k = conj(c_k) held exactly would miss by about the defect
+    n, K, G = 2, 6, 20
+    rng = np.random.default_rng(17)
+    coeffs = _hermitian(rng, n, K, (3,))
+    coeffs += 1e-13 * np.max(np.abs(coeffs)) * _complex(rng, coeffs.shape)
+    want = window_to_grid(coeffs, n, K, G).real
+    assert _rel(RealGrid(coeffs, n, K, G).rows(), want) <= 1e-14
+    # the k_last < 0 half replaced by the reflection of the k_last >= 0 half
+    one_sided = coeffs.copy()
+    one_sided[:, :K] = np.conj(np.flip(coeffs, axis=(0, 1))[:, :K])
+    assert _rel(RealGrid(one_sided, n, K, G).rows(), want) > 1e-14
+
+
+@pytest.mark.parametrize("n,K,G", REAL_CASES)
+@pytest.mark.parametrize("step", SLAB_STEPS)
+def test_real_window_reads_slabs_like_grid_to_window(n, K, G, step):
+    rng = np.random.default_rng(19 * G + 3 * K + step)
+    values = rng.standard_normal((G,) * n + (2, 3))
+    want = grid_to_window(values, n, K)
+    window = RealWindow(n, K, G)
+    for rows in _row_slabs(G, step):
+        assert window.put(values[rows], rows) is window
+    got = window.coefficients()
+    assert window.stack is None
+    assert got.shape == (2 * K + 1,) * n + (2, 3)
+    assert _rel(got, want) <= 1e-13
+    # the k_last < 0 half is the conjugate reflection, exactly
+    negative = (slice(None),) * (n - 1) + (slice(None, K),)
+    assert np.array_equal(got[negative], np.conj(np.flip(got, axis=tuple(range(n))))[negative])
+    assert _rel(RealWindow(n, K, G).put(values).coefficients(), want) <= 1e-13
+
+
+@pytest.mark.parametrize("n,K,G", REAL_CASES)
+def test_real_projection_is_the_real_part_of_the_complex_one(n, K, G):
+    values = np.random.default_rng(23 * G + K).standard_normal((G,) * n + (3,))
+    want = project_window_grid(values.astype(complex), n, K)
+    got = project_window_grid(values, n, K)
+    assert got.dtype == np.float64
+    assert _rel(got, want) <= 1e-13

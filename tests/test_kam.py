@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qpwave import kam
-from qpwave.fourier import eval_at_points, grid_to_window, reality_enforce, theta_grid_points
+from qpwave import fourier, kam
+from qpwave.fourier import (
+    RealGrid,
+    eval_at_points,
+    grid_to_window,
+    reality_enforce,
+    theta_grid_points,
+)
 from qpwave.galerkin import QuadraticForm, WeightedSpace, assemble_initial_forms, coupling_tensor
 from qpwave.kam import (
     CertificateError,
@@ -323,13 +329,19 @@ def rk4_flow_oracle(B: np.ndarray, eps: float, steps: int = 2000) -> np.ndarray:
     return U
 
 
-def small_solution(rng, n=2, K=2, J=4, tau=1.31, gamma=1e-5):
+def small_form(rng, n=2, K=2, J=4):
+    """A small real Hamiltonian with theta-dependent blocks."""
     qf = QuadraticForm.zeros(n, K, J)
     arr = rng.standard_normal(qf.zz.shape) + 1j * rng.standard_normal(qf.zz.shape)
     M = reality_enforce(0.002 * arr, n, K)
     tr = tuple(range(n)) + (n + 1, n)
     M = 0.5 * (M + M.transpose(tr))
     qf.zz, qf.zzbar, qf.zbzb = 0.5 * M, M.copy(), 0.5 * M
+    return qf
+
+
+def small_solution(rng, n=2, K=2, J=4, tau=1.31, gamma=1e-5):
+    qf = small_form(rng, n, K, J)
     omega = tau * np.asarray(OMEGA0)
     sol = solve_homological(qf, NormalForm(J=J), omega, K_m=K, gamma_m=gamma)
     return qf, sol, omega
@@ -425,7 +437,7 @@ class TestUformGrid:
         normal = np.zeros((2 * J, 2 * J), dtype=complex)
         normal[:J, J:] = normal[J:, :J] = 0.5 * np.diag(lam)
         expect = to_qp(normal) + sum(w * qp_grid(p, G) for w, p in zip(weights, pieces))
-        got = qp_rows(hamiltonian_window(lam, pieces, weights), n, K, G, slice(None))
+        got = qp_rows(RealGrid(hamiltonian_window(lam, pieces, weights), n, K, G), slice(None))
         assert got.shape == (G**n, 2 * J, 2 * J)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
@@ -661,14 +673,65 @@ class TestStreamedPush:
         w2 = WeightedSpace(2, J).doubled_metric_weights
         eps = 0.05
         terms = {}
-        got = kam._streamed_series({"s": (kam.qp_window(form), 1, True)}, B, eps, n, K, G,
-                                   w2, terms)
+        got = kam._streamed_series({"s": (RealGrid(kam.qp_window(form), n, K, G), 1, True)},
+                                   B, eps, n, K, G, w2, terms)
         assert terms["s[0]"] == [0.0, 0.0]
         assert 0.0 < terms["s[1]"][0] < 1e-12 * terms["s[2]"][0]
         JS_S = 0.5 * B
         acc, _ = kam._lie_series(bracket_sym(qp_grid(form, G), JS_S), JS_S, eps, 1, w2)
         want = grid_to_window(acc.reshape((G,) * n + (2 * J, 2 * J)), n, K)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestStreamSources:
+    # n = 1: slabs of 5, 5 and 2 rows (G = 12); n = 2: 5, 5 and 2 rows of 12
+    # points; n = 3: 3, 3 and 2 rows of 64 points (G = 8)
+    @pytest.mark.parametrize("n,K,slab_points", [(1, 3, 5), (2, 3, 60), (3, 2, 192)])
+    def test_streams_match_the_whole_grid_series(self, monkeypatch, n, K, slab_points):
+        rng = np.random.default_rng(40 + n)
+        J, eps = 3, 0.05
+        G = kam.product_grid_size(K)
+        monkeypatch.setattr(kam, "SLAB_POINTS", slab_points)
+        assert len(kam._slabs(G, n)) == 3
+        B = generator_of(qp_grid(small_form(rng, n, K, J), G))
+        bracketed, moved = small_form(rng, n, K, J), small_form(rng, n, K, J)
+        w2 = WeightedSpace(2, J).doubled_metric_weights
+        terms = {}
+        got = kam._streamed_series(
+            {"b": (RealGrid(kam.qp_window(bracketed), n, K, G), 1, True),
+             "t": (RealGrid(kam.qp_window(moved), n, K, G), 0, False)},
+            B, eps, n, K, G, w2, terms)
+        assert sorted(terms) == ["b[0]", "b[1]", "b[2]", "t[0]", "t[1]", "t[2]"]
+        JS_S = 0.5 * B
+        acc_b, _ = kam._lie_series(bracket_sym(qp_grid(bracketed, G), JS_S), JS_S, eps, 1, w2)
+        acc_t, _ = kam._lie_series(qp_grid(moved, G), JS_S, eps, 0, w2)
+        want = grid_to_window((acc_b + acc_t).reshape((G,) * n + (2 * J, 2 * J)), n, K)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_one_window_transform_per_stream(self, monkeypatch):
+        # each stream's seeds come from one transform of its window along the
+        # axes before the last, not one per slab
+        rng = np.random.default_rng(44)
+        n, K, J, grid = 2, 3, 3, 12
+        qf, sol, _ = small_solution(rng, n=n, K=K, J=J)
+        other = small_form(rng, n, K, J)
+        ws = WeightedSpace(2, J)
+        flow = flow_transform(sol, 1e-3, ws, grid=grid)
+        calls = []
+        transform = fourier.window_to_grid
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(fourier, "window_to_grid", counted)
+        monkeypatch.setattr(kam, "window_to_grid", counted)
+        _, diag = push_remainder([qf, other], sol, flow, 1e-3, 1e-4, [0.1], ws, grid=grid)
+        streams = {name.split("[")[0] for name in diag.series_terms}
+        assert streams == {"double_bracket", "single_bracket", "transport_0"}
+        assert len(kam._slabs(grid, n)) == 3
+        assert len(calls) == len(streams)
 
 
 def small_pipeline(J=8, K=3, M=2, eps=1e-3, N=5, tau=1.29, gamma=0.05, scale=0.1):
