@@ -163,13 +163,9 @@ def _per_axis(mat: np.ndarray, x: np.ndarray, n: int, first: int = 0,
     return x
 
 
-def window_to_grid(coeffs: np.ndarray, n: int, K: int, G: int,
-                   rows: slice = slice(None)) -> np.ndarray:
-    """Values sum_k c_k e^{i k.theta} on the uniform G^n grid, on the grid
-    rows ``rows`` of the first theta axis (all by default): only those rows
-    of the transform matrix are applied, so no other grid row is built."""
-    E = _to_grid(K, G)
-    return _per_axis(E, _along(E[rows], coeffs, 0), n, first=1)
+def window_to_grid(coeffs: np.ndarray, n: int, K: int, G: int) -> np.ndarray:
+    """Values sum_k c_k e^{i k.theta} on the uniform G^n grid."""
+    return _per_axis(_to_grid(K, G), coeffs, n)
 
 
 def grid_to_window(values: np.ndarray, n: int, K: int, first: int = 0) -> np.ndarray:
@@ -190,12 +186,13 @@ def grid_to_window(values: np.ndarray, n: int, K: int, first: int = 0) -> np.nda
 def project_window_grid(values: np.ndarray, n: int, K: int,
                         out: np.ndarray | None = None) -> np.ndarray:
     """Kill all grid content outside the coefficient window, in place of values.
-    The result is written to out if given (complex; values itself may be out,
-    as values is read in full before out is written). Real values go through
-    RealWindow and RealGrid and give real values (out is then not used)."""
+    The result is written to out if given (values itself may be out, as
+    values is read in full before out is written). Real values go through
+    RealWindow and RealGrid and give real values."""
     G = values.shape[0]
     if not np.iscomplexobj(values):
-        return RealGrid(RealWindow(n, K, G).put(values).coefficients(), n, K, G).rows()
+        coeffs = RealWindow(n, K, G).put(values).coefficients()
+        return RealGrid(coeffs, n, K, G).rows(out=out)
     return _per_axis(_to_grid(K, G), _per_axis(_to_window(K, G), values, n), n, out=out)
 
 
@@ -225,13 +222,13 @@ class RealGrid:
         self.source = np.concatenate([half.real, half.imag], axis=n - 1)
         self.n, self.K, self.G = n, K, G
 
-    def rows(self, rows: slice = slice(None)) -> np.ndarray:
+    def rows(self, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
         """Values on the grid rows ``rows`` of the first theta axis, float64,
-        (rows,) + (G,)*(n-1) + tail."""
+        (rows,) + (G,)*(n-1) + tail; written to out if given."""
         cs = _half_to_grid(self.K, self.G)
         if self.n == 1:
-            return _along(cs[rows], self.source, 0)
-        return _along(cs, self.source[rows], self.n - 1)
+            return _along(cs[rows], self.source, 0, out=out)
+        return _along(cs, self.source[rows], self.n - 1, out=out)
 
 
 class RealWindow:

@@ -832,11 +832,11 @@ def consistency_defect(
         scale = max(scale, float(np.max(np.abs(Q_asm))))
     del ham, Q_asm
 
-    # compare inside the coefficient window only (the assembly lives there);
-    # a real diff (odd G) takes the real path, a complex one (even G: the
-    # Nyquist mode of the derivative) its projection in place
+    # compare inside the coefficient window only (the assembly lives there),
+    # projected in place: real at odd G, complex at even G (the Nyquist mode
+    # of the derivative)
     diff = diff.reshape((G,) * n + (2 * J, 2 * J))
-    diff = project_window_grid(diff, n, K, out=diff if np.iscomplexobj(diff) else None)
+    diff = project_window_grid(diff, n, K, out=diff)
     diff = diff.reshape(-1, 2 * J, 2 * J)
     return max(float(np.max(np.abs(diff[pts]))) for _, pts in _slabs(G, n)) / scale
 
