@@ -125,41 +125,31 @@ def _read_half(values: np.ndarray, ax: int, K: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def spectral_derivative_matrix(G: int) -> np.ndarray:
-    """G x G matrix of d/dtheta on G uniform samples: FFT, multiply mode k by
-    i k, inverse FFT. Modes follow ``np.fft.fftfreq``; for even G the Nyquist
-    mode -G/2 is kept, as the FFT derivative keeps it, and makes the matrix
-    complex. For odd G the matrix is real and is returned as float64."""
+    """G x G matrix of d/dtheta on G uniform samples, float64: the derivative
+    of the real trigonometric interpolant. Mode k (``np.fft.fftfreq``) is
+    multiplied by i k for |k| < G/2; the Nyquist mode of an even G, whose
+    interpolant a cos(G theta / 2) has a zero derivative at every sample, by 0.
+    So real grid values have a real derivative at every G."""
     modes = np.rint(np.fft.fftfreq(G, d=1.0 / G)).astype(int)
     E = _phases(G, modes)
-    D = (E * (1j * modes)) @ E.conj().T / G
-    return _frozen(D if G % 2 == 0 else np.ascontiguousarray(D.real))
+    D = (E * (1j * np.where(2 * np.abs(modes) < G, modes, 0))) @ E.conj().T / G
+    return _frozen(np.ascontiguousarray(D.real))
 
 
 def _along(mat: np.ndarray, x: np.ndarray, ax: int, out: np.ndarray | None = None) -> np.ndarray:
     """mat applied along axis ax of x: one broadcast matmul on the
-    (pre, axis, post) view, so no axis is moved; written to out if given. A
-    complex mat meets real x as its real and imaginary parts, so x is never
-    copied to complex."""
+    (pre, axis, post) view, so no axis is moved; written to out if given."""
     shape = x.shape
     oshape = shape[:ax] + (mat.shape[0],) + shape[ax + 1:]
     x = x.reshape(math.prod(shape[:ax]), shape[ax], -1)
     y = None if out is None else out.reshape(x.shape[0], mat.shape[0], x.shape[2])
-    if np.iscomplexobj(mat) and not np.iscomplexobj(x):
-        if y is None:
-            y = np.empty((x.shape[0], mat.shape[0], x.shape[2]), dtype=complex)
-        y.real = np.matmul(mat.real, x)
-        y.imag = np.matmul(mat.imag, x)
-    else:
-        y = np.matmul(mat, x, out=y)
-    return y.reshape(oshape)
+    return np.matmul(mat, x, out=y).reshape(oshape)
 
 
-def _per_axis(mat: np.ndarray, x: np.ndarray, n: int, first: int = 0,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """mat applied along each of the axes first..n-1 of x; the last
-    application is written to out if given."""
+def _per_axis(mat: np.ndarray, x: np.ndarray, n: int, first: int = 0) -> np.ndarray:
+    """mat applied along each of the axes first..n-1 of x."""
     for ax in range(first, n):
-        x = _along(mat, x, ax, out=out if ax == n - 1 else None)
+        x = _along(mat, x, ax)
     return x
 
 
@@ -185,15 +175,13 @@ def grid_to_window(values: np.ndarray, n: int, K: int, first: int = 0) -> np.nda
 
 def project_window_grid(values: np.ndarray, n: int, K: int,
                         out: np.ndarray | None = None) -> np.ndarray:
-    """Kill all grid content outside the coefficient window, in place of values.
-    The result is written to out if given (values itself may be out, as
-    values is read in full before out is written). Real values go through
-    RealWindow and RealGrid and give real values."""
+    """Kill all grid content outside the coefficient window, in place of the
+    real values, through RealWindow and RealGrid. The result, float64, is
+    written to out if given (values itself may be out, as values is read in
+    full before out is written)."""
     G = values.shape[0]
-    if not np.iscomplexobj(values):
-        coeffs = RealWindow(n, K, G).put(values).coefficients()
-        return RealGrid(coeffs, n, K, G).rows(out=out)
-    return _per_axis(_to_grid(K, G), _per_axis(_to_window(K, G), values, n), n, out=out)
+    coeffs = RealWindow(n, K, G).put(values).coefficients()
+    return RealGrid(coeffs, n, K, G).rows(out=out)
 
 
 class RealGrid:
@@ -251,6 +239,8 @@ class RealWindow:
     def put(self, values: np.ndarray, rows: slice = slice(None)) -> "RealWindow":
         """File the real values, (rows,) + (G,)*(n-1) + tail, of the grid rows
         ``rows`` of the first theta axis (all by default)."""
+        if np.iscomplexobj(values):
+            raise TypeError("RealWindow reads real grid values only")
         n, K = self.n, self.K
         if n > 1:
             values = grid_to_window(_read_half(values, n - 1, K), n - 1, K, first=1)
@@ -273,14 +263,16 @@ class RealWindow:
 
 
 def omega_derivative(values: np.ndarray, omega: np.ndarray, n: int,
-                     rows: slice = slice(None)) -> np.ndarray:
+                     first: int = 0) -> np.ndarray:
     """omega . d_theta of grid values of shape (G,)*n + tail, spectral per
-    axis, on the grid rows ``rows`` of the first theta axis (all by default).
-    The first axis couples every row: its derivative applies those rows of
-    the derivative matrix to the whole of values."""
-    D = spectral_derivative_matrix(values.shape[0])
-    parts = [_along(D[rows], values, 0)] + [_along(D, values[rows], ax) for ax in range(1, n)]
-    return sum(float(omega[ax]) * part for ax, part in enumerate(parts))
+    axis, summed over the theta axes first..n-1 (all by default; 0 when
+    first = n).
+
+    With first=1, values may hold any rows of the first theta axis, as in
+    grid_to_window. The first axis couples every row, so its part is left to
+    the caller, to take once over the whole grid."""
+    return sum(float(omega[ax]) * _along(spectral_derivative_matrix(values.shape[ax]), values, ax)
+               for ax in range(first, n))
 
 
 def eval_at_points(coeffs: np.ndarray, n: int, K: int, thetas: np.ndarray) -> np.ndarray:

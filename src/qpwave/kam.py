@@ -41,6 +41,7 @@ from .fourier import (
     omega_derivative,
     product_grid_size,
     project_window_grid,
+    spectral_derivative_matrix,
     theta_grid_points,
     window_to_grid,
 )
@@ -779,14 +780,13 @@ def recompose_generator(
     flow: FlowResult,
     omega: np.ndarray,
 ) -> np.ndarray:
-    """Exact transported (q, p) form on the flat flow grid, (G^n, 2J, 2J):
-    S+ = -1/2 JR [ Phi^-1 (L Phi - omega . d_theta Phi) ].
+    """Exact transported (q, p) form on the flat flow grid, (G^n, 2J, 2J),
+    float64: S+ = -1/2 JR [ Phi^-1 (L Phi - omega . d_theta Phi) ].
 
-    Independent of the series assembly; used to certify each step. Real,
-    except at even grid sizes, where the kept Nyquist mode of the derivative
-    is imaginary. Computed slab by slab: besides Phi and the result, only
-    Phi - I spans the grid, since its derivative along the first theta axis
-    reads every row.
+    Independent of the series assembly; used to certify each step. The first
+    theta axis couples every row, so omega_0 d_theta0 (Phi - I) is taken once
+    over the whole grid, straight into the result. Each slab then adds its
+    other axes and solves into its own rows, which no other slab reads.
     """
     n, K, J, G = flow.n, flow.K, flow.J, flow.grid
     dim = 2 * J
@@ -794,19 +794,15 @@ def recompose_generator(
     # d_theta I = 0: differentiating Phi - I keeps the matmul's rounding relative
     # to |Phi - I| (D's row sums are zero only to ~1e-14)
     PmI = (flow.Phi - np.eye(dim)).reshape((G,) * n + (dim, dim))
-    out = None
+    out = np.empty(flow.Phi.shape)
+    np.matmul(spectral_derivative_matrix(G), PmI.reshape(G, -1), out=out.reshape(G, -1))
+    out *= float(omega[0])
+    dtheta0 = out.reshape(PmI.shape)
     for rows, pts in _slabs(G, n):
         Phi = flow.Phi[pts]
-        dPhi = omega_derivative(PmI, omega, n, rows).reshape(-1, dim, dim)
-        rhs = generator_of(qp_rows(ham, rows)) @ Phi - dPhi
-        if np.iscomplexobj(rhs):  # one real LU for both parts
-            parts = np.linalg.solve(Phi, np.concatenate([rhs.real, rhs.imag], axis=-1))
-            Lplus = parts[..., :dim] + 1j * parts[..., dim:]
-        else:
-            Lplus = np.linalg.solve(Phi, rhs)
-        if out is None:
-            out = np.empty(flow.Phi.shape, dtype=Lplus.dtype)
-        out[pts] = -0.5 * jr_mul(Lplus)
+        dPhi = dtheta0[rows] + omega_derivative(PmI[rows], omega, n, first=1)
+        rhs = generator_of(qp_rows(ham, rows)) @ Phi - dPhi.reshape(-1, dim, dim)
+        out[pts] = -0.5 * jr_mul(np.linalg.solve(Phi, rhs))
     return out
 
 
@@ -833,8 +829,7 @@ def consistency_defect(
     del ham, Q_asm
 
     # compare inside the coefficient window only (the assembly lives there),
-    # projected in place: real at odd G, complex at even G (the Nyquist mode
-    # of the derivative)
+    # projected in place
     diff = diff.reshape((G,) * n + (2 * J, 2 * J))
     diff = project_window_grid(diff, n, K, out=diff)
     diff = diff.reshape(-1, 2 * J, 2 * J)

@@ -64,12 +64,8 @@ def smooth_at_scale(
 
 
 def smooth_form(qf: QuadraticForm, kernel: JacksonKernel, sigma: float) -> QuadraticForm:
-    out = qf.copy()
-    out.zz = smooth_at_scale(qf.zz, kernel, sigma, qf.n, qf.K)
-    out.zzbar = smooth_at_scale(qf.zzbar, kernel, sigma, qf.n, qf.K)
-    out.zbzb = smooth_at_scale(qf.zbzb, kernel, sigma, qf.n, qf.K)
-    out.strip = sigma
-    return out
+    blocks = (smooth_at_scale(b, kernel, sigma, qf.n, qf.K) for b in qf.blocks())
+    return QuadraticForm(qf.n, qf.K, qf.J, *blocks, strip=sigma, meta=dict(qf.meta))
 
 
 @dataclass
@@ -117,16 +113,18 @@ def decompose(
     if strips and strips[0] > 0.5:
         raise ScheduleError("first strip width must be <= 1/2")
 
-    smoothed = [smooth_form(qf, kernel, s) for s in strips]
-    pieces = [smoothed[0]]
-    for prev, cur, s in zip(smoothed, smoothed[1:], strips[1:]):
-        piece = cur - prev
+    # one smoothing at a time: each piece needs only the previous one
+    pieces, prev = [], None
+    for l, s in enumerate(strips):
+        cur = smooth_form(qf, kernel, s)
+        piece = cur if prev is None else cur - prev
         piece.strip = s
+        piece.meta = {"piece_index": l, "strip_width": s}
         pieces.append(piece)
-    for l, piece in enumerate(pieces):
-        piece.meta = {"piece_index": l, "strip_width": strips[l]}
-    residual = qf - smoothed[-1]
+        prev = cur
+    residual = qf - prev
     residual.strip = None
+    del cur, prev  # the norms below see only the pieces and the residual
 
     G = max(theta_grid, 2 * qf.K + 2, 8)
     def supnorm(form: QuadraticForm) -> float:

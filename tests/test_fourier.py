@@ -43,8 +43,11 @@ def fft_project(values, n, K):
 
 
 def fft_derivative(values, axis):
+    """d/dtheta of the trigonometric interpolant: mode k times i k, and the
+    Nyquist mode of an even G times 0 (on real values, irfft(1j k rfft))."""
     G = values.shape[axis]
     modes = np.fft.fftfreq(G, d=1.0 / G)
+    modes[2 * np.abs(modes) == G] = 0
     shape = [1] * values.ndim
     shape[axis] = G
     hat = np.fft.fft(values, axis=axis, norm="forward")
@@ -68,6 +71,7 @@ def test_transforms_match_fft(n, K, G, tail):
     rng = np.random.default_rng(1000 * n + 10 * K + G)
     coeffs = _complex(rng, (2 * K + 1,) * n + tail)
     values = _complex(rng, (G,) * n + tail)
+    real = values.real
 
     grid = window_to_grid(coeffs, n, K, G)
     assert grid.shape == (G,) * n + tail
@@ -77,9 +81,9 @@ def test_transforms_match_fft(n, K, G, tail):
     assert hat.shape == (2 * K + 1,) * n + tail
     assert _rel(hat, fft_grid_to_window(values, n, K)) <= 1e-13
 
-    projected = project_window_grid(values, n, K)
+    projected = project_window_grid(real, n, K)
     assert projected.shape == values.shape
-    assert _rel(projected, fft_project(values, n, K)) <= 1e-13
+    assert _rel(projected, fft_project(real, n, K).real) <= 1e-13
 
 
 @pytest.mark.parametrize("n,K,G", CASES)
@@ -116,8 +120,25 @@ def test_spectral_derivative_matches_fft(G):
     values = _complex(rng, (G, 3))
     D = spectral_derivative_matrix(G)
     assert D.shape == (G, G)
-    assert D.dtype == (complex if G % 2 == 0 else np.float64)  # even G: imaginary Nyquist
+    assert D.dtype == np.float64
     assert _rel(D @ values, fft_derivative(values, 0)) <= 1e-13
+
+
+@pytest.mark.parametrize("G", [8, 20, 50])
+def test_spectral_derivative_differentiates_the_real_interpolant(G):
+    D = spectral_derivative_matrix(G)
+    assert D.dtype == np.float64
+    assert not D.flags.writeable
+    theta = 2 * np.pi * np.arange(G) / G
+    # the Nyquist cosine: its derivative, -G/2 sin(G theta / 2), vanishes on the grid
+    assert np.max(np.abs(D @ np.cos(G * theta / 2))) <= 1e-13 * G
+    rng = np.random.default_rng(G)
+    k = np.arange(1, (G + 1) // 2)  # |k| < G/2
+    a, b = rng.standard_normal((2, k.size))
+    f = np.cos(np.outer(theta, k)) @ a + np.sin(np.outer(theta, k)) @ b
+    df = (np.cos(np.outer(theta, k)) @ (k * b) - np.sin(np.outer(theta, k)) @ (k * a))
+    assert _rel(D @ f, df) <= 1e-12
+    assert _rel(D @ f, np.fft.irfft(1j * np.arange(G // 2 + 1) * np.fft.rfft(f), n=G)) <= 1e-12
 
 
 @pytest.mark.parametrize("G", [15, 20, 27])
@@ -160,23 +181,21 @@ def test_grid_to_window_reads_slabs_then_the_first_axis(n, K, G, step, real):
 @pytest.mark.parametrize("G", [15, 20, 27])
 @pytest.mark.parametrize("step", SLAB_STEPS)
 def test_omega_derivative_rows_are_rows_of_the_derivative(G, step):
+    # the first axis once over the whole grid, plus each slab's other axes
+    # (first=1), as the recomposition oracle takes them
     rng = np.random.default_rng(G + step)
     omega = np.array([1.0, np.sqrt(2.0)])
     values = rng.standard_normal((G, G, 2, 2))  # real, as Phi - I in the oracle
     full = omega_derivative(values, omega, 2)
+    assert full.dtype == np.float64
     assert _rel(full, omega[0] * fft_derivative(values, 0)
                 + omega[1] * fft_derivative(values, 1)) <= 1e-13
+    first_axis = omega[0] * (spectral_derivative_matrix(G) @ values.reshape(G, -1))
+    first_axis = first_axis.reshape(values.shape)
     for rows in _row_slabs(G, step):
-        assert _rel(omega_derivative(values, omega, 2, rows), full[rows]) <= 1e-13
-
-
-@pytest.mark.parametrize("n,K,G", [(1, 5, 16), (2, 4, 15), (2, 6, 20)])
-def test_projection_written_over_its_input(n, K, G):
-    values = _complex(np.random.default_rng(G), (G,) * n + (3,))
-    expected = fft_project(values, n, K)
-    got = project_window_grid(values, n, K, out=values)
-    assert np.shares_memory(got, values)
-    assert _rel(values, expected) <= 1e-13
+        got = first_axis[rows] + omega_derivative(values[rows], omega, 2, first=1)
+        assert _rel(got, full[rows]) <= 1e-13
+    assert omega_derivative(values, omega, 2, first=2) == 0
 
 
 # -- real fields: the k_last >= 0 half, crossed in real arithmetic ----------
@@ -249,14 +268,21 @@ def test_real_window_reads_slabs_like_grid_to_window(n, K, G, step):
     assert _rel(RealWindow(n, K, G).put(values).coefficients(), want) <= 1e-13
 
 
+def test_real_window_rejects_complex_values():
+    # the real read would drop their imaginary part
+    values = _complex(np.random.default_rng(29), (15, 15, 3))
+    with pytest.raises(TypeError):
+        RealWindow(2, 4, 15).put(values)
+
+
 @pytest.mark.parametrize("n,K,G", REAL_CASES)
 def test_real_projection_is_the_real_part_of_the_complex_one(n, K, G):
     values = np.random.default_rng(23 * G + K).standard_normal((G,) * n + (3,))
-    want = project_window_grid(values.astype(complex), n, K)
+    want = fft_project(values, n, K).real
     got = project_window_grid(values, n, K)
     assert got.dtype == np.float64
     assert _rel(got, want) <= 1e-13
-    # written over its input, as the complex projection is
+    # written over its input
     over = project_window_grid(values, n, K, out=values)
     assert np.shares_memory(over, values)
     assert _rel(values, want) <= 1e-13

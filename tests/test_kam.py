@@ -402,6 +402,10 @@ class TestQpLayer:
         flow_transform = kam.flow_transform
         monkeypatch.setattr(kam, "flow_transform",
                             lambda *a, **k: flows.append(flow_transform(*a, **k)) or flows[-1])
+        recomposed = []
+        recompose_generator = kam.recompose_generator
+        monkeypatch.setattr(kam, "recompose_generator", lambda *a: recomposed.append(
+            recompose_generator(*a)) or recomposed[-1])
         engine = KamEngine(seed_pieces(dec, sched.eps0, sched), freq, sched, ws,
                            K_theta=pf.K_theta, options=KamOptions(norm_grid=8))
         engine.step()
@@ -409,6 +413,8 @@ class TestQpLayer:
         assert flows[0].Phi.dtype == np.float64
         assert flows[0].B.dtype == np.float64
         assert np.iscomplexobj(flows[0].P_hat)  # window coefficients stay complex
+        assert flows[0].grid % 2 == 0  # the oracle is real at an even G too
+        assert recomposed[0].dtype == np.float64
 
 
 class TestUformGrid:
