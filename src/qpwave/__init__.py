@@ -3,6 +3,7 @@
 from .galerkin import (
     CouplingTensor,
     QuadraticForm,
+    RealStructureError,
     WeightedSpace,
     assemble_initial_forms,
     coupling_tensor,
@@ -16,7 +17,6 @@ from .kam import (
     KamOptions,
     KamResult,
     NormalForm,
-    RealStructureError,
     ResonanceError,
     Schedule,
     StepSizeError,

@@ -24,7 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from . import resonance
-from .galerkin import QuadraticForm, WeightedSpace, assemble_initial_forms, coupling_tensor
+from .galerkin import (
+    CHECKPOINT_SCHEMA,
+    CheckpointSchemaError,
+    QuadraticForm,
+    RealStructureError,
+    WeightedSpace,
+    assemble_initial_forms,
+    check_schema,
+    coupling_tensor,
+)
 from .kam import (
     STEP_TIMINGS,
     SYMPLECTIC_TOL,
@@ -32,7 +41,6 @@ from .kam import (
     KamEngine,
     KamOptions,
     NormalForm,
-    RealStructureError,
     ResonanceError,
     Schedule,
     StepSizeError,
@@ -65,7 +73,7 @@ EXIT_CONFIG = 4
 EXIT_CERTIFICATE = 5
 EXIT_INTERNAL = 6
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # of summary.json; checkpoints have galerkin.CHECKPOINT_SCHEMA
 
 DEFAULT_OMEGA0 = (1.0, 1.4142135623730951, 1.7320508075688772, 2.2360679774997896)
 
@@ -197,7 +205,7 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict):
     tmp_dir.mkdir(parents=True)
     st = engine.state
     manifest = {
-        "schema": SCHEMA_VERSION,
+        "schema": CHECKPOINT_SCHEMA,
         "m_next": st.m,
         "record": record,
         "mu_history": [[e, mu.tolist()] for e, mu in st.normal_form.mu_history],
@@ -219,7 +227,8 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict):
 
 def load_checkpoints(out: Path):
     """Rebuild (m_next, mu_history, pieces, chain, records) from disk, from
-    the step directories up to the first one without a state.json."""
+    the step directories up to the first one without a state.json. A
+    manifest of another CHECKPOINT_SCHEMA raises CheckpointSchemaError."""
     step_dirs = []
     for d in sorted((out / "steps").glob("step_*")):
         if not (d / "state.json").exists():
@@ -233,6 +242,7 @@ def load_checkpoints(out: Path):
     for d in step_dirs:
         with open(d / "state.json") as f:
             manifest = json.load(f)
+        check_schema(manifest, d / "state.json")
         chain.steps.append(_load_complex(d / "transform.bin",
                                          manifest["chain_step"]["shape"]))
         records.append(manifest["record"])
@@ -381,7 +391,10 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
     opts = KamOptions(picard_tol=config.picard_tol,
                       residual_tol=config.residual_tol,
                       norm_grid=config.norm_grid)
-    restored = load_checkpoints(out) if resume and not sched.degenerate else None
+    try:
+        restored = load_checkpoints(out) if resume and not sched.degenerate else None
+    except CheckpointSchemaError as e:
+        raise PipelineAbort(EXIT_CONFIG, "config_error", f"reduce: {e}")
     if restored is not None:
         m_next, mu_history, pieces, chain, records = restored
         nf = NormalForm(J=config.J_max,
@@ -664,12 +677,12 @@ def _cmd_report(out: Path) -> int:
         summary = json.load(f)
     steps = summary.get("steps", [])
     with open(out / "steps_report.csv", "w") as f:
-        f.write("m,eps_m,K_eff,divisor_min,homological_residual,P_norm,"
+        f.write("m,eps_m,K_eff,divisor_min,homological_residual,P_norm,P_bound,"
                 "symplectic_defect,consistency_defect,weighted_size\n")
         for rec in steps:
             cells = [str(rec["m"]), _report_cell(rec["eps_m"]), str(rec["K_eff"])]
             cells += [_report_cell(rec[key]) for key in
-                      ("divisor_min", "homological_residual", "P_norm",
+                      ("divisor_min", "homological_residual", "P_norm", "P_bound",
                        "symplectic_defect", "consistency_defect", "weighted_size")]
             f.write(",".join(cells) + "\n")
     _write_timings_report(out / "timings_report.csv", summary.get("timings", {}))

@@ -7,8 +7,16 @@ uniform grid theta_m = 2*pi*m/G.
 
 Window <-> grid transforms are exact-window DFTs: one dense G x (2K+1) or
 (2K+1) x G matrix applied along each theta axis, so only window modes are
-ever touched. Real fields (RealGrid, RealWindow) run on the k_last >= 0 half
-of the last theta axis, which they cross in real arithmetic.
+ever touched.
+
+Real fields are stored once, on the k_last >= 0 half of the window: the
+coefficients c_k with k_last >= 0, shape (2K+1,)*(n-1) + (K+1,) + tail
+(half_index picks them out of a whole window). The rest of the window is
+c_-k = conj(c_k). A half mode with k_last > 0 stands for the two window
+modes k and -k (half_multiplicity 2), one with k_last = 0 for itself
+(multiplicity 1; that plane holds k and -k both), so the field's values
+are Re sum_half mult_k c_k e^{i k.theta}. RealGrid and RealWindow cross
+between these coefficients and grid values in real arithmetic.
 """
 
 from __future__ import annotations
@@ -71,6 +79,17 @@ def kinf(n: int, K: int) -> np.ndarray:
     return np.max(np.abs(kgrid(n, K)), axis=-1)
 
 
+def half_index(n: int, K: int) -> tuple:
+    """Index of the k_last >= 0 half in a window array (2K+1,)*n + tail."""
+    return (slice(None),) * (n - 1) + (slice(K, None),)
+
+
+def half_multiplicity(n: int, K: int) -> np.ndarray:
+    """The number of window modes each half mode stands for, shape
+    (2K+1,)*(n-1) + (K+1,): 2 for k_last > 0 (k and -k), 1 at k_last = 0."""
+    return np.where(kgrid(n, K)[half_index(n, K)][..., -1] > 0, 2.0, 1.0)
+
+
 def _phases(G: int, modes: np.ndarray) -> np.ndarray:
     """exp(i k theta_g) for theta_g = 2 pi g / G, shape (G, len(modes)). The
     phase index g*k is reduced mod G in integers, so every entry is one of the
@@ -100,10 +119,10 @@ def _to_window(K: int, G: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _half_to_grid(K: int, G: int) -> np.ndarray:
-    """[cos | -sin](k theta_g), k = 0..K, G x 2(K+1): applied to the stacked
-    real and imaginary parts [Re h; Im h] of half-window coefficients it gives
-    Re sum_{k>=0} h_k e^{i k theta_g}."""
-    E = _to_grid(K, G)[:, K:]
+    """mult_k [cos | -sin](k theta_g), k = 0..K, G x 2(K+1): applied to the
+    stacked real and imaginary parts [Re c; Im c] of half-window coefficients
+    it gives the real field's values Re sum_{k>=0} mult_k c_k e^{i k theta_g}."""
+    E = _to_grid(K, G)[:, K:] * half_multiplicity(1, K)
     return _frozen(np.concatenate([E.real, -E.imag], axis=1))
 
 
@@ -185,28 +204,19 @@ def project_window_grid(values: np.ndarray, n: int, K: int,
 
 
 class RealGrid:
-    """Real grid values Re sum_k c_k e^{i k.theta} of window coefficients
-    (2K+1,)*n + tail on the uniform G^n grid, read rows of the first theta
-    axis at a time.
+    """Grid values of a real field, from its half-window coefficients
+    (2K+1,)*(n-1) + (K+1,) + tail, on the uniform G^n grid, read rows of the
+    first theta axis at a time.
 
-    The coefficients are folded onto the k_last >= 0 half of the last theta
-    axis: h_k = c_k + conj(c_-k) for k_last > 0 and h_k = c_k at k_last = 0.
-    The fold is exact whether or not c is conjugate-symmetric, so the values
-    are the real part of window_to_grid up to rounding. The axes before the
-    last are transformed once, here (window_to_grid on the half); the source
-    keeps the real and imaginary parts side by side, float64 of shape
-    (G,)*(n-1) + (2(K+1),) + tail, and no reference to the coefficients.
-    Each rows() call is then one real [cos | -sin] matmul along the last axis.
+    The axes before the last are transformed once, here (window_to_grid on
+    the half); the source keeps the real and imaginary parts side by side,
+    float64 of shape (G,)*(n-1) + (2(K+1),) + tail, and no reference to the
+    coefficients. Each rows() call is then one real [cos | -sin] matmul along
+    the last axis.
     """
 
     def __init__(self, coeffs: np.ndarray, n: int, K: int, G: int):
-        before = (slice(None),) * (n - 1)
-        mirror = np.flip(coeffs, axis=tuple(range(n)))  # c_-k at the index of c_k
-        half = np.conj(mirror[before + (slice(K, None),)]).astype(complex, copy=False)
-        half += coeffs[before + (slice(K, None),)]
-        half[before + (0,)] = coeffs[before + (K,)]
-        if n > 1:
-            half = window_to_grid(half, n - 1, K, G)
+        half = coeffs if n == 1 else window_to_grid(coeffs, n - 1, K, G)
         self.source = np.concatenate([half.real, half.imag], axis=n - 1)
         self.n, self.K, self.G = n, K, G
 
@@ -220,16 +230,16 @@ class RealGrid:
 
 
 class RealWindow:
-    """Window coefficients (2K+1,)*n + tail of a real field, read off its
-    values on the uniform G^n grid rows of the first theta axis at a time.
+    """Half-window coefficients (2K+1,)*(n-1) + (K+1,) + tail of a real field,
+    read off its values on the uniform G^n grid rows of the first theta axis
+    at a time.
 
     Each put() reads its rows along the last theta axis onto the k_last >= 0
     half with one real matmul, then along the axes between
     (grid_to_window, first=1), and files them in a stack of all G rows.
-    coefficients() reads the stack along the first axis once and fills the
-    negative half by conjugate reflection, c_-k = conj(c_k), as for any real
-    field. For n = 1 the first axis is the last: the stack holds the values,
-    and coefficients() makes the real read.
+    coefficients() reads the stack along the first axis once. For n = 1 the
+    first axis is the last: the stack holds the values, and coefficients()
+    makes the real read.
     """
 
     def __init__(self, n: int, K: int, G: int):
@@ -250,16 +260,11 @@ class RealWindow:
         return self
 
     def coefficients(self) -> np.ndarray:
-        """The window coefficients, complex; the stack is released."""
+        """The half-window coefficients, complex; the stack is released."""
         n, K = self.n, self.K
         half = _read_half(self.stack, 0, K) if n == 1 else grid_to_window(self.stack, 1, K)
         self.stack = None
-        before = (slice(None),) * (n - 1)
-        out = np.empty((2 * K + 1,) * n + half.shape[n:], dtype=complex)
-        out[before + (slice(K, None),)] = half
-        mirror = np.flip(out, axis=tuple(range(n)))
-        out[before + (slice(None, K),)] = np.conj(mirror[before + (slice(None, K),)])
-        return out
+        return half
 
 
 def omega_derivative(values: np.ndarray, omega: np.ndarray, n: int,
@@ -294,6 +299,15 @@ def active_modes(coeffs: np.ndarray, n: int, K: int) -> tuple:
     top = mags.max()
     active = np.nonzero(mags > 1e-300 + 1e-16 * top)[0]
     return _frozen(kgrid(n, K).reshape(W**n, n)[active]), _frozen(flat[active])
+
+
+def real_at_points(coeffs: np.ndarray, n: int, K: int, thetas: np.ndarray) -> np.ndarray:
+    """Values of the real field with half-window coefficients coeffs at
+    arbitrary points, float64 (P,) + tail."""
+    mult = half_multiplicity(n, K)
+    weighted = coeffs * mult.reshape(mult.shape + (1,) * (coeffs.ndim - n))
+    return eval_modes(kgrid(n, K)[half_index(n, K)].reshape(mult.size, n),
+                      weighted.reshape((mult.size,) + coeffs.shape[n:]), thetas).real
 
 
 def eval_modes(modes: np.ndarray, values: np.ndarray, thetas: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ The wave field u = sum u_k sin(kx) with lam_k = k^2 turns the operator into a
 lattice Hamiltonian whose quadratic coupling forms are built from the cosine
 potential amplitudes v_j(theta) through the tensor c_jlk = integral of
 cos(jx) sin(lx) sin(kx) over [-pi, pi]. All theta-dependence is carried as
-coefficients on a hypercube Fourier window.
+coefficients on a hypercube Fourier window; a real form's, on its
+k_last >= 0 half.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fourier import kinf, reality_residual, window_to_grid
+from .fourier import RealGrid, half_index, kinf
 from .potential import PotentialFourier
 
 HALF_PI = np.pi / 2.0
@@ -161,165 +162,192 @@ class WeightedSpace:
 
 
 # ---------------------------------------------------------------------------
+# Real structure: the u-form blocks and the (q, p) form
+
+STRUCTURE_RTOL = 1e-12  # relative structure defect u-form data may carry into a form
+
+
+class RealStructureError(ValueError):
+    """u-form data is not a real Hamiltonian (conj(zz) != zbzb or zzbar not
+    Hermitian), so its (q, p) form is not real."""
+
+
+def qp_from_blocks(zz: np.ndarray, zzbar: np.ndarray, zbzb: np.ndarray) -> np.ndarray:
+    """(q, p) form T^T Q T of the u-form Q = [[zz, zzbar^T/2], [zzbar/2, zbzb]],
+    T = [[I, -iI], [I, iI]] / sqrt(2), written out by blocks; works on window
+    coefficients as on values."""
+    J = zz.shape[-1]
+    zzbar_t = np.swapaxes(zzbar, -1, -2)
+    mean = 0.5 * (zz + zbzb)
+    diff = 0.5j * (zbzb - zz)
+    sym = 0.25 * (zzbar + zzbar_t)
+    skew = 0.25j * (zzbar - zzbar_t)
+    S = np.empty(zz.shape[:-2] + (2 * J, 2 * J), dtype=complex)
+    S[..., :J, :J] = mean + sym
+    S[..., :J, J:] = diff - skew
+    S[..., J:, :J] = diff + skew
+    S[..., J:, J:] = sym - mean
+    return S
+
+
+def blocks_from_qp(S: np.ndarray) -> tuple:
+    """(zz, zzbar, zbzb) of the u-form conj(T) S T^H, the inverse of
+    qp_from_blocks (zz and zbzb symmetrized)."""
+    J = S.shape[-1] // 2
+    qq, qp, pq, pp = S[..., :J, :J], S[..., :J, J:], S[..., J:, :J], S[..., J:, J:]
+    real = 0.5 * (qq - pp)
+    imag = 0.5 * (qp + pq)
+    real = 0.5 * (real + np.swapaxes(real, -1, -2))
+    imag = 0.5j * (imag + np.swapaxes(imag, -1, -2))
+    trace = qq + pp
+    cross = 1j * (qp - pq)
+    zzbar = 0.5 * (trace + np.swapaxes(trace, -1, -2) + cross - np.swapaxes(cross, -1, -2))
+    return real + imag, zzbar, real - imag
+
+
+def block_norms(S: np.ndarray, norm) -> tuple:
+    """norm of each u-form block (zz, zzbar, zbzb) of the (q, p) forms S,
+    values or coefficients: the one way the three-block norms read a form."""
+    return tuple(norm(b) for b in blocks_from_qp(S))
+
+
+def check_real_structure(zz: np.ndarray, zzbar: np.ndarray, zbzb: np.ndarray, n: int) -> None:
+    """The precondition of a form: its whole-window u-form blocks are a real
+    Hamiltonian to STRUCTURE_RTOL relative, that is, conj(zz) pairs with zbzb
+    and zzbar(theta) is Hermitian at real theta (hat(-k)^H = hat(k))."""
+    rev = (slice(None, None, -1),) * n
+    defect = max(float(np.max(np.abs(np.conj(zz[rev]) - zbzb))),
+                 float(np.max(np.abs(np.swapaxes(np.conj(zzbar[rev]), -1, -2) - zzbar))))
+    scale = max(float(np.max(np.abs(b))) for b in (zz, zzbar, zbzb))
+    if not defect <= STRUCTURE_RTOL * scale:  # NaN fails too
+        raise RealStructureError(
+            f"form is not a real Hamiltonian: structure defect {defect:.3e} > "
+            f"{STRUCTURE_RTOL:.0e} * max |coefficient| {scale:.3e}"
+        )
+
+
+# ---------------------------------------------------------------------------
 # Quadratic forms
+
+CHECKPOINT_SCHEMA = 2  # format of the checkpoint files: piece manifests and state.json
+
+
+class CheckpointSchemaError(ValueError):
+    """A checkpoint file was written in another format."""
+
+
+def check_schema(manifest: dict, path: str | Path) -> None:
+    found = manifest.get("schema")
+    if found != CHECKPOINT_SCHEMA:
+        raise CheckpointSchemaError(
+            f"{path}: checkpoint schema {found}, expected {CHECKPOINT_SCHEMA}")
 
 
 @dataclass
 class QuadraticForm:
-    """Theta-dependent coefficient blocks of a quadratic Hamiltonian piece.
+    """A real quadratic Hamiltonian piece H(theta) = <S(theta) x, x> in the
+    real coordinates x = (q, p), S(theta) real symmetric (2J, 2J).
 
-    H(theta) = <zz(theta) z, z> + <zzbar(theta) z, zbar> + <zbzb(theta) zbar, zbar>,
-    each block stored as window Fourier coefficients, shape (2K+1,)*n + (J, J).
-    zz/zbzb are kept symmetric; zzbar is a general matrix (it stays Hermitian
-    at real theta along the iteration but need not be symmetric).
+    coeffs holds S's window Fourier coefficients on the k_last >= 0 half
+    (fourier's real-field convention), complex, shape
+    (2K+1,)*(n-1) + (K+1, 2J, 2J). u-form data, <zz z, z> + <zzbar z, zbar>
+    + <zbzb zbar, zbar> in z = (q - i p)/sqrt(2), enters through from_blocks.
     """
 
     n: int
     K: int
     J: int
-    zz: np.ndarray
-    zzbar: np.ndarray
-    zbzb: np.ndarray
+    coeffs: np.ndarray
     strip: float | None = None
     meta: dict = field(default_factory=dict)
 
-    BLOCKS = ("zz", "zzbar", "zbzb")
+    @classmethod
+    def zeros(cls, n: int, K: int, J: int) -> "QuadraticForm":
+        return cls(n, K, J, np.zeros((2 * K + 1,) * (n - 1) + (K + 1, 2 * J, 2 * J), complex))
 
     @classmethod
-    def zeros(cls, n: int, K: int, J: int, strip: float | None = None) -> "QuadraticForm":
-        shape = (2 * K + 1,) * n + (J, J)
-        return cls(
-            n=n, K=K, J=J,
-            zz=np.zeros(shape, complex),
-            zzbar=np.zeros(shape, complex),
-            zbzb=np.zeros(shape, complex),
-            strip=strip,
-        )
-
-    def blocks(self):
-        return (self.zz, self.zzbar, self.zbzb)
-
-    def copy(self) -> "QuadraticForm":
-        return QuadraticForm(
-            self.n, self.K, self.J,
-            self.zz.copy(), self.zzbar.copy(), self.zbzb.copy(),
-            self.strip, dict(self.meta),
-        )
+    def from_blocks(cls, n: int, K: int, J: int, zz: np.ndarray, zzbar: np.ndarray,
+                    zbzb: np.ndarray, strip: float | None = None) -> "QuadraticForm":
+        """The form of whole-window u-form blocks, (2K+1,)*n + (J, J) each,
+        after the real-structure check (RealStructureError); S is symmetrized."""
+        check_real_structure(zz, zzbar, zbzb, n)
+        qf = cls(n, K, J, qp_from_blocks(zz, zzbar, zbzb)[half_index(n, K)], strip)
+        qf.symmetrize()
+        return qf
 
     def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
         self._check_compatible(other)
-        return QuadraticForm(
-            self.n, self.K, self.J,
-            self.zz + other.zz, self.zzbar + other.zzbar, self.zbzb + other.zbzb,
-            self.strip,
-        )
+        return QuadraticForm(self.n, self.K, self.J, self.coeffs + other.coeffs, self.strip)
 
     def __sub__(self, other: "QuadraticForm") -> "QuadraticForm":
         self._check_compatible(other)
-        return QuadraticForm(
-            self.n, self.K, self.J,
-            self.zz - other.zz, self.zzbar - other.zzbar, self.zbzb - other.zbzb,
-            self.strip,
-        )
+        return QuadraticForm(self.n, self.K, self.J, self.coeffs - other.coeffs, self.strip)
 
     def scaled(self, c: float) -> "QuadraticForm":
-        return QuadraticForm(
-            self.n, self.K, self.J,
-            c * self.zz, c * self.zzbar, c * self.zbzb, self.strip,
-        )
+        return QuadraticForm(self.n, self.K, self.J, c * self.coeffs, self.strip)
 
     def _check_compatible(self, other: "QuadraticForm"):
         if (self.n, self.K, self.J) != (other.n, other.K, other.J):
             raise DimensionError("quadratic forms have mismatched truncations")
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(b))) if b.size else 0.0 for b in self.blocks())
+        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
     def truncate(self, K_cut: int) -> tuple["QuadraticForm", "QuadraticForm"]:
         """Split into (modes |k|_inf <= K_cut, modes |k|_inf > K_cut); exact."""
         if K_cut < 0:
             raise ValueError("K_cut must be >= 0")
-        rings = kinf(self.n, self.K)
-        low_mask = (rings <= K_cut).reshape(rings.shape + (1, 1))
-        low = [np.where(low_mask, b, 0.0) for b in self.blocks()]
-        high = [np.where(low_mask, 0.0, b) for b in self.blocks()]
-        return tuple(QuadraticForm(self.n, self.K, self.J, *blocks, self.strip, dict(self.meta))
-                     for blocks in (low, high))
+        rings = kinf(self.n, self.K)[half_index(self.n, self.K)]
+        low_mask = (rings <= K_cut)[..., None, None]
+        return tuple(QuadraticForm(self.n, self.K, self.J, part, self.strip, dict(self.meta))
+                     for part in (np.where(low_mask, self.coeffs, 0.0),
+                                  np.where(low_mask, 0.0, self.coeffs)))
 
     def symmetrize(self):
-        """Enforce the exact index symmetry of the zz and zbzb blocks."""
-        tr = tuple(range(self.n)) + (self.n + 1, self.n)
-        self.zz = 0.5 * (self.zz + self.zz.transpose(tr))
-        self.zbzb = 0.5 * (self.zbzb + self.zbzb.transpose(tr))
+        """Enforce the exact symmetry of S."""
+        self.coeffs = 0.5 * (self.coeffs + np.swapaxes(self.coeffs, -1, -2))
 
-    def symmetry_defect(self) -> float:
-        tr = tuple(range(self.n)) + (self.n + 1, self.n)
-        return max(
-            float(np.max(np.abs(b - b.transpose(tr)))) for b in (self.zz, self.zbzb)
-        )
+    def grid_values(self, G: int) -> np.ndarray:
+        """Real values of S on the flat uniform theta grid of at least window
+        size, float64 (G^n, 2J, 2J)."""
+        values = RealGrid(self.coeffs, self.n, self.K, max(G, 2 * self.K + 1)).rows()
+        return values.reshape(-1, 2 * self.J, 2 * self.J)
 
-    def zzbar_symmetry_defect(self) -> float:
-        tr = tuple(range(self.n)) + (self.n + 1, self.n)
-        return float(np.max(np.abs(self.zzbar - self.zzbar.transpose(tr))))
-
-    def reality_defect(self) -> float:
-        """Reality of the underlying theta-functions: hat(-k) = conj(hat(k))."""
-        return max(reality_residual(b, self.n, self.K) for b in self.blocks())
-
-    def structure_defect(self) -> float:
-        """Real-Hamiltonian structure: conj(zz) pairs with zbzb and zzbar(theta)
-        is Hermitian at real theta (hat(-k)^H = hat(k))."""
-        rev = (slice(None, None, -1),) * self.n
-        tr = tuple(range(self.n)) + (self.n + 1, self.n)
-        d1 = float(np.max(np.abs(np.conj(self.zz[rev]) - self.zbzb)))
-        d2 = float(np.max(np.abs(np.conj(self.zzbar[rev]).transpose(tr) - self.zzbar)))
-        return max(d1, d2)
-
-    def grid_values(self, G: int):
-        """Block values on a uniform theta grid of at least window size,
-        each (G,)*n + (J, J)."""
-        G = max(G, 2 * self.K + 1)
-        return tuple(window_to_grid(b, self.n, self.K, G) for b in self.blocks())
-
-    # -- serialization: JSON manifest + raw little-endian complex blocks -----
+    # -- serialization: JSON manifest + one raw little-endian complex array --
 
     def save(self, directory: str | Path, name: str):
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        arr = np.ascontiguousarray(self.coeffs).astype("<c16")
+        fname = f"{name}.bin"
+        (directory / fname).write_bytes(arr.tobytes())
         manifest = {
-            "schema": 1,
+            "schema": CHECKPOINT_SCHEMA,
             "n": self.n,
             "K": self.K,
             "J": self.J,
             "strip": self.strip,
             "meta": self.meta,
-            "encoding": "complex128 little-endian float64 (re, im) pairs, "
-                        "row-major over (k-window..., i, j)",
-            "blocks": {},
+            "encoding": "complex128 little-endian float64 (re, im) pairs, row-major "
+                        "over (k-window half..., 2J, 2J): the (q, p) form's "
+                        "coefficients for k_last >= 0",
+            "coeffs": {"file": fname, "shape": list(arr.shape)},
         }
-        for bname in self.BLOCKS:
-            arr = np.ascontiguousarray(getattr(self, bname)).astype("<c16")
-            fname = f"{name}.{bname}.bin"
-            (directory / fname).write_bytes(arr.tobytes())
-            manifest["blocks"][bname] = {"file": fname, "shape": list(arr.shape)}
         with open(directory / f"{name}.json", "w") as f:
             json.dump(manifest, f, indent=1, sort_keys=True)
 
     @classmethod
     def load(cls, directory: str | Path, name: str) -> "QuadraticForm":
         directory = Path(directory)
-        with open(directory / f"{name}.json") as f:
+        path = directory / f"{name}.json"
+        with open(path) as f:
             manifest = json.load(f)
-        blocks = {}
-        for bname in cls.BLOCKS:
-            info = manifest["blocks"][bname]
-            raw = (directory / info["file"]).read_bytes()
-            blocks[bname] = np.frombuffer(raw, dtype="<c16").reshape(info["shape"]).astype(complex)
-        return cls(
-            n=manifest["n"], K=manifest["K"], J=manifest["J"],
-            zz=blocks["zz"], zzbar=blocks["zzbar"], zbzb=blocks["zbzb"],
-            strip=manifest["strip"], meta=manifest.get("meta", {}),
-        )
+        check_schema(manifest, path)
+        info = manifest["coeffs"]
+        raw = (directory / info["file"]).read_bytes()
+        coeffs = np.frombuffer(raw, dtype="<c16").reshape(info["shape"]).astype(complex)
+        return cls(n=manifest["n"], K=manifest["K"], J=manifest["J"], coeffs=coeffs,
+                   strip=manifest["strip"], meta=manifest.get("meta", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +360,8 @@ def assemble_initial_forms(
     """Coupling forms of the rescaled lattice Hamiltonian.
 
     With M(theta)_{il} = sum_j c_jli v_j(theta) / (sqrt(i) sqrt(l)), the blocks
-    are zz = M/2, zzbar = M, zbzb = M/2.
+    are zz = M/2, zzbar = M, zbzb = M/2. This is where u-form data enters:
+    QuadraticForm.from_blocks checks that it is a real Hamiltonian.
     """
     J = ws.J_max
     if pf.J_max < J:
@@ -343,16 +372,10 @@ def assemble_initial_forms(
     M = np.einsum("...j,jli->...il", pf.v_hat, C)
     s = ws.sqrt_weights
     M = M / (s[:, None] * s[None, :])
-    qf = QuadraticForm(
-        n=pf.n, K=pf.K_theta, J=J,
-        zz=0.5 * M, zzbar=M.copy(), zbzb=0.5 * M,
-        strip=None,
-    )
-    qf.symmetrize()
-    return qf
+    return QuadraticForm.from_blocks(pf.n, pf.K_theta, J, 0.5 * M, M, 0.5 * M)
 
 
 def form_norm(qf: QuadraticForm, ws: WeightedSpace, G: int) -> float:
     """Grid maximum over theta of the h_N -> h_N norm of J * block(theta) * J,
-    over the three blocks, on a uniform grid of at least window size."""
-    return float(max(ws.opnorm_weighted(v) for v in qf.grid_values(G)))
+    over the three u-form blocks, on a uniform grid of at least window size."""
+    return float(max(block_norms(qf.grid_values(G), ws.opnorm_weighted)))

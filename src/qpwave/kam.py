@@ -1,15 +1,15 @@
 """Iterative reduction of the lattice Hamiltonian to constant coefficients.
 
-A quadratic Hamiltonian piece ``<A z, z> + <B z, zbar> + <C zbar, zbar>`` is
-carried as a QuadraticForm: window Fourier coefficients per block, in the
-doubled coordinates u = (z, zbar). Its u-form is the symmetric matrix
-Q = [[A, B^T/2], [B/2, C]] with H = <Q u, u>.
-
-Everything pointwise on the theta grid runs in the real coordinates
-x = (q, p) instead, with u = T x, T = [[I, -iI], [I, iI]] / sqrt(2)
-(z = (q - i p)/sqrt(2), as in verify.qp_to_u). A real Hamiltonian has the
-real symmetric (q, p) form S = T^T Q T, so brackets, flows, series and norms
-on the grid work on float64 arrays; window coefficients stay complex u-forms.
+A quadratic Hamiltonian piece is carried as a QuadraticForm: the window
+coefficients, on the k_last >= 0 half, of its real symmetric form S in the
+real coordinates x = (q, p), H = <S x, x>. The doubled coordinates
+u = (z, zbar) = T x, T = [[I, -iI], [I, iI]] / sqrt(2) (z = (q - i p)/sqrt(2),
+as in verify.qp_to_u), give the u-form Q = conj(T) S T^H, whose blocks
+<A z, z> + <B z, zbar> + <C zbar, zbar> (Q = [[A, B^T/2], [B/2, C]]) are
+used only where the homological divisors are diagonal: the solve, its
+residual and the three-block norms. Brackets, flows, series and norms on
+the grid work on float64 arrays, and each step's change of variables is
+stored the same way as a piece: the half-window coefficients of Phi - I.
 
 Conventions (fixed once, verified by the recomposition oracle):
   * flow of a Hamiltonian G:  dx/dt = 2 * JR * S_G * x, where
@@ -35,17 +35,25 @@ from . import resonance
 from .fourier import (
     RealGrid,
     RealWindow,
-    eval_at_points,
+    half_index,
     kdot,
     kinf,
     omega_derivative,
     product_grid_size,
     project_window_grid,
+    real_at_points,
     spectral_derivative_matrix,
     theta_grid_points,
-    window_to_grid,
 )
-from .galerkin import QuadraticForm, WeightedSpace, form_norm, metric_opnorm
+from .galerkin import (
+    QuadraticForm,
+    WeightedSpace,
+    block_norms,
+    blocks_from_qp,
+    form_norm,
+    metric_opnorm,
+    qp_from_blocks,
+)
 from .potential import FrequencySpec
 
 
@@ -224,14 +232,6 @@ def _slabs(G: int, n: int) -> list:
 # ---------------------------------------------------------------------------
 # The (q, p) grid layer
 
-STRUCTURE_RTOL = 1e-12  # relative structure defect a form may carry onto the grid
-
-
-class RealStructureError(ValueError):
-    """A form is not a real Hamiltonian (conj(zz) != zbzb or zzbar not
-    Hermitian), so its (q, p) form is not real."""
-
-
 @functools.lru_cache(maxsize=None)
 def qp_unitary(J: int) -> np.ndarray:
     """T = [[I, -iI], [I, iI]] / sqrt(2), u = T (q, p); read-only."""
@@ -260,74 +260,12 @@ def jr_mul(S: np.ndarray) -> np.ndarray:
     return out
 
 
-def _swap(a: np.ndarray) -> tuple:
-    return tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-
-
-def qp_from_blocks(zz: np.ndarray, zzbar: np.ndarray, zbzb: np.ndarray) -> np.ndarray:
-    """(q, p) form T^T Q T of the u-form Q = [[zz, zzbar^T/2], [zzbar/2, zbzb]],
-    written out by blocks; works on window coefficients as on values."""
-    J = zz.shape[-1]
-    zzbar_t = zzbar.transpose(_swap(zzbar))
-    mean = 0.5 * (zz + zbzb)
-    diff = 0.5j * (zbzb - zz)
-    sym = 0.25 * (zzbar + zzbar_t)
-    skew = 0.25j * (zzbar - zzbar_t)
-    S = np.empty(zz.shape[:-2] + (2 * J, 2 * J), dtype=complex)
-    S[..., :J, :J] = mean + sym
-    S[..., :J, J:] = diff - skew
-    S[..., J:, :J] = diff + skew
-    S[..., J:, J:] = sym - mean
-    return S
-
-
-def blocks_from_qp(S: np.ndarray) -> tuple:
-    """(zz, zzbar, zbzb) of the u-form conj(T) S T^H, the inverse of
-    qp_from_blocks (zz and zbzb symmetrized)."""
-    J = S.shape[-1] // 2
-    tr = _swap(S)
-    qq, qp, pq, pp = S[..., :J, :J], S[..., :J, J:], S[..., J:, :J], S[..., J:, J:]
-    real = 0.5 * (qq - pp)
-    imag = 0.5 * (qp + pq)
-    real = 0.5 * (real + real.transpose(tr))
-    imag = 0.5j * (imag + imag.transpose(tr))
-    trace = qq + pp
-    cross = 1j * (qp - pq)
-    zzbar = 0.5 * (trace + trace.transpose(tr) + cross - cross.transpose(tr))
-    return real + imag, zzbar, real - imag
-
-
-def check_real_structure(qf: QuadraticForm) -> None:
-    """The grid layer's precondition: the form is a real Hamiltonian to
-    STRUCTURE_RTOL relative (its (q, p) values are then real)."""
-    defect, scale = qf.structure_defect(), qf.max_abs()
-    if not defect <= STRUCTURE_RTOL * scale:  # NaN fails too
-        raise RealStructureError(
-            f"form is not a real Hamiltonian: structure defect {defect:.3e} > "
-            f"{STRUCTURE_RTOL:.0e} * max |coefficient| {scale:.3e}"
-        )
-
-
-def qp_window(qf: QuadraticForm) -> np.ndarray:
-    """Window coefficients of qf's (q, p) form, (2K+1,)*n + ((2J)^2,), after
-    the real-structure check that makes its grid values real."""
-    check_real_structure(qf)
-    hat = qp_from_blocks(qf.zz, qf.zzbar, qf.zbzb)
-    return hat.reshape(hat.shape[:qf.n] + (-1,))
-
-
 def qp_rows(source: RealGrid, rows: slice) -> np.ndarray:
     """Real (q, p) form values, flat (points, 2J, 2J), on the grid rows
-    ``rows`` of the first theta axis, from the RealGrid of qp window
+    ``rows`` of the first theta axis, from the RealGrid of a form's
     coefficients (built once per form, then read slab by slab)."""
     values = source.rows(rows)
-    dim = math.isqrt(values.shape[-1])
-    return values.reshape(-1, dim, dim)
-
-
-def qp_grid(qf: QuadraticForm, G: int) -> np.ndarray:
-    """Real (q, p) form values of qf on the flat theta grid, (G^n, 2J, 2J)."""
-    return qp_rows(RealGrid(qp_window(qf), qf.n, qf.K, G), slice(None))
+    return values.reshape((-1,) + values.shape[-2:])
 
 
 def bracket_sym(QA: np.ndarray, JS_QB: np.ndarray) -> np.ndarray:
@@ -339,7 +277,7 @@ def bracket_sym(QA: np.ndarray, JS_QB: np.ndarray) -> np.ndarray:
     with P = QA @ JS_QB.
     """
     P = QA @ JS_QB
-    out = P + P.transpose(_swap(P))
+    out = P + np.swapaxes(P, -1, -2)
     out *= 2.0
     return out
 
@@ -349,17 +287,23 @@ def generator_of(S: np.ndarray) -> np.ndarray:
     return 2.0 * jr_mul(S)
 
 
+def _center(n: int, K: int) -> tuple:
+    """Index of the mode k = 0 in half-window coefficients."""
+    return (K,) * (n - 1) + (0,)
+
+
 def hamiltonian_window(lam: np.ndarray, pieces: list, weights: list) -> np.ndarray:
-    """qp window coefficients of lam + sum_l w_l p_l: the pieces are summed as
-    window coefficients, and the normal form sum_j lam_j |z_j|^2, whose
-    (q, p) form is diag(lam, lam) / 2, is added at k = 0."""
+    """Half-window coefficients of the (q, p) form of lam + sum_l w_l p_l:
+    the pieces are summed as coefficients, and the normal form
+    sum_j lam_j |z_j|^2, whose (q, p) form is diag(lam, lam) / 2, is added
+    at k = 0."""
     total = pieces[0].scaled(weights[0])
     for w, piece in zip(weights[1:], pieces[1:]):
         total = total + piece.scaled(w)
-    hat = qp_window(total)
+    hat = total.coeffs
     dim = 2 * total.J
-    center = hat[(total.K,) * total.n].reshape(dim, dim)
-    center[np.arange(dim), np.arange(dim)] += 0.5 * np.concatenate([lam, lam])
+    hat[_center(total.n, total.K)][np.arange(dim), np.arange(dim)] += \
+        0.5 * np.concatenate([lam, lam])
     return hat
 
 
@@ -383,6 +327,7 @@ def _grid_size(S: np.ndarray, w2: np.ndarray) -> float:
 @dataclass
 class HomologicalSolution:
     F: QuadraticForm
+    blocks: tuple  # F's u-form blocks (zz, zzbar, zbzb) on the half, as divided
     diag_avg: np.ndarray
     divisor_min: float
     norm_report: dict
@@ -399,6 +344,18 @@ def _divisor_arrays(nf_lam: np.ndarray, omega: np.ndarray, n: int, K: int):
     return div_zz, div_zzbar, div_zbzb
 
 
+def _remainder_blocks(remainder_mm: QuadraticForm, K_m: int, diag_avg=None) -> tuple:
+    """u-form blocks of R_mm's |k|_inf <= K_m part on the half, and their
+    averaged zzbar diagonal; with diag_avg given, that is removed instead."""
+    qf = remainder_mm
+    low, _ = qf.truncate(min(K_m, qf.K))
+    zz, zzbar, zbzb = blocks_from_qp(low.coeffs)
+    diag = zzbar[_center(qf.n, qf.K)][np.arange(qf.J), np.arange(qf.J)]  # a copy
+    avg = diag if diag_avg is None else diag_avg
+    zzbar[_center(qf.n, qf.K)][np.arange(qf.J), np.arange(qf.J)] = diag - avg
+    return (zz, zzbar, zbzb), avg
+
+
 def solve_homological(
     remainder_mm: QuadraticForm,
     nf: NormalForm,
@@ -410,19 +367,19 @@ def solve_homological(
 ) -> HomologicalSolution:
     """Solve the step's homological equations on the |k| <= K_m window.
 
-    Fourier-coefficient division F_hat = -i R_hat / divisor with divisors
-    <k,w> + lam_i + lam_j (zz), <k,w> - lam_i - lam_j (zbzb) and
-    <k,w> - lam_i + lam_j (zzbar); the averaged zzbar diagonal is removed and
-    returned for the normal-form update. This is each step's small-divisor
-    gate: every divisor on the window is checked against
+    Fourier-coefficient division F_hat = -i R_hat / divisor of R_mm's u-form
+    blocks on the half, with divisors <k,w> + lam_i + lam_j (zz),
+    <k,w> - lam_i - lam_j (zbzb) and <k,w> - lam_i + lam_j (zzbar); the
+    averaged zzbar diagonal is removed and returned for the normal-form
+    update, and F is returned as a form. This is each step's small-divisor
+    gate: every divisor on the whole window is checked against
     resonance.divisor_threshold first; ResonanceError names the worst divisor
     of the first block that fails.
     """
     qf = remainder_mm
     n, K, J = qf.n, qf.K, qf.J
     lam = nf.lambdas()
-    low, _ = qf.truncate(min(K_m, K))
-    div_zz, div_zzbar, div_zbzb = _divisor_arrays(lam, np.asarray(omega, float), n, K)
+    divisors = _divisor_arrays(lam, np.asarray(omega, float), n, K)
 
     rings = kinf(n, K)[..., None, None]
     in_support = rings <= K_m
@@ -430,15 +387,14 @@ def solve_homological(
     gap = np.abs(i_idx[:, None] - i_idx[None, :]).astype(float)
     thresholds = resonance.divisor_threshold(gap, rings, gamma_m, n)
 
-    center = (K,) * n
     diag_sel = (np.arange(J), np.arange(J))
 
     divisor_min = np.inf
-    for kind, div in (("zz", div_zz), ("zzbar", div_zzbar), ("zbzb", div_zbzb)):
+    for kind, div in zip(("zz", "zzbar", "zbzb"), divisors):
         checked = np.abs(div) - thresholds
         mask = np.broadcast_to(in_support, checked.shape).copy()
         if kind == "zzbar":
-            mask[center][diag_sel] = False  # k = 0 diagonal handled separately
+            mask[(K,) * n][diag_sel] = False  # k = 0 diagonal handled separately
         if np.any((checked < 0) & mask):
             flat = np.argmin(np.where(mask, checked, np.inf))
             idx = np.unravel_index(flat, checked.shape)
@@ -447,26 +403,18 @@ def solve_homological(
                                  div[idx], thresholds[idx])
         divisor_min = min(divisor_min, float(np.min(np.abs(div)[mask])))
 
-    diag_avg = low.zzbar[center][diag_sel].copy()
-
-    Fzz = -1j * low.zz / div_zz
-    Fzbzb = -1j * low.zbzb / div_zbzb
-    zzbar_num = low.zzbar.copy()
-    zzbar_num[center][diag_sel] = 0.0  # removed average
+    R, diag_avg = _remainder_blocks(qf, K_m)
+    div_zz, div_zzbar, div_zbzb = (div[half_index(n, K)] for div in divisors)
     safe = div_zzbar.copy()
-    safe[center][diag_sel] = 1.0  # excluded entry, numerator already zero
-    Fzzbar = -1j * zzbar_num / safe
+    safe[_center(n, K)][diag_sel] = 1.0  # excluded entry, numerator already zero
+    blocks = tuple(-1j * r / div for r, div in zip(R, (div_zz, safe, div_zbzb)))
 
-    F = QuadraticForm(n=n, K=K, J=J, zz=Fzz, zzbar=Fzzbar, zbzb=Fzbzb,
-                      strip=qf.strip, meta={"K_m": K_m})
+    F = QuadraticForm(n, K, J, qp_from_blocks(*blocks), qf.strip, {"K_m": K_m})
     ws = ws or WeightedSpace(N=2, J_max=J)
-    G_norm = max(norm_grid, 2 * K + 1)
-    report = {
-        name: float(ws.opnorm_weighted(window_to_grid(b, n, K, G_norm)))
-        for name, b in zip(("zz", "zzbar", "zbzb"), F.blocks())
-    }
-    return HomologicalSolution(F=F, diag_avg=diag_avg, divisor_min=divisor_min,
-                               norm_report=report, K_m=K_m)
+    report = dict(zip(("zz", "zzbar", "zbzb"),
+                      block_norms(F.grid_values(norm_grid), ws.opnorm_weighted)))
+    return HomologicalSolution(F=F, blocks=blocks, diag_avg=diag_avg,
+                               divisor_min=divisor_min, norm_report=report, K_m=K_m)
 
 
 def homological_residual(
@@ -475,28 +423,19 @@ def homological_residual(
     nf: NormalForm,
     omega: np.ndarray,
 ) -> float:
-    """Relative plug-back residual of the component equations on the window."""
+    """Relative plug-back residual of the component equations on the half:
+    i divisor F_hat against R_hat, block by block, each block with its own
+    divisor, for the blocks the solve divided. (The form sol.F carries them
+    to roundoff relative to its largest entry; read back from it, a small
+    divisor would amplify that roundoff in the other blocks of its mode.)"""
     qf = remainder_mm
-    n, K, J = qf.n, qf.K, qf.J
-    lam = nf.lambdas()
-    low, _ = qf.truncate(min(sol.K_m, K))
-    kw = kdot(np.asarray(omega, float), n, K)[..., None, None]
-    lam_i, lam_j = lam[:, None], lam[None, :]
-    center = (K,) * n
-    diag_sel = (np.arange(J), np.arange(J))
-
-    F = sol.F
-    lhs_zz = 1j * kw * F.zz + 1j * (lam_i + lam_j) * F.zz
-    lhs_zbzb = 1j * kw * F.zbzb - 1j * (lam_i + lam_j) * F.zbzb
-    lhs_zzbar = 1j * kw * F.zzbar - 1j * (lam_i - lam_j) * F.zzbar
-    rhs_zzbar = low.zzbar.copy()
-    rhs_zzbar[center][diag_sel] -= sol.diag_avg
-
+    R, _ = _remainder_blocks(qf, sol.K_m, sol.diag_avg)
+    divisors = _divisor_arrays(nf.lambdas(), np.asarray(omega, float), qf.n, qf.K)
     num = 0.0
     den = 0.0
-    for lhs, rhs in ((lhs_zz, low.zz), (lhs_zbzb, low.zbzb), (lhs_zzbar, rhs_zzbar)):
-        num = max(num, float(np.max(np.abs(lhs - rhs))))
-        den = max(den, float(np.max(np.abs(rhs))))
+    for f, r, div in zip(sol.blocks, R, divisors):
+        num = max(num, float(np.max(np.abs(1j * div[half_index(qf.n, qf.K)] * f - r))))
+        den = max(den, float(np.max(np.abs(r))))
     return num / den if den > 0 else num
 
 
@@ -513,7 +452,7 @@ class FlowResult:
     grid: int
     B: np.ndarray            # (G^n, 2J, 2J) real (q, p) flow generator, x' = eps B x
     Phi: np.ndarray          # (G^n, 2J, 2J) real (q, p) map on the flat theta grid
-    P_hat: np.ndarray        # window coefficients of the u-form map T (Phi - id) T^H
+    P_hat: np.ndarray        # half-window coefficients of Phi - id, (q, p) as Phi
     n: int
     K: int
     J: int
@@ -537,7 +476,7 @@ def flow_transform(
     """
     F = sol.F
     n, K, J = F.n, F.K, F.J
-    B = generator_of(qp_grid(F, grid))
+    B = generator_of(F.grid_values(grid))
     w2 = ws.doubled_metric_weights
 
     gen_norm = uform_opnorm(B, ws)
@@ -563,9 +502,7 @@ def flow_transform(
     del term, spare
 
     P = U - eye
-    P_qp = RealWindow(n, K, grid).put(P.reshape((grid,) * n + (2 * J, 2 * J))).coefficients()
-    T = qp_unitary(J)
-    P_hat = T @ P_qp @ T.conj().T
+    P_hat = RealWindow(n, K, grid).put(P.reshape((grid,) * n + (2 * J, 2 * J))).coefficients()
     P_norm = uform_opnorm(P, ws)
 
     JR = jr_matrix(J)
@@ -583,8 +520,8 @@ def flow_transform(
 
 @dataclass
 class TransformChain:
-    """Each step's P_hat, the window coefficients of Phi - id, shape
-    (2K+1,)*n + (2J, 2J)."""
+    """Each step's P_hat: the half-window coefficients of the real (q, p) map
+    Phi - id, shape (2K+1,)*(n-1) + (K+1, 2J, 2J)."""
 
     steps: list = field(default_factory=list)
     composed_norm: float = 0.0
@@ -593,18 +530,18 @@ class TransformChain:
         self.steps.append(flow.P_hat)
 
     def matrices_at(self, thetas: np.ndarray) -> np.ndarray:
-        """Composed map Psi_0 Psi_1 ... Psi_{M-1} at each theta, (P, 2J, 2J)."""
+        """Composed map Psi_0 Psi_1 ... Psi_{M-1} at each theta in the doubled
+        coordinates u = T x, T Phi_0 Phi_1 ... Phi_{M-1} T^H, (P, 2J, 2J)."""
         thetas = np.atleast_2d(thetas)
         if not self.steps:
             raise ValueError("empty chain")
         dim = self.steps[0].shape[-1]
-        out = np.broadcast_to(np.eye(dim, dtype=complex),
-                              (thetas.shape[0], dim, dim)).copy()
+        out = np.broadcast_to(np.eye(dim), (thetas.shape[0], dim, dim)).copy()
         for P_hat in self.steps:
             n = P_hat.ndim - 2
-            P = eval_at_points(P_hat, n, P_hat.shape[0] // 2, thetas)
-            out = out @ (np.eye(dim) + P)
-        return out
+            out = out @ (np.eye(dim) + real_at_points(P_hat, n, P_hat.shape[n - 1] - 1, thetas))
+        T = qp_unitary(dim // 2)
+        return T @ out @ T.conj().T
 
     def measure_composed_norm(self, ws: WeightedSpace, grid: int = 12) -> float:
         if not self.steps:
@@ -654,10 +591,11 @@ def _lie_series(T0: np.ndarray, JS_S: np.ndarray, eps: float, coeff_offset: int,
 
 def _streamed_series(streams: dict, B: np.ndarray, eps: float, n: int, K: int, G: int,
                      w2: np.ndarray, series_terms: dict) -> np.ndarray:
-    """Window coefficients, (2K+1,)*n + (2J, 2J), of the summed Lie series
-    of ``streams``, each series run whole on one slab of the grid at a time.
+    """Half-window coefficients, (2K+1,)*(n-1) + (K+1, 2J, 2J), of the summed
+    Lie series of ``streams``, each series run whole on one slab of the grid
+    at a time.
 
-    streams maps a name to (RealGrid of the qp window coefficients,
+    streams maps a name to (RealGrid of a form's coefficients,
     coeff_offset, bracketed): a stream's grid seed is the form's values, or
     for a bracketed stream their bracket with the step generator S_F.
     B = 2 JR S_F is the flow generator on the flat grid, so the bracket
@@ -717,39 +655,33 @@ def push_remainder(
 
     low, tail = R_mm.truncate(min(sol.K_m, K))
 
-    # seed of the double-bracket stream: diag(mu) - truncated R_mm
-    center = (K,) * n
+    # seed of the double-bracket stream: diag(mu) - truncated R_mm; the
+    # u-form diagonal mu <z, zbar> has the (q, p) form diag(mu, mu) / 2
     star = low.scaled(-1.0)
-    diag_sel = (np.arange(J), np.arange(J))
-    star.zzbar[center][diag_sel] += sol.diag_avg
+    star.coeffs[_center(n, K)][np.arange(2 * J), np.arange(2 * J)] += \
+        0.5 * np.concatenate([sol.diag_avg, sol.diag_avg])
     del low
 
     series_terms = {}
 
     def source(qf: QuadraticForm) -> RealGrid:
-        # built once per stream; its window is released once the source exists
-        return RealGrid(qp_window(qf), n, K, grid)
+        return RealGrid(qf.coeffs, n, K, grid)  # built once per stream
 
-    def stream(streams: dict) -> tuple:
-        coeffs = _streamed_series(streams, flow.B, eps_m, n, K, grid, w2, series_terms)
-        return blocks_from_qp(coeffs)
+    def stream(streams: dict) -> np.ndarray:
+        return _streamed_series(streams, flow.B, eps_m, n, K, grid, w2, series_terms)
 
-    bc_blocks = stream({"double_bracket": (source(star), 2, True),
-                        "single_bracket": (source(R_mm), 1, True)})
+    bc = stream({"double_bracket": (source(star), 2, True),
+                 "single_bracket": (source(R_mm), 1, True)})
     del star
 
-    new_pieces = []
     first = tail.scaled(eps_m / eps_next)
-    first.zz = first.zz + (eps_m**2 / eps_next) * bc_blocks[0]
-    first.zzbar = first.zzbar + (eps_m**2 / eps_next) * bc_blocks[1]
-    first.zbzb = first.zbzb + (eps_m**2 / eps_next) * bc_blocks[2]
-    new_pieces.append(first)
-    del bc_blocks
+    first.coeffs += (eps_m**2 / eps_next) * bc
+    new_pieces = [first]
+    del bc
 
     for idx, piece in enumerate(pieces[1:]):
-        blocks = stream({f"transport_{idx}": (source(piece), 0, False)})
-        moved = QuadraticForm(n=n, K=K, J=J, zz=blocks[0], zzbar=blocks[1],
-                              zbzb=blocks[2], strip=piece.strip, meta=dict(piece.meta))
+        moved = QuadraticForm(n, K, J, stream({f"transport_{idx}": (source(piece), 0, False)}),
+                              piece.strip, dict(piece.meta))
         if idx == 0:
             new_pieces[0] = new_pieces[0] + moved
         else:
@@ -953,6 +885,11 @@ class KamEngine:
                 f"step m={m}: symplectic_defect {flow.symplectic_defect:.3e} > "
                 f"{SYMPLECTIC_TOL:.1e}"
             )
+        P_bound = math.sqrt(eps_m)
+        if not flow.P_norm <= P_bound:  # NaN fails too
+            raise CertificateError(
+                f"step m={m}: P_norm {flow.P_norm:.3e} > P_bound {P_bound:.3e}"
+            )
         clock.append(time.perf_counter())
 
         strips_next = [float(s) for s in sched.strip[m + 1:]]
@@ -992,7 +929,7 @@ class KamEngine:
             "mu_max_times_j": float(np.max(np.arange(1, self.ws.J_max + 1)
                                            * np.abs(sol.diag_avg.real))),
             "P_norm": flow.P_norm,
-            "P_bound": float(math.sqrt(eps_m)),
+            "P_bound": P_bound,
             "symplectic_defect": flow.symplectic_defect,
             "picard_terms": flow.picard_terms,
             "active_norm": active_norm,

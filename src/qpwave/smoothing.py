@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import kgrid
-from .galerkin import QuadraticForm, WeightedSpace, form_norm, max_spectral_norm
+from .fourier import half_index, half_multiplicity, kgrid
+from .galerkin import QuadraticForm, WeightedSpace, block_norms, form_norm, max_spectral_norm
 
 
 class ScheduleError(ValueError):
@@ -64,8 +64,9 @@ def smooth_at_scale(
 
 
 def smooth_form(qf: QuadraticForm, kernel: JacksonKernel, sigma: float) -> QuadraticForm:
-    blocks = (smooth_at_scale(b, kernel, sigma, qf.n, qf.K) for b in qf.blocks())
-    return QuadraticForm(qf.n, qf.K, qf.J, *blocks, strip=sigma, meta=dict(qf.meta))
+    env = kernel.envelope(sigma, qf.n, qf.K)[half_index(qf.n, qf.K)]
+    return QuadraticForm(qf.n, qf.K, qf.J, qf.coeffs * env[..., None, None], strip=sigma,
+                         meta=dict(qf.meta))
 
 
 @dataclass
@@ -85,16 +86,20 @@ class DyadicDecomposition:
     bound_constants: list = field(default_factory=list)
 
     def analyticity_certificate(self, level: int) -> float:
-        """Strip-weighted coefficient sum sum_k e^{s_l |k|} max-block|hat(k)|."""
+        """Strip-weighted coefficient sum over the window,
+        max over the u-form blocks of sum_k e^{s_l |k|} |hat(k)|_2.
+
+        Read on the half, each mode standing for k and -k: mode -k of zzbar
+        is the conjugate transpose of mode k, and mode -k of zz the conjugate
+        of mode k of zbzb, so zz and zbzb have one whole-window sum, that of
+        the mean of their norms."""
         piece = self.pieces[level]
-        s = self.strips[level]
-        radii = np.linalg.norm(kgrid(piece.n, piece.K), axis=-1)
-        weight = np.exp(s * radii)
-        total = 0.0
-        for b in piece.blocks():
-            mags = np.linalg.norm(b, ord=2, axis=(-2, -1))
-            total = max(total, float(np.sum(weight * mags)))
-        return total
+        n, K = piece.n, piece.K
+        radii = np.linalg.norm(kgrid(n, K)[half_index(n, K)], axis=-1)
+        weight = np.exp(self.strips[level] * radii) * half_multiplicity(n, K)
+        zz, zzbar, zbzb = (np.sum(weight * mags) for mags in block_norms(
+            piece.coeffs, lambda b: np.linalg.norm(b, ord=2, axis=(-2, -1))))
+        return float(max(0.5 * (zz + zbzb), zzbar))
 
 
 def decompose(
@@ -128,7 +133,7 @@ def decompose(
 
     G = max(theta_grid, 2 * qf.K + 2, 8)
     def supnorm(form: QuadraticForm) -> float:
-        return max(max_spectral_norm(v) for v in form.grid_values(G))
+        return max(block_norms(form.grid_values(G), max_spectral_norm))
 
     ws = ws or WeightedSpace(N=2, J_max=qf.J)
     piece_norms = []

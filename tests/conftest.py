@@ -8,14 +8,15 @@ from qpwave import kam
 @pytest.fixture
 def fail_certificate(monkeypatch):
     """Returns a function that makes one per-step certificate fail in every
-    following KamEngine.step: the flow's symplectic_defect or the remainder
-    push's series_truncation_spec_ok."""
+    following KamEngine.step: the flow's symplectic_defect or P_norm, or the
+    remainder push's series_truncation_spec_ok."""
 
     def inject(gate: str):
-        if gate == "symplectic_defect":
+        if gate in ("symplectic_defect", "P_norm"):
             flow_transform = kam.flow_transform
+            failed = {"symplectic_defect": 1e-9, "P_norm": 1.0}[gate]
             monkeypatch.setattr(kam, "flow_transform", lambda *a, **k: dataclasses.replace(
-                flow_transform(*a, **k), symplectic_defect=1e-9))
+                flow_transform(*a, **k), **{gate: failed}))
         else:
             push_remainder = kam.push_remainder
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpwave import cli, kam
+from qpwave import cli, galerkin, kam
 from qpwave.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -112,9 +112,14 @@ class TestPipeline:
                 [[0, 0], 2, 0.04, 0.0],
             ],
         })
-        summary = run_pipeline(cfg, tmp_path / "custom")
-        assert summary["status"] == "converged"
-        assert summary["validation"]["all_ok"]
+        # step 0 moves |Phi - id| past its bound sqrt(eps_0), a failed certificate
+        with pytest.raises(PipelineAbort) as err:
+            run_pipeline(cfg, tmp_path / "custom")
+        assert err.value.code == EXIT_CERTIFICATE
+        assert err.value.status == "certificate_failed"
+        assert err.value.detail.startswith("reduce, step m=0: P_norm ")
+        assert "> P_bound 3.162e-02" in err.value.detail
+        assert not (tmp_path / "custom" / "steps" / "step_000").exists()
 
     def test_invalid_base_frequency_is_config_error(self, tmp_path):
         # near-rationally-dependent base fails the Diophantine margin
@@ -200,6 +205,38 @@ class TestPipeline:
                json.dumps(strip_timings(resumed), sort_keys=True)
         assert (newest / "state.json").exists()
 
+    def test_checkpoint_holds_one_array_per_piece_and_transform(self, tmp_path):
+        cfg = tiny_config()
+        out = tmp_path / "run"
+        run_pipeline(cfg, out)
+        step = out / "steps" / "step_001"
+        state = json.loads((step / "state.json").read_text())
+        assert state["schema"] == galerkin.CHECKPOINT_SCHEMA == 2
+        K, J = cfg.K_theta, cfg.J_max
+        half = [2 * K + 1, K + 1, 2 * J, 2 * J]
+        assert state["chain_step"]["shape"] == half
+        assert sorted(p.name for p in step.glob("*.bin")) == ["piece_0.bin", "transform.bin"]
+        for name in ("piece_0.bin", "transform.bin"):
+            assert (step / name).stat().st_size == 16 * np.prod(half)
+        assert json.loads((step / "piece_0.json").read_text())["schema"] == 2
+
+    @pytest.mark.parametrize("manifest", ["state.json", "piece_0.json"])
+    def test_resume_over_another_checkpoint_schema_is_config_error(self, tmp_path,
+                                                                   manifest):
+        out = tmp_path / "run"
+        run_pipeline(tiny_config(), out)
+        path = out / "steps" / "step_001" / manifest  # the pieces are read from the last
+        old = json.loads(path.read_text())
+        old["schema"] = 1
+        path.write_text(json.dumps(old))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY))
+        assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "config_error"
+        assert summary["detail"] == (f"reduce: {path}: checkpoint schema 1, "
+                                     f"expected {galerkin.CHECKPOINT_SCHEMA}")
+
 
 def _watch_lifetimes(monkeypatch, source: str) -> tuple:
     """Weakrefs to the decomposition and to the block arrays of the pieces the
@@ -219,8 +256,7 @@ def _watch_lifetimes(monkeypatch, source: str) -> tuple:
         got = start(*a, **k)
         pieces = got if source == "seed_pieces" else got[2]
         for i, piece in enumerate(pieces):
-            for name, block in zip(("zz", "zzbar", "zbzb"), piece.blocks()):
-                refs[f"piece {i} {name}"] = weakref.ref(block)
+            refs[f"piece {i} coeffs"] = weakref.ref(piece.coeffs)
         return got
 
     save = cli.save_checkpoint
@@ -240,7 +276,7 @@ class TestMemory:
     def test_stage_data_is_released_once_the_engine_is_seeded(self, tmp_path, monkeypatch):
         refs, alive_at = _watch_lifetimes(monkeypatch, "seed_pieces")
         run_pipeline(tiny_config(), tmp_path / "run")
-        assert "decomposition" in refs and "piece 0 zz" in refs
+        assert "decomposition" in refs and "piece 0 coeffs" in refs
         assert alive_at[1] == []
 
     def test_restored_pieces_are_released_after_the_first_resumed_step(self, tmp_path,
@@ -250,7 +286,7 @@ class TestMemory:
         shutil.rmtree(sorted((out / "steps").glob("step_*"))[-1])
         refs, alive_at = _watch_lifetimes(monkeypatch, "load_checkpoints")
         run_pipeline(tiny_config(), out, resume=True)
-        assert "decomposition" in refs and "piece 0 zz" in refs
+        assert "decomposition" in refs and "piece 0 coeffs" in refs
         assert list(alive_at) == [1]
         assert alive_at[1] == []
 
@@ -278,7 +314,8 @@ class TestCertificateAbort:
         assert "step m=0" in err.value.detail
         assert not (out / "steps" / "step_000").exists()
 
-    @pytest.mark.parametrize("gate", ["symplectic_defect", "series_truncation_spec_ok"])
+    @pytest.mark.parametrize("gate", ["symplectic_defect", "P_norm",
+                                      "series_truncation_spec_ok"])
     def test_failed_step_certificate_aborts_with_code_5(self, tmp_path, fail_certificate,
                                                          gate):
         fail_certificate(gate)
@@ -379,7 +416,7 @@ class TestMain:
 
     def test_report_with_null_consistency_defect(self, tmp_path):
         step = {"m": 0, "eps_m": 1e-3, "K_eff": 3, "divisor_min": 0.25,
-                "homological_residual": 1e-14, "P_norm": 2e-3,
+                "homological_residual": 1e-14, "P_norm": 2e-3, "P_bound": 0.03,
                 "symplectic_defect": 1e-15, "consistency_defect": None,
                 "weighted_size": 4e-4}
         out = tmp_path / "out"
@@ -387,8 +424,9 @@ class TestMain:
         (out / "summary.json").write_text(json.dumps({"steps": [step]}))
         assert main(["report", "--out", str(out)]) == EXIT_CONVERGED
         rows = (out / "steps_report.csv").read_text().splitlines()
+        assert rows[0].split(",")[5:7] == ["P_norm", "P_bound"]
         assert rows[1] == ("0,1.000000e-03,3,2.500000e-01,1.000000e-14,"
-                           "2.000000e-03,1.000000e-15,,4.000000e-04")
+                           "2.000000e-03,3.000000e-02,1.000000e-15,,4.000000e-04")
         # a summary without timings renders its timings report empty
         timing_rows = (out / "timings_report.csv").read_text().splitlines()
         assert timing_rows[1:] == ["total,,,,,,,"]
@@ -483,14 +521,14 @@ class TestMain:
         assert summary["detail"].startswith("reduce, step m=0: LinAlgError: Singular matrix")
 
     def test_real_structure_error_is_internal_error(self, tmp_path, monkeypatch):
-        def broken(qf):
-            raise kam.RealStructureError("form is not a real Hamiltonian")
+        def broken(*blocks):
+            raise galerkin.RealStructureError("form is not a real Hamiltonian")
 
-        monkeypatch.setattr(kam, "check_real_structure", broken)
+        monkeypatch.setattr(galerkin, "check_real_structure", broken)
         with pytest.raises(PipelineAbort) as err:
             run_pipeline(tiny_config(), tmp_path / "r")
         assert err.value.code == EXIT_INTERNAL
-        assert err.value.detail.startswith("reduce, step m=0: RealStructureError: ")
+        assert err.value.detail.startswith("assemble: RealStructureError: ")
 
     def test_os_error_names_its_stage(self, tmp_path, monkeypatch):
         def broken(*a, **k):

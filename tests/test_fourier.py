@@ -6,10 +6,15 @@ import pytest
 from qpwave.fourier import (
     RealGrid,
     RealWindow,
+    eval_at_points,
     grid_to_window,
+    half_index,
+    half_multiplicity,
+    kgrid,
     kvalues,
     omega_derivative,
     project_window_grid,
+    real_at_points,
     spectral_derivative_matrix,
     window_to_grid,
 )
@@ -215,38 +220,45 @@ def _hermitian(rng, n, K, tail):
 @pytest.mark.parametrize("step", SLAB_STEPS)
 def test_window_to_grid_rows_are_rows_of_the_transform(n, K, G, step):
     # slabs of rows of the real window -> grid transform (RealGrid, the only
-    # slab path) are the rows of the real part of the whole-grid window_to_grid,
-    # for real-field windows and for general ones alike
+    # slab path) on a real field's half-window coefficients are the rows of
+    # the whole-grid window_to_grid of its whole window, which are real
     rng = np.random.default_rng(13 * G + 5 * K + step)
     tail = (2, 3)
-    for coeffs in (_complex(rng, (2 * K + 1,) * n + tail), _hermitian(rng, n, K, tail)):
-        want = window_to_grid(coeffs, n, K, G).real
-        grid = RealGrid(coeffs, n, K, G)
-        assert grid.source.dtype == np.float64
-        assert grid.source.shape == (G,) * (n - 1) + (2 * (K + 1),) + tail
-        whole = grid.rows()
-        assert whole.dtype == np.float64
-        assert _rel(whole, want) <= 1e-13
-        for rows in _row_slabs(G, step):
-            got = grid.rows(rows)
-            assert got.shape == want[rows].shape
-            assert _rel(got, want[rows]) <= 1e-13
+    coeffs = _hermitian(rng, n, K, tail)
+    want = window_to_grid(coeffs, n, K, G)
+    assert np.max(np.abs(want.imag)) <= 1e-14 * np.max(np.abs(want))
+    grid = RealGrid(coeffs[half_index(n, K)], n, K, G)
+    assert grid.source.dtype == np.float64
+    assert grid.source.shape == (G,) * (n - 1) + (2 * (K + 1),) + tail
+    whole = grid.rows()
+    assert whole.dtype == np.float64
+    assert _rel(whole, want.real) <= 1e-13
+    for rows in _row_slabs(G, step):
+        got = grid.rows(rows)
+        assert got.shape == want[rows].shape
+        assert _rel(got, want[rows].real) <= 1e-13
 
 
-def test_real_grid_folds_an_asymmetric_window_exactly():
-    # a real field's window with a deliberate 1e-13 structure defect: the fold
-    # keeps the real part of the full transform, which reading the k_last >= 0
-    # half as if c_-k = conj(c_k) held exactly would miss by about the defect
-    n, K, G = 2, 6, 20
-    rng = np.random.default_rng(17)
-    coeffs = _hermitian(rng, n, K, (3,))
-    coeffs += 1e-13 * np.max(np.abs(coeffs)) * _complex(rng, coeffs.shape)
-    want = window_to_grid(coeffs, n, K, G).real
-    assert _rel(RealGrid(coeffs, n, K, G).rows(), want) <= 1e-14
-    # the k_last < 0 half replaced by the reflection of the k_last >= 0 half
-    one_sided = coeffs.copy()
-    one_sided[:, :K] = np.conj(np.flip(coeffs, axis=(0, 1))[:, :K])
-    assert _rel(RealGrid(one_sided, n, K, G).rows(), want) > 1e-14
+@pytest.mark.parametrize("n,K", [(1, 0), (1, 3), (2, 2), (3, 1)])
+def test_real_values_at_points_are_the_whole_window_values(n, K):
+    rng = np.random.default_rng(31 + 7 * n + K)
+    coeffs = _hermitian(rng, n, K, (2, 3))
+    thetas = rng.uniform(0, 2 * np.pi, (9, n))
+    want = eval_at_points(coeffs, n, K, thetas)
+    got = real_at_points(coeffs[half_index(n, K)], n, K, thetas)
+    assert got.dtype == np.float64 and got.shape == (9, 2, 3)
+    assert _rel(got, want.real) <= 1e-13
+    assert np.max(np.abs(want.imag)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n,K", [(1, 0), (1, 3), (2, 2), (3, 1)])
+def test_half_multiplicity_counts_the_window(n, K):
+    # each half mode stands for itself and its reflection, once on k_last = 0
+    mult = half_multiplicity(n, K)
+    modes = kgrid(n, K)[half_index(n, K)]
+    assert mult.shape == modes.shape[:-1] == (2 * K + 1,) * (n - 1) + (K + 1,)
+    assert mult.sum() == (2 * K + 1) ** n
+    assert np.array_equal(mult == 1, modes[..., -1] == 0)
 
 
 @pytest.mark.parametrize("n,K,G", REAL_CASES)
@@ -260,12 +272,10 @@ def test_real_window_reads_slabs_like_grid_to_window(n, K, G, step):
         assert window.put(values[rows], rows) is window
     got = window.coefficients()
     assert window.stack is None
-    assert got.shape == (2 * K + 1,) * n + (2, 3)
-    assert _rel(got, want) <= 1e-13
-    # the k_last < 0 half is the conjugate reflection, exactly
-    negative = (slice(None),) * (n - 1) + (slice(None, K),)
-    assert np.array_equal(got[negative], np.conj(np.flip(got, axis=tuple(range(n))))[negative])
-    assert _rel(RealWindow(n, K, G).put(values).coefficients(), want) <= 1e-13
+    # the k_last >= 0 half of the window
+    assert got.shape == (2 * K + 1,) * (n - 1) + (K + 1, 2, 3)
+    assert _rel(got, want[half_index(n, K)]) <= 1e-13
+    assert _rel(RealWindow(n, K, G).put(values).coefficients(), want[half_index(n, K)]) <= 1e-13
 
 
 def test_real_window_rejects_complex_values():

@@ -1,17 +1,25 @@
+import json
+
 import numpy as np
 import pytest
 
-from qpwave.fourier import window_to_grid
+from forms import real_blocks, real_form, whole_window
+from qpwave.fourier import RealGrid, half_index, kinf, window_to_grid
 from qpwave.galerkin import (
+    CHECKPOINT_SCHEMA,
+    CheckpointSchemaError,
     CouplingTensor,
     QuadraticForm,
+    RealStructureError,
     WeightedSpace,
     assemble_initial_forms,
+    blocks_from_qp,
     coupling_tensor,
     form_norm,
     max_spectral_norm,
+    qp_from_blocks,
 )
-from qpwave.potential import FrequencySpec, fourier_analyze, make_potential
+from qpwave.potential import FrequencySpec, PotentialFourier, fourier_analyze, make_potential
 
 HALF_PI = np.pi / 2.0
 
@@ -22,17 +30,11 @@ def quadrature_coupling(j, l, k, G=512):
 
 
 def random_form(rng, n=2, K=2, J=8, real_structure=True):
-    shape = (2 * K + 1,) * n + (J, J)
-    def rand():
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    qf = QuadraticForm(n=n, K=K, J=J, zz=rand(), zzbar=rand(), zbzb=rand())
+    """A random real form, or else any complex half-window coefficients."""
     if real_structure:
-        from qpwave.fourier import reality_enforce
-        qf.zz = reality_enforce(qf.zz, n, K)
-        qf.zzbar = reality_enforce(qf.zzbar, n, K)
-        qf.zbzb = reality_enforce(qf.zbzb, n, K)
-        qf.symmetrize()
-    return qf
+        return real_form(rng, n, K, J)
+    shape = (2 * K + 1,) * (n - 1) + (K + 1, 2 * J, 2 * J)
+    return QuadraticForm(n, K, J, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 class TestCouplingTensor:
@@ -85,7 +87,7 @@ class TestAssembly:
         K = qf.K
         # oracle: R_zzbar[i,l](k) = sum_j c_jli v_j_hat(k) / sqrt(i l)
         ct = coupling_tensor(3)
-        got = qf.zzbar[K + 1, K]  # theta-mode k = (1, 0)
+        got = blocks_from_qp(qf.coeffs)[1][K + 1, 0]  # theta-mode k = (1, 0)
         expect = np.zeros((3, 3), dtype=complex)
         for i in range(1, 4):
             for l in range(1, 4):
@@ -98,17 +100,34 @@ class TestAssembly:
         p, _ = make_potential("finite_smooth", self.freq(), eps=1e-3, N=5)
         pf = fourier_analyze(p, K_theta=2, J_max=8)
         qf = assemble_initial_forms(pf, coupling_tensor(8), WeightedSpace(5, 8))
-        assert np.max(np.abs(qf.zz - 0.5 * qf.zzbar)) < 1e-14
-        assert np.max(np.abs(qf.zbzb - 0.5 * qf.zzbar)) < 1e-14
+        zz, zzbar, zbzb = blocks_from_qp(qf.coeffs)
+        assert np.max(np.abs(zz - 0.5 * zzbar)) < 1e-14
+        assert np.max(np.abs(zbzb - 0.5 * zzbar)) < 1e-14
 
     def test_assembled_form_structure(self):
         p, _ = make_potential("finite_smooth", self.freq(), eps=1e-3, N=5)
         pf = fourier_analyze(p, K_theta=2, J_max=8)
         qf = assemble_initial_forms(pf, coupling_tensor(8), WeightedSpace(5, 8))
-        assert qf.symmetry_defect() < 1e-14
-        assert qf.zzbar_symmetry_defect() < 1e-14
-        assert qf.reality_defect() < 1e-14
-        assert qf.structure_defect() < 1e-14
+        S = qf.coeffs
+        assert S.shape == (5, 3, 16, 16)  # the k_last >= 0 half of K = 2
+        assert np.array_equal(S, np.swapaxes(S, -1, -2))  # (q, p) form symmetric
+        # real: the k_last = 0 plane, which holds k and -k, is conjugate-paired
+        assert np.max(np.abs(S[:, 0] - np.conj(S[::-1, 0]))) < 1e-14
+        zzbar = blocks_from_qp(S)[1]
+        assert np.max(np.abs(zzbar - np.swapaxes(zzbar, -1, -2))) < 1e-14
+        # the potential couples positions only: S = diag(M, 0)
+        assert np.max(np.abs(S[..., 8:, :])) < 1e-14
+        assert np.max(np.abs(S[..., :, 8:])) < 1e-14
+
+    def test_rejects_data_that_is_not_a_real_hamiltonian(self):
+        # v_j(theta) with a one-sided mode is complex, and so are its forms
+        p, _ = make_potential("finite_smooth", self.freq(), eps=1e-3, N=5)
+        pf = fourier_analyze(p, K_theta=2, J_max=4)
+        v_hat = pf.v_hat.copy()
+        v_hat[3, 2, 1] += 1e-3
+        bad = PotentialFourier(v_hat=v_hat, K_theta=2, J_max=4, n=2)
+        with pytest.raises(RealStructureError, match="not a real Hamiltonian"):
+            assemble_initial_forms(bad, coupling_tensor(4), WeightedSpace(5, 4))
 
 
 class TestWeightedNorm:
@@ -117,8 +136,10 @@ class TestWeightedNorm:
         assert form_norm(qf, WeightedSpace(3, 6), 8) == 0.0
 
     def test_single_entry_scalar_block(self):
-        qf = QuadraticForm.zeros(1, 2, 4)
-        qf.zzbar[2, 0, 0] = 0.7  # k = 0, entry (1, 1): weight sqrt(1)*sqrt(1) = 1
+        zzbar = np.zeros((5, 4, 4))
+        zzbar[2, 0, 0] = 0.7  # k = 0, entry (1, 1): weight sqrt(1)*sqrt(1) = 1
+        qf = QuadraticForm.from_blocks(1, 2, 4, np.zeros_like(zzbar), zzbar,
+                                       np.zeros_like(zzbar))
         assert form_norm(qf, WeightedSpace(4, 4), 8) == pytest.approx(0.7, abs=1e-13)
 
     def test_matches_dense_svd_oracle(self):
@@ -131,7 +152,7 @@ class TestWeightedNorm:
         j = np.arange(1, 17, dtype=float)
         left = j**3 * np.sqrt(j)
         right = np.sqrt(j) / j**3
-        for vals in qf.grid_values(G):
+        for vals in blocks_from_qp(qf.grid_values(G)):
             for A in vals.reshape(-1, 16, 16):
                 W = left[:, None] * A * right[None, :]
                 sv = float(np.linalg.svd(W, compute_uv=False)[0])
@@ -241,31 +262,29 @@ class TestQuadraticForm:
         qf = random_form(rng, n=2, K=2, J=4)
         low, high = qf.truncate(2)
         assert high.max_abs() == 0.0
-        assert np.array_equal(low.zz, qf.zz)
+        assert np.array_equal(low.coeffs, qf.coeffs)
 
     def test_truncate_parts_own_their_blocks_and_meta(self):
         rng = np.random.default_rng(2)
         qf = random_form(rng, n=2, K=2, J=3)
         qf.strip, qf.meta = 0.25, {"level": 1}
-        before = qf.copy()
+        before = qf.coeffs.copy()
         low, high = qf.truncate(1)
         for part in (low, high):
             assert part.strip == 0.25 and part.meta == {"level": 1}
             assert part.meta is not qf.meta
-            for b in part.blocks():
-                b += 1.0
-        for name in qf.BLOCKS:
-            assert np.array_equal(getattr(qf, name), getattr(before, name))
+            part.coeffs += 1.0
+        assert np.array_equal(qf.coeffs, before)
 
     def test_truncate_zero_keeps_average_only(self):
         rng = np.random.default_rng(1)
         qf = random_form(rng, n=2, K=2, J=4)
         low, high = qf.truncate(0)
         K = qf.K
-        mask = np.ones((5, 5), dtype=bool)
-        mask[K, K] = False
-        assert np.max(np.abs(low.zz[mask])) == 0.0
-        assert np.max(np.abs(low.zz[K, K] - qf.zz[K, K])) == 0.0
+        mask = np.ones((5, 3), dtype=bool)
+        mask[K, 0] = False  # k = 0 on the half
+        assert np.max(np.abs(low.coeffs[mask])) == 0.0
+        assert np.max(np.abs(low.coeffs[K, 0] - qf.coeffs[K, 0])) == 0.0
 
     def test_truncate_reassembles_exactly(self):
         rng = np.random.default_rng(2)
@@ -273,8 +292,7 @@ class TestQuadraticForm:
         for K_cut in (0, 1, 2):
             low, high = qf.truncate(K_cut)
             back = low + high
-            for a, b in zip(back.blocks(), qf.blocks()):
-                assert np.array_equal(a, b)
+            assert np.array_equal(back.coeffs, qf.coeffs)
 
     def test_serialization_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -282,19 +300,96 @@ class TestQuadraticForm:
         qf.strip = 0.25
         qf.meta = {"piece_index": 1, "strip_width": 0.25}
         qf.save(tmp_path, "piece")
+        # one array per piece, in the checkpoint format
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["piece.bin", "piece.json"]
+        manifest = json.loads((tmp_path / "piece.json").read_text())
+        assert manifest["schema"] == CHECKPOINT_SCHEMA == 2
+        assert (tmp_path / "piece.bin").stat().st_size == qf.coeffs.size * 16
         back = QuadraticForm.load(tmp_path, "piece")
         assert back.strip == qf.strip
         assert back.meta == qf.meta
-        for a, b in zip(back.blocks(), qf.blocks()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(back.coeffs, qf.coeffs)
+
+    def test_load_rejects_another_schema(self, tmp_path):
+        qf = random_form(np.random.default_rng(5), n=2, K=1, J=2)
+        qf.save(tmp_path, "piece")
+        manifest = json.loads((tmp_path / "piece.json").read_text())
+        manifest["schema"] = 1
+        (tmp_path / "piece.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointSchemaError,
+                           match=r"piece\.json: checkpoint schema 1, expected 2"):
+            QuadraticForm.load(tmp_path, "piece")
 
     def test_grid_values_match_direct_eval(self):
         rng = np.random.default_rng(4)
-        qf = random_form(rng, n=1, K=2, J=3, real_structure=False)
+        qf = random_form(rng, n=1, K=2, J=3)
         G = 8
-        vals = qf.grid_values(G)[0]
+        vals = qf.grid_values(G)
+        assert vals.shape == (G, 6, 6) and vals.dtype == np.float64
+        whole = whole_window(qf.coeffs, 1, 2)
         ks = np.arange(-2, 3)
         for m in range(G):
             theta = 2 * np.pi * m / G
-            direct = sum(qf.zz[i] * np.exp(1j * ks[i] * theta) for i in range(5))
+            direct = sum(whole[i] * np.exp(1j * ks[i] * theta) for i in range(5))
             assert np.max(np.abs(vals[m] - direct)) < 1e-12
+
+
+# (n, K, G): n = 1 and 2, odd and even G
+FORM_CASES = [(1, 3, 7), (1, 3, 12), (2, 2, 5), (2, 2, 8), (2, 3, 11), (2, 3, 12)]
+
+
+def uform_grid(blocks, n, K, G):
+    """The u-form path: the whole-window (q, p) form of the blocks, on the grid."""
+    S = window_to_grid(qp_from_blocks(*blocks), n, K, G)
+    return S.reshape((-1,) + S.shape[-2:])
+
+
+class TestRealForms:
+    """The half-window form against the u-form path it replaces."""
+
+    @pytest.mark.parametrize("n,K,G", FORM_CASES)
+    def test_grid_values_are_the_uform_values(self, n, K, G):
+        blocks = real_blocks(np.random.default_rng(60 + G), n, K, 4)
+        qf = QuadraticForm.from_blocks(n, K, 4, *blocks)
+        assert qf.coeffs.shape == (2 * K + 1,) * (n - 1) + (K + 1, 8, 8)
+        want = uform_grid(blocks, n, K, G)
+        assert np.max(np.abs(want.imag)) <= 1e-13 * np.max(np.abs(want))
+        got = qf.grid_values(G)
+        assert np.max(np.abs(got - want.real)) <= 1e-13 * np.max(np.abs(want))
+        rows = RealGrid(qf.coeffs, n, K, G).rows(slice(1, 3)).reshape(-1, 8, 8)
+        assert np.array_equal(rows, got[G ** (n - 1):3 * G ** (n - 1)])
+
+    @pytest.mark.parametrize("n,K,G", FORM_CASES)
+    def test_arithmetic_commutes_with_the_conversion(self, n, K, G):
+        rng = np.random.default_rng(70 + G)
+        a, b = real_blocks(rng, n, K, 3), real_blocks(rng, n, K, 3)
+        fa, fb = (QuadraticForm.from_blocks(n, K, 3, *x) for x in (a, b))
+        total = QuadraticForm.from_blocks(n, K, 3, *(x + y for x, y in zip(a, b)))
+        assert np.max(np.abs((fa + fb).coeffs - total.coeffs)) <= 1e-15
+        assert np.max(np.abs((fa - fb).coeffs - (fa + fb.scaled(-1.0)).coeffs)) == 0.0
+        scaled = QuadraticForm.from_blocks(n, K, 3, *(-0.3 * x for x in a))
+        assert np.max(np.abs(fa.scaled(-0.3).coeffs - scaled.coeffs)) <= 1e-15
+        for K_cut in range(K + 1):
+            low_mask = (kinf(n, K) <= K_cut)[..., None, None]
+            low, high = fa.truncate(K_cut)
+            for part, keep in ((low, low_mask), (high, ~low_mask)):
+                want = QuadraticForm.from_blocks(n, K, 3, *(np.where(keep, x, 0.0) for x in a))
+                assert np.max(np.abs(part.coeffs - want.coeffs)) <= 1e-15
+
+    @pytest.mark.parametrize("n,K,G", FORM_CASES)
+    def test_form_norm_is_the_three_block_norm(self, n, K, G):
+        J = 5
+        blocks = real_blocks(np.random.default_rng(80 + G), n, K, J)
+        ws = WeightedSpace(3, J)
+        G_eff = max(G, 2 * K + 1)
+        want = max(ws.opnorm_weighted(window_to_grid(b, n, K, G_eff)) for b in blocks)
+        got = form_norm(QuadraticForm.from_blocks(n, K, J, *blocks), ws, G)
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_half_is_the_whole_window_reflected(self):
+        blocks = real_blocks(np.random.default_rng(90), 2, 3, 2)
+        qf = QuadraticForm.from_blocks(2, 3, 2, *blocks)
+        whole = qp_from_blocks(*blocks)
+        assert np.max(np.abs(whole_window(qf.coeffs, 2, 3) - whole)) <= 1e-15
+        assert np.array_equal(qf.coeffs, 0.5 * (whole[half_index(2, 3)]
+                                               + np.swapaxes(whole[half_index(2, 3)], -1, -2)))

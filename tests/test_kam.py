@@ -3,15 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from forms import real_form, real_projection, uform_blocks, whole_window
 from qpwave import fourier, kam
 from qpwave.fourier import (
     RealGrid,
     eval_at_points,
     grid_to_window,
+    half_index,
     reality_enforce,
     theta_grid_points,
 )
-from qpwave.galerkin import QuadraticForm, WeightedSpace, assemble_initial_forms, coupling_tensor
+from qpwave.galerkin import (
+    QuadraticForm,
+    RealStructureError,
+    WeightedSpace,
+    assemble_initial_forms,
+    blocks_from_qp,
+    coupling_tensor,
+    qp_from_blocks,
+)
 from qpwave.kam import (
     CertificateError,
     HomologicalSolution,
@@ -19,13 +29,11 @@ from qpwave.kam import (
     KamEngine,
     KamOptions,
     NormalForm,
-    RealStructureError,
     ResonanceError,
     Schedule,
     SelfAdjointnessError,
     StepSizeError,
     TransformChain,
-    blocks_from_qp,
     bracket_sym,
     build_schedule,
     consistency_defect,
@@ -37,8 +45,6 @@ from qpwave.kam import (
     jr_mul,
     kam_run,
     push_remainder,
-    qp_from_blocks,
-    qp_grid,
     qp_rows,
     qp_unitary,
     seed_pieces,
@@ -193,6 +199,16 @@ def empty_form(n=2, K=3, J=3):
     return QuadraticForm.zeros(n, K, J)
 
 
+def zzbar_entry_form(n, K, J, k, i, j, value):
+    """The real Hamiltonian value <z_j, zbar_i> e^{i k.theta} + its conjugate:
+    zzbar entry (i, j) (0-based) at mode k and its Hermitian partner."""
+    zzbar = np.zeros((2 * K + 1,) * n + (J, J), complex)
+    zzbar[tuple(K + np.asarray(k)) + (i, j)] = value
+    zzbar[tuple(K - np.asarray(k)) + (j, i)] += np.conj(value)
+    zero = np.zeros_like(zzbar)
+    return QuadraticForm.from_blocks(n, K, J, zero, zzbar, zero)
+
+
 class TestHomologicalSolve:
     def freq(self, tau=1.3):
         return FrequencySpec(OMEGA0, tau, 0.05)
@@ -205,36 +221,36 @@ class TestHomologicalSolve:
         assert np.max(np.abs(sol.diag_avg)) == 0.0
 
     def test_single_entry_divisor(self):
-        qf = empty_form(n=2, K=2, J=3)
-        K = qf.K
-        qf.zzbar[K + 1, K, 0, 1] = 1.0  # k = (1, 0), (i, j) = (1, 2)
+        K = 2
+        qf = zzbar_entry_form(2, K, 3, (1, 0), 0, 1, 1.0)  # k = (1, 0), (i, j) = (1, 2)
         nf = NormalForm(J=3)
         omega = 1.3 * np.asarray(OMEGA0)
         sol = solve_homological(qf, nf, omega, K_m=2, gamma_m=0.05)
-        # divisor -<k,w> + lam_1 - lam_2 = -1.3 - 1 = -2.3; F = sqrt(-1)/(-2.3)
-        assert sol.F.zzbar[K + 1, K, 0, 1] == pytest.approx(1j / (-2.3), abs=1e-15)
+        # divisor <k,w> - lam_1 + lam_2 = 1.3 + 1 = 2.3; F = -sqrt(-1)/2.3,
+        # as divided and as the form stores it (k = (1, 0) is half row K + 1, 0)
+        assert sol.blocks[1][K + 1, 0, 0, 1] == pytest.approx(-1j / 2.3, abs=1e-15)
+        assert blocks_from_qp(sol.F.coeffs)[1][K + 1, 0, 0, 1] == pytest.approx(-1j / 2.3,
+                                                                                abs=1e-15)
         res = homological_residual(sol, qf, nf, omega)
         assert res < 1e-14
 
     def test_diagonal_average_removed(self):
-        qf = empty_form(n=2, K=2, J=4)
-        K = qf.K
+        K = 2
+        zzbar = np.zeros((5, 5, 4, 4), complex)
         a = np.array([0.3, -0.1, 0.2, 0.05])
-        qf.zzbar[K, K][np.arange(4), np.arange(4)] = a
+        zzbar[K, K][np.arange(4), np.arange(4)] = a
+        qf = QuadraticForm.from_blocks(2, K, 4, np.zeros_like(zzbar), zzbar,
+                                       np.zeros_like(zzbar))
         nf = NormalForm(J=4)
         sol = solve_homological(qf, nf, self.freq().omega, K_m=2, gamma_m=0.05)
         assert np.allclose(sol.diag_avg, a)
-        assert np.max(np.abs(sol.F.zzbar[K, K][np.arange(4), np.arange(4)])) == 0.0
+        assert np.max(np.abs(sol.blocks[1][K, 0][np.arange(4), np.arange(4)])) == 0.0
+        assert sol.F.max_abs() == 0.0  # nothing else to remove
 
     def test_plugback_residual_random(self):
         rng = np.random.default_rng(7)
         n, K, J = 2, 2, 6
-        qf = empty_form(n, K, J)
-        shape = qf.zz.shape
-        for name in qf.BLOCKS:
-            arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            setattr(qf, name, reality_enforce(arr, n, K))
-        qf.symmetrize()
+        qf = real_form(rng, n, K, J)
         nf = NormalForm(J=J)
         omega = self.freq(1.37).omega
         sol = solve_homological(qf, nf, omega, K_m=2, gamma_m=1e-4)
@@ -243,18 +259,14 @@ class TestHomologicalSolve:
     def test_support_respects_cutoff(self):
         rng = np.random.default_rng(8)
         n, K, J = 2, 3, 3
-        qf = empty_form(n, K, J)
-        arr = rng.standard_normal(qf.zz.shape) + 1j * rng.standard_normal(qf.zz.shape)
-        qf.zzbar = reality_enforce(arr, n, K)
+        qf = real_form(rng, n, K, J)
         sol = solve_homological(qf, NormalForm(J=J), self.freq().omega, K_m=1,
                                 gamma_m=1e-4)
         _, high = sol.F.truncate(1)
         assert high.max_abs() == 0.0
 
     def test_resonance_error_names_offender(self):
-        qf = empty_form(n=2, K=2, J=4)
-        K = qf.K
-        qf.zzbar[K + 1, K, 2, 0] = 1.0
+        qf = zzbar_entry_form(2, 2, 4, (1, 0), 2, 0, 1.0)
         nf = NormalForm(J=4)
         # tau with <(-2,2), omega> = 1 exactly: a gap-1 resonance (sums of two
         # modes never equal 1, so only the difference family can trip)
@@ -298,21 +310,21 @@ class TestHomologicalSolve:
         assert rejected >= 60
 
     def test_structure_of_solution(self):
-        # real-type symmetric input: F_zz/F_zbzb symmetric, F conjugate-paired
+        # real-type symmetric input: F's (q, p) form symmetric, F real
         rng = np.random.default_rng(9)
         n, K, J = 2, 2, 5
-        qf = empty_form(n, K, J)
-        arr = rng.standard_normal(qf.zz.shape) + 1j * rng.standard_normal(qf.zz.shape)
+        arr = rng.standard_normal((5, 5, J, J)) + 1j * rng.standard_normal((5, 5, J, J))
         M = reality_enforce(arr, n, K)
-        tr = (0, 1, 3, 2)
-        M = 0.5 * (M + M.transpose(tr))
-        qf.zz, qf.zzbar, qf.zbzb = 0.5 * M, M.copy(), 0.5 * M
+        M = 0.5 * (M + np.swapaxes(M, -1, -2))
+        qf = QuadraticForm.from_blocks(n, K, J, 0.5 * M, M, 0.5 * M)
         sol = solve_homological(qf, NormalForm(J=J), self.freq(1.41).omega, K_m=2,
                                 gamma_m=1e-5)
-        F = sol.F
-        assert F.symmetry_defect() < 1e-14  # zz and zbzb stay symmetric
-        assert F.structure_defect() < 1e-14  # conj pairing and Hermitian zzbar
-        assert F.zzbar_symmetry_defect() > 1e-3  # the zzbar block is not symmetric
+        S = sol.F.coeffs
+        assert np.max(np.abs(S - np.swapaxes(S, -1, -2))) == 0.0  # zz and zbzb symmetric
+        # real: the k_last = 0 plane, which holds k and -k, is conjugate-paired
+        assert np.max(np.abs(S[:, 0] - np.conj(S[::-1, 0]))) < 1e-14
+        zz, zzbar, zbzb = sol.blocks
+        assert np.max(np.abs(zzbar - np.swapaxes(zzbar, -1, -2))) > 1e-3  # zzbar is not
 
 
 def rk4_flow_oracle(B: np.ndarray, eps: float, steps: int = 2000) -> np.ndarray:
@@ -331,13 +343,11 @@ def rk4_flow_oracle(B: np.ndarray, eps: float, steps: int = 2000) -> np.ndarray:
 
 def small_form(rng, n=2, K=2, J=4):
     """A small real Hamiltonian with theta-dependent blocks."""
-    qf = QuadraticForm.zeros(n, K, J)
-    arr = rng.standard_normal(qf.zz.shape) + 1j * rng.standard_normal(qf.zz.shape)
+    shape = (2 * K + 1,) * n + (J, J)
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     M = reality_enforce(0.002 * arr, n, K)
-    tr = tuple(range(n)) + (n + 1, n)
-    M = 0.5 * (M + M.transpose(tr))
-    qf.zz, qf.zzbar, qf.zbzb = 0.5 * M, M.copy(), 0.5 * M
-    return qf
+    M = 0.5 * (M + np.swapaxes(M, -1, -2))
+    return QuadraticForm.from_blocks(n, K, J, 0.5 * M, M, 0.5 * M)
 
 
 def small_solution(rng, n=2, K=2, J=4, tau=1.31, gamma=1e-5):
@@ -425,9 +435,9 @@ class TestUformGrid:
         _, sol, _ = small_solution(rng, n=2, K=2, J=4)
         F, G = sol.F, 7
         pts = theta_grid_points(F.n, G)
-        blocks = [eval_at_points(b, F.n, F.K, pts) for b in F.blocks()]
+        blocks = [eval_at_points(b, F.n, F.K, pts) for b in uform_blocks(F)]
         expect = to_qp(uform_from_blocks(*blocks))
-        got = qp_grid(F, G)
+        got = F.grid_values(G)
         assert got.shape == (G**2, 8, 8)
         assert got.dtype == np.float64
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
@@ -442,7 +452,7 @@ class TestUformGrid:
         # the normal form lam_j z_j zbar_j moved from its u-form
         normal = np.zeros((2 * J, 2 * J), dtype=complex)
         normal[:J, J:] = normal[J:, :J] = 0.5 * np.diag(lam)
-        expect = to_qp(normal) + sum(w * qp_grid(p, G) for w, p in zip(weights, pieces))
+        expect = to_qp(normal) + sum(w * p.grid_values(G) for w, p in zip(weights, pieces))
         got = qp_rows(RealGrid(hamiltonian_window(lam, pieces, weights), n, K, G), slice(None))
         assert got.shape == (G**n, 2 * J, 2 * J)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
@@ -475,7 +485,7 @@ class TestFlowTransform:
         flow = flow_transform(sol, eps, ws, grid=G, picard_tol=1e-14)
         # independent route: the u-form generator from pointwise block values
         pts = theta_grid_points(sol.F.n, G)
-        blocks = [eval_at_points(b, sol.F.n, sol.F.K, pts) for b in sol.F.blocks()]
+        blocks = [eval_at_points(b, sol.F.n, sol.F.K, pts) for b in uform_blocks(sol.F)]
         Bg = uform_generator(uform_from_blocks(*blocks)).reshape(G, G, 8, 8)
         for pick in ((0, 0), (3, 7), (5, 2)):
             oracle = rk4_flow_oracle(Bg[pick], eps)
@@ -501,9 +511,9 @@ class TestFlowTransform:
 def rotation_solution(c: float, J: int = 4) -> HomologicalSolution:
     """F = c <z, zbar>: generator B = diag(i c I, -i c I), so |B| = |c| while
     its Frobenius norm is |c| sqrt(2J)."""
-    F = QuadraticForm.zeros(1, 0, J)
-    F.zzbar[0] = c * np.eye(J)
-    return HomologicalSolution(F=F, diag_avg=np.zeros(J), divisor_min=1.0,
+    zero = np.zeros((1, J, J))
+    F = QuadraticForm.from_blocks(1, 0, J, zero, c * np.eye(J)[None], zero)
+    return HomologicalSolution(F=F, blocks=(), diag_avg=np.zeros(J), divisor_min=1.0,
                                norm_report={}, K_m=0)
 
 
@@ -517,7 +527,7 @@ class TestFlowStepSizeGuard:
     def test_frobenius_bound_above_exact_norm_below_proceeds(self):
         ws, eps, J = WeightedSpace(3, 4), 0.3, 4
         sol = rotation_solution(1.0, J)
-        B = generator_of(qp_grid(sol.F, 4))
+        B = generator_of(sol.F.grid_values(4))
         # the bound alone would reject; the exact norm accepts
         assert eps * np.max(np.linalg.norm(B, axis=(-2, -1))) >= 0.5
         assert eps * uform_opnorm(B, ws) == pytest.approx(0.3, abs=1e-15)
@@ -533,42 +543,36 @@ class TestPushRemainder:
         rng = np.random.default_rng(6)
         n, K, J = 2, 2, 3
         zero = QuadraticForm.zeros(n, K, J)
-        other = QuadraticForm.zeros(n, K, J)
-        other.zzbar = hermitian_zzbar(rng, n, K, J)
+        blank = np.zeros((2 * K + 1,) * n + (J, J))
+        other = QuadraticForm.from_blocks(n, K, J, blank, hermitian_zzbar(rng, n, K, J), blank)
         sol = solve_homological(zero, NormalForm(J=J), 1.3 * np.asarray(OMEGA0), K, 0.05)
         ws = WeightedSpace(2, J)
         flow = flow_transform(sol, 1e-3, ws, grid=8)
         new_pieces, diag = push_remainder([zero, other], sol, flow, 1e-3, 1e-4,
                                           [0.1], ws, grid=8)
         assert len(new_pieces) == 1
-        assert np.max(np.abs(new_pieces[0].zzbar - other.zzbar)) < 1e-15
+        assert np.max(np.abs(new_pieces[0].coeffs - other.coeffs)) < 1e-15
 
     def test_non_hermitian_piece_raises(self):
         # the piece this class's shift test used before the real grid layer:
-        # real at real theta, but zzbar not Hermitian
+        # real at real theta, but zzbar not Hermitian; it cannot become a form,
+        # so it never reaches the push
         rng = np.random.default_rng(6)
         n, K, J = 2, 2, 3
-        zero = QuadraticForm.zeros(n, K, J)
-        other = QuadraticForm.zeros(n, K, J)
-        arr = rng.standard_normal(other.zz.shape) + 1j * rng.standard_normal(other.zz.shape)
-        other.zzbar = reality_enforce(arr, n, K)
-        other.symmetrize()
-        sol = solve_homological(zero, NormalForm(J=J), 1.3 * np.asarray(OMEGA0), K, 0.05)
-        ws = WeightedSpace(2, J)
-        flow = flow_transform(sol, 1e-3, ws, grid=8)
+        blank = np.zeros((2 * K + 1,) * n + (J, J))
+        arr = rng.standard_normal(blank.shape) + 1j * rng.standard_normal(blank.shape)
         with pytest.raises(RealStructureError, match="not a real Hamiltonian"):
-            push_remainder([zero, other], sol, flow, 1e-3, 1e-4, [0.1], ws, grid=8)
+            QuadraticForm.from_blocks(n, K, J, blank, reality_enforce(arr, n, K), blank)
 
     def test_pure_tail_rescales(self):
         rng = np.random.default_rng(7)
         n, K, J = 2, 3, 3
-        qf = QuadraticForm.zeros(n, K, J)
-        arr = rng.standard_normal(qf.zz.shape) + 1j * rng.standard_normal(qf.zz.shape)
+        shape = (2 * K + 1,) * n + (J, J)
+        arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         full = reality_enforce(arr, n, K)
+        full = 0.5 * (full + np.swapaxes(full, -1, -2))
         herm = hermitian_zzbar(rng, n, K, J)
-        _, high = QuadraticForm(n, K, J, full, herm, full.copy()).truncate(1)
-        qf.zz, qf.zzbar, qf.zbzb = high.zz, high.zzbar, high.zbzb
-        qf.symmetrize()
+        _, qf = QuadraticForm.from_blocks(n, K, J, *real_projection(full, herm, n)).truncate(1)
         K_m = 1
         eps, eps_next = 1e-3, 1e-4
         sol = solve_homological(qf, NormalForm(J=J), 1.3 * np.asarray(OMEGA0), K_m, 0.05)
@@ -577,8 +581,7 @@ class TestPushRemainder:
         flow = flow_transform(sol, eps, ws, grid=10)
         new_pieces, _ = push_remainder([qf], sol, flow, eps, eps_next, [0.1], ws, grid=10)
         expect = qf.scaled(eps / eps_next)
-        expect.symmetrize()
-        assert np.max(np.abs(new_pieces[0].zzbar - expect.zzbar)) < 1e-12
+        assert np.max(np.abs(new_pieces[0].coeffs - expect.coeffs)) < 1e-12
 
 
     def test_term_large_only_off_the_old_sample_keeps_the_series_running(self):
@@ -611,23 +614,23 @@ def whole_grid_push(pieces, sol, flow, eps_m, eps_next, ws, grid):
     w2 = ws.doubled_metric_weights
     JS_S = 0.5 * flow.B
     low, tail = R_mm.truncate(min(sol.K_m, K))
-    star = low.scaled(-1.0)
-    star.zzbar[(K,) * n][(np.arange(J), np.arange(J))] += sol.diag_avg
+    # diag(mu) in the u-form zzbar block at k = 0, added in the u-form
+    star_blocks = [-b for b in uform_blocks(low)]
+    star_blocks[1][(K,) * n][(np.arange(J), np.arange(J))] += sol.diag_avg
+    star = QuadraticForm.from_blocks(n, K, J, *star_blocks)
 
-    def window_blocks(values):
-        return blocks_from_qp(grid_to_window(values.reshape((grid,) * n + (2 * J, 2 * J)), n, K))
+    def window(values):
+        full = grid_to_window(values.reshape((grid,) * n + (2 * J, 2 * J)), n, K)
+        return full[half_index(n, K)]
 
-    acc_b, _ = kam._lie_series(bracket_sym(qp_grid(star, grid), JS_S), JS_S, eps_m, 2, w2)
-    acc_c, _ = kam._lie_series(bracket_sym(qp_grid(R_mm, grid), JS_S), JS_S, eps_m, 1, w2)
-    bc = window_blocks(acc_b + acc_c)
+    acc_b, _ = kam._lie_series(bracket_sym(star.grid_values(grid), JS_S), JS_S, eps_m, 2, w2)
+    acc_c, _ = kam._lie_series(bracket_sym(R_mm.grid_values(grid), JS_S), JS_S, eps_m, 1, w2)
     first = tail.scaled(eps_m / eps_next)
-    first.zz = first.zz + (eps_m**2 / eps_next) * bc[0]
-    first.zzbar = first.zzbar + (eps_m**2 / eps_next) * bc[1]
-    first.zbzb = first.zbzb + (eps_m**2 / eps_next) * bc[2]
+    first.coeffs = first.coeffs + (eps_m**2 / eps_next) * window(acc_b + acc_c)
     new_pieces = [first]
     for idx, piece in enumerate(pieces[1:]):
-        acc_p, _ = kam._lie_series(qp_grid(piece, grid), JS_S, eps_m, 0, w2)
-        moved = QuadraticForm(n, K, J, *window_blocks(acc_p))
+        acc_p, _ = kam._lie_series(piece.grid_values(grid), JS_S, eps_m, 0, w2)
+        moved = QuadraticForm(n, K, J, window(acc_p))
         if idx == 0:
             new_pieces[0] = new_pieces[0] + moved
         else:
@@ -652,8 +655,7 @@ class TestStreamedPush:
             got, diag = push(pieces, sol, flow, eps_m, eps_next, strips_next, ws, grid)
             assert len(got) == len(want) == len(pieces) - 1
             for g, w in zip(got, want):
-                for gb, wb in zip(g.blocks(), w.blocks()):
-                    assert np.max(np.abs(gb - wb)) <= 1e-12 * np.max(np.abs(wb))
+                assert np.max(np.abs(g.coeffs - w.coeffs)) <= 1e-12 * np.max(np.abs(w.coeffs))
             n_slabs = len(kam._slabs(grid, pieces[0].n))
             assert len(diag.series_terms) == n_slabs * (len(pieces) + 1)
             checked.append(n_slabs)
@@ -672,20 +674,20 @@ class TestStreamedPush:
         rng = np.random.default_rng(31)
         n, K, J, G = 2, 3, 3, 12
         _, sol, _ = small_solution(rng, n=n, K=K, J=J)
-        B = generator_of(qp_grid(sol.F, G))
+        B = generator_of(sol.F.grid_values(G))
         B[:48] = 0.0
         B[48:96] *= 1e-16
         form = small_solution(rng, n=n, K=K, J=J)[0]
         w2 = WeightedSpace(2, J).doubled_metric_weights
         eps = 0.05
         terms = {}
-        got = kam._streamed_series({"s": (RealGrid(kam.qp_window(form), n, K, G), 1, True)},
+        got = kam._streamed_series({"s": (RealGrid(form.coeffs, n, K, G), 1, True)},
                                    B, eps, n, K, G, w2, terms)
         assert terms["s[0]"] == [0.0, 0.0]
         assert 0.0 < terms["s[1]"][0] < 1e-12 * terms["s[2]"][0]
         JS_S = 0.5 * B
-        acc, _ = kam._lie_series(bracket_sym(qp_grid(form, G), JS_S), JS_S, eps, 1, w2)
-        want = grid_to_window(acc.reshape((G,) * n + (2 * J, 2 * J)), n, K)
+        acc, _ = kam._lie_series(bracket_sym(form.grid_values(G), JS_S), JS_S, eps, 1, w2)
+        want = grid_to_window(acc.reshape((G,) * n + (2 * J, 2 * J)), n, K)[half_index(n, K)]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -699,25 +701,27 @@ class TestStreamSources:
         G = kam.product_grid_size(K)
         monkeypatch.setattr(kam, "SLAB_POINTS", slab_points)
         assert len(kam._slabs(G, n)) == 3
-        B = generator_of(qp_grid(small_form(rng, n, K, J), G))
+        B = generator_of(small_form(rng, n, K, J).grid_values(G))
         bracketed, moved = small_form(rng, n, K, J), small_form(rng, n, K, J)
         w2 = WeightedSpace(2, J).doubled_metric_weights
         terms = {}
         got = kam._streamed_series(
-            {"b": (RealGrid(kam.qp_window(bracketed), n, K, G), 1, True),
-             "t": (RealGrid(kam.qp_window(moved), n, K, G), 0, False)},
+            {"b": (RealGrid(bracketed.coeffs, n, K, G), 1, True),
+             "t": (RealGrid(moved.coeffs, n, K, G), 0, False)},
             B, eps, n, K, G, w2, terms)
         assert sorted(terms) == ["b[0]", "b[1]", "b[2]", "t[0]", "t[1]", "t[2]"]
         JS_S = 0.5 * B
-        acc_b, _ = kam._lie_series(bracket_sym(qp_grid(bracketed, G), JS_S), JS_S, eps, 1, w2)
-        acc_t, _ = kam._lie_series(qp_grid(moved, G), JS_S, eps, 0, w2)
-        want = grid_to_window((acc_b + acc_t).reshape((G,) * n + (2 * J, 2 * J)), n, K)
+        acc_b, _ = kam._lie_series(bracket_sym(bracketed.grid_values(G), JS_S), JS_S, eps, 1, w2)
+        acc_t, _ = kam._lie_series(moved.grid_values(G), JS_S, eps, 0, w2)
+        want = grid_to_window((acc_b + acc_t).reshape((G,) * n + (2 * J, 2 * J)),
+                              n, K)[half_index(n, K)]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_one_window_transform_per_stream(self, monkeypatch):
         # each stream's seeds come from one transform of its window along the
-        # axes before the last, not one per slab
+        # axes before the last, not one per slab (the piece norms make their
+        # own, one per norm)
         rng = np.random.default_rng(44)
         n, K, J, grid = 2, 3, 3, 12
         qf, sol, _ = small_solution(rng, n=n, K=K, J=J)
@@ -731,13 +735,23 @@ class TestStreamSources:
             calls.append(args[0].shape)
             return transform(*args, **kwargs)
 
+        in_norms = []
+        form_norm = kam.form_norm
+
+        def norm_counted(*args):
+            before = len(calls)
+            out = form_norm(*args)
+            in_norms.append(len(calls) - before)
+            return out
+
         monkeypatch.setattr(fourier, "window_to_grid", counted)
-        monkeypatch.setattr(kam, "window_to_grid", counted)
+        monkeypatch.setattr(kam, "form_norm", norm_counted)
         _, diag = push_remainder([qf, other], sol, flow, 1e-3, 1e-4, [0.1], ws, grid=grid)
         streams = {name.split("[")[0] for name in diag.series_terms}
         assert streams == {"double_bracket", "single_bracket", "transport_0"}
         assert len(kam._slabs(grid, n)) == 3
-        assert len(calls) == len(streams)
+        assert in_norms == [1, 1]  # the new piece's and the tail's
+        assert len(calls) - sum(in_norms) == len(streams)
 
 
 def small_pipeline(J=8, K=3, M=2, eps=1e-3, N=5, tau=1.29, gamma=0.05, scale=0.1):
@@ -835,8 +849,46 @@ class TestConsistencyOracle:
         assert not engine.chain.steps
 
 
+class TestTransformChain:
+    @pytest.mark.parametrize("n,K", [(1, 3), (2, 2), (2, 3)])
+    def test_matrices_match_the_uform_evaluation(self, n, K):
+        # the chain as before: each step's whole-window u-form map
+        # T (Phi - I) T^H, evaluated at the points and composed in u
+        rng = np.random.default_rng(50 + 10 * n + K)
+        J, steps = 3, 3
+        shape = (2 * K + 1,) * n + (2 * J, 2 * J)
+        T = qp_unitary(J)
+        chain = TransformChain()
+        thetas = rng.uniform(0, 2 * np.pi, (7, n))
+        want = np.broadcast_to(np.eye(2 * J, dtype=complex), (7, 2 * J, 2 * J)).copy()
+        for _ in range(steps):
+            c = 0.05 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            whole = c + np.conj(np.flip(c, axis=tuple(range(n))))  # a real map field
+            chain.steps.append(whole[half_index(n, K)])
+            want = want @ (np.eye(2 * J) + eval_at_points(T @ whole @ T.conj().T, n, K, thetas))
+        got = chain.matrices_at(thetas)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestCertificateGates:
-    @pytest.mark.parametrize("gate", ["symplectic_defect", "series_truncation_spec_ok"])
+    def test_transform_over_its_bound_stops_the_step(self):
+        # scale 0.3: step 0's |Phi - id| is about twice sqrt(eps_0)
+        pf, dec, freq, sched, ws = small_pipeline(M=2, scale=0.3)
+        pieces = seed_pieces(dec, sched.eps0, sched)
+        engine = KamEngine(pieces, freq, sched, ws, K_theta=pf.K_theta,
+                           options=KamOptions(norm_grid=8))
+        with pytest.raises(CertificateError,
+                           match=r"step m=0: P_norm \S+ > P_bound 3\.162e-02"):
+            engine.step()
+        assert engine.state.m == 0
+        assert engine.state.remainder is pieces
+        assert not engine.state.normal_form.mu_history
+        assert not engine.state.diagnostics
+        assert not engine.chain.steps
+
+    @pytest.mark.parametrize("gate", ["symplectic_defect", "P_norm",
+                                      "series_truncation_spec_ok"])
     def test_failed_certificate_stops_the_step(self, fail_certificate, gate):
         pf, dec, freq, sched, ws = small_pipeline(M=2)
         pieces = seed_pieces(dec, sched.eps0, sched)

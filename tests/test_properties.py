@@ -1,9 +1,10 @@
 """Property tests for the structural invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from forms import real_projection
 from qpwave.fourier import reality_enforce, reality_residual
 from qpwave.galerkin import QuadraticForm, coupling_tensor
 from qpwave.kam import NormalForm, homological_residual, solve_homological
@@ -15,12 +16,17 @@ HALF_PI = np.pi / 2.0
 def small_form(draw, n=1, K=3, J=4):
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
-    shape = (2 * K + 1,) * n + (J, J)
     qf = QuadraticForm.zeros(n, K, J)
-    for name in qf.BLOCKS:
-        arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        setattr(qf, name, arr)
+    shape = qf.coeffs.shape
+    qf.coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return qf
+
+
+@st.composite
+def window_array(draw, n=1, K=3, J=4):
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    shape = (2 * K + 1,) * n + (J, J)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @given(small_form(), st.integers(0, 3))
@@ -28,11 +34,9 @@ def small_form(draw, n=1, K=3, J=4):
 def test_truncation_reassembles_bit_exactly(qf, K_cut):
     low, high = qf.truncate(K_cut)
     back = low + high
-    for a, b in zip(back.blocks(), qf.blocks()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(back.coeffs, qf.coeffs)
     # supports are disjoint
-    for a, b in zip(low.blocks(), high.blocks()):
-        assert np.all((a == 0) | (b == 0))
+    assert np.all((low.coeffs == 0) | (high.coeffs == 0))
 
 
 @given(st.integers(1, 20), st.integers(1, 20), st.integers(1, 20))
@@ -47,26 +51,28 @@ def test_coupling_tensor_case_analysis(j, l, k):
     assert v == ct.coefficient(j, k, l)  # symmetry in the sine indices
 
 
-@given(small_form())
+@given(window_array())
 @settings(max_examples=25, deadline=None)
-def test_reality_enforcement_is_projection(qf):
-    n, K = qf.n, qf.K
-    fixed = reality_enforce(qf.zz, n, K)
+def test_reality_enforcement_is_projection(arr):
+    n, K = 1, 3
+    fixed = reality_enforce(arr, n, K)
     assert reality_residual(fixed, n, K) < 1e-13
     again = reality_enforce(fixed, n, K)
     assert np.allclose(fixed, again, rtol=0, atol=1e-15)
 
 
 @given(st.integers(0, 2**31 - 1), st.floats(1.05, 1.95))
+@example(seed=271, tau=1.7677997703847117)  # divisor_min 9.3e-5
 @settings(max_examples=15, deadline=None)
 def test_homological_plugback_property(seed, tau):
     rng = np.random.default_rng(seed)
     n, K, J = 1, 2, 4
-    qf = QuadraticForm.zeros(n, K, J)
-    for name in qf.BLOCKS:
-        arr = rng.standard_normal((2 * K + 1, J, J)) * 0.5
-        setattr(qf, name, reality_enforce(arr.astype(complex), n, K))
-    qf.symmetrize()
+    zz, zzbar, zbzb = (reality_enforce(rng.standard_normal((2 * K + 1, J, J)) * 0.5 + 0j, n, K)
+                       for _ in range(3))
+    # the real Hamiltonian nearest the three blocks
+    zz = 0.5 * (zz + np.conj(zbzb[::-1]))
+    zz = 0.5 * (zz + np.swapaxes(zz, -1, -2))
+    qf = QuadraticForm.from_blocks(n, K, J, *real_projection(zz, zzbar, n))
     nf = NormalForm(J=J)
     omega = np.array([tau * np.sqrt(2.0)])
     try:

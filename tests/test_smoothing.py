@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qpwave.fourier import window_to_grid
+from forms import real_blocks, uform_blocks
+from qpwave.fourier import kgrid
 from qpwave.galerkin import QuadraticForm, WeightedSpace
 from qpwave.smoothing import (
     JacksonKernel,
@@ -81,17 +82,11 @@ class TestSmoothingRate:
 
 
 def low_band_form(rng, K=6, J=3, band=2, n=2):
-    qf = QuadraticForm.zeros(n, K, J)
-    from qpwave.fourier import kinf, reality_enforce
+    from qpwave.fourier import kinf
 
-    rings = kinf(n, K)
-    mask = (rings <= band)[..., None, None]
-    for name in qf.BLOCKS:
-        arr = (rng.standard_normal(qf.zz.shape) + 1j * rng.standard_normal(qf.zz.shape))
-        arr = np.where(mask, arr, 0.0)
-        setattr(qf, name, reality_enforce(arr, n, K))
-    qf.symmetrize()
-    return qf
+    mask = (kinf(n, K) <= band)[..., None, None]
+    blocks = (np.where(mask, b, 0.0) for b in real_blocks(rng, n, K, J))
+    return QuadraticForm.from_blocks(n, K, J, *blocks)
 
 
 class TestDecompose:
@@ -107,7 +102,7 @@ class TestDecompose:
         total = dec.pieces[0]
         for p in dec.pieces[1:]:
             total = total + p
-        assert np.max(np.abs(total.zz - qf.zz)) < 1e-13
+        assert np.max(np.abs(total.coeffs - qf.coeffs)) < 1e-13
 
     def test_zero_form(self):
         qf = QuadraticForm.zeros(2, 4, 3)
@@ -124,8 +119,7 @@ class TestDecompose:
         for p in dec.pieces[1:]:
             total = total + p
         direct = smooth_form(qf, kernel(), strips[-1])
-        for a, b in zip(total.blocks(), direct.blocks()):
-            assert np.max(np.abs(a - b)) < 1e-15
+        assert np.max(np.abs(total.coeffs - direct.coeffs)) < 1e-15
 
     def test_strip_tags_and_certificates(self):
         rng = np.random.default_rng(3)
@@ -133,9 +127,15 @@ class TestDecompose:
         strips = [0.3, 0.15]
         dec = decompose(qf, strips, kernel())
         assert [p.strip for p in dec.pieces] == strips
-        for level in range(len(dec.pieces)):
+        radii = np.linalg.norm(kgrid(2, 8), axis=-1)
+        for level, piece in enumerate(dec.pieces):
             cert = dec.analyticity_certificate(level)
             assert np.isfinite(cert)
+            # the u-form sum over the whole window
+            want = max(np.sum(np.exp(strips[level] * radii)
+                              * np.linalg.norm(b, ord=2, axis=(-2, -1)))
+                       for b in uform_blocks(piece))
+            assert cert == pytest.approx(want, rel=1e-13)
 
     def test_schedule_validation(self):
         qf = QuadraticForm.zeros(1, 2, 2)
@@ -151,13 +151,11 @@ class TestDecompose:
         N = 4
         K = 96
         J = 2
-        qf = QuadraticForm.zeros(1, K, J)
         ks = np.arange(-K, K + 1)
         prof = np.where(ks != 0, 1.0 / np.maximum(np.abs(ks), 1) ** (N + 1.0), 0.0)
-        for name in qf.BLOCKS:
-            arr = np.zeros((2 * K + 1, J, J), dtype=complex)
-            arr[:, 0, 0] = prof
-            setattr(qf, name, arr)
+        arr = np.zeros((2 * K + 1, J, J), dtype=complex)
+        arr[:, 0, 0] = prof
+        qf = QuadraticForm.from_blocks(1, K, J, arr, arr, arr)
         strips = [0.2, 0.1, 0.05, 0.025, 0.0125]
         ws = WeightedSpace(N, J)
         dec = decompose(qf, strips, kernel(), ws=ws)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from forms import uform_blocks
 from qpwave.fourier import window_to_grid
 from qpwave.galerkin import WeightedSpace, assemble_initial_forms, coupling_tensor
 from qpwave.kam import NormalForm
@@ -116,7 +117,7 @@ class TestWaveSystem:
         u_direct = qp_to_u(states[-1].reshape(1, -1), 6)[0]
 
         # independent route: RK4 on u' = [L0 + eps*gen(Q(theta))] u
-        Q_hat = uform_from_blocks(qf.zz, qf.zzbar, qf.zbzb)
+        Q_hat = uform_from_blocks(*uform_blocks(qf))
         lam = np.arange(1, 7, dtype=float)
         L0 = np.diag(np.concatenate([1j * lam, -1j * lam]))
 
