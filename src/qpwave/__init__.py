@@ -53,7 +53,6 @@ from .verify import (
     TruncatedWaveSystem,
     compare_through_chain,
     integrate_full,
-    integrate_reduced,
     lyapunov_exponent,
     multiplier_decay,
 )

@@ -58,12 +58,11 @@ from .potential import (
 from .smoothing import JacksonKernel, decompose
 from .verify import (
     TruncatedWaveSystem,
+    chain_initial_state,
     compare_through_chain,
     integrate_full,
     lyapunov_exponent,
     multiplier_decay,
-    qp_to_u,
-    u_norm,
 )
 
 EXIT_CONVERGED = 0
@@ -117,6 +116,14 @@ class RunConfig:
             raise ValueError("eps must lie in [0, 1)")
         if self.tau_sweep is None and not (1.0 <= self.tau <= 2.0):
             raise ValueError("tau must lie in [1, 2]")
+        if self.tau_sweep is not None:
+            if len(self.tau_sweep) != 3:
+                raise ValueError("tau_sweep must be [lo, hi, count]")
+            lo, hi, count = (float(v) for v in self.tau_sweep)
+            if not (1.0 <= lo <= 2.0 and 1.0 <= hi <= 2.0):
+                raise ValueError("tau_sweep ends must lie in [1, 2]")
+            if count < 2 or count != int(count):
+                raise ValueError("tau_sweep needs an integer count >= 2")
         for name in ("picard_tol", "residual_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -494,16 +501,7 @@ def _verify_stage(config: RunConfig, freq, pf, ct, result, ws, sched: Schedule,
 
     # initial state: smooth profile mapped through the chain at theta0
     decay = np.arange(1, J + 1, dtype=float) ** (-(config.smoothness_N + 1.0))
-    z0 = decay * np.exp(1j * rng.uniform(0, 2 * np.pi, J))
-    u_red0 = np.concatenate([z0, np.conj(z0)])
-    if result.chain.steps:
-        mats = result.chain.matrices_at(theta0.reshape(1, -1))[0]
-        u_full0 = mats @ u_red0
-    else:
-        u_full0 = u_red0
-    q0 = np.sqrt(2.0) * u_full0[:J].real
-    p0 = -np.sqrt(2.0) * u_full0[:J].imag
-    y0 = np.concatenate([q0, p0])
+    y0 = chain_initial_state(result.chain, theta0, decay, rng.uniform(0, 2 * np.pi, J))
 
     times, states = integrate_full(sys_full, y0, config.conjugacy_T,
                                    record_every=None)
@@ -522,7 +520,7 @@ def _verify_stage(config: RunConfig, freq, pf, ct, result, ws, sched: Schedule,
     estimate_T = est_4T.prefix_exponent(lyap_T)
     _write_lyapunov_csv(out, est_4T)
 
-    norms = u_norm(qp_to_u(states, J), ws)
+    norms = ws.state_norm(states)
     energy_drift = None
     if config.eps == 0.0:
         e0 = sys_full.energy(states[0])
@@ -583,13 +581,11 @@ def _write_lyapunov_csv(out: Path, est):
 def sweep_tau(config: RunConfig, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if not config.tau_sweep or len(config.tau_sweep) != 3:
+    if config.tau_sweep is None:
         raise PipelineAbort(EXIT_CONFIG, "config_error",
                             "tau_sweep must be [lo, hi, count]")
     lo, hi, count = config.tau_sweep
     count = int(count)
-    if count < 2:
-        raise PipelineAbort(EXIT_CONFIG, "config_error", "sweep needs >= 2 points")
     taus = np.linspace(float(lo), float(hi), count)
     results = []
     for i, tau in enumerate(taus):

@@ -143,9 +143,19 @@ class WeightedSpace:
 
     @property
     def doubled_metric_weights(self) -> np.ndarray:
-        """The metric weights on doubled coordinates u = (z, zbar)."""
+        """The metric weights on doubled coordinates, x = (q, p) or
+        u = (z, zbar) = T x alike: diag(w, w) commutes with the unitary T."""
         w = self.metric_weights
         return np.concatenate([w, w])
+
+    def state_norm(self, x: np.ndarray) -> np.ndarray:
+        """Weighted norm of (q, p) states (..., 2J), one per state."""
+        return np.sqrt(np.sum((self.doubled_metric_weights * x) ** 2, axis=-1))
+
+    def state_opnorm(self, mats: np.ndarray) -> float:
+        """Largest operator norm, for state_norm, in a (..., 2J, 2J) batch of
+        linear maps or vector fields on (q, p) states."""
+        return metric_opnorm(mats, self.doubled_metric_weights)
 
     def norm(self, z: np.ndarray) -> float:
         z = np.asarray(z)
@@ -206,9 +216,14 @@ def blocks_from_qp(S: np.ndarray) -> tuple:
 
 
 def block_norms(S: np.ndarray, norm) -> tuple:
-    """norm of each u-form block (zz, zzbar, zbzb) of the (q, p) forms S,
-    values or coefficients: the one way the three-block norms read a form."""
-    return tuple(norm(b) for b in blocks_from_qp(S))
+    """norm of each u-form block (zz, zzbar, zbzb) of the real (q, p) form
+    values S: the one way the three-block norms read a form. On real values
+    zbzb = conj(zz) exactly, so zz's norm is reported for both."""
+    if np.iscomplexobj(S):
+        raise TypeError("block_norms reads real (q, p) values")
+    zz, zzbar, _ = blocks_from_qp(S)
+    zz_norm = norm(zz)
+    return zz_norm, norm(zzbar), zz_norm
 
 
 def check_real_structure(zz: np.ndarray, zzbar: np.ndarray, zbzb: np.ndarray, n: int) -> None:

@@ -3,13 +3,15 @@
 A quadratic Hamiltonian piece is carried as a QuadraticForm: the window
 coefficients, on the k_last >= 0 half, of its real symmetric form S in the
 real coordinates x = (q, p), H = <S x, x>. The doubled coordinates
-u = (z, zbar) = T x, T = [[I, -iI], [I, iI]] / sqrt(2) (z = (q - i p)/sqrt(2),
-as in verify.qp_to_u), give the u-form Q = conj(T) S T^H, whose blocks
+u = (z, zbar) = T x, T = [[I, -iI], [I, iI]] / sqrt(2) (z = (q - i p)/sqrt(2)),
+give the u-form Q = conj(T) S T^H, whose blocks
 <A z, z> + <B z, zbar> + <C zbar, zbar> (Q = [[A, B^T/2], [B/2, C]]) are
 used only where the homological divisors are diagonal: the solve, its
 residual and the three-block norms. Brackets, flows, series and norms on
 the grid work on float64 arrays, and each step's change of variables is
 stored the same way as a piece: the half-window coefficients of Phi - I.
+The transform chain composes these real maps, and verify reads them in
+(q, p) as they are.
 
 Conventions (fixed once, verified by the recomposition oracle):
   * flow of a Hamiltonian G:  dx/dt = 2 * JR * S_G * x, where
@@ -51,7 +53,6 @@ from .galerkin import (
     block_norms,
     blocks_from_qp,
     form_norm,
-    metric_opnorm,
     qp_from_blocks,
 )
 from .potential import FrequencySpec
@@ -233,15 +234,6 @@ def _slabs(G: int, n: int) -> list:
 # The (q, p) grid layer
 
 @functools.lru_cache(maxsize=None)
-def qp_unitary(J: int) -> np.ndarray:
-    """T = [[I, -iI], [I, iI]] / sqrt(2), u = T (q, p); read-only."""
-    eye = np.eye(J)
-    T = np.block([[eye, -1j * eye], [eye, 1j * eye]]) / math.sqrt(2.0)
-    T.flags.writeable = False
-    return T
-
-
-@functools.lru_cache(maxsize=None)
 def jr_matrix(J: int) -> np.ndarray:
     """JR = [[0, I], [-I, 0]]; read-only."""
     JR = np.zeros((2 * J, 2 * J))
@@ -305,12 +297,6 @@ def hamiltonian_window(lam: np.ndarray, pieces: list, weights: list) -> np.ndarr
     hat[_center(total.n, total.K)][np.arange(dim), np.arange(dim)] += \
         0.5 * np.concatenate([lam, lam])
     return hat
-
-
-def uform_opnorm(Q: np.ndarray, ws: WeightedSpace) -> float:
-    """Weighted operator norm (doubled h_N metric) of (..., 2J, 2J) matrices,
-    u-forms or (q, p) forms alike: diag(w, w) commutes with T, T is unitary."""
-    return metric_opnorm(Q, ws.doubled_metric_weights)
 
 
 def _grid_size(S: np.ndarray, w2: np.ndarray) -> float:
@@ -445,6 +431,7 @@ def homological_residual(
 
 _PICARD_MAX_TERMS = 80
 SYMPLECTIC_TOL = 1e-12  # bound on each step's symplectic_defect, enforced by KamEngine.step
+PLUGBACK_TOL = 1e-12  # bound on each step's homological_residual, enforced by KamEngine.step
 
 
 @dataclass
@@ -479,7 +466,7 @@ def flow_transform(
     B = generator_of(F.grid_values(grid))
     w2 = ws.doubled_metric_weights
 
-    gen_norm = uform_opnorm(B, ws)
+    gen_norm = ws.state_opnorm(B)
     if eps_m * gen_norm >= 0.5:
         raise StepSizeError(
             f"flow generator too large: eps*|B| = {eps_m * gen_norm:.3e} >= 0.5"
@@ -503,7 +490,7 @@ def flow_transform(
 
     P = U - eye
     P_hat = RealWindow(n, K, grid).put(P.reshape((grid,) * n + (2 * J, 2 * J))).coefficients()
-    P_norm = uform_opnorm(P, ws)
+    P_norm = ws.state_opnorm(P)
 
     JR = jr_matrix(J)
     defect = max(float(np.max(np.abs(np.matmul(U[pts].transpose(0, 2, 1), jr_mul(U[pts])) - JR)))
@@ -530,8 +517,8 @@ class TransformChain:
         self.steps.append(flow.P_hat)
 
     def matrices_at(self, thetas: np.ndarray) -> np.ndarray:
-        """Composed map Psi_0 Psi_1 ... Psi_{M-1} at each theta in the doubled
-        coordinates u = T x, T Phi_0 Phi_1 ... Phi_{M-1} T^H, (P, 2J, 2J)."""
+        """Composed real (q, p) map Phi_0 Phi_1 ... Phi_{M-1} at each theta,
+        float64 (P, 2J, 2J)."""
         thetas = np.atleast_2d(thetas)
         if not self.steps:
             raise ValueError("empty chain")
@@ -540,8 +527,7 @@ class TransformChain:
         for P_hat in self.steps:
             n = P_hat.ndim - 2
             out = out @ (np.eye(dim) + real_at_points(P_hat, n, P_hat.shape[n - 1] - 1, thetas))
-        T = qp_unitary(dim // 2)
-        return T @ out @ T.conj().T
+        return out
 
     def measure_composed_norm(self, ws: WeightedSpace, grid: int = 12) -> float:
         if not self.steps:
@@ -549,7 +535,7 @@ class TransformChain:
         pts = theta_grid_points(self.steps[0].ndim - 2, grid)
         mats = self.matrices_at(pts)
         eye = np.eye(mats.shape[-1])
-        self.composed_norm = uform_opnorm(mats - eye, ws)
+        self.composed_norm = ws.state_opnorm(mats - eye)
         return self.composed_norm
 
 
@@ -874,6 +860,10 @@ class KamEngine:
         sol = solve_homological(R_mm, st.normal_form, omega, K_eff, gamma_m,
                                 ws=self.ws, norm_grid=self.opts.norm_grid)
         residual = homological_residual(sol, R_mm, st.normal_form, omega)
+        if not residual <= PLUGBACK_TOL:  # NaN fails too
+            raise CertificateError(
+                f"step m={m}: homological_residual {residual:.3e} > {PLUGBACK_TOL:.1e}"
+            )
 
         nf_new = update_normal_form(st.normal_form, sol.diag_avg, eps_m)
         clock.append(time.perf_counter())

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import half_index, half_multiplicity, kgrid
-from .galerkin import QuadraticForm, WeightedSpace, block_norms, form_norm, max_spectral_norm
+from .galerkin import (
+    QuadraticForm,
+    WeightedSpace,
+    block_norms,
+    blocks_from_qp,
+    form_norm,
+    max_spectral_norm,
+)
 
 
 class ScheduleError(ValueError):
@@ -97,8 +104,8 @@ class DyadicDecomposition:
         n, K = piece.n, piece.K
         radii = np.linalg.norm(kgrid(n, K)[half_index(n, K)], axis=-1)
         weight = np.exp(self.strips[level] * radii) * half_multiplicity(n, K)
-        zz, zzbar, zbzb = (np.sum(weight * mags) for mags in block_norms(
-            piece.coeffs, lambda b: np.linalg.norm(b, ord=2, axis=(-2, -1))))
+        zz, zzbar, zbzb = (np.sum(weight * np.linalg.norm(b, ord=2, axis=(-2, -1)))
+                           for b in blocks_from_qp(piece.coeffs))
         return float(max(0.5 * (zz + zbzb), zzbar))
 
 

@@ -160,23 +160,15 @@ def integrate_full(
     return np.asarray(times), np.asarray(states)
 
 
-def integrate_reduced(lam: np.ndarray, initial_z: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Exact rotation z_j(t) = e^{+i lam_j t} z_j(0); no integrator error."""
-    lam = np.asarray(lam, dtype=float)
-    t = np.asarray(times, dtype=float)
-    return np.exp(1j * t[:, None] * lam[None, :]) * np.asarray(initial_z)[None, :]
-
-
-def qp_to_u(states: np.ndarray, J: int) -> np.ndarray:
-    """(q, p) samples to doubled complex coordinates u = (z, conj z)."""
-    q, p = states[..., :J], states[..., J:]
-    z = (q - 1j * p) / math.sqrt(2.0)
-    return np.concatenate([z, np.conj(z)], axis=-1)
-
-
-def u_norm(u: np.ndarray, ws: WeightedSpace) -> np.ndarray:
-    w2 = ws.doubled_metric_weights
-    return np.sqrt(np.sum((w2[None, :] * np.abs(u)) ** 2, axis=-1))
+def chain_initial_state(chain, theta0: np.ndarray, amplitudes: np.ndarray,
+                        phases: np.ndarray) -> np.ndarray:
+    """Full (q, p) state whose reduced modes are z_j = a_j e^{i phi_j}: the
+    reduced state sqrt(2) (Re z, -Im z) mapped through the chain at theta0."""
+    x_red = math.sqrt(2.0) * np.concatenate([amplitudes * np.cos(phases),
+                                             -amplitudes * np.sin(phases)])
+    if not chain.steps:
+        return x_red
+    return chain.matrices_at(np.reshape(theta0, (1, -1)))[0] @ x_red
 
 
 @dataclass
@@ -204,29 +196,32 @@ def compare_through_chain(
     subsample: int = 1,
 ) -> ConjugacyReport:
     """Map the reduced trajectory forward through the chain at theta(t) and
-    return the sup-t relative weighted distance to the full trajectory."""
+    return the sup-t relative weighted distance to the full trajectory.
+
+    Everything is in (q, p): the reduced flow z_j -> e^{i lam_j t} z_j,
+    z = (q - i p)/sqrt(2), rotates each mode's (q_j, p_j)."""
     J = ws.J_max
     times = np.asarray(full_times)[::subsample]
-    u_full = qp_to_u(np.asarray(full_states)[::subsample], J)
+    x_full = np.asarray(full_states)[::subsample]
     thetas = np.asarray(theta0)[None, :] + times[:, None] * np.asarray(omega)[None, :]
 
-    if chain is not None and getattr(chain, "steps", None):
+    if chain is not None and chain.steps:
         mats = chain.matrices_at(thetas)
     else:
-        mats = np.broadcast_to(np.eye(2 * J, dtype=complex),
-                               (times.shape[0], 2 * J, 2 * J)).copy()
+        mats = np.broadcast_to(np.eye(2 * J), (times.shape[0], 2 * J, 2 * J))
 
-    u_red0 = np.linalg.solve(mats[0], u_full[0])
-    phase = np.exp(1j * times[:, None] * np.asarray(lam)[None, :])
-    u_red = np.concatenate([phase * u_red0[None, :J],
-                            np.conj(phase) * u_red0[None, J:]], axis=-1)
-    u_pred = np.einsum("tij,tj->ti", mats, u_red)
+    x_red0 = np.linalg.solve(mats[0], x_full[0])
+    q0, p0 = x_red0[:J], x_red0[J:]
+    angle = times[:, None] * np.asarray(lam)[None, :]
+    cos, sin = np.cos(angle), np.sin(angle)
+    x_red = np.concatenate([cos * q0 + sin * p0, cos * p0 - sin * q0], axis=-1)
+    x_pred = np.einsum("tij,tj->ti", mats, x_red)
 
-    dev = u_norm(u_pred - u_full, ws) / np.maximum(u_norm(u_full, ws), 1e-300)
+    dev = ws.state_norm(x_pred - x_full) / np.maximum(ws.state_norm(x_full), 1e-300)
 
-    # reverse direction: reduced moduli recovered from the full trajectory
-    u_back = np.linalg.solve(mats, u_full[..., None])[..., 0]
-    moduli = np.abs(u_back[:, :J])
+    # reverse direction: reduced moduli |z_j| recovered from the full trajectory
+    x_back = np.linalg.solve(mats, x_full[..., None])[..., 0]
+    moduli = np.sqrt(0.5 * (x_back[:, :J] ** 2 + x_back[:, J:] ** 2))
     drift = float(np.max(np.abs(moduli - moduli[0])) / max(np.max(moduli[0]), 1e-300))
 
     return ConjugacyReport(
@@ -338,11 +333,7 @@ def lyapunov_exponent(
     _require_lyapunov_horizon(T, renorm_dt)
     ws = ws or WeightedSpace(N=2, J_max=sys.J)
     rng = np.random.default_rng(seed)
-    wmetric = ws.doubled_metric_weights
-    w0 = rng.standard_normal(2 * sys.J) * (1.0 / wmetric)
-
-    def norm_fn(y):
-        return float(np.sqrt(np.sum((wmetric * y) ** 2)))
+    w0 = rng.standard_normal(2 * sys.J) * (1.0 / ws.doubled_metric_weights)
 
     def step_fn(t0, y, h):
         base = sys.theta0.copy()
@@ -351,7 +342,7 @@ def lyapunov_exponent(
         _, states = integrate_full(sys_shift, y, h, dt=dt, record_every=10**9)
         return states[-1]
 
-    return lyapunov_from_stepper(step_fn, w0, T, renorm_dt, norm_fn)
+    return lyapunov_from_stepper(step_fn, w0, T, renorm_dt, ws.state_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Real Hamiltonians as whole-window u-form blocks, the data the engine
-stores once as half-window (q, p) coefficients; shared by the tests."""
+stores once as half-window (q, p) coefficients, and the u-form
+(z, zbar) route of the conjugacy check; shared by the tests as oracles."""
+
+import math
 
 import numpy as np
 
@@ -42,3 +45,57 @@ def whole_window(coeffs, n, K):
 def uform_blocks(qf: QuadraticForm) -> tuple:
     """qf's u-form blocks (zz, zzbar, zbzb) on the whole window."""
     return blocks_from_qp(whole_window(qf.coeffs, qf.n, qf.K))
+
+
+# ---------------------------------------------------------------------------
+# The doubled complex coordinates u = (z, zbar) = T (q, p)
+
+
+def qp_unitary(J):
+    """T = [[I, -iI], [I, iI]] / sqrt(2), u = T (q, p)."""
+    eye = np.eye(J)
+    return np.block([[eye, -1j * eye], [eye, 1j * eye]]) / math.sqrt(2.0)
+
+
+def qp_to_u(states, J):
+    """(q, p) samples to doubled complex coordinates u = (z, conj z)."""
+    q, p = states[..., :J], states[..., J:]
+    z = (q - 1j * p) / math.sqrt(2.0)
+    return np.concatenate([z, np.conj(z)], axis=-1)
+
+
+def u_norm(u, ws):
+    w2 = ws.doubled_metric_weights
+    return np.sqrt(np.sum((w2[None, :] * np.abs(u)) ** 2, axis=-1))
+
+
+def uform_initial_state(mat_u, z0):
+    """The full (q, p) state of reduced modes z0 through the u-form chain
+    map mat_u at theta0 (None for the empty chain)."""
+    J = z0.shape[0]
+    u = np.concatenate([z0, np.conj(z0)])
+    if mat_u is not None:
+        u = mat_u @ u
+    return np.concatenate([math.sqrt(2.0) * u[:J].real, -math.sqrt(2.0) * u[:J].imag])
+
+
+def uform_compare_through_chain(mats_u, full_times, full_states, lam, ws, subsample=1):
+    """The conjugacy check in u: mats_u (P, 2J, 2J) are the u-form chain maps
+    at the subsampled times (None for the empty chain); returns
+    (max_rel_deviation, modulus_drift, deviations)."""
+    J = ws.J_max
+    times = np.asarray(full_times)[::subsample]
+    u_full = qp_to_u(np.asarray(full_states)[::subsample], J)
+    if mats_u is None:
+        mats_u = np.broadcast_to(np.eye(2 * J, dtype=complex),
+                                 (times.shape[0], 2 * J, 2 * J)).copy()
+    u_red0 = np.linalg.solve(mats_u[0], u_full[0])
+    phase = np.exp(1j * times[:, None] * np.asarray(lam)[None, :])
+    u_red = np.concatenate([phase * u_red0[None, :J],
+                            np.conj(phase) * u_red0[None, J:]], axis=-1)
+    u_pred = np.einsum("tij,tj->ti", mats_u, u_red)
+    dev = u_norm(u_pred - u_full, ws) / np.maximum(u_norm(u_full, ws), 1e-300)
+    u_back = np.linalg.solve(mats_u, u_full[..., None])[..., 0]
+    moduli = np.abs(u_back[:, :J])
+    drift = float(np.max(np.abs(moduli - moduli[0])) / max(np.max(moduli[0]), 1e-300))
+    return float(np.max(dev)), drift, dev

@@ -314,7 +314,7 @@ class TestCertificateAbort:
         assert "step m=0" in err.value.detail
         assert not (out / "steps" / "step_000").exists()
 
-    @pytest.mark.parametrize("gate", ["symplectic_defect", "P_norm",
+    @pytest.mark.parametrize("gate", ["homological_residual", "symplectic_defect", "P_norm",
                                       "series_truncation_spec_ok"])
     def test_failed_step_certificate_aborts_with_code_5(self, tmp_path, fail_certificate,
                                                          gate):
@@ -471,11 +471,19 @@ class TestMain:
                      str(tmp_path / "x")])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("flag", ["1.1:1.9", "1.1:x:3"])
+    @pytest.mark.parametrize("flag", ["1.1:1.9", "1.1:x:3", "0.5:1.5:3", "1.2:2.5:3",
+                                      "1.2:1.5:1"])
     def test_malformed_tau_sweep_is_config_error(self, tmp_path, capsys, flag):
         code = main(["sweep", "--tau-sweep", flag, "--out", str(tmp_path / "s")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_fractional_sweep_count_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TINY, "tau_sweep": [1.2, 1.5, 2.5]}))
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s")])
+        assert code == EXIT_CONFIG
+        assert "integer count" in capsys.readouterr().err
 
     def test_picard_tol_looser_than_symplectic_gate_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"

@@ -13,6 +13,7 @@ from qpwave.galerkin import (
     RealStructureError,
     WeightedSpace,
     assemble_initial_forms,
+    block_norms,
     blocks_from_qp,
     coupling_tensor,
     form_norm,
@@ -375,6 +376,20 @@ class TestRealForms:
             for part, keep in ((low, low_mask), (high, ~low_mask)):
                 want = QuadraticForm.from_blocks(n, K, 3, *(np.where(keep, x, 0.0) for x in a))
                 assert np.max(np.abs(part.coeffs - want.coeffs)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_block_norms_are_the_three_separate_norms(self, n):
+        # on real values zbzb = conj(zz): zz's norm stands for both
+        rng = np.random.default_rng(85 + n)
+        ws = WeightedSpace(3, 5)
+        values = rng.standard_normal((7 ** n, 10, 10))
+        for norm in (ws.opnorm_weighted, max_spectral_norm):
+            want = tuple(norm(b) for b in blocks_from_qp(values))
+            got = block_norms(values, norm)
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, rel=1e-13)
+        with pytest.raises(TypeError):
+            block_norms(values.astype(complex), max_spectral_norm)
 
     @pytest.mark.parametrize("n,K,G", FORM_CASES)
     def test_form_norm_is_the_three_block_norm(self, n, K, G):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from forms import real_form, real_projection, uform_blocks, whole_window
+from forms import qp_unitary, real_form, real_projection, uform_blocks, whole_window
 from qpwave import fourier, kam
 from qpwave.fourier import (
     RealGrid,
@@ -46,10 +46,8 @@ from qpwave.kam import (
     kam_run,
     push_remainder,
     qp_rows,
-    qp_unitary,
     seed_pieces,
     solve_homological,
-    uform_opnorm,
     update_normal_form,
 )
 from qpwave.potential import FrequencySpec, fourier_analyze, make_potential
@@ -363,8 +361,6 @@ class TestQpLayer:
         J = 3
         T = qp_unitary(J)
         assert np.max(np.abs(T.conj().T @ T - np.eye(2 * J))) < 1e-15
-        with pytest.raises(ValueError):
-            T[0, 0] = 0.0  # cached and read-only
         # blockwise formulas against the matrix products, both ways
         zz = rng.standard_normal((5, J, J)) + 1j * rng.standard_normal((5, J, J))
         zz = zz + zz.transpose(0, 2, 1)
@@ -530,7 +526,7 @@ class TestFlowStepSizeGuard:
         B = generator_of(sol.F.grid_values(4))
         # the bound alone would reject; the exact norm accepts
         assert eps * np.max(np.linalg.norm(B, axis=(-2, -1))) >= 0.5
-        assert eps * uform_opnorm(B, ws) == pytest.approx(0.3, abs=1e-15)
+        assert eps * ws.state_opnorm(B) == pytest.approx(0.3, abs=1e-15)
         flow = flow_transform(sol, eps, ws, grid=4)
         rot = np.exp(1j * eps)
         expect = np.diag([rot] * J + [np.conj(rot)] * J)
@@ -853,7 +849,8 @@ class TestTransformChain:
     @pytest.mark.parametrize("n,K", [(1, 3), (2, 2), (2, 3)])
     def test_matrices_match_the_uform_evaluation(self, n, K):
         # the chain as before: each step's whole-window u-form map
-        # T (Phi - I) T^H, evaluated at the points and composed in u
+        # T (Phi - I) T^H, evaluated at the points and composed in u, then
+        # read back in (q, p) as T^H (...) T
         rng = np.random.default_rng(50 + 10 * n + K)
         J, steps = 3, 3
         shape = (2 * K + 1,) * n + (2 * J, 2 * J)
@@ -866,7 +863,9 @@ class TestTransformChain:
             whole = c + np.conj(np.flip(c, axis=tuple(range(n))))  # a real map field
             chain.steps.append(whole[half_index(n, K)])
             want = want @ (np.eye(2 * J) + eval_at_points(T @ whole @ T.conj().T, n, K, thetas))
+        want = T.conj().T @ want @ T
         got = chain.matrices_at(thetas)
+        assert got.dtype == np.float64
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -887,7 +886,7 @@ class TestCertificateGates:
         assert not engine.state.diagnostics
         assert not engine.chain.steps
 
-    @pytest.mark.parametrize("gate", ["symplectic_defect", "P_norm",
+    @pytest.mark.parametrize("gate", ["homological_residual", "symplectic_defect", "P_norm",
                                       "series_truncation_spec_ok"])
     def test_failed_certificate_stops_the_step(self, fail_certificate, gate):
         pf, dec, freq, sched, ws = small_pipeline(M=2)

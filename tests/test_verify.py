@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from forms import uform_blocks
-from qpwave.fourier import window_to_grid
+from forms import (
+    qp_to_u,
+    qp_unitary,
+    uform_blocks,
+    uform_compare_through_chain,
+    uform_initial_state,
+)
+from qpwave.fourier import half_index, window_to_grid
 from qpwave.galerkin import WeightedSpace, assemble_initial_forms, coupling_tensor
-from qpwave.kam import NormalForm
+from qpwave.kam import NormalForm, TransformChain
 from qpwave.potential import FrequencySpec, fourier_analyze, make_potential
 from qpwave.verify import (
     _STAGE_CENTERS,
@@ -14,13 +20,12 @@ from qpwave.verify import (
     _W1,
     StabilityError,
     TruncatedWaveSystem,
+    chain_initial_state,
     compare_through_chain,
     integrate_full,
-    integrate_reduced,
     lyapunov_exponent,
     lyapunov_from_stepper,
     multiplier_decay,
-    qp_to_u,
 )
 
 OMEGA0 = (1.0, np.sqrt(2.0))
@@ -185,22 +190,6 @@ class TestBlockPropagators:
         assert rel <= 1e-11
 
 
-class TestReduced:
-    def test_exact_rotation_and_invariants(self):
-        lam = np.array([1.0, 2.0, 3.5])
-        z0 = np.array([0.3 + 0.1j, -0.2j, 0.05 + 0.05j])
-        t = np.linspace(0, 10, 101)
-        Z = integrate_reduced(lam, z0, t)
-        assert np.max(np.abs(np.abs(Z) - np.abs(z0)[None, :])) < 1e-14
-        # matches the free (q, p) solution through the complexification
-        q = np.sqrt(2) * Z.real
-        p = -np.sqrt(2) * Z.imag
-        for j, k in enumerate([1.0, 2.0, 3.5]):
-            expect_q = (math.sqrt(2) * (np.cos(k * t) * z0[j].real
-                                        - np.sin(k * t) * z0[j].imag))
-            assert np.max(np.abs(q[:, j] - expect_q)) < 1e-12
-
-
 class TestConjugacy:
     def test_free_system_identity_chain(self):
         sys, *_ = build_system(eps=0.0, J=6)
@@ -213,6 +202,49 @@ class TestConjugacy:
                                     sys.freq.omega, ws)
         assert rep.max_rel_deviation < 1e-10
         assert rep.modulus_drift < 1e-10
+
+    @pytest.mark.parametrize("n, steps", [(1, 3), (2, 3), (2, 0)])
+    def test_matches_the_uform_route(self, n, steps):
+        # the check in u = (z, zbar) = T (q, p) through the u-form chain maps
+        # T Phi T^H, on a random real chain and a coupled trajectory
+        J, K = 6, 1
+        sys, *_ = build_system(J=J, eps=1e-2)
+        rng = np.random.default_rng(70 + 10 * n + steps)
+        chain = TransformChain()
+        shape = (2 * K + 1,) * n + (2 * J, 2 * J)
+        for _ in range(steps):
+            c = 0.01 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            whole = c + np.conj(np.flip(c, axis=tuple(range(n))))  # a real map field
+            chain.steps.append(whole[half_index(n, K)])
+        T = qp_unitary(J)
+
+        def uform_maps(thetas):
+            return T @ chain.matrices_at(thetas) @ T.conj().T if steps else None
+
+        theta0 = rng.uniform(0, 2 * np.pi, n)
+        omega = sys.freq.omega[:n]
+        amplitudes = np.arange(1, J + 1, dtype=float) ** -2.0
+        phases = rng.uniform(0, 2 * np.pi, J)
+        y0 = chain_initial_state(chain, theta0, amplitudes, phases)
+        at_theta0 = uform_maps(theta0[None, :])
+        want_y0 = uform_initial_state(None if at_theta0 is None else at_theta0[0],
+                                      amplitudes * np.exp(1j * phases))
+        assert y0.dtype == np.float64
+        assert np.max(np.abs(y0 - want_y0)) <= 1e-14 * np.max(np.abs(want_y0))
+
+        times, states = integrate_full(sys, y0, 5.0)
+        ws = WeightedSpace(4, J)
+        lam = np.arange(1, J + 1) + 0.01 * rng.standard_normal(J)
+        rep = compare_through_chain(chain, times, states, lam, theta0, omega, ws,
+                                    subsample=3)
+        sub = times[::3]
+        dev_max, drift, devs = uform_compare_through_chain(
+            uform_maps(theta0[None, :] + sub[:, None] * omega[None, :]),
+            times, states, lam, ws, subsample=3)
+        assert rep.deviations.dtype == np.float64 and rep.times.dtype == np.float64
+        assert rep.max_rel_deviation == pytest.approx(dev_max, rel=1e-12)
+        assert rep.modulus_drift == pytest.approx(drift, rel=1e-12)
+        assert np.max(np.abs(rep.deviations - devs)) <= 1e-12 * dev_max
 
 
 class TestLyapunov:
