@@ -3,6 +3,8 @@
 Pipeline: validate -> analyze -> assemble -> schedule/split -> screen ->
 reduce -> verify, with per-step checkpoints under <out>/steps and a
 deterministic summary.json (timings quarantined under their own key).
+Everything before the screen's tau test is the front, which does not read
+tau; a tau sweep builds it once and runs the rest at each tau.
 
 Exit codes: 0 converged, 2 resonant scaling value, 3 step-size abort,
 4 config error, 5 certificate failed (a step's or the verify stage's
@@ -12,13 +14,14 @@ conjugacy), 6 internal error (numpy linear algebra, memory or I/O).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import resource
 import shutil
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,7 @@ from . import resonance
 from .galerkin import (
     CHECKPOINT_SCHEMA,
     CheckpointSchemaError,
+    CouplingTensor,
     QuadraticForm,
     RealStructureError,
     WeightedSpace,
@@ -51,6 +55,7 @@ from .kam import (
 from .potential import (
     FrequencySpec,
     InvalidPotentialError,
+    PotentialFourier,
     fourier_analyze,
     make_potential,
     validate_assumptions,
@@ -190,8 +195,9 @@ def peak_rss_mib() -> float:
 
 
 def _stage_done(timings: dict, stage: str, t0: float):
-    """Record a pipeline stage's wall time and the peak RSS after it."""
-    timings[stage] = time.time() - t0
+    """Record a pipeline stage's wall time, added to any time already recorded
+    for it, and the peak RSS after it."""
+    timings[stage] = timings.get(stage, 0.0) + time.time() - t0
     timings["peak_rss_mb"].append([stage, peak_rss_mib()])
 
 
@@ -298,33 +304,63 @@ def _build_inputs(config: RunConfig, tau: float):
 _INTERNAL_ERRORS = (np.linalg.LinAlgError, RealStructureError, MemoryError, OSError)
 
 
-def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -> dict:
-    """Execute the full pipeline; returns the summary dict (also written).
-
-    A numpy linear-algebra error, MemoryError or OSError becomes a
-    PipelineAbort with status internal_error naming the stage, and the step
-    in reduce."""
-    stages = ["setup"]  # entered so far; the last is the current one
+@contextlib.contextmanager
+def _stage_errors(stages: list):
+    """Turn a numpy linear-algebra error, MemoryError or OSError into a
+    PipelineAbort with status internal_error naming the stage entered last
+    (in reduce, with its step)."""
     try:
-        return _pipeline(config, Path(out_dir), resume, stages)
+        yield
     except _INTERNAL_ERRORS as e:
         raise PipelineAbort(EXIT_INTERNAL, "internal_error",
                             f"{stages[-1]}: {type(e).__name__}: {e}") from e
 
 
-def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
+def _open_run_dir(config: RunConfig, out_dir: str | Path) -> Path:
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    timings: dict = {"peak_rss_mb": []}  # [stage or step, peak RSS so far] in run order
-    t_start = time.time()
-    summary: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config.as_dict(),
-        "status": "incomplete",
-    }
     _write_json(out / "config.json", config.as_dict())
+    return out
 
+
+@dataclass
+class _Front:
+    """The part of a run that does not read tau: inputs, validation,
+    analysis, assembly, schedule and split, the seeded step-0 pieces and the
+    step-0 resonance scan (which reads omega0 only). A sweep builds it once
+    for all its taus."""
+
+    freq: FrequencySpec  # at the tau it was built for; a run replaces tau
+    pf: PotentialFourier
+    ct: CouplingTensor
+    ws: WeightedSpace
+    sched: Schedule
+    pieces: list | None  # the run's engine takes them over
+    scan: resonance.ResonanceReport
+    scan_csv: str  # resonance.csv of the scan, which every run writes
+    summary: dict  # its sections of a run summary
+
+
+def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -> dict:
+    """Execute the full pipeline, the front and then the run at config.tau;
+    returns the summary dict (also written).
+
+    A numpy linear-algebra error, MemoryError or OSError becomes a
+    PipelineAbort with status internal_error naming the stage, and the step
+    in reduce."""
+    t_start = time.time()
+    stages = ["setup"]  # entered so far; the last is the current one
+    timings: dict = {"peak_rss_mb": []}  # [stage or step, peak RSS so far] in run order
+    with _stage_errors(stages):
+        out = _open_run_dir(config, out_dir)
+        front = _front(config, stages, timings)
+        return _run_tau(config, out, front, stages, timings, t_start, resume)
+
+
+def _front(config: RunConfig, stages: list, timings: dict) -> _Front:
+    summary: dict = {}
     try:
-        freq, spec, table = _build_inputs(config, config.tau)
+        freq, spec, _ = _build_inputs(config, config.tau)
     except (ValueError, InvalidPotentialError) as e:
         raise PipelineAbort(EXIT_CONFIG, "config_error", str(e))
 
@@ -353,7 +389,8 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
     ct = coupling_tensor(config.J_max)
     qf0 = assemble_initial_forms(pf, ct, ws)
 
-    # 3. schedule and analytic split
+    # 3. schedule, analytic split and the step-0 pieces (a degenerate
+    # schedule gets none)
     stages.append("schedule_split")
     t0 = time.time()
     if config.eps == 0.0:
@@ -369,24 +406,48 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
             "bound_constants": dec.bound_constants,
         }
     del qf0  # the split was its only reader
+    pieces = seed_pieces(dec, sched.eps0, sched)
+    del dec  # the seeding was its only reader
     summary["schedule"] = sched.as_dict()
     _stage_done(timings, "schedule_split", t0)
 
-    # 4. screen + measure at entry parameters
+    # 4. screen, its tau-independent part: step 0's measure scan (base
+    # frequencies, cutoff K_eff(0), gamma_0); a run adds its own screen's time
     stages.append("screen")
     t0 = time.time()
-    nf0 = NormalForm(J=config.J_max)
-    K0_eff = sched.K_eff(0, config.K_theta)
-    screen = resonance.screen_tau(config.tau, nf0, np.asarray(config.omega0),
-                                  K0_eff, float(sched.gamma_steps[0]), config.J_max)
-    scan = resonance.measure_scan(nf0, freq, K0_eff, float(sched.gamma_steps[0]),
+    scan = resonance.measure_scan(NormalForm(J=config.J_max), freq,
+                                  sched.K_eff(0, config.K_theta), float(sched.gamma_steps[0]),
                                   config.J_max, config.tau_grid_points)
+    scan_csv = _resonance_csv(scan)
+    timings["screen"] = time.time() - t0
+    return _Front(freq, pf, ct, ws, sched, pieces, scan, scan_csv, summary)
+
+
+def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings: dict,
+             t_start: float, resume: bool = False) -> dict:
+    """The run at config.tau from its front: screen, reduce, the per-step
+    scans for m >= 1, verify and the summary."""
+    freq = replace(front.freq, tau=config.tau)
+    sched, ws = front.sched, front.ws
+    summary: dict = {
+        "schema_version": SCHEMA_VERSION,
+        "config": config.as_dict(),
+        "status": "incomplete",
+        **front.summary,
+    }
+
+    # 4. screen at entry parameters (the front ran step 0's scan)
+    stages.append("screen")
+    t0 = time.time()
+    screen = resonance.screen_tau(config.tau, NormalForm(J=config.J_max),
+                                  np.asarray(config.omega0), sched.K_eff(0, config.K_theta),
+                                  float(sched.gamma_steps[0]), config.J_max)
     summary["resonance"] = {
         "screen_passed": screen.passed,
         "worst_query": screen.worst.as_dict(),
-        "scan": scan.as_dict(),
+        "scan": front.scan.as_dict(),
     }
-    _write_resonance_csv(out, scan)
+    _write_resonance_csv(out, front.scan_csv)
     _stage_done(timings, "screen", t0)
     if not screen.passed:
         raise PipelineAbort(EXIT_RESONANT, "resonant_tau",
@@ -410,11 +471,11 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
                            options=opts, normal_form=nf, chain=chain,
                            m_start=m_next, diagnostics=list(records))
     else:
-        engine = KamEngine(seed_pieces(dec, sched.eps0, sched), freq, sched, ws,
+        engine = KamEngine(front.pieces, freq, sched, ws,
                            K_theta=config.K_theta, options=opts)
     # the engine alone holds the step-0 or restored pieces, so that each step
-    # frees the pieces it replaces; the decomposition is done with
-    restored = pieces = dec = None
+    # frees the pieces it replaces (a sweep's front keeps its own list of them)
+    restored = pieces = front.pieces = None
     timings["steps"] = []  # the engine's sub-stage times of each step run here
     try:
         while not engine.finished:
@@ -443,9 +504,9 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
 
     # nested admissible-set bookkeeping: per-step scans with the running
     # frequencies, chaining the excluded masks across steps; step 0's is the
-    # stage 4 scan (base frequencies, same cutoff and gamma_0, no mask)
+    # front's scan (base frequencies, same cutoff and gamma_0, no mask)
     if not sched.degenerate:
-        scan_m, mask = scan, scan.excluded_mask
+        scan_m, mask = front.scan, front.scan.excluded_mask
         per_step_scans = []
         hist = result.normal_form.mu_history
         for m in range(sched.M):
@@ -473,7 +534,8 @@ def _pipeline(config: RunConfig, out: Path, resume: bool, stages: list) -> dict:
     if config.run_verify:
         stages.append("verify")
         t0 = time.time()
-        summary["verify"] = _verify_stage(config, freq, pf, ct, result, ws, sched, out)
+        summary["verify"] = _verify_stage(config, freq, front.pf, front.ct, result, ws,
+                                          sched, out)
         _stage_done(timings, "verify", t0)
         conj = summary["verify"]["conjugacy"]
         if not conj["within_tolerance"]:
@@ -546,14 +608,16 @@ def _verify_stage(config: RunConfig, freq, pf, ct, result, ws, sched: Schedule,
     }
 
 
-def _write_resonance_csv(out: Path, scan):
-    path = out / "resonance.csv"
+def _resonance_csv(scan) -> str:
+    """resonance.csv of a scan: tau and its excluded flag, about 2000 rows."""
     taus = np.linspace(scan.tau_span[0], scan.tau_span[1], scan.grid_points)
-    with open(path, "w") as f:
-        f.write("tau,excluded\n")
-        stride = max(1, scan.grid_points // 2000)
-        for t, flag in zip(taus[::stride], scan.excluded_mask[::stride]):
-            f.write(f"{t:.6f},{int(flag)}\n")
+    stride = max(1, scan.grid_points // 2000)
+    return "tau,excluded\n" + "".join(
+        f"{t:.6f},{int(flag)}\n" for t, flag in zip(taus[::stride], scan.excluded_mask[::stride]))
+
+
+def _write_resonance_csv(out: Path, text: str):
+    (out / "resonance.csv").write_text(text)
 
 
 def _write_trajectory_csv(out: Path, conj):
@@ -579,6 +643,10 @@ def _write_lyapunov_csv(out: Path, est):
 
 
 def sweep_tau(config: RunConfig, out_dir: str | Path) -> dict:
+    """Run the pipeline at each tau of config.tau_sweep into tau_<i>/: the
+    front once, then the run at each tau. A front that fails gives every tau
+    its status; the front's stage times and peak RSS go under timings."""
+    t_start = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if config.tau_sweep is None:
@@ -587,22 +655,38 @@ def sweep_tau(config: RunConfig, out_dir: str | Path) -> dict:
     lo, hi, count = config.tau_sweep
     count = int(count)
     taus = np.linspace(float(lo), float(hi), count)
+    runs = [RunConfig.from_dict({**config.as_dict(), "tau": float(tau), "tau_sweep": None})
+            for tau in taus]
+    stages = ["setup"]
+    front_timings: dict = {"peak_rss_mb": []}
+    try:
+        with _stage_errors(stages):
+            front = _front(runs[0], stages, front_timings)
+    except PipelineAbort as e:
+        front = e  # every tau fails as the front did
+    _stage_done(front_timings, "front", t_start)
     results = []
-    for i, tau in enumerate(taus):
-        sub = RunConfig.from_dict({**config.as_dict(), "tau": float(tau),
-                                   "tau_sweep": None})
-        sub_out = out / f"tau_{i:03d}"
+    for i, run in enumerate(runs):
+        t0 = time.time()
+        stages = ["setup"]
         try:
-            s = run_pipeline(sub, sub_out)
-            results.append({"tau": float(tau), "status": "converged",
+            with _stage_errors(stages):
+                run_out = _open_run_dir(run, out / f"tau_{i:03d}")
+                if isinstance(front, PipelineAbort):
+                    raise front.with_traceback(None)
+                # the run takes over its own list of the step-0 pieces, so
+                # the front's list keeps them for the next tau
+                s = _run_tau(run, run_out, replace(front, pieces=list(front.pieces)),
+                             stages, {"peak_rss_mb": []}, t0)
+            results.append({"tau": run.tau, "status": "converged",
                             "max_abs_xi": s["multiplier"]["max_abs"]})
         except PipelineAbort as e:
-            results.append({"tau": float(tau), "status": e.status,
-                            "detail": e.detail})
+            results.append({"tau": run.tau, "status": e.status, "detail": e.detail})
     # only the resonance screen excludes a tau; step-size aborts and failed
     # certificates are neither converged nor excluded
     statuses = [r["status"] for r in results]
     excluded = statuses.count("resonant_tau") / count
+    front_timings["total"] = time.time() - t_start  # of the whole sweep
     aggregate = {
         "schema_version": SCHEMA_VERSION,
         "taus": taus.tolist(),
@@ -611,6 +695,7 @@ def sweep_tau(config: RunConfig, out_dir: str | Path) -> dict:
         "excluded_fraction": excluded,
         "empirical_constant": excluded / config.gamma ** (1.0 / 3.0),
         "bound_form": "converged_fraction >= 1 - c * gamma^(1/3)",
+        "timings": front_timings,
     }
     _write_json(out / "sweep_summary.json", aggregate)
     return aggregate

@@ -200,9 +200,9 @@ def qp_from_blocks(zz: np.ndarray, zzbar: np.ndarray, zbzb: np.ndarray) -> np.nd
     return S
 
 
-def blocks_from_qp(S: np.ndarray) -> tuple:
-    """(zz, zzbar, zbzb) of the u-form conj(T) S T^H, the inverse of
-    qp_from_blocks (zz and zbzb symmetrized)."""
+def _uform_parts(S: np.ndarray) -> tuple:
+    """(real, imag, zzbar) of the u-form conj(T) S T^H, whose zz and zbzb
+    blocks are real + imag and real - imag (symmetrized)."""
     J = S.shape[-1] // 2
     qq, qp, pq, pp = S[..., :J, :J], S[..., :J, J:], S[..., J:, :J], S[..., J:, J:]
     real = 0.5 * (qq - pp)
@@ -212,17 +212,25 @@ def blocks_from_qp(S: np.ndarray) -> tuple:
     trace = qq + pp
     cross = 1j * (qp - pq)
     zzbar = 0.5 * (trace + np.swapaxes(trace, -1, -2) + cross - np.swapaxes(cross, -1, -2))
+    return real, imag, zzbar
+
+
+def blocks_from_qp(S: np.ndarray) -> tuple:
+    """(zz, zzbar, zbzb) of the u-form conj(T) S T^H, the inverse of
+    qp_from_blocks (zz and zbzb symmetrized)."""
+    real, imag, zzbar = _uform_parts(S)
     return real + imag, zzbar, real - imag
 
 
 def block_norms(S: np.ndarray, norm) -> tuple:
     """norm of each u-form block (zz, zzbar, zbzb) of the real (q, p) form
     values S: the one way the three-block norms read a form. On real values
-    zbzb = conj(zz) exactly, so zz's norm is reported for both."""
+    zbzb = conj(zz) exactly, so zz's norm is reported for both, and zbzb is
+    not built."""
     if np.iscomplexobj(S):
         raise TypeError("block_norms reads real (q, p) values")
-    zz, zzbar, _ = blocks_from_qp(S)
-    zz_norm = norm(zz)
+    real, imag, zzbar = _uform_parts(S)
+    zz_norm = norm(real + imag)
     return zz_norm, norm(zzbar), zz_norm
 
 

@@ -5,7 +5,6 @@ import os
 import shutil
 import sys
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,6 +382,76 @@ class TestSweep:
         assert agg["converged_fraction"] == 0.0
         assert agg["excluded_fraction"] == 0.5
         assert agg["empirical_constant"] == 0.5 / 0.05 ** (1.0 / 3.0)
+
+    def test_sweep_matches_single_runs(self, tmp_path, monkeypatch):
+        # one front for the whole sweep; its step-0 pieces survive every run
+        seeded = []
+        seed = cli.seed_pieces
+
+        def watched_seed(*a, **k):
+            pieces = seed(*a, **k)
+            seeded.append((pieces, [p.coeffs.copy() for p in pieces]))
+            return pieces
+
+        monkeypatch.setattr(cli, "seed_pieces", watched_seed)
+        tau, _ = find_resonant_tau((1.0, np.sqrt(2.0)), J_max=8, K_search=2)
+        out = tmp_path / "sweep"
+        agg = sweep_tau(tiny_config(tau_sweep=[float(tau), 1.29, 2]), out)
+        assert [r["status"] for r in agg["results"]] == ["resonant_tau", "converged"]
+        assert len(seeded) == 1
+        pieces, coeffs = seeded[0]
+        assert pieces
+        for piece, before in zip(pieces, coeffs):
+            assert np.array_equal(piece.coeffs, before)
+
+        with pytest.raises(PipelineAbort) as err:
+            run_pipeline(tiny_config(tau=float(tau)), tmp_path / "resonant")
+        assert agg["results"][0]["detail"] == err.value.detail
+        single = run_pipeline(tiny_config(tau=1.29), tmp_path / "single")
+        swept = json.loads((out / "tau_001" / "summary.json").read_text())
+        assert swept["status"] == "converged"
+        assert strip_timings(swept) == json.loads(json.dumps(strip_timings(single)))
+        assert agg["results"][1]["max_abs_xi"] == single["multiplier"]["max_abs"]
+
+    def test_failing_front_fails_every_tau(self, tmp_path):
+        # omega0 = (1, 1 + 1e-9) fails the Diophantine check
+        cfg = tiny_config(omega0=[1.0, 1.0 + 1e-9], tau_sweep=[1.2, 1.3, 2])
+        agg = sweep_tau(cfg, tmp_path / "sweep")
+        with pytest.raises(PipelineAbort) as err:
+            run_pipeline(tiny_config(omega0=[1.0, 1.0 + 1e-9]), tmp_path / "single")
+        assert err.value.status == "config_error"
+        assert err.value.detail.startswith("potential assumptions failed: ")
+        assert "'diophantine_ok': False" in err.value.detail
+        assert agg["results"] == [{"tau": t, "status": "config_error", "detail": err.value.detail}
+                                  for t in (1.2, 1.3)]
+        for i, t in enumerate((1.2, 1.3)):
+            written = json.loads((tmp_path / "sweep" / f"tau_{i:03d}" / "config.json").read_text())
+            assert written["tau"] == t and written["tau_sweep"] is None
+
+    def test_sweep_records_the_front_timings(self, tmp_path):
+        out = tmp_path / "sweep"
+        agg = sweep_tau(tiny_config(tau_sweep=[1.28, 1.29, 2], run_verify=False), out)
+        on_disk = json.loads((out / "sweep_summary.json").read_text())
+        assert set(on_disk) == {"schema_version", "taus", "results", "converged_fraction",
+                                "excluded_fraction", "empirical_constant", "bound_form",
+                                "timings"}
+        timings = on_disk["timings"]
+        assert timings == agg["timings"]
+        assert [label for label, _ in timings["peak_rss_mb"]] == [
+            "validate", "analyze", "schedule_split", "front"]
+        for stage in ("validate", "analyze", "schedule_split", "screen", "front", "total"):
+            assert timings[stage] > 0
+        assert timings["front"] <= timings["total"]
+        # each tau's timings hold its own stages only, and report renders them
+        tau_out = out / "tau_001"
+        summary = json.loads((tau_out / "summary.json").read_text())
+        assert [label for label, _ in summary["timings"]["peak_rss_mb"]] == [
+            "screen", "step 0", "step 1", "reduce"]
+        assert "validate" not in summary["timings"]
+        assert main(["report", "--out", str(tau_out)]) == EXIT_CONVERGED
+        rows = (tau_out / "timings_report.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == [
+            "screen", "step 0", "step 1", "reduce", "total"]
 
 
 class TestMain:

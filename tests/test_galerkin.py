@@ -8,7 +8,6 @@ from qpwave.fourier import RealGrid, half_index, kinf, window_to_grid
 from qpwave.galerkin import (
     CHECKPOINT_SCHEMA,
     CheckpointSchemaError,
-    CouplingTensor,
     QuadraticForm,
     RealStructureError,
     WeightedSpace,

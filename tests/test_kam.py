@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from forms import qp_unitary, real_form, real_projection, uform_blocks, whole_window
+from forms import qp_unitary, real_form, real_projection, uform_blocks
 from qpwave import fourier, kam
 from qpwave.fourier import (
     RealGrid,
@@ -36,7 +36,6 @@ from qpwave.kam import (
     TransformChain,
     bracket_sym,
     build_schedule,
-    consistency_defect,
     flow_transform,
     generator_of,
     hamiltonian_window,

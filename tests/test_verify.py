@@ -10,7 +10,7 @@ from forms import (
     uform_compare_through_chain,
     uform_initial_state,
 )
-from qpwave.fourier import half_index, window_to_grid
+from qpwave.fourier import half_index
 from qpwave.galerkin import WeightedSpace, assemble_initial_forms, coupling_tensor
 from qpwave.kam import NormalForm, TransformChain
 from qpwave.potential import FrequencySpec, fourier_analyze, make_potential
