@@ -8,13 +8,14 @@ tau; a tau sweep builds it once and runs the rest at each tau.
 
 Exit codes: 0 converged, 2 resonant scaling value, 3 step-size abort,
 4 config error, 5 certificate failed (a step's or the verify stage's
-conjugacy), 6 internal error (numpy linear algebra, memory or I/O).
+conjugacy), 6 internal error (any other error in a stage).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import os
 import resource
@@ -28,14 +29,10 @@ import numpy as np
 
 from . import resonance
 from .galerkin import (
-    CHECKPOINT_SCHEMA,
-    CheckpointSchemaError,
     CouplingTensor,
     QuadraticForm,
-    RealStructureError,
     WeightedSpace,
     assemble_initial_forms,
-    check_schema,
     coupling_tensor,
 )
 from .kam import (
@@ -77,7 +74,7 @@ EXIT_CONFIG = 4
 EXIT_CERTIFICATE = 5
 EXIT_INTERNAL = 6
 
-SCHEMA_VERSION = 1  # of summary.json; checkpoints have galerkin.CHECKPOINT_SCHEMA
+SCHEMA_VERSION = 1  # of summary.json; checkpoints have CHECKPOINT_SCHEMA
 
 DEFAULT_OMEGA0 = (1.0, 1.4142135623730951, 1.7320508075688772, 2.2360679774997896)
 
@@ -161,7 +158,24 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint helpers
+# Checkpoints: one directory per step, state.json and its arrays
+
+CHECKPOINT_SCHEMA = 3  # format of a step directory
+CHECKPOINT_ENCODING = (
+    "complex128 little-endian float64 (re, im) pairs, row-major over shape "
+    "(k-window half..., 2J, 2J), coefficients for k_last >= 0: piece_<i>.bin "
+    "holds remainder piece i's (q, p) form, transform.bin the step's Phi - id")
+
+
+class CheckpointSchemaError(ValueError):
+    """A checkpoint was written in another format."""
+
+
+def check_schema(state: dict, path: str | Path) -> None:
+    found = state.get("schema")
+    if found != CHECKPOINT_SCHEMA:
+        raise CheckpointSchemaError(
+            f"{path}: checkpoint schema {found}, expected {CHECKPOINT_SCHEMA}")
 
 
 def _save_complex(path: Path, arr: np.ndarray):
@@ -172,20 +186,40 @@ def _load_complex(path: Path, shape) -> np.ndarray:
     return np.frombuffer(path.read_bytes(), dtype="<c16").reshape(shape).astype(complex)
 
 
-def machine_info() -> dict:
+def _openblas_thread_calls():
+    """(set, get) of the thread count of the OpenBLAS bundled with numpy,
+    called through ctypes; None where no such library exports them."""
+    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*")):
+        lib = ctypes.CDLL(str(path))
+        try:
+            setter, getter = (getattr(lib, f"scipy_openblas_{verb}_num_threads64_")
+                              for verb in ("set", "get"))
+        except AttributeError:
+            continue
+        setter.argtypes, getter.restype = [ctypes.c_int], ctypes.c_int
+        return setter, getter
+    return None
+
+
+def machine_info(threads: int | None = None) -> dict:
     """What a run's timings depend on beyond its config: numpy and its BLAS,
-    the core count and the BLAS thread settings of the environment."""
+    the core count and the BLAS thread settings of the environment; with
+    threads set (--threads), the BLAS thread count in effect."""
     try:
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # numpy < 1.26 has no dict mode
         blas = {}
-    return {
+    info = {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
     }
+    if threads:
+        calls = _openblas_thread_calls()
+        info["blas_threads"] = None if calls is None else int(calls[1]())
+    return info
 
 
 def peak_rss_mib() -> float:
@@ -217,22 +251,19 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict):
         shutil.rmtree(tmp_dir)
     tmp_dir.mkdir(parents=True)
     st = engine.state
-    manifest = {
+    P_hat = engine.chain.steps[-1]  # its eps_m, P_norm and symplectic_defect are in the record
+    for i, piece in enumerate(st.remainder):
+        _save_complex(tmp_dir / f"piece_{i}.bin", piece.coeffs)
+    _save_complex(tmp_dir / "transform.bin", P_hat)
+    _write_json(tmp_dir / "state.json", {
         "schema": CHECKPOINT_SCHEMA,
         "m_next": st.m,
         "record": record,
         "mu_history": [[e, mu.tolist()] for e, mu in st.normal_form.mu_history],
-        "pieces": [],
-        "chain_step": None,
-    }
-    for i, piece in enumerate(st.remainder):
-        piece.save(tmp_dir, f"piece_{i}")
-        manifest["pieces"].append(f"piece_{i}")
-    # the step's eps_m, P_norm and symplectic_defect are in the record
-    P_hat = engine.chain.steps[-1]
-    _save_complex(tmp_dir / "transform.bin", P_hat)
-    manifest["chain_step"] = {"shape": list(P_hat.shape)}
-    _write_json(tmp_dir / "state.json", manifest)
+        "pieces": len(st.remainder),
+        "shape": list(P_hat.shape),
+        "encoding": CHECKPOINT_ENCODING,
+    })
     if step_dir.exists():
         shutil.rmtree(step_dir)
     os.replace(tmp_dir, step_dir)
@@ -240,8 +271,9 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict):
 
 def load_checkpoints(out: Path):
     """Rebuild (m_next, mu_history, pieces, chain, records) from disk, from
-    the step directories up to the first one without a state.json. A
-    manifest of another CHECKPOINT_SCHEMA raises CheckpointSchemaError."""
+    the step directories up to the first one without a state.json; (n, K, J)
+    come from the stored shape. A state.json of another CHECKPOINT_SCHEMA
+    raises CheckpointSchemaError."""
     step_dirs = []
     for d in sorted((out / "steps").glob("step_*")):
         if not (d / "state.json").exists():
@@ -251,19 +283,19 @@ def load_checkpoints(out: Path):
         return None
     chain = TransformChain()
     records = []
-    manifest = None
     for d in step_dirs:
         with open(d / "state.json") as f:
-            manifest = json.load(f)
-        check_schema(manifest, d / "state.json")
-        chain.steps.append(_load_complex(d / "transform.bin",
-                                         manifest["chain_step"]["shape"]))
-        records.append(manifest["record"])
-    last_dir = step_dirs[-1]
-    pieces = [QuadraticForm.load(last_dir, name) for name in manifest["pieces"]]
+            state = json.load(f)
+        check_schema(state, d / "state.json")
+        chain.steps.append(_load_complex(d / "transform.bin", state["shape"]))
+        records.append(state["record"])
+    shape = state["shape"]  # the last step's: (2K+1,)*(n-1) + (K+1, 2J, 2J)
+    n, K, J = len(shape) - 2, shape[-3] - 1, shape[-1] // 2
+    pieces = [QuadraticForm(n, K, J, _load_complex(d / f"piece_{i}.bin", shape))
+              for i in range(state["pieces"])]
     mu_history = [(float(e), np.asarray(mu, dtype=float))
-                  for e, mu in manifest["mu_history"]]
-    return manifest["m_next"], mu_history, pieces, chain, records
+                  for e, mu in state["mu_history"]]
+    return state["m_next"], mu_history, pieces, chain, records
 
 
 # ---------------------------------------------------------------------------
@@ -300,18 +332,16 @@ def _build_inputs(config: RunConfig, tau: float):
     return freq, spec, table
 
 
-# failures of the machinery rather than of the mathematics
-_INTERNAL_ERRORS = (np.linalg.LinAlgError, RealStructureError, MemoryError, OSError)
-
-
 @contextlib.contextmanager
 def _stage_errors(stages: list):
-    """Turn a numpy linear-algebra error, MemoryError or OSError into a
-    PipelineAbort with status internal_error naming the stage entered last
-    (in reduce, with its step)."""
+    """Turn any error of a stage but a PipelineAbort into a PipelineAbort
+    with status internal_error naming the stage entered last (in reduce,
+    with its step)."""
     try:
         yield
-    except _INTERNAL_ERRORS as e:
+    except PipelineAbort:
+        raise
+    except Exception as e:
         raise PipelineAbort(EXIT_INTERNAL, "internal_error",
                             f"{stages[-1]}: {type(e).__name__}: {e}") from e
 
@@ -345,9 +375,8 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
     """Execute the full pipeline, the front and then the run at config.tau;
     returns the summary dict (also written).
 
-    A numpy linear-algebra error, MemoryError or OSError becomes a
-    PipelineAbort with status internal_error naming the stage, and the step
-    in reduce."""
+    Any other error than a PipelineAbort becomes one with status
+    internal_error naming the stage, and the step in reduce."""
     t_start = time.time()
     stages = ["setup"]  # entered so far; the last is the current one
     timings: dict = {"peak_rss_mb": []}  # [stage or step, peak RSS so far] in run order
@@ -546,7 +575,7 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings:
     stages.append("summary")
     summary["status"] = "converged" if detail is None else "certificate_failed"
     timings["total"] = time.time() - t_start
-    timings["machine"] = machine_info()
+    timings["machine"] = machine_info(config.threads)
     summary["timings"] = timings
     _write_json(out / "summary.json", summary)
     if detail is not None:
@@ -785,7 +814,7 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("--steps", type=int, default=None, help="override M")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS thread cap (needs threadpoolctl)")
+                        help="BLAS thread count (needs numpy's bundled OpenBLAS)")
     args = parser.parse_args(argv)
 
     overrides: dict = {"tau": args.tau, "seed": args.seed, "threads": args.threads}
@@ -803,13 +832,12 @@ def main(argv: list | None = None) -> int:
         return EXIT_CONFIG
 
     if config.threads:
-        try:
-            import threadpoolctl
-        except ImportError:
-            print("config error: --threads needs the threadpoolctl package",
-                  file=sys.stderr)
+        calls = _openblas_thread_calls()
+        if calls is None:
+            print("config error: --threads needs numpy's bundled OpenBLAS "
+                  "(scipy_openblas_set_num_threads64_)", file=sys.stderr)
             return EXIT_CONFIG
-        threadpoolctl.threadpool_limits(config.threads)
+        calls[0](config.threads)
 
     out = Path(args.out)
     try:

@@ -11,9 +11,7 @@ k_last >= 0 half.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -252,20 +250,6 @@ def check_real_structure(zz: np.ndarray, zzbar: np.ndarray, zbzb: np.ndarray, n:
 # ---------------------------------------------------------------------------
 # Quadratic forms
 
-CHECKPOINT_SCHEMA = 2  # format of the checkpoint files: piece manifests and state.json
-
-
-class CheckpointSchemaError(ValueError):
-    """A checkpoint file was written in another format."""
-
-
-def check_schema(manifest: dict, path: str | Path) -> None:
-    found = manifest.get("schema")
-    if found != CHECKPOINT_SCHEMA:
-        raise CheckpointSchemaError(
-            f"{path}: checkpoint schema {found}, expected {CHECKPOINT_SCHEMA}")
-
-
 @dataclass
 class QuadraticForm:
     """A real quadratic Hamiltonian piece H(theta) = <S(theta) x, x> in the
@@ -281,8 +265,6 @@ class QuadraticForm:
     K: int
     J: int
     coeffs: np.ndarray
-    strip: float | None = None
-    meta: dict = field(default_factory=dict)
 
     @classmethod
     def zeros(cls, n: int, K: int, J: int) -> "QuadraticForm":
@@ -290,24 +272,24 @@ class QuadraticForm:
 
     @classmethod
     def from_blocks(cls, n: int, K: int, J: int, zz: np.ndarray, zzbar: np.ndarray,
-                    zbzb: np.ndarray, strip: float | None = None) -> "QuadraticForm":
+                    zbzb: np.ndarray) -> "QuadraticForm":
         """The form of whole-window u-form blocks, (2K+1,)*n + (J, J) each,
         after the real-structure check (RealStructureError); S is symmetrized."""
         check_real_structure(zz, zzbar, zbzb, n)
-        qf = cls(n, K, J, qp_from_blocks(zz, zzbar, zbzb)[half_index(n, K)], strip)
+        qf = cls(n, K, J, qp_from_blocks(zz, zzbar, zbzb)[half_index(n, K)])
         qf.symmetrize()
         return qf
 
     def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
         self._check_compatible(other)
-        return QuadraticForm(self.n, self.K, self.J, self.coeffs + other.coeffs, self.strip)
+        return QuadraticForm(self.n, self.K, self.J, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "QuadraticForm") -> "QuadraticForm":
         self._check_compatible(other)
-        return QuadraticForm(self.n, self.K, self.J, self.coeffs - other.coeffs, self.strip)
+        return QuadraticForm(self.n, self.K, self.J, self.coeffs - other.coeffs)
 
     def scaled(self, c: float) -> "QuadraticForm":
-        return QuadraticForm(self.n, self.K, self.J, c * self.coeffs, self.strip)
+        return QuadraticForm(self.n, self.K, self.J, c * self.coeffs)
 
     def _check_compatible(self, other: "QuadraticForm"):
         if (self.n, self.K, self.J) != (other.n, other.K, other.J):
@@ -322,7 +304,7 @@ class QuadraticForm:
             raise ValueError("K_cut must be >= 0")
         rings = kinf(self.n, self.K)[half_index(self.n, self.K)]
         low_mask = (rings <= K_cut)[..., None, None]
-        return tuple(QuadraticForm(self.n, self.K, self.J, part, self.strip, dict(self.meta))
+        return tuple(QuadraticForm(self.n, self.K, self.J, part)
                      for part in (np.where(low_mask, self.coeffs, 0.0),
                                   np.where(low_mask, 0.0, self.coeffs)))
 
@@ -335,42 +317,6 @@ class QuadraticForm:
         size, float64 (G^n, 2J, 2J)."""
         values = RealGrid(self.coeffs, self.n, self.K, max(G, 2 * self.K + 1)).rows()
         return values.reshape(-1, 2 * self.J, 2 * self.J)
-
-    # -- serialization: JSON manifest + one raw little-endian complex array --
-
-    def save(self, directory: str | Path, name: str):
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        arr = np.ascontiguousarray(self.coeffs).astype("<c16")
-        fname = f"{name}.bin"
-        (directory / fname).write_bytes(arr.tobytes())
-        manifest = {
-            "schema": CHECKPOINT_SCHEMA,
-            "n": self.n,
-            "K": self.K,
-            "J": self.J,
-            "strip": self.strip,
-            "meta": self.meta,
-            "encoding": "complex128 little-endian float64 (re, im) pairs, row-major "
-                        "over (k-window half..., 2J, 2J): the (q, p) form's "
-                        "coefficients for k_last >= 0",
-            "coeffs": {"file": fname, "shape": list(arr.shape)},
-        }
-        with open(directory / f"{name}.json", "w") as f:
-            json.dump(manifest, f, indent=1, sort_keys=True)
-
-    @classmethod
-    def load(cls, directory: str | Path, name: str) -> "QuadraticForm":
-        directory = Path(directory)
-        path = directory / f"{name}.json"
-        with open(path) as f:
-            manifest = json.load(f)
-        check_schema(manifest, path)
-        info = manifest["coeffs"]
-        raw = (directory / info["file"]).read_bytes()
-        coeffs = np.frombuffer(raw, dtype="<c16").reshape(info["shape"]).astype(complex)
-        return cls(n=manifest["n"], K=manifest["K"], J=manifest["J"], coeffs=coeffs,
-                   strip=manifest["strip"], meta=manifest.get("meta", {}))
 
 
 # ---------------------------------------------------------------------------

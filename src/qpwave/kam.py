@@ -395,7 +395,7 @@ def solve_homological(
     safe[_center(n, K)][diag_sel] = 1.0  # excluded entry, numerator already zero
     blocks = tuple(-1j * r / div for r, div in zip(R, (div_zz, safe, div_zbzb)))
 
-    F = QuadraticForm(n, K, J, qp_from_blocks(*blocks), qf.strip, {"K_m": K_m})
+    F = QuadraticForm(n, K, J, qp_from_blocks(*blocks))
     ws = ws or WeightedSpace(N=2, J_max=J)
     report = dict(zip(("zz", "zzbar", "zbzb"),
                       block_norms(F.grid_values(norm_grid), ws.opnorm_weighted)))
@@ -511,7 +511,6 @@ class TransformChain:
     Phi - id, shape (2K+1,)*(n-1) + (K+1, 2J, 2J)."""
 
     steps: list = field(default_factory=list)
-    composed_norm: float = 0.0
 
     def append(self, flow: FlowResult):
         self.steps.append(flow.P_hat)
@@ -534,9 +533,7 @@ class TransformChain:
             return 0.0
         pts = theta_grid_points(self.steps[0].ndim - 2, grid)
         mats = self.matrices_at(pts)
-        eye = np.eye(mats.shape[-1])
-        self.composed_norm = ws.state_opnorm(mats - eye)
-        return self.composed_norm
+        return ws.state_opnorm(mats - np.eye(mats.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +622,6 @@ def push_remainder(
     flow: FlowResult,
     eps_m: float,
     eps_next: float,
-    strips_next: list,
     ws: WeightedSpace,
     grid: int,
 ) -> tuple:
@@ -666,16 +662,13 @@ def push_remainder(
     del bc
 
     for idx, piece in enumerate(pieces[1:]):
-        moved = QuadraticForm(n, K, J, stream({f"transport_{idx}": (source(piece), 0, False)}),
-                              piece.strip, dict(piece.meta))
+        moved = QuadraticForm(n, K, J, stream({f"transport_{idx}": (source(piece), 0, False)}))
         if idx == 0:
             new_pieces[0] = new_pieces[0] + moved
         else:
             new_pieces.append(moved)
 
-    for i, piece in enumerate(new_pieces):
-        piece.strip = strips_next[i] if i < len(strips_next) else (
-            strips_next[-1] if strips_next else piece.strip)
+    for piece in new_pieces:
         piece.symmetrize()
 
     # one decision over the last term of every slab of every stream
@@ -778,10 +771,7 @@ class KamResult:
     normal_form: NormalForm
     chain: TransformChain
     history: list
-    pieces: list
-    xi: np.ndarray
     composed_norm: float
-    converged: bool
     final_weighted_size: float = 0.0   # eps_M * |R_MM| (next active piece)
     final_remainder_norm: float = 0.0  # sum_l eps_l * |R_{l,M}| over all pieces
 
@@ -882,9 +872,8 @@ class KamEngine:
             )
         clock.append(time.perf_counter())
 
-        strips_next = [float(s) for s in sched.strip[m + 1:]]
         new_pieces, push_diag = push_remainder(
-            st.remainder, sol, flow, eps_m, eps_next, strips_next, self.ws, self.grid,
+            st.remainder, sol, flow, eps_m, eps_next, self.ws, self.grid,
         )
         if not push_diag.spec_truncation_ok:
             raise CertificateError(f"step m={m}: series_truncation_spec_ok is false")
@@ -943,9 +932,6 @@ class KamEngine:
 
     def result(self) -> KamResult:
         nf = self.state.normal_form
-        lam = nf.lambdas()
-        j = nf.base
-        xi = lam**2 - j**2
         composed = self.chain.measure_composed_norm(self.ws)
         final_active = 0.0
         total = 0.0
@@ -959,10 +945,7 @@ class KamEngine:
             normal_form=nf,
             chain=self.chain,
             history=list(self.state.diagnostics),
-            pieces=self.state.remainder,
-            xi=xi,
             composed_norm=composed,
-            converged=self.finished,
             final_weighted_size=final_active,
             final_remainder_norm=total,
         )
@@ -981,8 +964,6 @@ def seed_pieces(decomposition, eps0: float, schedule: Schedule) -> list:
         last = len(pieces) - 1
         pieces[last] = pieces[last] + decomposition.residual_form.scaled(
             eps0 / schedule.eps_at(last))
-        for l, p in enumerate(pieces):
-            p.strip = float(schedule.strip[l]) if l < len(schedule.strip) else p.strip
     return pieces
 
 

@@ -257,43 +257,6 @@ def measure_scan(
     )
 
 
-def brute_force_mask(
-    nf, omega0, K_m: int, gamma_m: float, J_max: int, taus: np.ndarray,
-    prune: bool = True,
-) -> np.ndarray:
-    """Per-point screening (test oracle). With prune=False the difference
-    family is enumerated over all |i-j|, dropping the gap pruning."""
-    lam = _lambda_array(nf, J_max)
-    omega0 = np.asarray(omega0, dtype=float)
-    n = omega0.shape[0]
-    kv = kgrid(n, K_m).reshape(-1, n)
-    kdots = kv @ omega0
-    kinf_v = np.max(np.abs(kv), axis=1)
-    A_k = kinf_v.astype(float) ** (2 * n + 3) + 8.0
-    out = np.zeros(taus.shape[0], dtype=bool)
-    for ki in range(kv.shape[0]):
-        for i in range(1, J_max + 1):
-            for j in range(1, J_max + 1):
-                if i == j and kinf_v[ki] == 0:
-                    continue
-                d = abs(i - j)
-                if prune and d > min(J_max - 1, int(np.ceil(8.0 * abs(kdots[ki])))):
-                    continue
-                t = (d + 1.0) * gamma_m / A_k[ki]
-                vals = np.abs(-kdots[ki] * taus + lam[i - 1] - lam[j - 1])
-                out |= vals < t
-        # sum family
-        for i in range(1, J_max + 1):
-            for j in range(i, J_max + 1):
-                s = lam[i - 1] + lam[j - 1]
-                if s > 2.0 * float(np.max(np.abs(kdots))) + 2.0:
-                    continue
-                t = (abs(i - j) + 1.0) * gamma_m / A_k[ki]
-                vals = np.abs(-kdots[ki] * taus + s)
-                out |= vals < t
-    return out
-
-
 def find_resonant_tau(omega0, J_max: int = 8, K_search: int = 2) -> tuple:
     """Construct tau in [1, 2] solving <k, omega0> tau = i - j exactly for a
     small query (base frequencies lam_j = j)."""

@@ -72,8 +72,7 @@ def smooth_at_scale(
 
 def smooth_form(qf: QuadraticForm, kernel: JacksonKernel, sigma: float) -> QuadraticForm:
     env = kernel.envelope(sigma, qf.n, qf.K)[half_index(qf.n, qf.K)]
-    return QuadraticForm(qf.n, qf.K, qf.J, qf.coeffs * env[..., None, None], strip=sigma,
-                         meta=dict(qf.meta))
+    return QuadraticForm(qf.n, qf.K, qf.J, qf.coeffs * env[..., None, None])
 
 
 @dataclass
@@ -127,15 +126,11 @@ def decompose(
 
     # one smoothing at a time: each piece needs only the previous one
     pieces, prev = [], None
-    for l, s in enumerate(strips):
+    for s in strips:
         cur = smooth_form(qf, kernel, s)
-        piece = cur if prev is None else cur - prev
-        piece.strip = s
-        piece.meta = {"piece_index": l, "strip_width": s}
-        pieces.append(piece)
+        pieces.append(cur if prev is None else cur - prev)
         prev = cur
     residual = qf - prev
-    residual.strip = None
     del cur, prev  # the norms below see only the pieces and the residual
 
     G = max(theta_grid, 2 * qf.K + 2, 8)

@@ -59,44 +59,10 @@ class TruncatedWaveSystem:
         v = self.pf.v_of_theta(self.thetas(t)).real
         return np.tensordot(v, self._T, axes=(1, 0))
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        J = self.J
-        q, p = y[:J], y[J:]
-        M = self.coupling_at(np.array([t]))[0]
-        dq = self._modes * p
-        dp = -self._modes * q - 2.0 * self.eps * (M @ q)
-        return np.concatenate([dq, dp])
-
-    def hamiltonian(self, t: float, y: np.ndarray) -> float:
-        J = self.J
-        q, p = y[:J], y[J:]
-        M = self.coupling_at(np.array([t]))[0]
-        return float(np.sum(self._modes * (p**2 + q**2)) / 2.0
-                     + self.eps * q @ (M @ q))
-
     def energy(self, y: np.ndarray) -> float:
         J = self.J
         q, p = y[:J], y[J:]
         return float(np.sum(self._modes * (p**2 + q**2)) / 2.0)
-
-    def gradient_defect(self, rng: np.random.Generator, samples: int = 8,
-                        h: float = 1e-6) -> float:
-        """Central-difference check that rhs is the canonical gradient flow."""
-        J = self.J
-        worst = 0.0
-        for _ in range(samples):
-            t = float(rng.uniform(0.0, 10.0))
-            y = rng.standard_normal(2 * J)
-            f = self.rhs(t, y)
-            grad = np.zeros(2 * J)
-            for a in range(2 * J):
-                e = np.zeros(2 * J)
-                e[a] = h
-                grad[a] = (self.hamiltonian(t, y + e) - self.hamiltonian(t, y - e)) / (2 * h)
-            expected = np.concatenate([grad[J:], -grad[:J]])
-            worst = max(worst, float(np.max(np.abs(f - expected))
-                                     / max(1.0, np.max(np.abs(f)))))
-        return worst
 
 
 def integrate_full(

@@ -1,0 +1,87 @@
+"""Brute-force oracles the tests compare the engine against: the resonance
+screen point by point, and the truncated wave system's vector field and
+Hamiltonian written out per time."""
+
+import numpy as np
+
+from qpwave.fourier import kgrid
+
+
+def brute_force_mask(nf, omega0, K_m: int, gamma_m: float, J_max: int, taus: np.ndarray,
+                     prune: bool = True) -> np.ndarray:
+    """Per-point screening of measure_scan's excluded mask. With prune=False
+    the difference family is enumerated over all |i-j|, dropping the gap
+    pruning."""
+    lam = nf.lambdas()[:J_max]
+    omega0 = np.asarray(omega0, dtype=float)
+    n = omega0.shape[0]
+    kv = kgrid(n, K_m).reshape(-1, n)
+    kdots = kv @ omega0
+    kinf_v = np.max(np.abs(kv), axis=1)
+    A_k = kinf_v.astype(float) ** (2 * n + 3) + 8.0
+    out = np.zeros(taus.shape[0], dtype=bool)
+    for ki in range(kv.shape[0]):
+        for i in range(1, J_max + 1):
+            for j in range(1, J_max + 1):
+                if i == j and kinf_v[ki] == 0:
+                    continue
+                d = abs(i - j)
+                if prune and d > min(J_max - 1, int(np.ceil(8.0 * abs(kdots[ki])))):
+                    continue
+                t = (d + 1.0) * gamma_m / A_k[ki]
+                vals = np.abs(-kdots[ki] * taus + lam[i - 1] - lam[j - 1])
+                out |= vals < t
+        # sum family
+        for i in range(1, J_max + 1):
+            for j in range(i, J_max + 1):
+                s = lam[i - 1] + lam[j - 1]
+                if s > 2.0 * float(np.max(np.abs(kdots))) + 2.0:
+                    continue
+                t = (abs(i - j) + 1.0) * gamma_m / A_k[ki]
+                vals = np.abs(-kdots[ki] * taus + s)
+                out |= vals < t
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The truncated wave system, one time at a time
+
+
+def rhs(system, t: float, y: np.ndarray) -> np.ndarray:
+    """qdot_k = k p_k, pdot_k = -k q_k - 2 eps (M(theta(t)) q)_k."""
+    J = system.J
+    q, p = y[:J], y[J:]
+    M = system.coupling_at(np.array([t]))[0]
+    modes = np.arange(1, J + 1, dtype=float)
+    dq = modes * p
+    dp = -modes * q - 2.0 * system.eps * (M @ q)
+    return np.concatenate([dq, dp])
+
+
+def hamiltonian(system, t: float, y: np.ndarray) -> float:
+    J = system.J
+    q, p = y[:J], y[J:]
+    M = system.coupling_at(np.array([t]))[0]
+    modes = np.arange(1, J + 1, dtype=float)
+    return float(np.sum(modes * (p**2 + q**2)) / 2.0 + system.eps * q @ (M @ q))
+
+
+def gradient_defect(system, rng: np.random.Generator, samples: int = 8,
+                    h: float = 1e-6) -> float:
+    """Central-difference check that rhs is the canonical gradient flow of
+    hamiltonian."""
+    J = system.J
+    worst = 0.0
+    for _ in range(samples):
+        t = float(rng.uniform(0.0, 10.0))
+        y = rng.standard_normal(2 * J)
+        f = rhs(system, t, y)
+        grad = np.zeros(2 * J)
+        for a in range(2 * J):
+            e = np.zeros(2 * J)
+            e[a] = h
+            grad[a] = (hamiltonian(system, t, y + e) - hamiltonian(system, t, y - e)) / (2 * h)
+        expected = np.concatenate([grad[J:], -grad[:J]])
+        worst = max(worst, float(np.max(np.abs(f - expected))
+                                 / max(1.0, np.max(np.abs(f)))))
+    return worst

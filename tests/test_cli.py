@@ -3,12 +3,13 @@ import gc
 import json
 import os
 import shutil
-import sys
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from forms import real_form
 from qpwave import cli, galerkin, kam
 from qpwave.cli import (
     EXIT_CERTIFICATE,
@@ -187,7 +188,8 @@ class TestPipeline:
         for name in names:
             state = json.loads((out / "steps" / name / "state.json").read_text())
             # eps_m, P_norm and symplectic_defect live in the step record
-            assert list(state["chain_step"]) == ["shape"]
+            assert sorted(state) == ["encoding", "m_next", "mu_history", "pieces", "record",
+                                     "schema", "shape"]
 
     def test_resume_skips_step_without_state_json(self, tmp_path):
         cfg = tiny_config()
@@ -210,31 +212,54 @@ class TestPipeline:
         run_pipeline(cfg, out)
         step = out / "steps" / "step_001"
         state = json.loads((step / "state.json").read_text())
-        assert state["schema"] == galerkin.CHECKPOINT_SCHEMA == 2
+        assert state["schema"] == cli.CHECKPOINT_SCHEMA == 3
         K, J = cfg.K_theta, cfg.J_max
         half = [2 * K + 1, K + 1, 2 * J, 2 * J]
-        assert state["chain_step"]["shape"] == half
-        assert sorted(p.name for p in step.glob("*.bin")) == ["piece_0.bin", "transform.bin"]
+        assert state["shape"] == half
+        assert state["pieces"] == 1
+        assert state["encoding"] == cli.CHECKPOINT_ENCODING
+        assert sorted(p.name for p in step.iterdir()) == ["piece_0.bin", "state.json",
+                                                          "transform.bin"]
         for name in ("piece_0.bin", "transform.bin"):
             assert (step / name).stat().st_size == 16 * np.prod(half)
-        assert json.loads((step / "piece_0.json").read_text())["schema"] == 2
 
-    @pytest.mark.parametrize("manifest", ["state.json", "piece_0.json"])
+    def test_checkpoint_round_trip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n, K, J = 2, 2, 3
+        pieces = [real_form(rng, n, K, J) for _ in range(2)]
+        P_hat = real_form(rng, n, K, J).coeffs
+        mu = rng.standard_normal(J)
+        engine = SimpleNamespace(
+            state=kam.IterationState(m=1, normal_form=kam.NormalForm(J, [(1e-3, mu)]),
+                                     remainder=pieces),
+            chain=kam.TransformChain([P_hat]))
+        cli.save_checkpoint(tmp_path, engine, {"m": 0})
+        m_next, mu_history, back, chain, records = cli.load_checkpoints(tmp_path)
+        assert (m_next, records) == (1, [{"m": 0}])
+        assert len(mu_history) == 1 and mu_history[0][0] == 1e-3
+        assert np.array_equal(mu_history[0][1], mu)
+        assert len(back) == len(pieces)
+        for got, want in zip(back, pieces):
+            assert (got.n, got.K, got.J) == (n, K, J)
+            assert np.array_equal(got.coeffs, want.coeffs)
+        assert len(chain.steps) == 1 and np.array_equal(chain.steps[0], P_hat)
+
+    @pytest.mark.parametrize("manifest", ["state.json"])
     def test_resume_over_another_checkpoint_schema_is_config_error(self, tmp_path,
                                                                    manifest):
         out = tmp_path / "run"
         run_pipeline(tiny_config(), out)
-        path = out / "steps" / "step_001" / manifest  # the pieces are read from the last
+        path = out / "steps" / "step_001" / manifest
         old = json.loads(path.read_text())
-        old["schema"] = 1
+        old["schema"] = 2
         path.write_text(json.dumps(old))
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(TINY))
         assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "config_error"
-        assert summary["detail"] == (f"reduce: {path}: checkpoint schema 1, "
-                                     f"expected {galerkin.CHECKPOINT_SCHEMA}")
+        assert summary["detail"] == (f"reduce: {path}: checkpoint schema 2, "
+                                     f"expected {cli.CHECKPOINT_SCHEMA}")
 
 
 def _watch_lifetimes(monkeypatch, source: str) -> tuple:
@@ -521,16 +546,35 @@ class TestMain:
                      str(tmp_path / "v")])
         assert code == EXIT_CONVERGED
 
-    def test_threads_without_threadpoolctl_is_config_error(self, tmp_path, monkeypatch,
-                                                           capsys):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    def test_threads_sets_the_blas_thread_count(self, tmp_path):
+        calls = cli._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy has no bundled OpenBLAS here")
+        setter, getter = calls
+        before = getter()
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY))
+        out = tmp_path / "t"
+        try:
+            code = main(["run", "--config", str(cfg_path), "--out", str(out),
+                         "--threads", "1"])
+            applied = getter()
+        finally:
+            setter(before)
+        assert code == EXIT_CONVERGED
+        assert applied == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["timings"]["machine"]["blas_threads"] == 1
+
+    def test_threads_without_openblas_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_openblas_thread_calls", lambda: None)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(TINY))
         out = tmp_path / "t"
         code = main(["run", "--config", str(cfg_path), "--out", str(out),
-                     "--threads", "2"])
+                     "--threads", "1"])
         assert code == EXIT_CONFIG
-        assert "threadpoolctl" in capsys.readouterr().err
+        assert "scipy_openblas_set_num_threads64_" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path):
@@ -606,6 +650,31 @@ class TestMain:
             run_pipeline(tiny_config(), tmp_path / "r")
         assert err.value.code == EXIT_INTERNAL
         assert err.value.detail.startswith("assemble: RealStructureError: ")
+
+    def test_truncated_checkpoint_array_is_internal_error(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY))
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONVERGED
+        piece = out / "steps" / "step_001" / "piece_0.bin"
+        piece.write_bytes(piece.read_bytes()[:-3])
+        assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "internal_error"
+        assert summary["detail"].startswith("reduce: ValueError: ")
+
+    def test_any_error_in_a_step_is_internal_error(self, tmp_path, monkeypatch):
+        def broken(*a, **k):
+            raise ValueError("bad value")
+
+        monkeypatch.setattr(kam, "push_remainder", broken)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY))
+        out = tmp_path / "v"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "internal_error"
+        assert summary["detail"] == "reduce, step m=0: ValueError: bad value"
 
     def test_os_error_names_its_stage(self, tmp_path, monkeypatch):
         def broken(*a, **k):

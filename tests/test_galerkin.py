@@ -1,13 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from forms import real_blocks, real_form, whole_window
 from qpwave.fourier import RealGrid, half_index, kinf, window_to_grid
 from qpwave.galerkin import (
-    CHECKPOINT_SCHEMA,
-    CheckpointSchemaError,
     QuadraticForm,
     RealStructureError,
     WeightedSpace,
@@ -264,15 +260,12 @@ class TestQuadraticForm:
         assert high.max_abs() == 0.0
         assert np.array_equal(low.coeffs, qf.coeffs)
 
-    def test_truncate_parts_own_their_blocks_and_meta(self):
+    def test_truncate_parts_own_their_blocks(self):
         rng = np.random.default_rng(2)
         qf = random_form(rng, n=2, K=2, J=3)
-        qf.strip, qf.meta = 0.25, {"level": 1}
         before = qf.coeffs.copy()
         low, high = qf.truncate(1)
         for part in (low, high):
-            assert part.strip == 0.25 and part.meta == {"level": 1}
-            assert part.meta is not qf.meta
             part.coeffs += 1.0
         assert np.array_equal(qf.coeffs, before)
 
@@ -293,32 +286,6 @@ class TestQuadraticForm:
             low, high = qf.truncate(K_cut)
             back = low + high
             assert np.array_equal(back.coeffs, qf.coeffs)
-
-    def test_serialization_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        qf = random_form(rng, n=2, K=2, J=6)
-        qf.strip = 0.25
-        qf.meta = {"piece_index": 1, "strip_width": 0.25}
-        qf.save(tmp_path, "piece")
-        # one array per piece, in the checkpoint format
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["piece.bin", "piece.json"]
-        manifest = json.loads((tmp_path / "piece.json").read_text())
-        assert manifest["schema"] == CHECKPOINT_SCHEMA == 2
-        assert (tmp_path / "piece.bin").stat().st_size == qf.coeffs.size * 16
-        back = QuadraticForm.load(tmp_path, "piece")
-        assert back.strip == qf.strip
-        assert back.meta == qf.meta
-        assert np.array_equal(back.coeffs, qf.coeffs)
-
-    def test_load_rejects_another_schema(self, tmp_path):
-        qf = random_form(np.random.default_rng(5), n=2, K=1, J=2)
-        qf.save(tmp_path, "piece")
-        manifest = json.loads((tmp_path / "piece.json").read_text())
-        manifest["schema"] = 1
-        (tmp_path / "piece.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointSchemaError,
-                           match=r"piece\.json: checkpoint schema 1, expected 2"):
-            QuadraticForm.load(tmp_path, "piece")
 
     def test_grid_values_match_direct_eval(self):
         rng = np.random.default_rng(4)

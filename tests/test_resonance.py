@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import brute_force_mask
 from qpwave.kam import NormalForm
 from qpwave.potential import FrequencySpec
 from qpwave.resonance import (
-    brute_force_mask,
     divisor_threshold,
     find_resonant_tau,
     measure_scan,
