@@ -1,7 +1,11 @@
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from forms import real_blocks, real_form, whole_window
+from qpwave import cli, kam
 from qpwave.fourier import RealGrid, half_index, kinf, window_to_grid
 from qpwave.galerkin import (
     QuadraticForm,
@@ -286,6 +290,23 @@ class TestQuadraticForm:
             low, high = qf.truncate(K_cut)
             back = low + high
             assert np.array_equal(back.coeffs, qf.coeffs)
+
+    def test_load_rejects_another_schema(self, tmp_path):
+        rng = np.random.default_rng(5)
+        qf = random_form(rng, n=2, K=1, J=2)
+        engine = SimpleNamespace(
+            state=kam.IterationState(m=1, normal_form=kam.NormalForm(2, []),
+                                     remainder=[qf]),
+            chain=kam.TransformChain([random_form(rng, n=2, K=1, J=2).coeffs]))
+        cli.save_checkpoint(tmp_path, engine, {"m": 0})
+        path = tmp_path / "steps" / "step_000" / "state.json"
+        state = json.loads(path.read_text())
+        state["schema"] = cli.CHECKPOINT_SCHEMA - 1
+        path.write_text(json.dumps(state))
+        with pytest.raises(cli.CheckpointSchemaError,
+                           match=rf"state\.json: checkpoint schema {cli.CHECKPOINT_SCHEMA - 1}, "
+                                 rf"expected {cli.CHECKPOINT_SCHEMA}"):
+            cli.load_checkpoints(tmp_path)
 
     def test_grid_values_match_direct_eval(self):
         rng = np.random.default_rng(4)
