@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import json
 import os
 import resource
@@ -106,7 +105,9 @@ class RunConfig:
     tau_grid_points: int = 10_000
     norm_grid: int = 12
     seed: int = 20260808
-    threads: int | None = None
+    # Always None: the BLAS thread count is the environment's
+    # (OPENBLAS_NUM_THREADS). The key stays so summary.config keeps its keys.
+    threads: None = None
     run_verify: bool = True
 
     def __post_init__(self):
@@ -135,6 +136,9 @@ class RunConfig:
                              "each step's symplectic_defect")
         if min(self.J_max, self.K_theta, self.M) < 1:
             raise ValueError("truncations and step count must be >= 1")
+        if self.threads is not None:
+            raise ValueError("threads is not a config setting; set OPENBLAS_NUM_THREADS "
+                             "in the environment")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -186,40 +190,20 @@ def _load_complex(path: Path, shape) -> np.ndarray:
     return np.frombuffer(path.read_bytes(), dtype="<c16").reshape(shape).astype(complex)
 
 
-def _openblas_thread_calls():
-    """(set, get) of the thread count of the OpenBLAS bundled with numpy,
-    called through ctypes; None where no such library exports them."""
-    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*")):
-        lib = ctypes.CDLL(str(path))
-        try:
-            setter, getter = (getattr(lib, f"scipy_openblas_{verb}_num_threads64_")
-                              for verb in ("set", "get"))
-        except AttributeError:
-            continue
-        setter.argtypes, getter.restype = [ctypes.c_int], ctypes.c_int
-        return setter, getter
-    return None
-
-
-def machine_info(threads: int | None = None) -> dict:
+def machine_info() -> dict:
     """What a run's timings depend on beyond its config: numpy and its BLAS,
-    the core count and the BLAS thread settings of the environment; with
-    threads set (--threads), the BLAS thread count in effect."""
+    the core count and the BLAS thread settings of the environment."""
     try:
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # numpy < 1.26 has no dict mode
         blas = {}
-    info = {
+    return {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
     }
-    if threads:
-        calls = _openblas_thread_calls()
-        info["blas_threads"] = None if calls is None else int(calls[1]())
-    return info
 
 
 def peak_rss_mib() -> float:
@@ -575,7 +559,7 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings:
     stages.append("summary")
     summary["status"] = "converged" if detail is None else "certificate_failed"
     timings["total"] = time.time() - t_start
-    timings["machine"] = machine_info(config.threads)
+    timings["machine"] = machine_info()
     summary["timings"] = timings
     _write_json(out / "summary.json", summary)
     if detail is not None:
@@ -813,11 +797,9 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("--tau-sweep", default=None, metavar="LO:HI:COUNT")
     parser.add_argument("--steps", type=int, default=None, help="override M")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS thread count (needs numpy's bundled OpenBLAS)")
     args = parser.parse_args(argv)
 
-    overrides: dict = {"tau": args.tau, "seed": args.seed, "threads": args.threads}
+    overrides: dict = {"tau": args.tau, "seed": args.seed}
     if args.steps is not None:
         overrides["M"] = args.steps
     try:
@@ -830,14 +812,6 @@ def main(argv: list | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if config.threads:
-        calls = _openblas_thread_calls()
-        if calls is None:
-            print("config error: --threads needs numpy's bundled OpenBLAS "
-                  "(scipy_openblas_set_num_threads64_)", file=sys.stderr)
-            return EXIT_CONFIG
-        calls[0](config.threads)
 
     out = Path(args.out)
     try:

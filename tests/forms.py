@@ -1,11 +1,14 @@
 """Real Hamiltonians as whole-window u-form blocks, the data the engine
 stores once as half-window (q, p) coefficients, and the u-form
-(z, zbar) route of the conjugacy check; shared by the tests as oracles."""
+(z, zbar) route of the conjugacy check; shared by the tests as oracles.
+Also the engine stub the checkpoint tests save."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from qpwave import kam
 from qpwave.fourier import half_index
 from qpwave.galerkin import QuadraticForm, blocks_from_qp
 
@@ -99,3 +102,13 @@ def uform_compare_through_chain(mats_u, full_times, full_states, lam, ws, subsam
     moduli = np.abs(u_back[:, :J])
     drift = float(np.max(np.abs(moduli - moduli[0])) / max(np.max(moduli[0]), 1e-300))
     return float(np.max(dev)), drift, dev
+
+
+def checkpoint_engine(pieces, steps, mu_history=()):
+    """What cli.save_checkpoint reads of a KamEngine: its state after step 0,
+    holding the remainder pieces and the mu history, and its transform chain
+    of the (q, p) generator coefficients steps."""
+    return SimpleNamespace(
+        state=kam.IterationState(m=1, normal_form=kam.NormalForm(pieces[0].J, list(mu_history)),
+                                 remainder=list(pieces)),
+        chain=kam.TransformChain(list(steps)))

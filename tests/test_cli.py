@@ -4,12 +4,11 @@ import json
 import os
 import shutil
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from forms import real_form
+from forms import checkpoint_engine, real_form
 from qpwave import cli, galerkin, kam
 from qpwave.cli import (
     EXIT_CERTIFICATE,
@@ -229,11 +228,8 @@ class TestPipeline:
         pieces = [real_form(rng, n, K, J) for _ in range(2)]
         P_hat = real_form(rng, n, K, J).coeffs
         mu = rng.standard_normal(J)
-        engine = SimpleNamespace(
-            state=kam.IterationState(m=1, normal_form=kam.NormalForm(J, [(1e-3, mu)]),
-                                     remainder=pieces),
-            chain=kam.TransformChain([P_hat]))
-        cli.save_checkpoint(tmp_path, engine, {"m": 0})
+        cli.save_checkpoint(tmp_path, checkpoint_engine(pieces, [P_hat], [(1e-3, mu)]),
+                            {"m": 0})
         m_next, mu_history, back, chain, records = cli.load_checkpoints(tmp_path)
         assert (m_next, records) == (1, [{"m": 0}])
         assert len(mu_history) == 1 and mu_history[0][0] == 1e-3
@@ -546,35 +542,14 @@ class TestMain:
                      str(tmp_path / "v")])
         assert code == EXIT_CONVERGED
 
-    def test_threads_sets_the_blas_thread_count(self, tmp_path):
-        calls = cli._openblas_thread_calls()
-        if calls is None:
-            pytest.skip("numpy has no bundled OpenBLAS here")
-        setter, getter = calls
-        before = getter()
+    def test_threads_in_a_config_is_config_error(self, tmp_path, capsys):
+        # the BLAS thread count is the environment's (OPENBLAS_NUM_THREADS)
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(TINY))
+        cfg_path.write_text(json.dumps({**TINY, "threads": 1}))
         out = tmp_path / "t"
-        try:
-            code = main(["run", "--config", str(cfg_path), "--out", str(out),
-                         "--threads", "1"])
-            applied = getter()
-        finally:
-            setter(before)
-        assert code == EXIT_CONVERGED
-        assert applied == 1
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["timings"]["machine"]["blas_threads"] == 1
-
-    def test_threads_without_openblas_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_openblas_thread_calls", lambda: None)
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(TINY))
-        out = tmp_path / "t"
-        code = main(["run", "--config", str(cfg_path), "--out", str(out),
-                     "--threads", "1"])
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert code == EXIT_CONFIG
-        assert "scipy_openblas_set_num_threads64_" in capsys.readouterr().err
+        assert "set OPENBLAS_NUM_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path):

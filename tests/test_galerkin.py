@@ -1,11 +1,10 @@
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from forms import real_blocks, real_form, whole_window
-from qpwave import cli, kam
+from forms import checkpoint_engine, real_blocks, real_form, whole_window
+from qpwave import cli
 from qpwave.fourier import RealGrid, half_index, kinf, window_to_grid
 from qpwave.galerkin import (
     QuadraticForm,
@@ -294,10 +293,7 @@ class TestQuadraticForm:
     def test_load_rejects_another_schema(self, tmp_path):
         rng = np.random.default_rng(5)
         qf = random_form(rng, n=2, K=1, J=2)
-        engine = SimpleNamespace(
-            state=kam.IterationState(m=1, normal_form=kam.NormalForm(2, []),
-                                     remainder=[qf]),
-            chain=kam.TransformChain([random_form(rng, n=2, K=1, J=2).coeffs]))
+        engine = checkpoint_engine([qf], [random_form(rng, n=2, K=1, J=2).coeffs])
         cli.save_checkpoint(tmp_path, engine, {"m": 0})
         path = tmp_path / "steps" / "step_000" / "state.json"
         state = json.loads(path.read_text())
