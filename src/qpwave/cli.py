@@ -164,15 +164,25 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 # Checkpoints: one directory per step, state.json and its arrays
 
-CHECKPOINT_SCHEMA = 3  # format of a step directory
+CHECKPOINT_SCHEMA = 4  # format of a step directory
 CHECKPOINT_ENCODING = (
-    "complex128 little-endian float64 (re, im) pairs, row-major over shape "
-    "(k-window half..., 2J, 2J), coefficients for k_last >= 0: piece_<i>.bin "
-    "holds remainder piece i's (q, p) form, transform.bin the step's Phi - id")
+    "complex128 little-endian float64 (re, im) pairs, row-major; shape is the half "
+    "window (k-window half..., 2J, 2J), coefficients for k_last >= 0. transform.bin "
+    "holds the step's Phi - id over shape. piece_<i>.bin holds remainder piece i's "
+    "symmetric (q, p) form as its upper triangle, diagonal included "
+    "(numpy.triu_indices(2J)), over shape[:-2]; only the two newest steps keep pieces")
+# the RunConfig fields the reduce reads: checkpoints written under other values
+# hold another run's state
+REDUCE_CONFIG_KEYS = ("n", "omega0", "tau", "gamma", "eps", "smoothness_N", "potential",
+                      "J_max", "K_theta", "M", "picard_tol", "residual_tol", "norm_grid")
 
 
 class CheckpointSchemaError(ValueError):
     """A checkpoint was written in another format."""
+
+
+class CheckpointConfigError(ValueError):
+    """A checkpoint was written under other values of the fields the reduce reads."""
 
 
 def check_schema(state: dict, path: str | Path) -> None:
@@ -182,12 +192,37 @@ def check_schema(state: dict, path: str | Path) -> None:
             f"{path}: checkpoint schema {found}, expected {CHECKPOINT_SCHEMA}")
 
 
+def _reduce_config(config: RunConfig) -> dict:
+    """config's REDUCE_CONFIG_KEYS fields as state.json stores them."""
+    data = config.as_dict()
+    return json.loads(json.dumps({key: data[key] for key in REDUCE_CONFIG_KEYS}))
+
+
 def _save_complex(path: Path, arr: np.ndarray):
     path.write_bytes(np.ascontiguousarray(arr).astype("<c16").tobytes())
 
 
 def _load_complex(path: Path, shape) -> np.ndarray:
-    return np.frombuffer(path.read_bytes(), dtype="<c16").reshape(shape).astype(complex)
+    """The array of shape stored at path; a missing file or one of another
+    byte count is a ValueError naming the file."""
+    expected = 16 * int(np.prod(shape))
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        data = None
+    if data is None or len(data) != expected:
+        found = "no file" if data is None else f"{len(data)} bytes"
+        raise ValueError(f"checkpoint array {path}: expected {expected} bytes, found {found}")
+    return np.frombuffer(data, dtype="<c16").reshape(shape).astype(complex)
+
+
+def _mirror_upper(packed: np.ndarray, shape) -> np.ndarray:
+    """The symmetric array of shape whose upper triangles are packed."""
+    out = np.empty(shape, dtype=complex)
+    rows, cols = np.triu_indices(shape[-1])
+    out[..., rows, cols] = packed
+    out[..., cols, rows] = packed
+    return out
 
 
 def machine_info() -> dict:
@@ -225,22 +260,33 @@ def _write_json(path: Path, payload: dict):
         json.dump(payload, f, indent=1, sort_keys=True)
 
 
-def save_checkpoint(out: Path, engine: KamEngine, record: dict):
+def save_checkpoint(out: Path, engine: KamEngine, record: dict, config: RunConfig):
     """Write step m's checkpoint into a temporary sibling, then rename it to
-    step_<m>, so that a step_* directory is either complete or absent."""
-    m_done = engine.state.m  # steps completed
-    step_dir = out / "steps" / f"step_{m_done - 1:03d}"
+    step_<m>, so that a step_* directory is either complete or absent. Then
+    drop the pieces of every step before m - 1: resume reads the pieces of
+    the newest complete step only, and step m - 1 keeps its own for a resume
+    after step m is lost. A piece that is not exactly symmetric, which its
+    upper triangle would not restore, is a ValueError."""
+    st = engine.state
+    for i, piece in enumerate(st.remainder):
+        if not np.array_equal(piece.coeffs, np.swapaxes(piece.coeffs, -1, -2)):
+            raise ValueError(f"remainder piece {i} is not exactly symmetric; "
+                             "its checkpoint stores the upper triangle only")
+    m_done = st.m  # steps completed
+    steps = out / "steps"
+    step_dir = steps / f"step_{m_done - 1:03d}"
     tmp_dir = step_dir.with_name(f".{step_dir.name}.tmp")  # not matched by step_*
     if tmp_dir.exists():
         shutil.rmtree(tmp_dir)
     tmp_dir.mkdir(parents=True)
-    st = engine.state
     P_hat = engine.chain.steps[-1]  # its eps_m, P_norm and symplectic_defect are in the record
+    upper = np.triu_indices(P_hat.shape[-1])
     for i, piece in enumerate(st.remainder):
-        _save_complex(tmp_dir / f"piece_{i}.bin", piece.coeffs)
+        _save_complex(tmp_dir / f"piece_{i}.bin", piece.coeffs[(..., *upper)])
     _save_complex(tmp_dir / "transform.bin", P_hat)
     _write_json(tmp_dir / "state.json", {
         "schema": CHECKPOINT_SCHEMA,
+        "config": _reduce_config(config),
         "m_next": st.m,
         "record": record,
         "mu_history": [[e, mu.tolist()] for e, mu in st.normal_form.mu_history],
@@ -251,13 +297,17 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict):
     if step_dir.exists():
         shutil.rmtree(step_dir)
     os.replace(tmp_dir, step_dir)
+    for m in range(m_done - 2):
+        for path in (steps / f"step_{m:03d}").glob("piece_*.bin"):
+            path.unlink()
 
 
-def load_checkpoints(out: Path):
+def load_checkpoints(out: Path, config: RunConfig):
     """Rebuild (m_next, mu_history, pieces, chain, records) from disk, from
     the step directories up to the first one without a state.json; (n, K, J)
     come from the stored shape. A state.json of another CHECKPOINT_SCHEMA
-    raises CheckpointSchemaError."""
+    raises CheckpointSchemaError, one written under other values of
+    REDUCE_CONFIG_KEYS than config's CheckpointConfigError naming them."""
     step_dirs = []
     for d in sorted((out / "steps").glob("step_*")):
         if not (d / "state.json").exists():
@@ -265,21 +315,29 @@ def load_checkpoints(out: Path):
         step_dirs.append(d)
     if not step_dirs:
         return None
-    chain = TransformChain()
-    records = []
+    expected = _reduce_config(config)
+    states = []
     for d in step_dirs:
-        with open(d / "state.json") as f:
+        path = d / "state.json"
+        with open(path) as f:
             state = json.load(f)
-        check_schema(state, d / "state.json")
-        chain.steps.append(_load_complex(d / "transform.bin", state["shape"]))
-        records.append(state["record"])
+        check_schema(state, path)
+        differ = sorted(key for key, value in expected.items()
+                        if state["config"].get(key) != value)
+        if differ:
+            raise CheckpointConfigError(f"{path}: checkpoint written under other "
+                                        f"values of {differ}")
+        states.append(state)
+    chain = TransformChain([_load_complex(d / "transform.bin", state["shape"])
+                            for d, state in zip(step_dirs, states)])
     shape = state["shape"]  # the last step's: (2K+1,)*(n-1) + (K+1, 2J, 2J)
     n, K, J = len(shape) - 2, shape[-3] - 1, shape[-1] // 2
-    pieces = [QuadraticForm(n, K, J, _load_complex(d / f"piece_{i}.bin", shape))
-              for i in range(state["pieces"])]
+    packed = shape[:-2] + [J * (2 * J + 1)]  # 2J(2J+1)/2 upper-triangle entries
+    pieces = [QuadraticForm(n, K, J, _mirror_upper(
+        _load_complex(d / f"piece_{i}.bin", packed), shape)) for i in range(state["pieces"])]
     mu_history = [(float(e), np.asarray(mu, dtype=float))
                   for e, mu in state["mu_history"]]
-    return state["m_next"], mu_history, pieces, chain, records
+    return state["m_next"], mu_history, pieces, chain, [s["record"] for s in states]
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +531,8 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings:
                       residual_tol=config.residual_tol,
                       norm_grid=config.norm_grid)
     try:
-        restored = load_checkpoints(out) if resume and not sched.degenerate else None
-    except CheckpointSchemaError as e:
+        restored = load_checkpoints(out, config) if resume and not sched.degenerate else None
+    except (CheckpointSchemaError, CheckpointConfigError) as e:
         raise PipelineAbort(EXIT_CONFIG, "config_error", f"reduce: {e}")
     if restored is not None:
         m_next, mu_history, pieces, chain, records = restored
@@ -494,8 +552,10 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings:
         while not engine.finished:
             stages.append(f"reduce, step m={engine.state.m}")
             record = engine.step()
-            timings["steps"].append({"m": record["m"], **engine.step_timings})
-            save_checkpoint(out, engine, record)
+            t_save = time.time()
+            save_checkpoint(out, engine, record, config)
+            timings["steps"].append({"m": record["m"], **engine.step_timings,
+                                     "save_s": time.time() - t_save})
             timings["peak_rss_mb"].append([f"step {record['m']}", peak_rss_mib()])
     except ResonanceError as e:
         raise PipelineAbort(EXIT_RESONANT, "resonant_tau",
@@ -746,19 +806,20 @@ def _report_cell(value) -> str:
 
 def _write_timings_report(path: Path, timings: dict):
     """One row per stage and step in run order (the order of
-    timings.peak_rss_mb): stage seconds, step sub-stage seconds, peak RSS so
-    far; then the total. Cells a summary lacks stay empty (a run from before
-    timings.steps has no sub-stage cells)."""
+    timings.peak_rss_mb): stage seconds, step sub-stage and checkpoint-save
+    seconds, peak RSS so far; then the total. Cells a summary lacks stay
+    empty (a run from before timings.steps has no sub-stage cells)."""
     steps = {f"step {entry['m']}": entry for entry in timings.get("steps", [])}
+    columns = STEP_TIMINGS + ("save_s",)
     with open(path, "w") as f:
-        f.write(",".join(("entry", "seconds") + STEP_TIMINGS + ("peak_rss_mb",)) + "\n")
+        f.write(",".join(("entry", "seconds") + columns + ("peak_rss_mb",)) + "\n")
         for name, rss in timings.get("peak_rss_mb", []):
             sub = steps.get(name, {})
             cells = [name, _report_cell(timings.get(name))]
-            cells += [_report_cell(sub.get(key)) for key in STEP_TIMINGS]
+            cells += [_report_cell(sub.get(key)) for key in columns]
             f.write(",".join(cells + [_report_cell(rss)]) + "\n")
         f.write(",".join(["total", _report_cell(timings.get("total"))]
-                         + [""] * (len(STEP_TIMINGS) + 1)) + "\n")
+                         + [""] * (len(columns) + 1)) + "\n")
 
 
 def _cmd_report(out: Path) -> int:

@@ -44,6 +44,10 @@ TINY = {
 }
 
 
+# the per-step columns of timings.steps and timings_report.csv
+STEP_COLUMNS = (*kam.STEP_TIMINGS, "save_s")
+
+
 def tiny_config(**over):
     data = dict(TINY)
     data.update(over)
@@ -54,6 +58,15 @@ def strip_timings(summary: dict) -> dict:
     out = dict(summary)
     out.pop("timings", None)
     return out
+
+
+@pytest.fixture(scope="module")
+def three_step_run(tmp_path_factory):
+    """(config, out, summary) of an uninterrupted TINY run at M = 3, the
+    fewest steps at which a checkpoint drops pieces."""
+    cfg = tiny_config(M=3)
+    out = tmp_path_factory.mktemp("three_steps") / "run"
+    return cfg, out, run_pipeline(cfg, out)
 
 
 class TestPipeline:
@@ -156,14 +169,14 @@ class TestPipeline:
             steps = summary["timings"]["steps"]
             assert [entry["m"] for entry in steps] == [rec["m"] for rec in summary["steps"]]
             for entry in steps:
-                assert set(entry) == {"m", *kam.STEP_TIMINGS}
-                assert all(entry[key] >= 0.0 for key in kam.STEP_TIMINGS)
+                assert set(entry) == {"m", *STEP_COLUMNS}
+                assert all(entry[key] >= 0.0 for key in STEP_COLUMNS)
         for rec in s1["steps"]:
-            assert not set(rec) & set(kam.STEP_TIMINGS)
+            assert not set(rec) & set(STEP_COLUMNS)
         for state in sorted((tmp_path / "a" / "steps").glob("step_*/state.json")):
             text = state.read_text()
             assert "timings" not in text
-            assert not any(key in text for key in kam.STEP_TIMINGS)
+            assert not any(key in text for key in STEP_COLUMNS)
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg = tiny_config()
@@ -187,8 +200,10 @@ class TestPipeline:
         for name in names:
             state = json.loads((out / "steps" / name / "state.json").read_text())
             # eps_m, P_norm and symplectic_defect live in the step record
-            assert sorted(state) == ["encoding", "m_next", "mu_history", "pieces", "record",
-                                     "schema", "shape"]
+            assert sorted(state) == ["config", "encoding", "m_next", "mu_history", "pieces",
+                                     "record", "schema", "shape"]
+            assert sorted(state["config"]) == sorted(cli.REDUCE_CONFIG_KEYS)
+            assert "config" not in state["record"]
 
     def test_resume_skips_step_without_state_json(self, tmp_path):
         cfg = tiny_config()
@@ -211,7 +226,7 @@ class TestPipeline:
         run_pipeline(cfg, out)
         step = out / "steps" / "step_001"
         state = json.loads((step / "state.json").read_text())
-        assert state["schema"] == cli.CHECKPOINT_SCHEMA == 3
+        assert state["schema"] == cli.CHECKPOINT_SCHEMA == 4
         K, J = cfg.K_theta, cfg.J_max
         half = [2 * K + 1, K + 1, 2 * J, 2 * J]
         assert state["shape"] == half
@@ -219,8 +234,10 @@ class TestPipeline:
         assert state["encoding"] == cli.CHECKPOINT_ENCODING
         assert sorted(p.name for p in step.iterdir()) == ["piece_0.bin", "state.json",
                                                           "transform.bin"]
-        for name in ("piece_0.bin", "transform.bin"):
-            assert (step / name).stat().st_size == 16 * np.prod(half)
+        assert (step / "transform.bin").stat().st_size == 16 * np.prod(half)
+        # a piece is symmetric: its upper triangle, diagonal included
+        assert (step / "piece_0.bin").stat().st_size == \
+               16 * np.prod(half[:-2]) * (2 * J) * (2 * J + 1) // 2
 
     def test_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -228,9 +245,17 @@ class TestPipeline:
         pieces = [real_form(rng, n, K, J) for _ in range(2)]
         P_hat = real_form(rng, n, K, J).coeffs
         mu = rng.standard_normal(J)
+        cfg = RunConfig()
+        # a piece its upper triangle would not restore is refused, and nothing is written
+        skew = pieces[1].coeffs.copy()
+        skew[..., 0, 1] += 1.0
+        with pytest.raises(ValueError, match="remainder piece 1 is not exactly symmetric"):
+            cli.save_checkpoint(tmp_path / "skew", checkpoint_engine(
+                [pieces[0], galerkin.QuadraticForm(n, K, J, skew)], [P_hat]), {"m": 0}, cfg)
+        assert not (tmp_path / "skew").exists()
         cli.save_checkpoint(tmp_path, checkpoint_engine(pieces, [P_hat], [(1e-3, mu)]),
-                            {"m": 0})
-        m_next, mu_history, back, chain, records = cli.load_checkpoints(tmp_path)
+                            {"m": 0}, cfg)
+        m_next, mu_history, back, chain, records = cli.load_checkpoints(tmp_path, cfg)
         assert (m_next, records) == (1, [{"m": 0}])
         assert len(mu_history) == 1 and mu_history[0][0] == 1e-3
         assert np.array_equal(mu_history[0][1], mu)
@@ -239,6 +264,59 @@ class TestPipeline:
             assert (got.n, got.K, got.J) == (n, K, J)
             assert np.array_equal(got.coeffs, want.coeffs)
         assert len(chain.steps) == 1 and np.array_equal(chain.steps[0], P_hat)
+
+    def test_only_the_two_newest_steps_keep_their_pieces(self, three_step_run, tmp_path):
+        cfg, full_out, full = three_step_run
+        K, J = cfg.K_theta, cfg.J_max
+        steps = sorted((full_out / "steps").glob("step_*"))
+        assert [d.name for d in steps] == ["step_000", "step_001", "step_002"]
+        assert not any(steps[0].glob("piece_*.bin"))
+        for step in steps:
+            assert (step / "transform.bin").exists()
+        for step in steps[1:]:
+            state = json.loads((step / "state.json").read_text())
+            pieces = sorted(step.glob("piece_*.bin"))
+            assert len(pieces) == state["pieces"] > 0
+            for piece in pieces:
+                assert piece.stat().st_size == \
+                       16 * np.prod(state["shape"][:-2]) * (2 * J) * (2 * J + 1) // 2
+            assert state["shape"][:-2] == [2 * K + 1, K + 1]
+        # resume after losing the newest step reads the pieces of the one before
+        out = tmp_path / "partial"
+        shutil.copytree(full_out, out)
+        shutil.rmtree(out / "steps" / "step_002")
+        (out / "summary.json").unlink()
+        resumed = run_pipeline(cfg, out, resume=True)
+        assert json.dumps(strip_timings(full), sort_keys=True) == \
+               json.dumps(strip_timings(resumed), sort_keys=True)
+        assert not any((out / "steps" / "step_000").glob("piece_*.bin"))
+
+    @pytest.mark.parametrize("changed, differ", [
+        ({"eps": 2e-3, "norm_grid": 10}, ["eps", "norm_grid"]),
+        ({"potential": {**TINY["potential"], "scale": 0.2}}, ["potential"]),
+        # verify reads these, the reduce does not: the resume goes on
+        ({"conjugacy_T": 4.0, "lyapunov_T": 10.0, "seed": 3, "run_verify": False}, None),
+    ])
+    def test_resume_under_another_config(self, tmp_path, changed, differ):
+        out = tmp_path / "run"
+        full = run_pipeline(tiny_config(), out)
+        shutil.rmtree(out / "steps" / "step_001")
+        written = {p: p.read_bytes() for p in (out / "steps").rglob("*") if p.is_file()}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TINY, **changed}))
+        code = main(["resume", "--config", str(cfg_path), "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        if differ is None:
+            assert code == EXIT_CONVERGED
+            assert summary["steps"] == json.loads(json.dumps(full["steps"]))
+            return
+        assert code == EXIT_CONFIG
+        assert summary["status"] == "config_error"
+        path = out / "steps" / "step_000" / "state.json"
+        assert summary["detail"] == (f"reduce: {path}: checkpoint written under other "
+                                     f"values of {differ}")
+        # no step ran
+        assert {p: p.read_bytes() for p in (out / "steps").rglob("*") if p.is_file()} == written
 
     @pytest.mark.parametrize("manifest", ["state.json"])
     def test_resume_over_another_checkpoint_schema_is_config_error(self, tmp_path,
@@ -281,8 +359,8 @@ def _watch_lifetimes(monkeypatch, source: str) -> tuple:
 
     save = cli.save_checkpoint
 
-    def watched_save(out, engine, record):
-        save(out, engine, record)
+    def watched_save(out, engine, record, config):
+        save(out, engine, record, config)
         gc.collect()
         alive_at[record["m"]] = sorted(name for name, ref in refs.items() if ref() is not None)
 
@@ -488,7 +566,7 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         rows = [row.split(",") for row in
                 (out / "timings_report.csv").read_text().splitlines()]
-        assert rows[0] == ["entry", "seconds", *kam.STEP_TIMINGS, "peak_rss_mb"]
+        assert rows[0] == ["entry", "seconds", *STEP_COLUMNS, "peak_rss_mb"]
         names = [row[0] for row in rows[1:]]
         assert names == [name for name, _ in summary["timings"]["peak_rss_mb"]] + ["total"]
         assert names[:5] == ["validate", "analyze", "schedule_split", "screen", "step 0"]
@@ -497,10 +575,10 @@ class TestMain:
             row = by_name[f"step {entry['m']}"]
             assert row[1] == ""
             assert [float(c) for c in row[2:-1]] == pytest.approx(
-                [entry[key] for key in kam.STEP_TIMINGS], rel=1e-6)
+                [entry[key] for key in STEP_COLUMNS], rel=1e-6)
         assert float(by_name["reduce"][1]) == pytest.approx(summary["timings"]["reduce"],
                                                             rel=1e-6)
-        assert by_name["reduce"][2:-1] == [""] * len(kam.STEP_TIMINGS)
+        assert by_name["reduce"][2:-1] == [""] * len(STEP_COLUMNS)
         assert float(by_name["total"][1]) == pytest.approx(summary["timings"]["total"],
                                                            rel=1e-6)
 
@@ -519,7 +597,7 @@ class TestMain:
                            "2.000000e-03,3.000000e-02,1.000000e-15,,4.000000e-04")
         # a summary without timings renders its timings report empty
         timing_rows = (out / "timings_report.csv").read_text().splitlines()
-        assert timing_rows[1:] == ["total,,,,,,,"]
+        assert timing_rows[1:] == ["total,,,,,,,,"]
 
     def test_report_of_a_summary_without_step_timings(self, tmp_path):
         # a run from before timings.steps: stage rows only, sub-stage cells empty
@@ -530,10 +608,10 @@ class TestMain:
         (out / "summary.json").write_text(json.dumps({"steps": [], "timings": timings}))
         assert main(["report", "--out", str(out)]) == EXIT_CONVERGED
         rows = (out / "timings_report.csv").read_text().splitlines()
-        assert rows[1:] == ["validate,5.000000e-01,,,,,,3.000000e+01",
-                            "step 0,,,,,,,4.000000e+01",
-                            "reduce,2.000000e+00,,,,,,4.100000e+01",
-                            "total,3.000000e+00,,,,,,"]
+        assert rows[1:] == ["validate,5.000000e-01,,,,,,,3.000000e+01",
+                            "step 0,,,,,,,,4.000000e+01",
+                            "reduce,2.000000e+00,,,,,,,4.100000e+01",
+                            "total,3.000000e+00,,,,,,,"]
 
     def test_validate_command(self, tmp_path):
         cfg_path = tmp_path / "config.json"
@@ -637,6 +715,25 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "internal_error"
         assert summary["detail"].startswith("reduce: ValueError: ")
+        want = 16 * 7 * 4 * 16 * 17 // 2  # (2K+1, K+1) upper triangles of 2J = 16
+        assert summary["detail"].endswith(f"step_001/piece_0.bin: expected {want} bytes, "
+                                          f"found {want - 3} bytes")
+
+    def test_pruned_checkpoint_array_is_internal_error(self, three_step_run, tmp_path):
+        # with the two newest steps lost, the newest left has no pieces
+        cfg, full_out, _ = three_step_run
+        out = tmp_path / "r"
+        shutil.copytree(full_out, out)
+        for name in ("step_001", "step_002"):
+            shutil.rmtree(out / "steps" / name)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg.as_dict()))
+        assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "internal_error"
+        assert summary["detail"].startswith("reduce: ValueError: checkpoint array ")
+        assert summary["detail"].endswith("step_000/piece_0.bin: expected "
+                                          f"{16 * 7 * 4 * 16 * 17 // 2} bytes, found no file")
 
     def test_any_error_in_a_step_is_internal_error(self, tmp_path, monkeypatch):
         def broken(*a, **k):

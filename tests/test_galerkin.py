@@ -294,7 +294,7 @@ class TestQuadraticForm:
         rng = np.random.default_rng(5)
         qf = random_form(rng, n=2, K=1, J=2)
         engine = checkpoint_engine([qf], [random_form(rng, n=2, K=1, J=2).coeffs])
-        cli.save_checkpoint(tmp_path, engine, {"m": 0})
+        cli.save_checkpoint(tmp_path, engine, {"m": 0}, cli.RunConfig())
         path = tmp_path / "steps" / "step_000" / "state.json"
         state = json.loads(path.read_text())
         state["schema"] = cli.CHECKPOINT_SCHEMA - 1
@@ -302,7 +302,7 @@ class TestQuadraticForm:
         with pytest.raises(cli.CheckpointSchemaError,
                            match=rf"state\.json: checkpoint schema {cli.CHECKPOINT_SCHEMA - 1}, "
                                  rf"expected {cli.CHECKPOINT_SCHEMA}"):
-            cli.load_checkpoints(tmp_path)
+            cli.load_checkpoints(tmp_path, cli.RunConfig())
 
     def test_grid_values_match_direct_eval(self):
         rng = np.random.default_rng(4)
