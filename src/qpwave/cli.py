@@ -33,6 +33,7 @@ from .galerkin import (
     WeightedSpace,
     assemble_initial_forms,
     coupling_tensor,
+    form_norm,
 )
 from .kam import (
     STEP_TIMINGS,
@@ -302,23 +303,18 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict, config: RunConfi
             path.unlink()
 
 
-def load_checkpoints(out: Path, config: RunConfig):
-    """Rebuild (m_next, mu_history, pieces, chain, records) from disk, from
-    the step directories up to the first one without a state.json; (n, K, J)
-    come from the stored shape. A state.json of another CHECKPOINT_SCHEMA
-    raises CheckpointSchemaError, one written under other values of
-    REDUCE_CONFIG_KEYS than config's CheckpointConfigError naming them."""
-    step_dirs = []
-    for d in sorted((out / "steps").glob("step_*")):
-        if not (d / "state.json").exists():
-            break  # an interrupted write: resume recomputes from this step on
-        step_dirs.append(d)
-    if not step_dirs:
-        return None
+def checkpoint_states(out: Path, config: RunConfig) -> list:
+    """(step directory, state.json contents) of each step directory up to
+    the first one without a state.json. A state.json of another
+    CHECKPOINT_SCHEMA raises CheckpointSchemaError, one written under other
+    values of REDUCE_CONFIG_KEYS than config's CheckpointConfigError naming
+    them."""
     expected = _reduce_config(config)
-    states = []
-    for d in step_dirs:
+    found = []
+    for d in sorted((out / "steps").glob("step_*")):
         path = d / "state.json"
+        if not path.exists():
+            break  # an interrupted write: resume recomputes from this step on
         with open(path) as f:
             state = json.load(f)
         check_schema(state, path)
@@ -327,17 +323,29 @@ def load_checkpoints(out: Path, config: RunConfig):
         if differ:
             raise CheckpointConfigError(f"{path}: checkpoint written under other "
                                         f"values of {differ}")
-        states.append(state)
+        found.append((d, state))
+    return found
+
+
+def load_checkpoints(out: Path, config: RunConfig, found: list | None = None):
+    """Rebuild (m_next, mu_history, pieces, chain, records) from disk, from
+    the checkpoint_states (read here unless given), or None without any;
+    (n, K, J) come from the stored shape."""
+    if found is None:
+        found = checkpoint_states(out, config)
+    if not found:
+        return None
     chain = TransformChain([_load_complex(d / "transform.bin", state["shape"])
-                            for d, state in zip(step_dirs, states)])
+                            for d, state in found])
+    last, state = found[-1]
     shape = state["shape"]  # the last step's: (2K+1,)*(n-1) + (K+1, 2J, 2J)
     n, K, J = len(shape) - 2, shape[-3] - 1, shape[-1] // 2
     packed = shape[:-2] + [J * (2 * J + 1)]  # 2J(2J+1)/2 upper-triangle entries
     pieces = [QuadraticForm(n, K, J, _mirror_upper(
-        _load_complex(d / f"piece_{i}.bin", packed), shape)) for i in range(state["pieces"])]
+        _load_complex(last / f"piece_{i}.bin", packed), shape)) for i in range(state["pieces"])]
     mu_history = [(float(e), np.asarray(mu, dtype=float))
                   for e, mu in state["mu_history"]]
-    return state["m_next"], mu_history, pieces, chain, [s["record"] for s in states]
+    return state["m_next"], mu_history, pieces, chain, [s["record"] for _, s in found]
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +354,14 @@ def load_checkpoints(out: Path, config: RunConfig):
 
 class PipelineAbort(Exception):
     """A run that ends without converging. ``summary`` is the full summary
-    when run_pipeline has already written it to summary.json."""
+    when run_pipeline has already written it to summary.json; ``record`` is
+    False when nothing may be written into the run directory (a refused
+    resume leaves the record of the run it would continue)."""
 
-    def __init__(self, code: int, status: str, detail: str, summary: dict | None = None):
+    def __init__(self, code: int, status: str, detail: str, summary: dict | None = None,
+                 record: bool = True):
         self.code, self.status, self.detail = code, status, detail
-        self.summary = summary
+        self.summary, self.record = summary, record
         super().__init__(detail)
 
 
@@ -408,6 +419,7 @@ class _Front:
     ws: WeightedSpace
     sched: Schedule
     pieces: list | None  # the run's engine takes them over
+    piece_norms: list  # form_norm of the step-0 active piece on the norm grid, if any
     scan: resonance.ResonanceReport
     scan_csv: str  # resonance.csv of the scan, which every run writes
     summary: dict  # its sections of a run summary
@@ -417,15 +429,23 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
     """Execute the full pipeline, the front and then the run at config.tau;
     returns the summary dict (also written).
 
-    Any other error than a PipelineAbort becomes one with status
-    internal_error naming the stage, and the step in reduce."""
+    A resume first checks the stored checkpoints against config; one it
+    refuses (config_error) writes nothing. Any other error than a
+    PipelineAbort becomes one with status internal_error naming the stage,
+    and the step in reduce."""
     t_start = time.time()
     stages = ["setup"]  # entered so far; the last is the current one
     timings: dict = {"peak_rss_mb": []}  # [stage or step, peak RSS so far] in run order
     with _stage_errors(stages):
+        found = None
+        if resume and config.eps != 0.0:  # a degenerate run has no steps to resume
+            try:
+                found = checkpoint_states(Path(out_dir), config)
+            except (CheckpointSchemaError, CheckpointConfigError) as e:
+                raise PipelineAbort(EXIT_CONFIG, "config_error", f"resume: {e}", record=False)
         out = _open_run_dir(config, out_dir)
         front = _front(config, stages, timings)
-        return _run_tau(config, out, front, stages, timings, t_start, resume)
+        return _run_tau(config, out, front, stages, timings, t_start, found)
 
 
 def _front(config: RunConfig, stages: list, timings: dict) -> _Front:
@@ -479,6 +499,8 @@ def _front(config: RunConfig, stages: list, timings: dict) -> _Front:
     del qf0  # the split was its only reader
     pieces = seed_pieces(dec, sched.eps0, sched)
     del dec  # the seeding was its only reader
+    # step 0's active norm, the same at every tau of a sweep
+    piece_norms = [form_norm(pieces[0], ws, config.norm_grid)] if pieces else []
     summary["schedule"] = sched.as_dict()
     _stage_done(timings, "schedule_split", t0)
 
@@ -491,13 +513,14 @@ def _front(config: RunConfig, stages: list, timings: dict) -> _Front:
                                   config.J_max, config.tau_grid_points)
     scan_csv = _resonance_csv(scan)
     timings["screen"] = time.time() - t0
-    return _Front(freq, pf, ct, ws, sched, pieces, scan, scan_csv, summary)
+    return _Front(freq, pf, ct, ws, sched, pieces, piece_norms, scan, scan_csv, summary)
 
 
 def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings: dict,
-             t_start: float, resume: bool = False) -> dict:
+             t_start: float, found: list | None = None) -> dict:
     """The run at config.tau from its front: screen, reduce, the per-step
-    scans for m >= 1, verify and the summary."""
+    scans for m >= 1, verify and the summary. A resume continues from the
+    checkpoint_states found, if any."""
     freq = replace(front.freq, tau=config.tau)
     sched, ws = front.sched, front.ws
     summary: dict = {
@@ -530,10 +553,7 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings:
     opts = KamOptions(picard_tol=config.picard_tol,
                       residual_tol=config.residual_tol,
                       norm_grid=config.norm_grid)
-    try:
-        restored = load_checkpoints(out, config) if resume and not sched.degenerate else None
-    except (CheckpointSchemaError, CheckpointConfigError) as e:
-        raise PipelineAbort(EXIT_CONFIG, "config_error", f"reduce: {e}")
+    restored = load_checkpoints(out, config, found) if found else None
     if restored is not None:
         m_next, mu_history, pieces, chain, records = restored
         nf = NormalForm(J=config.J_max,
@@ -542,8 +562,8 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings:
                            options=opts, normal_form=nf, chain=chain,
                            m_start=m_next, diagnostics=list(records))
     else:
-        engine = KamEngine(front.pieces, freq, sched, ws,
-                           K_theta=config.K_theta, options=opts)
+        engine = KamEngine(front.pieces, freq, sched, ws, K_theta=config.K_theta,
+                           options=opts, remainder_norms=front.piece_norms)
     # the engine alone holds the step-0 or restored pieces, so that each step
     # frees the pieces it replaces (a sweep's front keeps its own list of them)
     restored = pieces = front.pieces = None
@@ -890,7 +910,8 @@ def main(argv: list | None = None) -> int:
         print(f"status: {summary['status']}; summary at {out / 'summary.json'}")
         return EXIT_CONVERGED
     except PipelineAbort as e:
-        if e.summary is None:  # else run_pipeline wrote the full summary
+        # unless run_pipeline wrote the full summary, or nothing may be written
+        if e.summary is None and e.record:
             _write_json(out / "summary.json", {"status": e.status, "detail": e.detail,
                                                "config": config.as_dict()})
         print(f"{e.status}: {e.detail}", file=sys.stderr)

@@ -77,32 +77,63 @@ _SVD_FIRST = 16
 # below this largest bound, squared entries may underflow and the Frobenius
 # norm is no longer a bound within the margin
 _FROBENIUS_FLOOR = 1e-100
+# mu = best^2 (1 - CERTIFICATE_MARGIN) in the Cholesky certificate: best is
+# at least the sigma_max of the matrix with the largest bound, so every A has
+# |A|_F^2 <= d best^2, and the rounding of A^H A and of its factorization stays
+# within a few d^2 * 1.1e-16 of best^2 (about 1e-12 at d = 64); a certified
+# matrix, and its computed sigma_max, lie strictly below best
+CERTIFICATE_MARGIN = 1e-8
+_CERTIFY_CHUNK = 64  # matrices per certificate or SVD call
+# above this largest bound, best^2 or an entry of A^H A may overflow
+_CERTIFY_CEILING = 1e150
 
 
 def _sigma_max(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False).max(axis=-1)
 
 
+def _certified_below(mats: np.ndarray, best: float) -> bool:
+    """True when every matrix A of the (m, r, c) batch has sigma_max(A) < best:
+    mu I - A^H A, mu = best^2 (1 - CERTIFICATE_MARGIN), has a Cholesky factor."""
+    gram = np.matmul(np.swapaxes(-mats.conj(), -1, -2), mats)
+    diag = np.arange(gram.shape[-1])
+    gram[:, diag, diag] += best * best * (1.0 - CERTIFICATE_MARGIN)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def max_spectral_norm(mats: np.ndarray) -> float:
     """Largest spectral norm in a (..., r, c) batch, equal bit for bit to
     np.max(np.linalg.norm(mats, ord=2, axis=(-2, -1))).
 
-    Each matrix's Frobenius norm bounds its spectral norm, so the SVD runs only
-    on the matrices with the largest bounds and then on those whose bound
-    still reaches the maximum found so far.
+    Each matrix's Frobenius norm bounds its spectral norm, so the SVD runs on
+    the matrices with the largest bounds first. The others whose bound still
+    reaches the maximum found so far, best, are taken in chunks by decreasing
+    bound: a chunk that the Cholesky certificate puts strictly below best is
+    skipped, any other goes through the SVD and may raise best.
     """
     mats = np.asarray(mats)
     flat = mats.reshape((-1,) + mats.shape[-2:])
-    bound = np.linalg.norm(flat, axis=(-2, -1)) * FROBENIUS_MARGIN
+    with np.errstate(over="ignore"):  # an infinite bound takes the full sweep
+        bound = np.linalg.norm(flat, axis=(-2, -1)) * FROBENIUS_MARGIN
     top = float(np.max(bound))
     if not _FROBENIUS_FLOOR <= top < np.inf:  # zero, tiny, huge or NaN entries
         return float(np.max(np.linalg.norm(mats, ord=2, axis=(-2, -1))))
-    first = np.argsort(bound)[-_SVD_FIRST:]
-    best = _sigma_max(flat[first]).max()
-    rest = bound >= best
-    rest[first] = False
-    if rest.any():
-        best = max(best, _sigma_max(flat[rest]).max())
+    order = np.argsort(bound)[::-1]
+    best = _sigma_max(flat[order[:_SVD_FIRST]]).max()
+    certify = top < _CERTIFY_CEILING
+    rest = order[_SVD_FIRST:]
+    for start in range(0, rest.size, _CERTIFY_CHUNK):
+        chunk = rest[start:start + _CERTIFY_CHUNK]
+        chunk = chunk[bound[chunk] >= best]
+        if not chunk.size:
+            break  # the bounds decrease: none after this chunk reaches best
+        batch = flat[chunk]
+        if not (certify and _certified_below(batch, best)):
+            best = max(best, _sigma_max(batch).max())
     return float(best)
 
 
@@ -250,6 +281,13 @@ def check_real_structure(zz: np.ndarray, zzbar: np.ndarray, zbzb: np.ndarray, n:
 # ---------------------------------------------------------------------------
 # Quadratic forms
 
+
+def grid_points(G: int, K: int) -> int:
+    """Points per theta axis of the grid values asked on G points of a form on
+    the |k|_inf <= K window: at least the window size."""
+    return max(G, 2 * K + 1)
+
+
 @dataclass
 class QuadraticForm:
     """A real quadratic Hamiltonian piece H(theta) = <S(theta) x, x> in the
@@ -315,7 +353,7 @@ class QuadraticForm:
     def grid_values(self, G: int) -> np.ndarray:
         """Real values of S on the flat uniform theta grid of at least window
         size, float64 (G^n, 2J, 2J)."""
-        values = RealGrid(self.coeffs, self.n, self.K, max(G, 2 * self.K + 1)).rows()
+        values = RealGrid(self.coeffs, self.n, self.K, grid_points(G, self.K)).rows()
         return values.reshape(-1, 2 * self.J, 2 * self.J)
 
 
@@ -346,5 +384,8 @@ def assemble_initial_forms(
 
 def form_norm(qf: QuadraticForm, ws: WeightedSpace, G: int) -> float:
     """Grid maximum over theta of the h_N -> h_N norm of J * block(theta) * J,
-    over the three u-form blocks, on a uniform grid of at least window size."""
+    over the three u-form blocks, on a uniform grid of at least window size.
+    A zero form has norm 0.0 on any grid, so none is built."""
+    if not qf.coeffs.any():
+        return 0.0
     return float(max(block_norms(qf.grid_values(G), ws.opnorm_weighted)))

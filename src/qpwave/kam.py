@@ -53,6 +53,7 @@ from .galerkin import (
     block_norms,
     blocks_from_qp,
     form_norm,
+    grid_points,
     qp_from_blocks,
 )
 from .potential import FrequencySpec
@@ -608,6 +609,9 @@ def _streamed_series(streams: dict, B: np.ndarray, eps: float, n: int, K: int, G
     return window.coefficients()
 
 
+PUSH_NORM_GRID = 8  # the grid of the push's piece and tail norms
+
+
 @dataclass
 class PushDiagnostics:
     series_terms: dict
@@ -630,6 +634,7 @@ def push_remainder(
     diag(mu) - Gamma R, the single-bracket stream seeded by R_mm, and the
     Lie-series transport of the higher pieces. Every stream runs slab by slab
     (_streamed_series), and series_terms holds the term sizes of each slab.
+    A zero piece is transported to zero without a stream.
     """
     R_mm = pieces[0]
     n, K, J = R_mm.n, R_mm.K, R_mm.J
@@ -662,7 +667,11 @@ def push_remainder(
     del bc
 
     for idx, piece in enumerate(pieces[1:]):
-        moved = QuadraticForm(n, K, J, stream({f"transport_{idx}": (source(piece), 0, False)}))
+        if piece.coeffs.any():
+            moved = QuadraticForm(n, K, J,
+                                  stream({f"transport_{idx}": (source(piece), 0, False)}))
+        else:
+            moved = QuadraticForm.zeros(n, K, J)
         if idx == 0:
             new_pieces[0] = new_pieces[0] + moved
         else:
@@ -674,8 +683,9 @@ def push_remainder(
     # one decision over the last term of every slab of every stream
     last_sizes = [s[-1] for s in series_terms.values() if s]
     spec_ok = all(s <= 1e-3 * eps_next for s in last_sizes)
-    piece_norms = [form_norm(p, ws, 8) for p in new_pieces]
-    diag = PushDiagnostics(series_terms=series_terms, tail_norm=form_norm(tail, ws, 8),
+    piece_norms = [form_norm(p, ws, PUSH_NORM_GRID) for p in new_pieces]
+    diag = PushDiagnostics(series_terms=series_terms,
+                           tail_norm=form_norm(tail, ws, PUSH_NORM_GRID),
                            spec_truncation_ok=bool(spec_ok), new_piece_norms=piece_norms)
     return new_pieces, diag
 
@@ -757,6 +767,8 @@ class IterationState:
     normal_form: NormalForm
     remainder: list
     diagnostics: list = field(default_factory=list)
+    # form_norm on the norm grid of the leading remainder pieces, as far as known
+    remainder_norms: list = field(default_factory=list)
 
 
 @dataclass
@@ -793,7 +805,12 @@ class KamEngine:
     step_timings holds the last completed step's sub-stage wall times, keyed
     by STEP_TIMINGS: the active-piece norm, the homological solve with its
     residual, the flow, the push and the oracle. It is kept apart from the
-    step record, so records and checkpoints stay bit-reproducible."""
+    step record, so records and checkpoints stay bit-reproducible.
+
+    remainder_norms, when given, are the norms on the norm grid of the
+    leading pieces. A push's new piece norms are carried on as the next
+    ones when the push's grid and the norm grid sample the same points, so
+    the next step and result() read them instead of computing them again."""
 
     def __init__(
         self,
@@ -807,6 +824,7 @@ class KamEngine:
         chain: TransformChain | None = None,
         m_start: int = 0,
         diagnostics: list | None = None,
+        remainder_norms: list | None = None,
     ):
         self.opts = options or KamOptions()
         self.freq = freq
@@ -819,6 +837,7 @@ class KamEngine:
             normal_form=normal_form or NormalForm(J=J),
             remainder=pieces,
             diagnostics=diagnostics or [],
+            remainder_norms=remainder_norms or [],
         )
         self.chain = chain or TransformChain()
         self.grid = product_grid_size(K_theta)
@@ -843,7 +862,8 @@ class KamEngine:
 
         clock = [time.perf_counter()]
         R_mm = st.remainder[0]
-        active_norm = form_norm(R_mm, self.ws, self.opts.norm_grid)
+        active_norm = (st.remainder_norms[0] if st.remainder_norms
+                       else form_norm(R_mm, self.ws, self.opts.norm_grid))
         clock.append(time.perf_counter())
 
         # the small-divisor gate: a ResonanceError leaves the state untouched
@@ -919,6 +939,9 @@ class KamEngine:
             "consistency_defect": consistency,
         }
         st.remainder = new_pieces
+        same_grid = (grid_points(PUSH_NORM_GRID, R_mm.K)
+                     == grid_points(self.opts.norm_grid, R_mm.K))
+        st.remainder_norms = push_diag.new_piece_norms if same_grid else []
         st.normal_form = nf_new
         st.m = m + 1
         st.diagnostics.append(record)
@@ -935,8 +958,12 @@ class KamEngine:
         composed = self.chain.measure_composed_norm(self.ws)
         final_active = 0.0
         total = 0.0
+        known = self.state.remainder_norms
         for i, piece in enumerate(self.state.remainder):
-            norm = form_norm(piece, self.ws, self.opts.norm_grid)
+            if i < len(known):
+                norm = known[i]
+            else:
+                norm = form_norm(piece, self.ws, self.opts.norm_grid)
             weight = self.schedule.eps_at(self.state.m + i)
             total += weight * norm
             if i == 0:

@@ -297,29 +297,29 @@ class TestPipeline:
         # verify reads these, the reduce does not: the resume goes on
         ({"conjugacy_T": 4.0, "lyapunov_T": 10.0, "seed": 3, "run_verify": False}, None),
     ])
-    def test_resume_under_another_config(self, tmp_path, changed, differ):
+    def test_resume_under_another_config(self, tmp_path, capsys, changed, differ):
         out = tmp_path / "run"
         full = run_pipeline(tiny_config(), out)
         shutil.rmtree(out / "steps" / "step_001")
-        written = {p: p.read_bytes() for p in (out / "steps").rglob("*") if p.is_file()}
+        written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**TINY, **changed}))
         code = main(["resume", "--config", str(cfg_path), "--out", str(out)])
-        summary = json.loads((out / "summary.json").read_text())
         if differ is None:
             assert code == EXIT_CONVERGED
+            summary = json.loads((out / "summary.json").read_text())
             assert summary["steps"] == json.loads(json.dumps(full["steps"]))
             return
         assert code == EXIT_CONFIG
-        assert summary["status"] == "config_error"
         path = out / "steps" / "step_000" / "state.json"
-        assert summary["detail"] == (f"reduce: {path}: checkpoint written under other "
-                                     f"values of {differ}")
-        # no step ran
-        assert {p: p.read_bytes() for p in (out / "steps").rglob("*") if p.is_file()} == written
+        assert capsys.readouterr().err == (f"config_error: resume: {path}: checkpoint written "
+                                           f"under other values of {differ}\n")
+        # the refused resume wrote nothing: config.json, summary.json,
+        # resonance.csv and the checkpoints are the converged run's
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
 
     @pytest.mark.parametrize("manifest", ["state.json"])
-    def test_resume_over_another_checkpoint_schema_is_config_error(self, tmp_path,
+    def test_resume_over_another_checkpoint_schema_is_config_error(self, tmp_path, capsys,
                                                                    manifest):
         out = tmp_path / "run"
         run_pipeline(tiny_config(), out)
@@ -327,13 +327,13 @@ class TestPipeline:
         old = json.loads(path.read_text())
         old["schema"] = 2
         path.write_text(json.dumps(old))
+        written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(TINY))
         assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["status"] == "config_error"
-        assert summary["detail"] == (f"reduce: {path}: checkpoint schema 2, "
-                                     f"expected {cli.CHECKPOINT_SCHEMA}")
+        assert capsys.readouterr().err == (f"config_error: resume: {path}: checkpoint "
+                                           f"schema 2, expected {cli.CHECKPOINT_SCHEMA}\n")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
 
 
 def _watch_lifetimes(monkeypatch, source: str) -> tuple:
@@ -511,6 +511,30 @@ class TestSweep:
         assert swept["status"] == "converged"
         assert strip_timings(swept) == json.loads(json.dumps(strip_timings(single)))
         assert agg["results"][1]["max_abs_xi"] == single["multiplier"]["max_abs"]
+
+    def test_front_computes_the_step0_active_norm_once(self, tmp_path, monkeypatch):
+        in_front, in_engine = [], []
+        form_norm = galerkin.form_norm
+
+        def front_norm(qf, ws, G):
+            in_front.append((qf, form_norm(qf, ws, G)))
+            return in_front[-1][1]
+
+        def engine_norm(qf, ws, G):
+            in_engine.append(qf)
+            return form_norm(qf, ws, G)
+
+        monkeypatch.setattr(cli, "form_norm", front_norm)
+        monkeypatch.setattr(kam, "form_norm", engine_norm)
+        out = tmp_path / "sweep"
+        agg = sweep_tau(tiny_config(tau_sweep=[1.28, 1.29, 2], run_verify=False), out)
+        assert [r["status"] for r in agg["results"]] == ["converged", "converged"]
+        assert len(in_front) == 1
+        piece, norm = in_front[0]
+        assert not any(qf is piece for qf in in_engine)
+        for i in range(2):
+            summary = json.loads((out / f"tau_{i:03d}" / "summary.json").read_text())
+            assert summary["steps"][0]["active_norm"] == norm
 
     def test_failing_front_fails_every_tau(self, tmp_path):
         # omega0 = (1, 1 + 1e-9) fails the Diophantine check

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from forms import checkpoint_engine, real_blocks, real_form, whole_window
-from qpwave import cli
+from qpwave import cli, fourier, galerkin
 from qpwave.fourier import RealGrid, half_index, kinf, window_to_grid
 from qpwave.galerkin import (
     QuadraticForm,
@@ -130,7 +130,11 @@ class TestAssembly:
 
 
 class TestWeightedNorm:
-    def test_zero_form(self):
+    def test_zero_form(self, monkeypatch):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("a zero form's norm needs no grid")
+
+        monkeypatch.setattr(fourier, "window_to_grid", no_transform)
         qf = QuadraticForm.zeros(2, 2, 6)
         assert form_norm(qf, WeightedSpace(3, 6), 8) == 0.0
 
@@ -164,6 +168,14 @@ class TestWeightedNorm:
 def svd_max(mats) -> float:
     """Reference: every matrix through the SVD."""
     return float(np.max(np.linalg.norm(mats, ord=2, axis=(-2, -1))))
+
+
+def certifiable_batch(rng, count=300, d=8) -> np.ndarray:
+    """16 matrices 2 I, whose Frobenius bounds lead, then count matrices
+    1.5 Q with Q orthogonal: every bound, 1.5 sqrt(d), reaches the maximum 2,
+    but every spectral norm lies below it."""
+    q, _ = np.linalg.qr(rng.standard_normal((count, d, d)))
+    return np.concatenate([np.broadcast_to(2.0 * np.eye(d), (16, d, d)), 1.5 * q])
 
 
 class TestMaxSpectralNorm:
@@ -220,6 +232,55 @@ class TestMaxSpectralNorm:
             pytest.fail("no rank-one matrix with a rounding gap of 2 ulp found")
         batch = np.stack([x] * 16 + [r] + [0.1 * r] * 20)
         assert max_spectral_norm(batch) == svd_max(batch) == sigma
+
+    def test_certificate_skips_what_the_bounds_cannot_prune(self, monkeypatch):
+        batch = certifiable_batch(np.random.default_rng(13))
+        assert np.all(np.linalg.norm(batch, axis=(-2, -1)) > svd_max(batch))
+        rows = []
+        sigma_max = galerkin._sigma_max
+
+        def counted(mats):
+            rows.append(len(mats))
+            return sigma_max(mats)
+
+        monkeypatch.setattr(galerkin, "_sigma_max", counted)
+        assert max_spectral_norm(batch) == svd_max(batch)
+        assert sum(rows) <= 16 + 64
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-12, -1e-12, 1e-10, -1e-10, -1e-9])
+    def test_ties_behind_the_first_maximum(self, gap):
+        # behind 16 matrices 2 I, matrices of spectral norm 2 (1 + gap) whose
+        # bounds reach 2: the certificate must pass none of those at or above
+        # the maximum; at gap 0, also 2 P for permutations P, exact ties in
+        # bound and norm
+        rng = np.random.default_rng(14)
+        d = 6
+        q, _ = np.linalg.qr(rng.standard_normal((200, d, d)))
+        sv = np.array([2.0 * (1.0 + gap)] + [1.0] * (d - 1))
+        batch = [np.broadcast_to(2.0 * np.eye(d), (16, d, d)), (q * sv) @ np.swapaxes(q, 1, 2)]
+        if gap == 0.0:
+            batch.append(2.0 * np.eye(d)[[rng.permutation(d) for _ in range(40)]])
+        batch = np.concatenate(batch)
+        assert max_spectral_norm(batch) == svd_max(batch)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-90, 1e140, 1e152, 1e200])
+    def test_scaled_batches(self, scale):
+        # zero Frobenius bounds, the certificate near the floor and near the
+        # ceiling, no certificate (best^2 may overflow), infinite bounds
+        batch = scale * certifiable_batch(np.random.default_rng(15))
+        assert max_spectral_norm(batch) == svd_max(batch)
+
+    def test_tiny_and_huge_entries_among_certifiable_matrices(self):
+        rng = np.random.default_rng(16)
+        batch = certifiable_batch(rng)
+        tiny = np.full((20,) + batch.shape[1:], 1e-170)
+        assert max_spectral_norm(np.concatenate([batch, tiny])) == \
+               svd_max(np.concatenate([batch, tiny]))
+        mixed = batch.copy()
+        mixed[16:, 0, 1] = 1e-170
+        assert max_spectral_norm(mixed) == svd_max(mixed)
+        mixed[-1, 0, 0] = 1e200
+        assert max_spectral_norm(mixed) == svd_max(mixed)
 
     def test_random_batches_peaking_on_rank_one(self):
         rng = np.random.default_rng(12)

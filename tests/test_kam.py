@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from forms import qp_unitary, real_form, real_projection, uform_blocks
-from qpwave import fourier, kam
+from qpwave import fourier, galerkin, kam
 from qpwave.fourier import (
     RealGrid,
     eval_at_points,
@@ -652,7 +652,9 @@ class TestStreamedPush:
             for g, w in zip(got, want):
                 assert np.max(np.abs(g.coeffs - w.coeffs)) <= 1e-12 * np.max(np.abs(w.coeffs))
             n_slabs = len(kam._slabs(grid, pieces[0].n))
-            assert len(diag.series_terms) == n_slabs * (len(pieces) + 1)
+            # two bracket streams, and a transport stream per nonzero higher piece
+            streams = 2 + sum(bool(p.coeffs.any()) for p in pieces[1:])
+            assert len(diag.series_terms) == n_slabs * streams
             checked.append(n_slabs)
             return got, diag
 
@@ -715,8 +717,8 @@ class TestStreamSources:
 
     def test_one_window_transform_per_stream(self, monkeypatch):
         # each stream's seeds come from one transform of its window along the
-        # axes before the last, not one per slab (the piece norms make their
-        # own, one per norm)
+        # axes before the last, not one per slab (the norm of a nonzero form
+        # makes its own, one per norm; that of a zero form none)
         rng = np.random.default_rng(44)
         n, K, J, grid = 2, 3, 3, 12
         qf, sol, _ = small_solution(rng, n=n, K=K, J=J)
@@ -745,8 +747,24 @@ class TestStreamSources:
         streams = {name.split("[")[0] for name in diag.series_terms}
         assert streams == {"double_bracket", "single_bracket", "transport_0"}
         assert len(kam._slabs(grid, n)) == 3
-        assert in_norms == [1, 1]  # the new piece's and the tail's
+        assert in_norms == [1, 0]  # the new piece's; the tail is zero
         assert len(calls) - sum(in_norms) == len(streams)
+
+    def test_zero_piece_gets_no_stream(self):
+        rng = np.random.default_rng(45)
+        n, K, J, grid = 2, 3, 3, 12
+        qf, sol, _ = small_solution(rng, n=n, K=K, J=J)
+        pieces = [qf, small_form(rng, n, K, J), QuadraticForm.zeros(n, K, J),
+                  small_form(rng, n, K, J)]
+        ws = WeightedSpace(2, J)
+        flow = flow_transform(sol, 1e-3, ws, grid=grid)
+        got, diag = push_remainder(pieces, sol, flow, 1e-3, 1e-4, ws, grid=grid)
+        streams = {name.split("[")[0] for name in diag.series_terms}
+        assert streams == {"double_bracket", "single_bracket", "transport_0", "transport_2"}
+        assert not got[1].coeffs.any() and diag.new_piece_norms[1] == 0.0
+        want = whole_grid_push(pieces, sol, flow, 1e-3, 1e-4, ws, grid)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g.coeffs - w.coeffs)) <= 1e-12 * max(w.max_abs(), 1e-300)
 
 
 def small_pipeline(J=8, K=3, M=2, eps=1e-3, N=5, tau=1.29, gamma=0.05, scale=0.1):
@@ -815,6 +833,51 @@ class TestEngine:
             assert np.isfinite(c)
         for rec in res.history:
             assert np.isfinite(rec["mu_max_times_j"])
+
+
+class TestCarriedNorms:
+    """Step m + 1's active norm and result()'s norms are the last push's new
+    piece norms when the push's grid and the norm grid sample the same
+    points (K = 4: 2K + 1 = 9 points for the push and for norm_grid 9, not
+    for 12)."""
+
+    def run(self, monkeypatch, norm_grid):
+        pf, dec, freq, sched, ws = small_pipeline(K=4, M=3)
+        engine = KamEngine(seed_pieces(dec, sched.eps0, sched), freq, sched, ws,
+                           K_theta=pf.K_theta, options=KamOptions(norm_grid=norm_grid))
+        grids = []
+        form_norm = kam.form_norm
+
+        def counted(qf, ws, G):
+            grids.append(G)
+            return form_norm(qf, ws, G)
+
+        monkeypatch.setattr(kam, "form_norm", counted)
+        per_step = []
+        while not engine.finished:
+            engine.step()
+            per_step.append(grids.count(norm_grid))
+            grids.clear()
+        result = engine.result()
+        return engine, result, per_step, grids.count(norm_grid)
+
+    def test_norms_carried_when_the_grids_agree(self, monkeypatch):
+        engine, result, per_step, in_result = self.run(monkeypatch, norm_grid=9)
+        assert per_step == [1, 0, 0] and in_result == 0
+        hist = engine.state.diagnostics
+        for rec, nxt in zip(hist, hist[1:]):
+            assert nxt["active_norm"] == rec["new_piece_norms"][0]
+        # bit for bit the norms on the norm grid
+        sched, ws = engine.schedule, engine.ws
+        norms = [galerkin.form_norm(p, ws, 9) for p in engine.state.remainder]
+        assert norms == hist[-1]["new_piece_norms"]
+        assert result.final_weighted_size == sched.eps_at(sched.M) * norms[0]
+        assert result.final_remainder_norm == sum(
+            sched.eps_at(sched.M + i) * norm for i, norm in enumerate(norms))
+
+    def test_norms_computed_when_the_grids_differ(self, monkeypatch):
+        engine, _, per_step, in_result = self.run(monkeypatch, norm_grid=12)
+        assert per_step == [1, 1, 1] and in_result == len(engine.state.remainder)
 
 
 class TestConsistencyOracle:
