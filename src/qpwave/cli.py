@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import resonance
+from .fourier import product_grid_size
 from .galerkin import (
     CouplingTensor,
     QuadraticForm,
@@ -36,6 +37,7 @@ from .galerkin import (
     form_norm,
 )
 from .kam import (
+    PUSH_NORM_GRID,
     STEP_TIMINGS,
     SYMPLECTIC_TOL,
     CertificateError,
@@ -47,6 +49,8 @@ from .kam import (
     StepSizeError,
     TransformChain,
     build_schedule,
+    carried_norms,
+    flow_transform,
     seed_pieces,
 )
 from .potential import (
@@ -165,13 +169,14 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 # Checkpoints: one directory per step, state.json and its arrays
 
-CHECKPOINT_SCHEMA = 4  # format of a step directory
+CHECKPOINT_SCHEMA = 5  # format of a step directory
 CHECKPOINT_ENCODING = (
-    "complex128 little-endian float64 (re, im) pairs, row-major; shape is the half "
-    "window (k-window half..., 2J, 2J), coefficients for k_last >= 0. transform.bin "
-    "holds the step's Phi - id over shape. piece_<i>.bin holds remainder piece i's "
-    "symmetric (q, p) form as its upper triangle, diagonal included "
-    "(numpy.triu_indices(2J)), over shape[:-2]; only the two newest steps keep pieces")
+    "complex128 little-endian float64 (re, im) pairs, row-major. Every array is an "
+    "exactly symmetric (q, p) form of shape (k-window half..., 2J, 2J), coefficients "
+    "for k_last >= 0, stored as the upper triangle of each matrix, diagonal included "
+    "(numpy.triu_indices(2J)), over shape[:-2]. generator.bin holds the step's "
+    "homological generator F, piece_<i>.bin remainder piece i; only the two newest "
+    "steps keep pieces. An all-zero array has no file and is named in zero_arrays")
 # the RunConfig fields the reduce reads: checkpoints written under other values
 # hold another run's state
 REDUCE_CONFIG_KEYS = ("n", "omega0", "tau", "gamma", "eps", "smoothness_N", "potential",
@@ -217,13 +222,38 @@ def _load_complex(path: Path, shape) -> np.ndarray:
     return np.frombuffer(data, dtype="<c16").reshape(shape).astype(complex)
 
 
-def _mirror_upper(packed: np.ndarray, shape) -> np.ndarray:
-    """The symmetric array of shape whose upper triangles are packed."""
+def _load_form(path: Path, state: dict) -> QuadraticForm:
+    """The symmetric form stored at path as its upper triangles, or the zero
+    form when state.json names it in zero_arrays; (n, K, J) come from the
+    stored shape, (2K+1,)*(n-1) + (K+1, 2J, 2J)."""
+    shape = state["shape"]
+    n, K, J = len(shape) - 2, shape[-3] - 1, shape[-1] // 2
+    if path.name in state["zero_arrays"]:
+        return QuadraticForm.zeros(n, K, J)
+    packed = _load_complex(path, shape[:-2] + [J * (2 * J + 1)])
     out = np.empty(shape, dtype=complex)
-    rows, cols = np.triu_indices(shape[-1])
+    rows, cols = np.triu_indices(2 * J)
     out[..., rows, cols] = packed
     out[..., cols, rows] = packed
-    return out
+    return QuadraticForm(n, K, J, out)
+
+
+def _step_map(path: Path, state: dict, ws: WeightedSpace, grid: int,
+              picard_tol: float) -> np.ndarray:
+    """P_hat of a stored step: the flow of its generator at path, which must
+    give the step record's P_norm, symplectic_defect and picard_terms bit for
+    bit (else a ValueError naming the file)."""
+    record = state["record"]
+    try:
+        flow = flow_transform(_load_form(path, state), record["eps_m"], ws, grid, picard_tol)
+    except StepSizeError as e:
+        raise ValueError(f"checkpoint array {path}: {e}") from None
+    keys = ("P_norm", "symplectic_defect", "picard_terms")
+    got, want = [getattr(flow, key) for key in keys], [record[key] for key in keys]
+    if got != want:
+        raise ValueError(f"checkpoint array {path}: its flow gives {dict(zip(keys, got))}, "
+                         f"the step record {dict(zip(keys, want))}")
+    return flow.P_hat
 
 
 def machine_info() -> dict:
@@ -262,16 +292,19 @@ def _write_json(path: Path, payload: dict):
 
 
 def save_checkpoint(out: Path, engine: KamEngine, record: dict, config: RunConfig):
-    """Write step m's checkpoint into a temporary sibling, then rename it to
-    step_<m>, so that a step_* directory is either complete or absent. Then
-    drop the pieces of every step before m - 1: resume reads the pieces of
-    the newest complete step only, and step m - 1 keeps its own for a resume
-    after step m is lost. A piece that is not exactly symmetric, which its
-    upper triangle would not restore, is a ValueError."""
+    """Write step m's checkpoint, its generator and remainder pieces, into a
+    temporary sibling, then rename it to step_<m>, so that a step_*
+    directory is either complete or absent. Then drop the pieces of every
+    step before m - 1: resume reads the pieces of the newest complete step
+    only, and step m - 1 keeps its own for a resume after step m is lost.
+    An all-zero form gets no file. A form that is not exactly symmetric,
+    which its upper triangle would not restore, is a ValueError."""
     st = engine.state
-    for i, piece in enumerate(st.remainder):
-        if not np.array_equal(piece.coeffs, np.swapaxes(piece.coeffs, -1, -2)):
-            raise ValueError(f"remainder piece {i} is not exactly symmetric; "
+    forms = {f"piece_{i}.bin": piece.coeffs for i, piece in enumerate(st.remainder)}
+    forms["generator.bin"] = engine.generator.coeffs
+    for name, coeffs in forms.items():
+        if not np.array_equal(coeffs, np.swapaxes(coeffs, -1, -2)):
+            raise ValueError(f"{name}: the form is not exactly symmetric; "
                              "its checkpoint stores the upper triangle only")
     m_done = st.m  # steps completed
     steps = out / "steps"
@@ -280,11 +313,12 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict, config: RunConfi
     if tmp_dir.exists():
         shutil.rmtree(tmp_dir)
     tmp_dir.mkdir(parents=True)
-    P_hat = engine.chain.steps[-1]  # its eps_m, P_norm and symplectic_defect are in the record
-    upper = np.triu_indices(P_hat.shape[-1])
-    for i, piece in enumerate(st.remainder):
-        _save_complex(tmp_dir / f"piece_{i}.bin", piece.coeffs[(..., *upper)])
-    _save_complex(tmp_dir / "transform.bin", P_hat)
+    shape = engine.generator.coeffs.shape
+    upper = np.triu_indices(shape[-1])
+    zero = [name for name, coeffs in forms.items() if not coeffs.any()]
+    for name, coeffs in forms.items():
+        if name not in zero:
+            _save_complex(tmp_dir / name, coeffs[(..., *upper)])
     _write_json(tmp_dir / "state.json", {
         "schema": CHECKPOINT_SCHEMA,
         "config": _reduce_config(config),
@@ -292,7 +326,8 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict, config: RunConfi
         "record": record,
         "mu_history": [[e, mu.tolist()] for e, mu in st.normal_form.mu_history],
         "pieces": len(st.remainder),
-        "shape": list(P_hat.shape),
+        "shape": list(shape),
+        "zero_arrays": zero,
         "encoding": CHECKPOINT_ENCODING,
     })
     if step_dir.exists():
@@ -306,17 +341,19 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict, config: RunConfi
 def checkpoint_states(out: Path, config: RunConfig) -> list:
     """(step directory, state.json contents) of each step directory up to
     the first one without a state.json. A state.json of another
-    CHECKPOINT_SCHEMA raises CheckpointSchemaError, one written under other
-    values of REDUCE_CONFIG_KEYS than config's CheckpointConfigError naming
-    them."""
+    CHECKPOINT_SCHEMA, or one that is not JSON, raises CheckpointSchemaError,
+    one written under other values of REDUCE_CONFIG_KEYS than config's
+    CheckpointConfigError naming them."""
     expected = _reduce_config(config)
     found = []
     for d in sorted((out / "steps").glob("step_*")):
         path = d / "state.json"
         if not path.exists():
             break  # an interrupted write: resume recomputes from this step on
-        with open(path) as f:
-            state = json.load(f)
+        try:
+            state = json.loads(path.read_text())
+        except json.JSONDecodeError as e:
+            raise CheckpointSchemaError(f"{path}: not JSON: {e}") from None
         check_schema(state, path)
         differ = sorted(key for key, value in expected.items()
                         if state["config"].get(key) != value)
@@ -329,20 +366,29 @@ def checkpoint_states(out: Path, config: RunConfig) -> list:
 
 def load_checkpoints(out: Path, config: RunConfig, found: list | None = None):
     """Rebuild (m_next, mu_history, pieces, chain, records) from disk, from
-    the checkpoint_states (read here unless given), or None without any;
-    (n, K, J) come from the stored shape."""
+    the checkpoint_states (read here unless given), or None without any.
+
+    Each chain step is the flow of its stored generator, run again as the
+    step ran it (_step_map), and the newest step's pieces must have its
+    record's new_piece_norms on PUSH_NORM_GRID bit for bit. A mismatch, or a
+    missing or mis-sized array, is a ValueError naming the file."""
     if found is None:
         found = checkpoint_states(out, config)
     if not found:
         return None
-    chain = TransformChain([_load_complex(d / "transform.bin", state["shape"])
+    ws = WeightedSpace(config.smoothness_N, config.J_max)
+    grid = product_grid_size(config.K_theta)
+    chain = TransformChain([_step_map(d / "generator.bin", state, ws, grid, config.picard_tol)
                             for d, state in found])
     last, state = found[-1]
-    shape = state["shape"]  # the last step's: (2K+1,)*(n-1) + (K+1, 2J, 2J)
-    n, K, J = len(shape) - 2, shape[-3] - 1, shape[-1] // 2
-    packed = shape[:-2] + [J * (2 * J + 1)]  # 2J(2J+1)/2 upper-triangle entries
-    pieces = [QuadraticForm(n, K, J, _mirror_upper(
-        _load_complex(last / f"piece_{i}.bin", packed), shape)) for i in range(state["pieces"])]
+    pieces, norms = [], state["record"]["new_piece_norms"]
+    for i in range(state["pieces"]):
+        path = last / f"piece_{i}.bin"
+        pieces.append(_load_form(path, state))
+        got, want = form_norm(pieces[-1], ws, PUSH_NORM_GRID), norms[i]
+        if got != want:
+            raise ValueError(f"checkpoint array {path}: its form_norm is {got!r}, "
+                             f"the step record's new_piece_norms[{i}] {want!r}")
     mu_history = [(float(e), np.asarray(mu, dtype=float))
                   for e, mu in state["mu_history"]]
     return state["m_next"], mu_history, pieces, chain, [s["record"] for _, s in found]
@@ -558,9 +604,12 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings:
         m_next, mu_history, pieces, chain, records = restored
         nf = NormalForm(J=config.J_max,
                         mu_history=[(e, mu) for e, mu in mu_history])
+        # the restored pieces' norms, checked by load_checkpoints
+        norms = carried_norms(records[-1]["new_piece_norms"], pieces[0].K, config.norm_grid)
         engine = KamEngine(pieces, freq, sched, ws, K_theta=config.K_theta,
                            options=opts, normal_form=nf, chain=chain,
-                           m_start=m_next, diagnostics=list(records))
+                           m_start=m_next, diagnostics=list(records),
+                           remainder_norms=norms)
     else:
         engine = KamEngine(front.pieces, freq, sched, ws, K_theta=config.K_theta,
                            options=opts, remainder_norms=front.piece_norms)
@@ -587,6 +636,7 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings:
         raise PipelineAbort(EXIT_CERTIFICATE, "certificate_failed", f"reduce, {e}")
     stages.append("reduce")
     result = engine.result()
+    del engine  # with its last pieces and generator: the rest reads result
     _stage_done(timings, "reduce", t0)
 
     summary["steps"] = result.history

@@ -450,19 +450,19 @@ class FlowResult:
 
 
 def flow_transform(
-    sol: HomologicalSolution,
+    F: QuadraticForm,
     eps_m: float,
     ws: WeightedSpace,
     grid: int,
     picard_tol: float = 1e-12,
 ) -> FlowResult:
-    """Time-1 map of the step generator at frozen angle, per theta grid point.
+    """Time-1 map of the step generator F (the homological solution's form)
+    at frozen angle, per theta grid point.
 
     Picard iteration on U(t) = I + eps * B(theta) * integral U; with the
     generator frozen the iterates are the exponential partial sums, and the
     stopping rule compares successive iterates in the weighted norm.
     """
-    F = sol.F
     n, K, J = F.n, F.K, F.J
     B = generator_of(F.grid_values(grid))
     w2 = ws.doubled_metric_weights
@@ -610,6 +610,14 @@ def _streamed_series(streams: dict, B: np.ndarray, eps: float, n: int, K: int, G
 
 
 PUSH_NORM_GRID = 8  # the grid of the push's piece and tail norms
+
+
+def carried_norms(push_norms: list, K: int, norm_grid: int) -> list:
+    """A push's new piece norms as the next pieces' norms on norm_grid: the
+    same values when the push's grid and the norm grid sample the same
+    points (galerkin.grid_points), otherwise none."""
+    same_grid = grid_points(PUSH_NORM_GRID, K) == grid_points(norm_grid, K)
+    return push_norms if same_grid else []
 
 
 @dataclass
@@ -810,7 +818,11 @@ class KamEngine:
     remainder_norms, when given, are the norms on the norm grid of the
     leading pieces. A push's new piece norms are carried on as the next
     ones when the push's grid and the norm grid sample the same points, so
-    the next step and result() read them instead of computing them again."""
+    the next step and result() read them instead of computing them again.
+
+    generator is the last completed step's homological generator F, the form
+    its flow exponentiates, which a checkpoint stores; the next step drops
+    it."""
 
     def __init__(
         self,
@@ -842,6 +854,7 @@ class KamEngine:
         self.chain = chain or TransformChain()
         self.grid = product_grid_size(K_theta)
         self.step_timings: dict = {}
+        self.generator: QuadraticForm | None = None
 
     @property
     def finished(self) -> bool:
@@ -853,6 +866,7 @@ class KamEngine:
         st = self.state
         m = st.m
         sched = self.schedule
+        self.generator = None  # the last step's, saved by now
         eps_m = sched.eps_at(m)
         eps_next = sched.eps_at(m + 1)
         gamma_m = float(sched.gamma_steps[m])
@@ -878,7 +892,7 @@ class KamEngine:
         nf_new = update_normal_form(st.normal_form, sol.diag_avg, eps_m)
         clock.append(time.perf_counter())
 
-        flow = flow_transform(sol, eps_m, self.ws, self.grid,
+        flow = flow_transform(sol.F, eps_m, self.ws, self.grid,
                               picard_tol=self.opts.picard_tol)
         if not flow.symplectic_defect <= SYMPLECTIC_TOL:  # NaN fails too
             raise CertificateError(
@@ -939,10 +953,10 @@ class KamEngine:
             "consistency_defect": consistency,
         }
         st.remainder = new_pieces
-        same_grid = (grid_points(PUSH_NORM_GRID, R_mm.K)
-                     == grid_points(self.opts.norm_grid, R_mm.K))
-        st.remainder_norms = push_diag.new_piece_norms if same_grid else []
+        st.remainder_norms = carried_norms(push_diag.new_piece_norms, R_mm.K,
+                                           self.opts.norm_grid)
         st.normal_form = nf_new
+        self.generator = sol.F
         st.m = m + 1
         st.diagnostics.append(record)
         self.step_timings = {key: b - a for key, a, b in zip(STEP_TIMINGS, clock, clock[1:])}

@@ -104,11 +104,11 @@ def uform_compare_through_chain(mats_u, full_times, full_states, lam, ws, subsam
     return float(np.max(dev)), drift, dev
 
 
-def checkpoint_engine(pieces, steps, mu_history=()):
+def checkpoint_engine(pieces, generator, mu_history=()):
     """What cli.save_checkpoint reads of a KamEngine: its state after step 0,
-    holding the remainder pieces and the mu history, and its transform chain
-    of the (q, p) generator coefficients steps."""
+    holding the remainder pieces and the mu history, and step 0's generator
+    (a QuadraticForm)."""
     return SimpleNamespace(
         state=kam.IterationState(m=1, normal_form=kam.NormalForm(pieces[0].J, list(mu_history)),
                                  remainder=list(pieces)),
-        chain=kam.TransformChain(list(steps)))
+        generator=generator)

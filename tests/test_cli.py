@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from forms import checkpoint_engine, real_form
-from qpwave import cli, galerkin, kam
+from qpwave import cli, fourier, galerkin, kam
 from qpwave.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -201,7 +201,7 @@ class TestPipeline:
             state = json.loads((out / "steps" / name / "state.json").read_text())
             # eps_m, P_norm and symplectic_defect live in the step record
             assert sorted(state) == ["config", "encoding", "m_next", "mu_history", "pieces",
-                                     "record", "schema", "shape"]
+                                     "record", "schema", "shape", "zero_arrays"]
             assert sorted(state["config"]) == sorted(cli.REDUCE_CONFIG_KEYS)
             assert "config" not in state["record"]
 
@@ -220,50 +220,66 @@ class TestPipeline:
                json.dumps(strip_timings(resumed), sort_keys=True)
         assert (newest / "state.json").exists()
 
-    def test_checkpoint_holds_one_array_per_piece_and_transform(self, tmp_path):
+    def test_checkpoint_holds_one_array_per_piece_and_generator(self, tmp_path):
         cfg = tiny_config()
         out = tmp_path / "run"
         run_pipeline(cfg, out)
-        step = out / "steps" / "step_001"
-        state = json.loads((step / "state.json").read_text())
-        assert state["schema"] == cli.CHECKPOINT_SCHEMA == 4
         K, J = cfg.K_theta, cfg.J_max
         half = [2 * K + 1, K + 1, 2 * J, 2 * J]
+        # every array is symmetric: its upper triangles, diagonal included
+        packed = 16 * np.prod(half[:-2]) * (2 * J) * (2 * J + 1) // 2
+        step = out / "steps" / "step_001"
+        state = json.loads((step / "state.json").read_text())
+        assert state["schema"] == cli.CHECKPOINT_SCHEMA == 5
         assert state["shape"] == half
-        assert state["pieces"] == 1
+        assert state["pieces"] == 1 and state["zero_arrays"] == []
         assert state["encoding"] == cli.CHECKPOINT_ENCODING
-        assert sorted(p.name for p in step.iterdir()) == ["piece_0.bin", "state.json",
-                                                          "transform.bin"]
-        assert (step / "transform.bin").stat().st_size == 16 * np.prod(half)
-        # a piece is symmetric: its upper triangle, diagonal included
-        assert (step / "piece_0.bin").stat().st_size == \
-               16 * np.prod(half[:-2]) * (2 * J) * (2 * J + 1) // 2
+        assert sorted(p.name for p in step.iterdir()) == ["generator.bin", "piece_0.bin",
+                                                          "state.json"]
+        assert (step / "generator.bin").stat().st_size == packed
+        assert (step / "piece_0.bin").stat().st_size == packed
+        # step 0 pushes TINY's zero top piece to a zero piece 1: it gets no file
+        step = out / "steps" / "step_000"
+        state = json.loads((step / "state.json").read_text())
+        assert state["pieces"] == 2 and state["zero_arrays"] == ["piece_1.bin"]
+        assert sorted(p.name for p in step.iterdir()) == ["generator.bin", "piece_0.bin",
+                                                          "state.json"]
 
     def test_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         n, K, J = 2, 2, 3
-        pieces = [real_form(rng, n, K, J) for _ in range(2)]
-        P_hat = real_form(rng, n, K, J).coeffs
+        cfg = RunConfig(J_max=J, K_theta=K)
+        ws = galerkin.WeightedSpace(cfg.smoothness_N, J)
+        pieces = [real_form(rng, n, K, J), galerkin.QuadraticForm.zeros(n, K, J)]
+        F = real_form(rng, n, K, J, scale=1e-3)
         mu = rng.standard_normal(J)
-        cfg = RunConfig()
-        # a piece its upper triangle would not restore is refused, and nothing is written
-        skew = pieces[1].coeffs.copy()
+        # the record of the step that F generates, as KamEngine.step writes it
+        flow = kam.flow_transform(F, 1e-3, ws, fourier.product_grid_size(K), cfg.picard_tol)
+        record = {"m": 0, "eps_m": 1e-3, "P_norm": flow.P_norm,
+                  "symplectic_defect": flow.symplectic_defect,
+                  "picard_terms": flow.picard_terms,
+                  "new_piece_norms": [galerkin.form_norm(p, ws, kam.PUSH_NORM_GRID)
+                                      for p in pieces]}
+        # a form its upper triangle would not restore is refused, and nothing is written
+        skew = F.coeffs.copy()
         skew[..., 0, 1] += 1.0
-        with pytest.raises(ValueError, match="remainder piece 1 is not exactly symmetric"):
+        with pytest.raises(ValueError, match=r"generator\.bin: the form is not exactly symmetric"):
             cli.save_checkpoint(tmp_path / "skew", checkpoint_engine(
-                [pieces[0], galerkin.QuadraticForm(n, K, J, skew)], [P_hat]), {"m": 0}, cfg)
+                pieces, galerkin.QuadraticForm(n, K, J, skew)), record, cfg)
         assert not (tmp_path / "skew").exists()
-        cli.save_checkpoint(tmp_path, checkpoint_engine(pieces, [P_hat], [(1e-3, mu)]),
-                            {"m": 0}, cfg)
+        cli.save_checkpoint(tmp_path, checkpoint_engine(pieces, F, [(1e-3, mu)]), record, cfg)
+        step = tmp_path / "steps" / "step_000"
+        assert not (step / "piece_1.bin").exists()  # the zero piece
         m_next, mu_history, back, chain, records = cli.load_checkpoints(tmp_path, cfg)
-        assert (m_next, records) == (1, [{"m": 0}])
+        assert (m_next, records) == (1, [json.loads(json.dumps(record))])
         assert len(mu_history) == 1 and mu_history[0][0] == 1e-3
         assert np.array_equal(mu_history[0][1], mu)
         assert len(back) == len(pieces)
         for got, want in zip(back, pieces):
             assert (got.n, got.K, got.J) == (n, K, J)
             assert np.array_equal(got.coeffs, want.coeffs)
-        assert len(chain.steps) == 1 and np.array_equal(chain.steps[0], P_hat)
+        # the chain step is the flow of the stored generator, bit for bit
+        assert len(chain.steps) == 1 and np.array_equal(chain.steps[0], flow.P_hat)
 
     def test_only_the_two_newest_steps_keep_their_pieces(self, three_step_run, tmp_path):
         cfg, full_out, full = three_step_run
@@ -272,11 +288,14 @@ class TestPipeline:
         assert [d.name for d in steps] == ["step_000", "step_001", "step_002"]
         assert not any(steps[0].glob("piece_*.bin"))
         for step in steps:
-            assert (step / "transform.bin").exists()
+            assert (step / "generator.bin").exists()
         for step in steps[1:]:
             state = json.loads((step / "state.json").read_text())
             pieces = sorted(step.glob("piece_*.bin"))
-            assert len(pieces) == state["pieces"] > 0
+            # a zero piece has no file
+            assert sorted(p.name for p in pieces) + state["zero_arrays"] == \
+                   [f"piece_{i}.bin" for i in range(state["pieces"])]
+            assert pieces
             for piece in pieces:
                 assert piece.stat().st_size == \
                        16 * np.prod(state["shape"][:-2]) * (2 * J) * (2 * J + 1) // 2
@@ -325,14 +344,30 @@ class TestPipeline:
         run_pipeline(tiny_config(), out)
         path = out / "steps" / "step_001" / manifest
         old = json.loads(path.read_text())
-        old["schema"] = 2
+        old["schema"] = cli.CHECKPOINT_SCHEMA - 1
         path.write_text(json.dumps(old))
         written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(TINY))
         assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (f"config_error: resume: {path}: checkpoint "
-                                           f"schema 2, expected {cli.CHECKPOINT_SCHEMA}\n")
+        assert capsys.readouterr().err == (
+            f"config_error: resume: {path}: checkpoint schema {cli.CHECKPOINT_SCHEMA - 1}, "
+            f"expected {cli.CHECKPOINT_SCHEMA}\n")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
+
+    def test_resume_over_a_state_json_that_is_not_json_is_config_error(self, tmp_path,
+                                                                       capsys):
+        out = tmp_path / "run"
+        run_pipeline(tiny_config(), out)
+        path = out / "steps" / "step_001" / "state.json"
+        path.write_text("not json")
+        written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY))
+        assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config_error: resume: {path}: not JSON: Expecting value")
+        # config.json, summary.json, resonance.csv and steps/ are the converged run's
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
 
 
@@ -758,6 +793,27 @@ class TestMain:
         assert summary["detail"].startswith("reduce: ValueError: checkpoint array ")
         assert summary["detail"].endswith("step_000/piece_0.bin: expected "
                                           f"{16 * 7 * 4 * 16 * 17 // 2} bytes, found no file")
+
+    @pytest.mark.parametrize("name, check", [("generator.bin", "its flow gives"),
+                                             ("piece_0.bin", "its form_norm is")])
+    def test_same_size_checkpoint_corruption_is_internal_error(self, three_step_run,
+                                                               tmp_path, name, check):
+        # one coefficient changed: the byte count is right, the recomputed
+        # flow or norm is not the step record's
+        cfg, full_out, _ = three_step_run
+        out = tmp_path / "r"
+        shutil.copytree(full_out, out)
+        path = out / "steps" / "step_002" / name
+        coeffs = np.frombuffer(path.read_bytes(), dtype="<c16").copy()
+        coeffs[5] += 1e-3
+        path.write_bytes(coeffs.tobytes())
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg.as_dict()))
+        assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "internal_error"
+        assert summary["detail"].startswith(
+            f"reduce: ValueError: checkpoint array {path}: {check} ")
 
     def test_any_error_in_a_step_is_internal_error(self, tmp_path, monkeypatch):
         def broken(*a, **k):

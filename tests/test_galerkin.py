@@ -354,7 +354,7 @@ class TestQuadraticForm:
     def test_load_rejects_another_schema(self, tmp_path):
         rng = np.random.default_rng(5)
         qf = random_form(rng, n=2, K=1, J=2)
-        engine = checkpoint_engine([qf], [random_form(rng, n=2, K=1, J=2).coeffs])
+        engine = checkpoint_engine([qf], random_form(rng, n=2, K=1, J=2))
         cli.save_checkpoint(tmp_path, engine, {"m": 0}, cli.RunConfig())
         path = tmp_path / "steps" / "step_000" / "state.json"
         state = json.loads(path.read_text())

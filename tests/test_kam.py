@@ -24,7 +24,6 @@ from qpwave.galerkin import (
 )
 from qpwave.kam import (
     CertificateError,
-    HomologicalSolution,
     InvalidParameterError,
     KamEngine,
     KamOptions,
@@ -458,7 +457,7 @@ class TestFlowTransform:
         qf = QuadraticForm.zeros(2, 2, 3)
         sol = solve_homological(qf, NormalForm(J=3), 1.3 * np.asarray(OMEGA0), 2, 0.05)
         ws = WeightedSpace(3, 3)
-        flow = flow_transform(sol, 1e-3, ws, grid=8)
+        flow = flow_transform(sol.F, 1e-3, ws, grid=8)
         eye = np.eye(6)
         assert np.max(np.abs(flow.Phi - eye)) == 0.0
         assert flow.P_norm == 0.0
@@ -468,7 +467,7 @@ class TestFlowTransform:
         _, sol, _ = small_solution(rng)
         ws = WeightedSpace(3, 4)
         eps = 1e-3
-        flow = flow_transform(sol, eps, ws, grid=10)
+        flow = flow_transform(sol.F, eps, ws, grid=10)
         assert flow.P_norm <= math.sqrt(eps)
         assert flow.symplectic_defect < 1e-10
 
@@ -478,7 +477,7 @@ class TestFlowTransform:
         ws = WeightedSpace(3, 4)
         eps = 1e-3
         G = 10
-        flow = flow_transform(sol, eps, ws, grid=G, picard_tol=1e-14)
+        flow = flow_transform(sol.F, eps, ws, grid=G, picard_tol=1e-14)
         # independent route: the u-form generator from pointwise block values
         pts = theta_grid_points(sol.F.n, G)
         blocks = [eval_at_points(b, sol.F.n, sol.F.K, pts) for b in uform_blocks(sol.F)]
@@ -491,7 +490,7 @@ class TestFlowTransform:
     def test_real_structure_of_map(self):
         rng = np.random.default_rng(5)
         _, sol, _ = small_solution(rng)
-        flow = flow_transform(sol, 1e-3, WeightedSpace(3, 4), grid=10)
+        flow = flow_transform(sol.F, 1e-3, WeightedSpace(3, 4), grid=10)
         assert flow.Phi.dtype == np.float64  # Phi is real
         # and so, in u coordinates, conj(Phi) is Phi with z and zbar swapped
         J = 4
@@ -504,13 +503,11 @@ class TestFlowTransform:
         assert np.max(np.abs(np.conj(Phi) - swapped)) < 1e-12
 
 
-def rotation_solution(c: float, J: int = 4) -> HomologicalSolution:
+def rotation_generator(c: float, J: int = 4) -> QuadraticForm:
     """F = c <z, zbar>: generator B = diag(i c I, -i c I), so |B| = |c| while
     its Frobenius norm is |c| sqrt(2J)."""
     zero = np.zeros((1, J, J))
-    F = QuadraticForm.from_blocks(1, 0, J, zero, c * np.eye(J)[None], zero)
-    return HomologicalSolution(F=F, blocks=(), diag_avg=np.zeros(J), divisor_min=1.0,
-                               norm_report={}, K_m=0)
+    return QuadraticForm.from_blocks(1, 0, J, zero, c * np.eye(J)[None], zero)
 
 
 class TestFlowStepSizeGuard:
@@ -518,16 +515,16 @@ class TestFlowStepSizeGuard:
         ws = WeightedSpace(3, 4)
         with pytest.raises(StepSizeError,
                            match=r"flow generator too large: eps\*\|B\| = 6\.000e-01 >= 0\.5"):
-            flow_transform(rotation_solution(2.0), 0.3, ws, grid=4)
+            flow_transform(rotation_generator(2.0), 0.3, ws, grid=4)
 
     def test_frobenius_bound_above_exact_norm_below_proceeds(self):
         ws, eps, J = WeightedSpace(3, 4), 0.3, 4
-        sol = rotation_solution(1.0, J)
-        B = generator_of(sol.F.grid_values(4))
+        F = rotation_generator(1.0, J)
+        B = generator_of(F.grid_values(4))
         # the bound alone would reject; the exact norm accepts
         assert eps * np.max(np.linalg.norm(B, axis=(-2, -1))) >= 0.5
         assert eps * ws.state_opnorm(B) == pytest.approx(0.3, abs=1e-15)
-        flow = flow_transform(sol, eps, ws, grid=4)
+        flow = flow_transform(F, eps, ws, grid=4)
         rot = np.exp(1j * eps)
         expect = np.diag([rot] * J + [np.conj(rot)] * J)
         assert np.max(np.abs(map_to_u(flow.Phi) - expect)) < 1e-12
@@ -543,7 +540,7 @@ class TestPushRemainder:
         other = QuadraticForm.from_blocks(n, K, J, blank, hermitian_zzbar(rng, n, K, J), blank)
         sol = solve_homological(zero, NormalForm(J=J), 1.3 * np.asarray(OMEGA0), K, 0.05)
         ws = WeightedSpace(2, J)
-        flow = flow_transform(sol, 1e-3, ws, grid=8)
+        flow = flow_transform(sol.F, 1e-3, ws, grid=8)
         new_pieces, diag = push_remainder([zero, other], sol, flow, 1e-3, 1e-4, ws, grid=8)
         assert len(new_pieces) == 1
         assert np.max(np.abs(new_pieces[0].coeffs - other.coeffs)) < 1e-15
@@ -573,7 +570,7 @@ class TestPushRemainder:
         sol = solve_homological(qf, NormalForm(J=J), 1.3 * np.asarray(OMEGA0), K_m, 0.05)
         assert sol.F.max_abs() == 0.0  # nothing inside the cutoff
         ws = WeightedSpace(2, J)
-        flow = flow_transform(sol, eps, ws, grid=10)
+        flow = flow_transform(sol.F, eps, ws, grid=10)
         new_pieces, _ = push_remainder([qf], sol, flow, eps, eps_next, ws, grid=10)
         expect = qf.scaled(eps / eps_next)
         assert np.max(np.abs(new_pieces[0].coeffs - expect.coeffs)) < 1e-12
@@ -724,7 +721,7 @@ class TestStreamSources:
         qf, sol, _ = small_solution(rng, n=n, K=K, J=J)
         other = small_form(rng, n, K, J)
         ws = WeightedSpace(2, J)
-        flow = flow_transform(sol, 1e-3, ws, grid=grid)
+        flow = flow_transform(sol.F, 1e-3, ws, grid=grid)
         calls = []
         transform = fourier.window_to_grid
 
@@ -757,7 +754,7 @@ class TestStreamSources:
         pieces = [qf, small_form(rng, n, K, J), QuadraticForm.zeros(n, K, J),
                   small_form(rng, n, K, J)]
         ws = WeightedSpace(2, J)
-        flow = flow_transform(sol, 1e-3, ws, grid=grid)
+        flow = flow_transform(sol.F, 1e-3, ws, grid=grid)
         got, diag = push_remainder(pieces, sol, flow, 1e-3, 1e-4, ws, grid=grid)
         streams = {name.split("[")[0] for name in diag.series_terms}
         assert streams == {"double_bracket", "single_bracket", "transport_0", "transport_2"}
