@@ -49,7 +49,6 @@ from .kam import (
     StepSizeError,
     TransformChain,
     build_schedule,
-    carried_norms,
     flow_transform,
     seed_pieces,
 )
@@ -370,7 +369,8 @@ def load_checkpoints(out: Path, config: RunConfig, found: list | None = None):
 
     Each chain step is the flow of its stored generator, run again as the
     step ran it (_step_map), and the newest step's pieces must have its
-    record's new_piece_norms on PUSH_NORM_GRID bit for bit. A mismatch, or a
+    record's new_piece_norms on PUSH_NORM_GRID bit for bit (those norms stay
+    in the pieces' form_norm memo for the resumed steps). A mismatch, or a
     missing or mis-sized array, is a ValueError naming the file."""
     if found is None:
         found = checkpoint_states(out, config)
@@ -465,7 +465,6 @@ class _Front:
     ws: WeightedSpace
     sched: Schedule
     pieces: list | None  # the run's engine takes them over
-    piece_norms: list  # form_norm of the step-0 active piece on the norm grid, if any
     scan: resonance.ResonanceReport
     scan_csv: str  # resonance.csv of the scan, which every run writes
     summary: dict  # its sections of a run summary
@@ -545,8 +544,6 @@ def _front(config: RunConfig, stages: list, timings: dict) -> _Front:
     del qf0  # the split was its only reader
     pieces = seed_pieces(dec, sched.eps0, sched)
     del dec  # the seeding was its only reader
-    # step 0's active norm, the same at every tau of a sweep
-    piece_norms = [form_norm(pieces[0], ws, config.norm_grid)] if pieces else []
     summary["schedule"] = sched.as_dict()
     _stage_done(timings, "schedule_split", t0)
 
@@ -559,7 +556,7 @@ def _front(config: RunConfig, stages: list, timings: dict) -> _Front:
                                   config.J_max, config.tau_grid_points)
     scan_csv = _resonance_csv(scan)
     timings["screen"] = time.time() - t0
-    return _Front(freq, pf, ct, ws, sched, pieces, piece_norms, scan, scan_csv, summary)
+    return _Front(freq, pf, ct, ws, sched, pieces, scan, scan_csv, summary)
 
 
 def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings: dict,
@@ -604,15 +601,12 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings:
         m_next, mu_history, pieces, chain, records = restored
         nf = NormalForm(J=config.J_max,
                         mu_history=[(e, mu) for e, mu in mu_history])
-        # the restored pieces' norms, checked by load_checkpoints
-        norms = carried_norms(records[-1]["new_piece_norms"], pieces[0].K, config.norm_grid)
         engine = KamEngine(pieces, freq, sched, ws, K_theta=config.K_theta,
                            options=opts, normal_form=nf, chain=chain,
-                           m_start=m_next, diagnostics=list(records),
-                           remainder_norms=norms)
+                           m_start=m_next, diagnostics=list(records))
     else:
         engine = KamEngine(front.pieces, freq, sched, ws, K_theta=config.K_theta,
-                           options=opts, remainder_norms=front.piece_norms)
+                           options=opts)
     # the engine alone holds the step-0 or restored pieces, so that each step
     # frees the pieces it replaces (a sweep's front keeps its own list of them)
     restored = pieces = front.pieces = None

@@ -297,12 +297,22 @@ class QuadraticForm:
     (fourier's real-field convention), complex, shape
     (2K+1,)*(n-1) + (K+1, 2J, 2J). u-form data, <zz z, z> + <zzbar z, zbar>
     + <zbzb zbar, zbar> in z = (q - i p)/sqrt(2), enters through from_blocks.
+
+    norms is form_norm's memo, keyed by (weighted space, grid points); while
+    it holds a value, coeffs is read-only, and a new coeffs (symmetrize)
+    clears it.
     """
 
     n: int
     K: int
     J: int
     coeffs: np.ndarray
+    norms: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name == "coeffs" and "norms" in self.__dict__:
+            self.norms.clear()
+        super().__setattr__(name, value)
 
     @classmethod
     def zeros(cls, n: int, K: int, J: int) -> "QuadraticForm":
@@ -385,7 +395,13 @@ def assemble_initial_forms(
 def form_norm(qf: QuadraticForm, ws: WeightedSpace, G: int) -> float:
     """Grid maximum over theta of the h_N -> h_N norm of J * block(theta) * J,
     over the three u-form blocks, on a uniform grid of at least window size.
-    A zero form has norm 0.0 on any grid, so none is built."""
+    A zero form has norm 0.0 on any grid, so none is built. Any other value
+    is kept in qf.norms, read again for the same space and grid points, and
+    coeffs turns read-only, so that no write can leave it stale."""
     if not qf.coeffs.any():
         return 0.0
-    return float(max(block_norms(qf.grid_values(G), ws.opnorm_weighted)))
+    key = (ws, grid_points(G, qf.K))
+    if key not in qf.norms:
+        qf.norms[key] = float(max(block_norms(qf.grid_values(G), ws.opnorm_weighted)))
+        qf.coeffs.flags.writeable = False
+    return qf.norms[key]

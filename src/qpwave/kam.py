@@ -53,7 +53,6 @@ from .galerkin import (
     block_norms,
     blocks_from_qp,
     form_norm,
-    grid_points,
     qp_from_blocks,
 )
 from .potential import FrequencySpec
@@ -200,15 +199,17 @@ class NormalForm:
         return NormalForm(self.J, [(e, m.copy()) for e, m in self.mu_history])
 
 
-def update_normal_form(nf: NormalForm, diag_avg: np.ndarray, eps_m: float,
-                       imag_tol: float = 1e-12) -> NormalForm:
+MU_IMAG_TOL = 1e-12  # update_normal_form's bound on the average's imaginary part
+
+
+def update_normal_form(nf: NormalForm, diag_avg: np.ndarray, eps_m: float) -> NormalForm:
     diag_avg = np.asarray(diag_avg)
     if diag_avg.shape != (nf.J,):
         raise InvalidParameterError("diagonal average has wrong length")
     imag = float(np.max(np.abs(diag_avg.imag))) if np.iscomplexobj(diag_avg) else 0.0
-    if imag > imag_tol:
+    if imag > MU_IMAG_TOL:
         raise SelfAdjointnessError(
-            f"diagonal average has imaginary part {imag:.3e} > {imag_tol:.1e}"
+            f"diagonal average has imaginary part {imag:.3e} > {MU_IMAG_TOL:.1e}"
         )
     out = nf.copy()
     out.mu_history.append((float(eps_m), np.real(diag_avg).astype(float)))
@@ -314,11 +315,11 @@ def _grid_size(S: np.ndarray, w2: np.ndarray) -> float:
 @dataclass
 class HomologicalSolution:
     F: QuadraticForm
-    blocks: tuple  # F's u-form blocks (zz, zzbar, zbzb) on the half, as divided
     diag_avg: np.ndarray
     divisor_min: float
     norm_report: dict
     K_m: int
+    residual: float  # homological_residual of the division
 
 
 def _divisor_arrays(nf_lam: np.ndarray, omega: np.ndarray, n: int, K: int):
@@ -331,16 +332,16 @@ def _divisor_arrays(nf_lam: np.ndarray, omega: np.ndarray, n: int, K: int):
     return div_zz, div_zzbar, div_zbzb
 
 
-def _remainder_blocks(remainder_mm: QuadraticForm, K_m: int, diag_avg=None) -> tuple:
-    """u-form blocks of R_mm's |k|_inf <= K_m part on the half, and their
-    averaged zzbar diagonal; with diag_avg given, that is removed instead."""
+def _remainder_blocks(remainder_mm: QuadraticForm, K_m: int) -> tuple:
+    """u-form blocks of R_mm's |k|_inf <= K_m part on the half, with their
+    averaged zzbar diagonal removed, and that average."""
     qf = remainder_mm
     low, _ = qf.truncate(min(K_m, qf.K))
     zz, zzbar, zbzb = blocks_from_qp(low.coeffs)
-    diag = zzbar[_center(qf.n, qf.K)][np.arange(qf.J), np.arange(qf.J)]  # a copy
-    avg = diag if diag_avg is None else diag_avg
-    zzbar[_center(qf.n, qf.K)][np.arange(qf.J), np.arange(qf.J)] = diag - avg
-    return (zz, zzbar, zbzb), avg
+    center = zzbar[_center(qf.n, qf.K)]
+    diag = center[np.arange(qf.J), np.arange(qf.J)]  # a copy
+    center[np.arange(qf.J), np.arange(qf.J)] -= diag
+    return (zz, zzbar, zbzb), diag
 
 
 def solve_homological(
@@ -358,10 +359,10 @@ def solve_homological(
     blocks on the half, with divisors <k,w> + lam_i + lam_j (zz),
     <k,w> - lam_i - lam_j (zbzb) and <k,w> - lam_i + lam_j (zzbar); the
     averaged zzbar diagonal is removed and returned for the normal-form
-    update, and F is returned as a form. This is each step's small-divisor
-    gate: every divisor on the whole window is checked against
-    resonance.divisor_threshold first; ResonanceError names the worst divisor
-    of the first block that fails.
+    update, and F is returned as a form with the homological_residual of
+    the division. This is each step's small-divisor gate: every divisor on
+    the whole window is checked against resonance.divisor_threshold first;
+    ResonanceError names the worst divisor of the first block that fails.
     """
     qf = remainder_mm
     n, K, J = qf.n, qf.K, qf.J
@@ -391,37 +392,32 @@ def solve_homological(
         divisor_min = min(divisor_min, float(np.min(np.abs(div)[mask])))
 
     R, diag_avg = _remainder_blocks(qf, K_m)
-    div_zz, div_zzbar, div_zbzb = (div[half_index(n, K)] for div in divisors)
+    half_divisors = tuple(div[half_index(n, K)] for div in divisors)
+    div_zz, div_zzbar, div_zbzb = half_divisors
     safe = div_zzbar.copy()
     safe[_center(n, K)][diag_sel] = 1.0  # excluded entry, numerator already zero
     blocks = tuple(-1j * r / div for r, div in zip(R, (div_zz, safe, div_zbzb)))
+    residual = homological_residual(blocks, R, half_divisors)
 
     F = QuadraticForm(n, K, J, qp_from_blocks(*blocks))
     ws = ws or WeightedSpace(N=2, J_max=J)
     report = dict(zip(("zz", "zzbar", "zbzb"),
                       block_norms(F.grid_values(norm_grid), ws.opnorm_weighted)))
-    return HomologicalSolution(F=F, blocks=blocks, diag_avg=diag_avg,
-                               divisor_min=divisor_min, norm_report=report, K_m=K_m)
+    return HomologicalSolution(F=F, diag_avg=diag_avg, divisor_min=divisor_min,
+                               norm_report=report, K_m=K_m, residual=residual)
 
 
-def homological_residual(
-    sol: HomologicalSolution,
-    remainder_mm: QuadraticForm,
-    nf: NormalForm,
-    omega: np.ndarray,
-) -> float:
+def homological_residual(blocks: tuple, R: tuple, half_divisors: tuple) -> float:
     """Relative plug-back residual of the component equations on the half:
     i divisor F_hat against R_hat, block by block, each block with its own
-    divisor, for the blocks the solve divided. (The form sol.F carries them
-    to roundoff relative to its largest entry; read back from it, a small
-    divisor would amplify that roundoff in the other blocks of its mode.)"""
-    qf = remainder_mm
-    R, _ = _remainder_blocks(qf, sol.K_m, sol.diag_avg)
-    divisors = _divisor_arrays(nf.lambdas(), np.asarray(omega, float), qf.n, qf.K)
+    divisor, for the u-form blocks as the solve divided them. (The form F
+    carries them to roundoff relative to its largest entry; read back from
+    it, a small divisor would amplify that roundoff in the other blocks of
+    its mode.)"""
     num = 0.0
     den = 0.0
-    for f, r, div in zip(sol.blocks, R, divisors):
-        num = max(num, float(np.max(np.abs(1j * div[half_index(qf.n, qf.K)] * f - r))))
+    for f, r, div in zip(blocks, R, half_divisors):
+        num = max(num, float(np.max(np.abs(1j * div * f - r))))
         den = max(den, float(np.max(np.abs(r))))
     return num / den if den > 0 else num
 
@@ -612,14 +608,6 @@ def _streamed_series(streams: dict, B: np.ndarray, eps: float, n: int, K: int, G
 PUSH_NORM_GRID = 8  # the grid of the push's piece and tail norms
 
 
-def carried_norms(push_norms: list, K: int, norm_grid: int) -> list:
-    """A push's new piece norms as the next pieces' norms on norm_grid: the
-    same values when the push's grid and the norm grid sample the same
-    points (galerkin.grid_points), otherwise none."""
-    same_grid = grid_points(PUSH_NORM_GRID, K) == grid_points(norm_grid, K)
-    return push_norms if same_grid else []
-
-
 @dataclass
 class PushDiagnostics:
     series_terms: dict
@@ -775,8 +763,6 @@ class IterationState:
     normal_form: NormalForm
     remainder: list
     diagnostics: list = field(default_factory=list)
-    # form_norm on the norm grid of the leading remainder pieces, as far as known
-    remainder_norms: list = field(default_factory=list)
 
 
 @dataclass
@@ -815,11 +801,6 @@ class KamEngine:
     residual, the flow, the push and the oracle. It is kept apart from the
     step record, so records and checkpoints stay bit-reproducible.
 
-    remainder_norms, when given, are the norms on the norm grid of the
-    leading pieces. A push's new piece norms are carried on as the next
-    ones when the push's grid and the norm grid sample the same points, so
-    the next step and result() read them instead of computing them again.
-
     generator is the last completed step's homological generator F, the form
     its flow exponentiates, which a checkpoint stores; the next step drops
     it."""
@@ -836,7 +817,6 @@ class KamEngine:
         chain: TransformChain | None = None,
         m_start: int = 0,
         diagnostics: list | None = None,
-        remainder_norms: list | None = None,
     ):
         self.opts = options or KamOptions()
         self.freq = freq
@@ -849,7 +829,6 @@ class KamEngine:
             normal_form=normal_form or NormalForm(J=J),
             remainder=pieces,
             diagnostics=diagnostics or [],
-            remainder_norms=remainder_norms or [],
         )
         self.chain = chain or TransformChain()
         self.grid = product_grid_size(K_theta)
@@ -876,17 +855,15 @@ class KamEngine:
 
         clock = [time.perf_counter()]
         R_mm = st.remainder[0]
-        active_norm = (st.remainder_norms[0] if st.remainder_norms
-                       else form_norm(R_mm, self.ws, self.opts.norm_grid))
+        active_norm = form_norm(R_mm, self.ws, self.opts.norm_grid)
         clock.append(time.perf_counter())
 
         # the small-divisor gate: a ResonanceError leaves the state untouched
         sol = solve_homological(R_mm, st.normal_form, omega, K_eff, gamma_m,
                                 ws=self.ws, norm_grid=self.opts.norm_grid)
-        residual = homological_residual(sol, R_mm, st.normal_form, omega)
-        if not residual <= PLUGBACK_TOL:  # NaN fails too
+        if not sol.residual <= PLUGBACK_TOL:  # NaN fails too
             raise CertificateError(
-                f"step m={m}: homological_residual {residual:.3e} > {PLUGBACK_TOL:.1e}"
+                f"step m={m}: homological_residual {sol.residual:.3e} > {PLUGBACK_TOL:.1e}"
             )
 
         nf_new = update_normal_form(st.normal_form, sol.diag_avg, eps_m)
@@ -937,7 +914,7 @@ class KamEngine:
             "K_capped": bool(math.ceil(K_raw) > self.K_theta),
             "strip": float(sched.strip[m]),
             "divisor_min": sol.divisor_min,
-            "homological_residual": float(residual),
+            "homological_residual": float(sol.residual),
             "solution_norms": sol.norm_report,
             "mu_max_times_j": float(np.max(np.arange(1, self.ws.J_max + 1)
                                            * np.abs(sol.diag_avg.real))),
@@ -953,8 +930,6 @@ class KamEngine:
             "consistency_defect": consistency,
         }
         st.remainder = new_pieces
-        st.remainder_norms = carried_norms(push_diag.new_piece_norms, R_mm.K,
-                                           self.opts.norm_grid)
         st.normal_form = nf_new
         self.generator = sol.F
         st.m = m + 1
@@ -972,12 +947,8 @@ class KamEngine:
         composed = self.chain.measure_composed_norm(self.ws)
         final_active = 0.0
         total = 0.0
-        known = self.state.remainder_norms
         for i, piece in enumerate(self.state.remainder):
-            if i < len(known):
-                norm = known[i]
-            else:
-                norm = form_norm(piece, self.ws, self.opts.norm_grid)
+            norm = form_norm(piece, self.ws, self.opts.norm_grid)
             weight = self.schedule.eps_at(self.state.m + i)
             total += weight * norm
             if i == 0:

@@ -32,6 +32,10 @@ from .fourier import (
 )
 
 MAX_SAMPLE_ENTRIES = 200_000_000  # quadrature sampling budget
+PARITY_TOL = 1e-9  # validate_assumptions' bound on the evenness residual
+AVERAGE_TOL = 1e-9  # validate_assumptions' bound on the x-average residual
+TAIL_TOL = 1e-6  # fourier_analyze flags a weighted tail norm above this
+EVAL_IMAG_TOL = 1e-10  # evaluate_potential's bound on the imaginary residual
 
 
 class InvalidPotentialError(ValueError):
@@ -165,8 +169,6 @@ def validate_assumptions(
     p: PotentialSpec,
     K_check: int = 20,
     grid: int = 32,
-    parity_tol: float = 1e-9,
-    average_tol: float = 1e-9,
 ) -> ValidationReport:
     """Check evenness in x, zero x-average, and the Diophantine margin on a grid."""
     if grid < 4 or K_check < 1:
@@ -188,20 +190,13 @@ def validate_assumptions(
         evenness_residual=evenness,
         average_residual=average,
         diophantine_margin=margin,
-        evenness_ok=evenness <= parity_tol,
-        average_ok=average <= average_tol,
+        evenness_ok=evenness <= PARITY_TOL,
+        average_ok=average <= AVERAGE_TOL,
         diophantine_ok=margin >= 1.0,
     )
 
 
-def fourier_analyze(
-    p: PotentialSpec,
-    K_theta: int,
-    J_max: int,
-    theta_grid: int | None = None,
-    x_grid: int | None = None,
-    tail_tol: float = 1e-6,
-) -> PotentialFourier:
+def fourier_analyze(p: PotentialSpec, K_theta: int, J_max: int) -> PotentialFourier:
     """Tensor-product trapezoidal analysis of the hull into v_hat(k, j).
 
     Exact (to roundoff) for trigonometric-polynomial hulls inside the
@@ -210,8 +205,8 @@ def fourier_analyze(
     if K_theta < 1 or J_max < 1:
         raise ValueError("truncation sizes must be >= 1")
     n = p.freq.n
-    Gt = theta_grid or max(4 * K_theta, 8)
-    Gx = x_grid or max(4 * J_max, 8)
+    Gt = max(4 * K_theta, 8)
+    Gx = max(4 * J_max, 8)
     if Gt**n * Gx > MAX_SAMPLE_ENTRIES:
         raise ResourceBudgetError(
             f"sampling grid {Gt}^{n} x {Gx} exceeds the memory budget"
@@ -242,21 +237,19 @@ def fourier_analyze(
         n=n,
         smoothness_N=N,
         tail_norm=tail,
-        tail_flagged=bool(tail > tail_tol),
+        tail_flagged=bool(tail > TAIL_TOL),
     )
 
 
-def evaluate_potential(
-    pf: PotentialFourier, theta: np.ndarray, x: float, imag_tol: float = 1e-10
-) -> float:
+def evaluate_potential(pf: PotentialFourier, theta: np.ndarray, x: float) -> float:
     """Evaluate the truncated expansion sum v_hat(k,j) e^{i k.theta} cos(j x)."""
     theta = np.asarray(theta, dtype=float)
     vj = eval_at_points(pf.v_hat, pf.n, pf.K_theta, theta.reshape(1, -1))[0]
     j = np.arange(1, pf.J_max + 1)
     val = np.sum(vj * np.cos(j * float(x)))
-    if abs(val.imag) > imag_tol:
+    if abs(val.imag) > EVAL_IMAG_TOL:
         raise InvalidPotentialError(
-            f"imaginary residual {abs(val.imag):.3e} exceeds {imag_tol:.1e}"
+            f"imaginary residual {abs(val.imag):.3e} exceeds {EVAL_IMAG_TOL:.1e}"
         )
     return float(val.real)
 

@@ -25,6 +25,9 @@ from .galerkin import (
 )
 
 
+NORM_GRID = 16  # least theta grid of decompose's piece and residual norms
+
+
 class ScheduleError(ValueError):
     """Strip-width schedule is not strictly decreasing and positive."""
 
@@ -113,7 +116,6 @@ def decompose(
     schedule: list,
     kernel: JacksonKernel,
     ws: WeightedSpace | None = None,
-    theta_grid: int = 16,
 ) -> DyadicDecomposition:
     """Split qf along the strip-width schedule s_0 > s_1 > ... > 0, s_0 <= 1/2."""
     strips = [float(s) for s in schedule]
@@ -133,7 +135,7 @@ def decompose(
     residual = qf - prev
     del cur, prev  # the norms below see only the pieces and the residual
 
-    G = max(theta_grid, 2 * qf.K + 2, 8)
+    G = max(NORM_GRID, 2 * qf.K + 2)
     def supnorm(form: QuadraticForm) -> float:
         return max(block_norms(form.grid_values(G), max_spectral_norm))
 

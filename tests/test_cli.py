@@ -192,6 +192,34 @@ class TestPipeline:
         assert json.dumps(strip_timings(full), sort_keys=True) == \
                json.dumps(strip_timings(resumed), sort_keys=True)
 
+    @pytest.mark.parametrize("norm_grid, evaluations", [(8, 0), (12, 1)])
+    def test_resume_reads_the_checked_norms(self, tmp_path, monkeypatch, norm_grid,
+                                            evaluations):
+        # load_checkpoints norms the restored pieces on PUSH_NORM_GRID; at
+        # K = 3 that grid is norm_grid 8's, so the first resumed step reads
+        # its active norm from the memo, and on norm_grid 12 evaluates it
+        cfg = tiny_config(norm_grid=norm_grid)
+        out = tmp_path / "run"
+        run_pipeline(cfg, out)
+        shutil.rmtree(sorted((out / "steps").glob("step_*"))[-1])
+        restored, evaluated = [], []
+        load, grid_values = cli.load_checkpoints, galerkin.QuadraticForm.grid_values
+
+        def watched_load(*a, **k):
+            restored.append(load(*a, **k))
+            evaluated.clear()
+            return restored[-1]
+
+        def counted(qf, G):
+            evaluated.append(qf)
+            return grid_values(qf, G)
+
+        monkeypatch.setattr(cli, "load_checkpoints", watched_load)
+        monkeypatch.setattr(galerkin.QuadraticForm, "grid_values", counted)
+        run_pipeline(cfg, out, resume=True)
+        active = restored[0][2][0]
+        assert sum(qf is active for qf in evaluated) == evaluations
+
     def test_checkpoints_leave_only_complete_step_directories(self, tmp_path):
         out = tmp_path / "run"
         run_pipeline(tiny_config(), out)
@@ -547,26 +575,31 @@ class TestSweep:
         assert strip_timings(swept) == json.loads(json.dumps(strip_timings(single)))
         assert agg["results"][1]["max_abs_xi"] == single["multiplier"]["max_abs"]
 
-    def test_front_computes_the_step0_active_norm_once(self, tmp_path, monkeypatch):
-        in_front, in_engine = [], []
-        form_norm = galerkin.form_norm
+    def test_sweep_computes_the_step0_active_norm_once(self, tmp_path, monkeypatch):
+        # the taus share the front's step-0 pieces: the first run's step 0
+        # evaluates the active piece's norm grid, the next reads its memo
+        seeded, evaluated = [], []
+        seed, grid_values = cli.seed_pieces, galerkin.QuadraticForm.grid_values
 
-        def front_norm(qf, ws, G):
-            in_front.append((qf, form_norm(qf, ws, G)))
-            return in_front[-1][1]
+        def watched_seed(*a, **k):
+            seeded.append(seed(*a, **k))
+            return seeded[-1]
 
-        def engine_norm(qf, ws, G):
-            in_engine.append(qf)
-            return form_norm(qf, ws, G)
+        def counted(qf, G):
+            evaluated.append(qf)
+            return grid_values(qf, G)
 
-        monkeypatch.setattr(cli, "form_norm", front_norm)
-        monkeypatch.setattr(kam, "form_norm", engine_norm)
+        monkeypatch.setattr(cli, "seed_pieces", watched_seed)
+        monkeypatch.setattr(galerkin.QuadraticForm, "grid_values", counted)
+        cfg = tiny_config(tau_sweep=[1.28, 1.29, 2], run_verify=False)
         out = tmp_path / "sweep"
-        agg = sweep_tau(tiny_config(tau_sweep=[1.28, 1.29, 2], run_verify=False), out)
+        agg = sweep_tau(cfg, out)
         assert [r["status"] for r in agg["results"]] == ["converged", "converged"]
-        assert len(in_front) == 1
-        piece, norm = in_front[0]
-        assert not any(qf is piece for qf in in_engine)
+        assert len(seeded) == 1
+        active = seeded[0][0]
+        assert sum(qf is active for qf in evaluated) == 1
+        ws = galerkin.WeightedSpace(cfg.smoothness_N, cfg.J_max)
+        norm = galerkin.form_norm(active, ws, cfg.norm_grid)
         for i in range(2):
             summary = json.loads((out / f"tau_{i:03d}" / "summary.json").read_text())
             assert summary["steps"][0]["active_norm"] == norm

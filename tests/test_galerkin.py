@@ -165,6 +165,69 @@ class TestWeightedNorm:
         assert form_norm(qf, ws, G) == pytest.approx(best, rel=1e-10)
 
 
+class TestNormMemo:
+    """form_norm keeps each value on the form, keyed by the weighted space and
+    the grid points, and makes the coefficients read-only while it does."""
+
+    def evaluations(self, monkeypatch) -> list:
+        evaluated = []
+        grid_values = QuadraticForm.grid_values
+
+        def counted(qf, G):
+            evaluated.append(G)
+            return grid_values(qf, G)
+
+        monkeypatch.setattr(QuadraticForm, "grid_values", counted)
+        return evaluated
+
+    def fresh(self, qf: QuadraticForm) -> QuadraticForm:
+        return QuadraticForm(qf.n, qf.K, qf.J, qf.coeffs.copy())
+
+    def test_grids_of_the_same_points_share_one_evaluation(self, monkeypatch):
+        # at K = 8, G = 8 and G = 12 both sample the window's 17 points
+        qf = real_form(np.random.default_rng(101), 1, 8, 3)
+        ws = WeightedSpace(3, 3)
+        evaluated = self.evaluations(monkeypatch)
+        norm = form_norm(qf, ws, 8)
+        assert form_norm(qf, ws, 12) == norm == form_norm(self.fresh(qf), ws, 12)
+        assert evaluated == [8, 12]  # the second on the fresh copy
+        assert form_norm(qf, ws, 18) == form_norm(self.fresh(qf), ws, 18)
+        assert evaluated == [8, 12, 18, 18]
+
+    def test_another_weighted_space_gets_its_own_entry(self, monkeypatch):
+        qf = real_form(np.random.default_rng(102), 2, 2, 3)
+        evaluated = self.evaluations(monkeypatch)
+        first, other = WeightedSpace(3, 3), WeightedSpace(1, 3)
+        a, b = form_norm(qf, first, 8), form_norm(qf, other, 8)
+        assert a != b and len(evaluated) == 2
+        assert (form_norm(qf, first, 8), form_norm(qf, other, 8)) == (a, b)
+        assert len(evaluated) == 2 and len(qf.norms) == 2
+
+    def test_new_coefficients_clear_the_memo(self, monkeypatch):
+        qf = real_form(np.random.default_rng(103), 2, 2, 3)
+        ws = WeightedSpace(3, 3)
+        norm = form_norm(qf, ws, 8)
+        qf.symmetrize()
+        assert qf.norms == {} and qf.coeffs.flags.writeable
+        qf.coeffs *= 2.0
+        assert form_norm(qf, ws, 8) == pytest.approx(2.0 * norm, rel=1e-14)
+        qf.coeffs = 0.5 * qf.coeffs
+        assert qf.norms == {}
+        assert form_norm(qf, ws, 8) == pytest.approx(norm, rel=1e-14)
+
+    def test_a_normed_form_refuses_in_place_writes(self):
+        qf = real_form(np.random.default_rng(104), 2, 2, 3)
+        ws = WeightedSpace(3, 3)
+        norm = form_norm(qf, ws, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            qf.coeffs[..., 0, 0] += 1.0
+        assert form_norm(qf, ws, 8) == norm == form_norm(self.fresh(qf), ws, 8)
+        # a zero form is normed without its grid and stays writeable
+        zero = QuadraticForm.zeros(2, 2, 3)
+        assert form_norm(zero, ws, 8) == 0.0
+        assert zero.norms == {} and zero.coeffs.flags.writeable
+
+
 def svd_max(mats) -> float:
     """Reference: every matrix through the SVD."""
     return float(np.max(np.linalg.norm(mats, ord=2, axis=(-2, -1))))

@@ -38,7 +38,6 @@ from qpwave.kam import (
     flow_transform,
     generator_of,
     hamiltonian_window,
-    homological_residual,
     jr_matrix,
     jr_mul,
     kam_run,
@@ -224,12 +223,10 @@ class TestHomologicalSolve:
         omega = 1.3 * np.asarray(OMEGA0)
         sol = solve_homological(qf, nf, omega, K_m=2, gamma_m=0.05)
         # divisor <k,w> - lam_1 + lam_2 = 1.3 + 1 = 2.3; F = -sqrt(-1)/2.3,
-        # as divided and as the form stores it (k = (1, 0) is half row K + 1, 0)
-        assert sol.blocks[1][K + 1, 0, 0, 1] == pytest.approx(-1j / 2.3, abs=1e-15)
+        # as the form stores it (k = (1, 0) is half row K + 1, 0)
         assert blocks_from_qp(sol.F.coeffs)[1][K + 1, 0, 0, 1] == pytest.approx(-1j / 2.3,
                                                                                 abs=1e-15)
-        res = homological_residual(sol, qf, nf, omega)
-        assert res < 1e-14
+        assert sol.residual < 1e-14
 
     def test_diagonal_average_removed(self):
         K = 2
@@ -241,7 +238,7 @@ class TestHomologicalSolve:
         nf = NormalForm(J=4)
         sol = solve_homological(qf, nf, self.freq().omega, K_m=2, gamma_m=0.05)
         assert np.allclose(sol.diag_avg, a)
-        assert np.max(np.abs(sol.blocks[1][K, 0][np.arange(4), np.arange(4)])) == 0.0
+        assert np.max(np.abs(blocks_from_qp(sol.F.coeffs)[1][K, 0][np.arange(4), np.arange(4)])) == 0.0
         assert sol.F.max_abs() == 0.0  # nothing else to remove
 
     def test_plugback_residual_random(self):
@@ -251,7 +248,7 @@ class TestHomologicalSolve:
         nf = NormalForm(J=J)
         omega = self.freq(1.37).omega
         sol = solve_homological(qf, nf, omega, K_m=2, gamma_m=1e-4)
-        assert homological_residual(sol, qf, nf, omega) < 1e-13
+        assert sol.residual < 1e-13
 
     def test_support_respects_cutoff(self):
         rng = np.random.default_rng(8)
@@ -320,7 +317,7 @@ class TestHomologicalSolve:
         assert np.max(np.abs(S - np.swapaxes(S, -1, -2))) == 0.0  # zz and zbzb symmetric
         # real: the k_last = 0 plane, which holds k and -k, is conjugate-paired
         assert np.max(np.abs(S[:, 0] - np.conj(S[::-1, 0]))) < 1e-14
-        zz, zzbar, zbzb = sol.blocks
+        zz, zzbar, zbzb = blocks_from_qp(sol.F.coeffs)
         assert np.max(np.abs(zzbar - np.swapaxes(zzbar, -1, -2))) > 1e-3  # zzbar is not
 
 
@@ -833,30 +830,34 @@ class TestEngine:
 
 
 class TestCarriedNorms:
-    """Step m + 1's active norm and result()'s norms are the last push's new
-    piece norms when the push's grid and the norm grid sample the same
-    points (K = 4: 2K + 1 = 9 points for the push and for norm_grid 9, not
-    for 12)."""
+    """Step m + 1's active norm and result()'s norms are read from the form_norm
+    memo of the last push's new pieces when the push's grid and the norm grid
+    sample the same points (K = 4: 2K + 1 = 9 points for the push and for
+    norm_grid 9, not for 12): their grid is not evaluated again."""
 
     def run(self, monkeypatch, norm_grid):
         pf, dec, freq, sched, ws = small_pipeline(K=4, M=3)
         engine = KamEngine(seed_pieces(dec, sched.eps0, sched), freq, sched, ws,
                            K_theta=pf.K_theta, options=KamOptions(norm_grid=norm_grid))
-        grids = []
-        form_norm = kam.form_norm
+        evaluated = []
+        grid_values = QuadraticForm.grid_values
 
-        def counted(qf, ws, G):
-            grids.append(G)
-            return form_norm(qf, ws, G)
+        def counted(qf, G):
+            evaluated.append(qf)
+            return grid_values(qf, G)
 
-        monkeypatch.setattr(kam, "form_norm", counted)
+        def evaluations(pieces):
+            return sum(any(qf is p for p in pieces) for qf in evaluated)
+
+        monkeypatch.setattr(QuadraticForm, "grid_values", counted)
         per_step = []
         while not engine.finished:
+            held = engine.state.remainder
             engine.step()
-            per_step.append(grids.count(norm_grid))
-            grids.clear()
+            per_step.append(evaluations(held))
+            evaluated.clear()
         result = engine.result()
-        return engine, result, per_step, grids.count(norm_grid)
+        return engine, result, per_step, evaluations(engine.state.remainder)
 
     def test_norms_carried_when_the_grids_agree(self, monkeypatch):
         engine, result, per_step, in_result = self.run(monkeypatch, norm_grid=9)
