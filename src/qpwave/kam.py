@@ -232,6 +232,13 @@ def _slabs(G: int, n: int) -> list:
             for r0 in range(0, G, step)]
 
 
+def _max_of(values) -> float:
+    """The largest of the values, NaN if any is NaN: the fold of every
+    certificate over its blocks or slabs. (Python's max keeps its running
+    value when a later one is NaN.)"""
+    return float(np.max(values))
+
+
 # ---------------------------------------------------------------------------
 # The (q, p) grid layer
 
@@ -414,11 +421,9 @@ def homological_residual(blocks: tuple, R: tuple, half_divisors: tuple) -> float
     carries them to roundoff relative to its largest entry; read back from
     it, a small divisor would amplify that roundoff in the other blocks of
     its mode.)"""
-    num = 0.0
-    den = 0.0
-    for f, r, div in zip(blocks, R, half_divisors):
-        num = max(num, float(np.max(np.abs(1j * div * f - r))))
-        den = max(den, float(np.max(np.abs(r))))
+    num = _max_of([np.max(np.abs(1j * div * f - r))
+                   for f, r, div in zip(blocks, R, half_divisors)])
+    den = _max_of([np.max(np.abs(r)) for r in R])
     return num / den if den > 0 else num
 
 
@@ -490,8 +495,8 @@ def flow_transform(
     P_norm = ws.state_opnorm(P)
 
     JR = jr_matrix(J)
-    defect = max(float(np.max(np.abs(np.matmul(U[pts].transpose(0, 2, 1), jr_mul(U[pts])) - JR)))
-                 for _, pts in _slabs(grid, n))
+    defect = _max_of([np.max(np.abs(np.matmul(U[pts].transpose(0, 2, 1), jr_mul(U[pts])) - JR))
+                     for _, pts in _slabs(grid, n)])
 
     return FlowResult(grid=grid, B=B, Phi=U, P_hat=P_hat, n=n, K=K, J=J,
                       P_norm=P_norm, symplectic_defect=defect,
@@ -738,19 +743,21 @@ def consistency_defect(
     n, K, J, G = flow.n, flow.K, flow.J, flow.grid
     diff = recompose_generator(lam_old, pieces_old, eps_old, flow, omega)
     ham = RealGrid(hamiltonian_window(lam_new, pieces_new, eps_new), n, K, G)
-    scale = 0.0
-    for rows, pts in _slabs(G, n):
+    slabs = _slabs(G, n)
+    scales = np.empty(len(slabs))
+    for i, (rows, pts) in enumerate(slabs):
         Q_asm = qp_rows(ham, rows)
         diff[pts] -= Q_asm
-        scale = max(scale, float(np.max(np.abs(Q_asm))))
+        scales[i] = np.max(np.abs(Q_asm))
     del ham, Q_asm
+    scale = _max_of(scales)
 
     # compare inside the coefficient window only (the assembly lives there),
     # projected in place
     diff = diff.reshape((G,) * n + (2 * J, 2 * J))
     diff = project_window_grid(diff, n, K, out=diff)
     diff = diff.reshape(-1, 2 * J, 2 * J)
-    return max(float(np.max(np.abs(diff[pts]))) for _, pts in _slabs(G, n)) / scale
+    return _max_of([np.max(np.abs(diff[pts])) for _, pts in slabs]) / scale
 
 
 # ---------------------------------------------------------------------------

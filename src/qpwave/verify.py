@@ -24,6 +24,8 @@ _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 # kick stage centers within one step (exact midpoints of the three substeps)
 _STAGE_CENTERS = (0.5 * _W1, _W1 + 0.5 * _W0, 1.0 - 0.5 * _W1)
+BLOCK_STEPS = 10  # most steps one block propagator spans
+CHUNK_STEPS = 256  # steps whose propagators are built at once
 
 
 class StabilityError(RuntimeError):
@@ -65,21 +67,8 @@ class TruncatedWaveSystem:
         return float(np.sum(self._modes * (p**2 + q**2)) / 2.0)
 
 
-def integrate_full(
-    sys: TruncatedWaveSystem,
-    initial: np.ndarray,
-    T: float,
-    dt: float | None = None,
-    record_every: int | None = None,
-    chunk: int = 256,
-) -> tuple:
-    """4th-order splitting integration; returns (times, states (S, 2J)).
-
-    Steps are taken in blocks of ``chunk``: every step's one-step propagator
-    P_n = R3 K2 R2 K1 R1 K0 R0 (drifts R, kicks K) is built for the whole
-    block at once, then the state advances by one P_n @ y per step.
-    """
-    J = sys.J
+def _step_count(T: float, dt: float | None, J: int) -> tuple:
+    """(n_steps, dt): the fewest equal steps over [0, T] no longer than dt."""
     dt_max = 0.1 / J
     if dt is None:
         dt = dt_max
@@ -87,19 +76,90 @@ def integrate_full(
     dt = T / n_steps
     if dt > dt_max * (1 + 1e-12):
         raise StabilityError(f"dt={dt:.3e} exceeds 0.1/J_max={dt_max:.3e}")
+    return n_steps, dt
+
+
+def _stage_times(first: int, steps: int, dt: float) -> np.ndarray:
+    """Kick times of steps first .. first + steps - 1, shape (steps * 3,)."""
+    return ((first + np.arange(steps)[:, None]) * dt + np.array(_STAGE_CENTERS) * dt).ravel()
+
+
+class _Splitting:
+    """One step of the splitting at step size dt, P_n = R3 K2 R2 K1 R1 K0 R0
+    (drifts R, kicks K), applied to stacked blocks of steps.
+
+    A propagator is kept as its rows q + i p, a (J, 2J) complex array: a
+    drift rotates z = q + i p of each mode, z -> (cos - i sin)(k a) z, and a
+    kick is p -= c (M q).
+    """
+
+    def __init__(self, sys: TruncatedWaveSystem, dt: float):
+        J, k = sys.J, sys._modes
+        # merged drift angles: half of first substep, averages between kicks, half of last
+        drift_sizes = (0.5 * _W1 * dt, 0.5 * (_W1 + _W0) * dt, 0.5 * (_W0 + _W1) * dt,
+                       0.5 * _W1 * dt)
+        self.rot = [(np.cos(k * a) - 1j * np.sin(k * a))[:, None] for a in drift_sizes]
+        self.kick_coefs = tuple(2.0 * sys.eps * w * dt for w in (_W1, _W0, _W1))
+        # rows of the propagator after the first drift
+        self.Z0 = self.rot[0] * np.hstack([np.eye(J), 1j * np.eye(J)])
+
+    def blocks(self, M: np.ndarray | None, batch: tuple, steps: int) -> np.ndarray:
+        """Propagators of stacked blocks of `steps` steps, shape batch + (2J, 2J).
+
+        M[..., s, stage] is a block's coupling at its step s and kick stage,
+        shape batch + (steps, 3, J, J); None for an uncoupled system.
+        """
+        Z = np.broadcast_to(self.Z0, batch + self.Z0.shape).copy()
+        # numpy multiplies complex arrays about twice as fast when neither
+        # operand is broadcast, with the same bits
+        rot = [np.broadcast_to(r, Z.shape).copy() for r in self.rot]
+        for s in range(steps):
+            if s:
+                Z *= rot[0]
+            for stage in range(3):
+                if M is not None:
+                    kick = M[..., s, stage, :, :] @ Z.real
+                    kick *= self.kick_coefs[stage]
+                    Z.imag -= kick
+                Z *= rot[stage + 1]
+        return np.concatenate([Z.real, Z.imag], axis=-2)
+
+    def span_blocks(self, M: np.ndarray | None, spans: int, steps: int) -> np.ndarray:
+        """Block propagators of stacked spans of `steps` consecutive steps:
+        blocks of BLOCK_STEPS steps from each span's start, the last one
+        shorter; shape (spans, blocks, 2J, 2J). M has shape
+        (spans, steps, 3, J, J), or is None."""
+        full, rest = divmod(steps, BLOCK_STEPS)
+        parts = []
+        if full:
+            Mf = None if M is None else M[:, :full * BLOCK_STEPS].reshape(
+                (spans, full, BLOCK_STEPS) + M.shape[2:])
+            parts.append(self.blocks(Mf, (spans, full), BLOCK_STEPS))
+        if rest:
+            Mr = None if M is None else M[:, None, full * BLOCK_STEPS:]
+            parts.append(self.blocks(Mr, (spans, 1), rest))
+        return np.concatenate(parts, axis=1)
+
+
+def integrate_full(
+    sys: TruncatedWaveSystem,
+    initial: np.ndarray,
+    T: float,
+    dt: float | None = None,
+    record_every: int | None = None,
+    chunk: int = CHUNK_STEPS,
+) -> tuple:
+    """4th-order splitting integration; returns (times, states (S, 2J)).
+
+    The state advances by one block propagator @ y per block of at most
+    BLOCK_STEPS steps, and every record step ends a block. The propagators
+    of up to ``chunk`` steps are built at once (``_Splitting.span_blocks``).
+    """
+    J = sys.J
+    n_steps, dt = _step_count(T, dt, J)
     if record_every is None:
         record_every = max(1, n_steps // 400)
-
-    k = sys._modes
-    substeps = (_W1, _W0, _W1)
-    # merged drift angles: half of first substep, averages between kicks, half of last
-    drift_sizes = (0.5 * _W1 * dt, 0.5 * (_W1 + _W0) * dt, 0.5 * (_W0 + _W1) * dt,
-                   0.5 * _W1 * dt)
-    # a drift rotates z = q + i p of each mode: z -> (cos - i sin)(k a) z
-    rot = [(np.cos(k * a) - 1j * np.sin(k * a))[:, None] for a in drift_sizes]
-    kick_coefs = tuple(2.0 * sys.eps * w * dt for w in substeps)
-    # rows q + i p of the propagator after the first drift
-    Z0 = rot[0] * np.hstack([np.eye(J), 1j * np.eye(J)])
+    splitting = _Splitting(sys, dt)
 
     y = np.array(initial, dtype=float)
     times = [0.0]
@@ -108,18 +168,17 @@ def integrate_full(
     coupled = sys.eps != 0.0
     step = 0
     while step < n_steps:
-        block = min(chunk, n_steps - step)
-        Z = np.repeat(Z0[None], block, axis=0)
+        # spans of equal length that end on record steps or chunk ends
+        span = min(record_every - step % record_every, chunk, n_steps - step)
+        spans = min(chunk, n_steps - step) // span if span == record_every else 1
+        M = None
         if coupled:
-            stage_t = (step + np.arange(block)[:, None]) * dt + np.array(_STAGE_CENTERS) * dt
-            Mblock = sys.coupling_at(stage_t.ravel()).reshape(block, 3, J, J)
-        for stage in range(3):
-            if coupled:
-                Z.imag -= kick_coefs[stage] * (Mblock[:, stage] @ Z.real)
-            Z *= rot[stage + 1]
-        for Pb in np.concatenate([Z.real, Z.imag], axis=1):
-            y = Pb @ y
-            step += 1
+            M = sys.coupling_at(_stage_times(step, spans * span, dt)).reshape(
+                spans, span, 3, J, J)
+        for blocks in splitting.span_blocks(M, spans, span):
+            for P in blocks:
+                y = P @ y
+            step += span
             if step % record_every == 0 or step == n_steps:
                 times.append(step * dt)
                 states.append(y)
@@ -143,12 +202,6 @@ class ConjugacyReport:
     modulus_drift: float
     times: np.ndarray
     deviations: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {
-            "max_rel_deviation": self.max_rel_deviation,
-            "modulus_drift": self.modulus_drift,
-        }
 
 
 def compare_through_chain(
@@ -209,14 +262,6 @@ class LyapunovEstimate:
     growth: np.ndarray
     horizon: float
     renorm_dt: float
-
-    def as_dict(self) -> dict:
-        return {
-            "top_exponent": self.top_exponent,
-            "horizon": self.horizon,
-            "renorm_dt": self.renorm_dt,
-            "final_growth": float(self.growth[-1]) if self.growth.size else 0.0,
-        }
 
     def prefix_exponent(self, T: float) -> float:
         """Top exponent of the same run stopped at horizon T.
@@ -295,20 +340,50 @@ def lyapunov_exponent(
     seed: int = 7,
 ) -> LyapunovEstimate:
     """Top Lyapunov exponent of the truncated wave flow (the system is linear,
-    so the state itself evolves as a tangent vector)."""
+    so the state itself evolves as a tangent vector).
+
+    The block propagators of the intervals are built for up to CHUNK_STEPS
+    steps at a time (``_interval_blocks``); the estimate does not depend on
+    CHUNK_STEPS."""
     _require_lyapunov_horizon(T, renorm_dt)
     ws = ws or WeightedSpace(N=2, J_max=sys.J)
     rng = np.random.default_rng(seed)
     w0 = rng.standard_normal(2 * sys.J) * (1.0 / ws.doubled_metric_weights)
+    intervals = _interval_blocks(sys, int(round(T / renorm_dt)), renorm_dt, dt)
 
     def step_fn(t0, y, h):
-        base = sys.theta0.copy()
-        sys_shift = TruncatedWaveSystem(sys.pf, sys.ct, sys.freq, sys.eps, sys.J,
-                                        base + t0 * sys.freq.omega)
-        _, states = integrate_full(sys_shift, y, h, dt=dt, record_every=10**9)
-        return states[-1]
+        for P in next(intervals):
+            y = P @ y
+        return y
 
     return lyapunov_from_stepper(step_fn, w0, T, renorm_dt, ws.state_norm)
+
+
+def _interval_blocks(sys: TruncatedWaveSystem, n_int: int, renorm_dt: float,
+                     dt: float | None):
+    """Block propagators of each renormalization interval in turn.
+
+    Interval i is the system shifted to start at t_i = i renorm_dt (summed
+    as lyapunov_from_stepper sums it), integrated over [0, renorm_dt]. The
+    intervals of up to CHUNK_STEPS steps go through the kernel at once.
+    """
+    J = sys.J
+    n_steps, dt = _step_count(renorm_dt, dt, J)
+    splitting = _Splitting(sys, dt)
+    stage_t = _stage_times(0, n_steps, dt)
+    per_chunk = max(1, CHUNK_STEPS // n_steps)
+    t0 = 0.0
+    for first in range(0, n_int, per_chunk):
+        count = min(per_chunk, n_int - first)
+        M = None
+        if sys.eps != 0.0:
+            M = np.empty((count, n_steps, 3, J, J))
+            for i in range(count):
+                shifted = TruncatedWaveSystem(sys.pf, sys.ct, sys.freq, sys.eps, J,
+                                              sys.theta0 + t0 * sys.freq.omega)
+                M[i] = shifted.coupling_at(stage_t).reshape(n_steps, 3, J, J)
+                t0 += renorm_dt
+        yield from splitting.span_blocks(M, count, n_steps)
 
 
 # ---------------------------------------------------------------------------

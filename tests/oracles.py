@@ -1,10 +1,12 @@
 """Brute-force oracles the tests compare the engine against: the resonance
-screen point by point, and the truncated wave system's vector field and
-Hamiltonian written out per time."""
+screen point by point, the truncated wave system's vector field and
+Hamiltonian written out per time, and the Lyapunov growth one interval at a
+time."""
 
 import numpy as np
 
 from qpwave.fourier import kgrid
+from qpwave.verify import TruncatedWaveSystem, integrate_full, lyapunov_from_stepper
 
 
 def brute_force_mask(nf, omega0, K_m: int, gamma_m: float, J_max: int, taus: np.ndarray,
@@ -85,3 +87,18 @@ def gradient_defect(system, rng: np.random.Generator, samples: int = 8,
         worst = max(worst, float(np.max(np.abs(f - expected))
                                  / max(1.0, np.max(np.abs(f)))))
     return worst
+
+
+def lyapunov_per_interval(system, T: float, renorm_dt: float, ws, seed: int = 7):
+    """lyapunov_exponent's estimate with one integrate_full call per
+    renormalization interval, on the system shifted to the interval's start."""
+    rng = np.random.default_rng(seed)
+    w0 = rng.standard_normal(2 * system.J) * (1.0 / ws.doubled_metric_weights)
+
+    def step_fn(t0, y, h):
+        shifted = TruncatedWaveSystem(system.pf, system.ct, system.freq, system.eps, system.J,
+                                      system.theta0 + t0 * system.freq.omega)
+        _, states = integrate_full(shifted, y, h, record_every=10**9)
+        return states[-1]
+
+    return lyapunov_from_stepper(step_fn, w0, T, renorm_dt, ws.state_norm)

@@ -958,3 +958,53 @@ class TestCertificateGates:
         assert engine.state.remainder is pieces
         assert not engine.state.diagnostics
         assert not engine.chain.steps
+
+
+NAN_AT = {"first": 0, "middle": 1, "last": -1}
+
+
+class TestNanFolds:
+    # a certificate folds its blocks or slabs with kam._max_of, which keeps a
+    # NaN wherever it sits
+
+    @pytest.mark.parametrize("where", NAN_AT)
+    def test_fold_keeps_a_nan(self, where):
+        values = [np.float64(0.5), np.float64(2.0), np.float64(1.0)]
+        assert kam._max_of(values) == 2.0
+        values[NAN_AT[where]] = np.nan
+        assert math.isnan(kam._max_of(values))
+
+    @pytest.mark.parametrize("where", NAN_AT)
+    @pytest.mark.parametrize("operand", ["blocks", "R"])
+    def test_homological_residual_sees_a_nan_block(self, where, operand):
+        rng = np.random.default_rng(50)
+        R = tuple(rng.standard_normal((5, 3, 3)) + 1j for _ in range(3))
+        divisors = tuple(rng.uniform(1.0, 2.0, (5, 3, 3)) for _ in range(3))
+        blocks = tuple(r / (1j * d) for r, d in zip(R, divisors))
+        assert kam.homological_residual(blocks, R, divisors) < 1e-15
+        hit = list(blocks if operand == "blocks" else R)
+        hit[NAN_AT[where]] = hit[NAN_AT[where]].copy()
+        hit[NAN_AT[where]][2, 1, 0] = np.nan
+        args = (tuple(hit), R) if operand == "blocks" else (blocks, tuple(hit))
+        assert math.isnan(kam.homological_residual(*args, divisors))
+
+    @pytest.mark.parametrize("where", NAN_AT)
+    def test_symplectic_defect_sees_a_nan_slab(self, monkeypatch, where):
+        rng = np.random.default_rng(51)
+        _, sol, _ = small_solution(rng)
+        ws = WeightedSpace(3, 4)
+        monkeypatch.setattr(kam, "SLAB_POINTS", 30)  # grid 10: slabs of 3, 3, 3, 1 rows
+        slab = list(range(len(kam._slabs(10, 2))))[NAN_AT[where]]
+        calls = []
+
+        def jr_mul_nan(S):
+            out = jr_mul(S)
+            calls.append(S.shape)
+            if len(calls) == slab + 2:  # the first call builds the generator
+                out[0, 0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(kam, "jr_mul", jr_mul_nan)
+        flow = flow_transform(sol.F, 1e-3, ws, grid=10)
+        assert len(calls) == 1 + 4
+        assert math.isnan(flow.symplectic_defect)

@@ -10,7 +10,8 @@ from forms import (
     uform_compare_through_chain,
     uform_initial_state,
 )
-from oracles import gradient_defect
+from oracles import gradient_defect, lyapunov_per_interval
+from qpwave import verify
 from qpwave.fourier import half_index
 from qpwave.galerkin import WeightedSpace, assemble_initial_forms, coupling_tensor
 from qpwave.kam import NormalForm, TransformChain
@@ -177,9 +178,13 @@ def integrate_substeps(sys, initial, T, record_every):
 
 class TestBlockPropagators:
     @pytest.mark.parametrize("T, record_every, chunk", [
-        (50.0, 7, 256),   # 6000 steps: a partial last block
-        (2.0, 4, 8),      # 120 steps = 15 full blocks; records on block ends
-        (2.0, 5, 7),      # 120 steps: partial last block, records cross blocks
+        (50.0, 7, 256),   # 6000 steps: a partial last chunk
+        (2.0, 4, 8),      # 120 steps = 15 full chunks; records on chunk ends
+        (2.0, 5, 7),      # 120 steps: partial last chunk, records cross chunks
+        (2.1, 1, 256),    # 126 steps: one-step blocks, each step's P_n
+        (2.1, 7, 256),    # one block of 7 steps per record
+        (2.1, 10**9, 256),  # one record: 12 blocks of BLOCK_STEPS, then 6 steps
+        (50.0, 10**9, 256),  # 3000 steps: spans cut at chunk ends
     ])
     def test_matches_substep_reference(self, T, record_every, chunk):
         sys, *_ = build_system(J=6, eps=1e-2)
@@ -268,6 +273,27 @@ class TestLyapunov:
         assert long.prefix_exponent(20.0) == short.top_exponent
         with pytest.raises(ValueError):
             long.prefix_exponent(10.0)
+
+    def test_batched_growth_matches_per_interval_oracle(self):
+        # 24 steps per interval: two blocks of BLOCK_STEPS and one of 4
+        sys, *_ = build_system(J=8, eps=1e-2)
+        ws = WeightedSpace(3, 8)
+        est = lyapunov_exponent(sys, T=30.0, renorm_dt=0.3, ws=ws)
+        ref = lyapunov_per_interval(sys, 30.0, 0.3, ws)
+        assert np.array_equal(est.times, ref.times)
+        assert np.max(np.abs(est.growth - ref.growth)) <= 1e-12 * np.max(np.abs(ref.growth))
+
+    def test_growth_does_not_depend_on_the_chunk(self, monkeypatch):
+        # 100 intervals of 24 steps, in chunks of 1, 7 (not a divisor) and all
+        sys, *_ = build_system(J=8, eps=1e-2)
+        ws = WeightedSpace(3, 8)
+        runs = []
+        for intervals in (1, 7, 100):
+            monkeypatch.setattr(verify, "CHUNK_STEPS", intervals * 24)
+            runs.append(lyapunov_exponent(sys, T=30.0, renorm_dt=0.3, ws=ws))
+        for est in runs[1:]:
+            assert np.array_equal(est.growth, runs[0].growth)
+            assert est.top_exponent == runs[0].top_exponent
 
     def test_known_exponent_recovered(self):
         a = 0.37
