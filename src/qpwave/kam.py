@@ -324,7 +324,6 @@ class HomologicalSolution:
     F: QuadraticForm
     diag_avg: np.ndarray
     divisor_min: float
-    norm_report: dict
     K_m: int
     residual: float  # homological_residual of the division
 
@@ -357,8 +356,6 @@ def solve_homological(
     omega: np.ndarray,
     K_m: int,
     gamma_m: float,
-    ws: WeightedSpace | None = None,
-    norm_grid: int = 12,
 ) -> HomologicalSolution:
     """Solve the step's homological equations on the |k| <= K_m window.
 
@@ -407,11 +404,8 @@ def solve_homological(
     residual = homological_residual(blocks, R, half_divisors)
 
     F = QuadraticForm(n, K, J, qp_from_blocks(*blocks))
-    ws = ws or WeightedSpace(N=2, J_max=J)
-    report = dict(zip(("zz", "zzbar", "zbzb"),
-                      block_norms(F.grid_values(norm_grid), ws.opnorm_weighted)))
     return HomologicalSolution(F=F, diag_avg=diag_avg, divisor_min=divisor_min,
-                               norm_report=report, K_m=K_m, residual=residual)
+                               K_m=K_m, residual=residual)
 
 
 def homological_residual(blocks: tuple, R: tuple, half_divisors: tuple) -> float:
@@ -577,36 +571,44 @@ def _lie_series(T0: np.ndarray, JS_S: np.ndarray, eps: float, coeff_offset: int,
 def _streamed_series(streams: dict, B: np.ndarray, eps: float, n: int, K: int, G: int,
                      w2: np.ndarray, series_terms: dict) -> np.ndarray:
     """Half-window coefficients, (2K+1,)*(n-1) + (K+1, 2J, 2J), of the summed
-    Lie series of ``streams``, each series run whole on one slab of the grid
-    at a time.
-
-    streams maps a name to (RealGrid of a form's coefficients,
-    coeff_offset, bracketed): a stream's grid seed is the form's values, or
-    for a bracketed stream their bracket with the step generator S_F.
-    B = 2 JR S_F is the flow generator on the flat grid, so the bracket
+    Lie series of ``streams``, each run whole on one slab at a time. streams
+    maps a name to (RealGrid of a form's coefficients, coeff_offset); the
+    grid seed is the bracket of the form's values with the step generator
+    S_F. B = 2 JR S_F is the flow generator on the flat grid, so the bracket
     operand jr_mul(S_F) is B / 2; the factor 1/2 rides on the seed and on eps
     instead (a power of two, so every term is bit for bit the one with B / 2).
     Each slab's seeds are its rows of the stream's RealGrid, and its summed
     series is filed into one RealWindow, read once at the end: no grid array
-    but B spans more than a slab. Each slab's term sizes go to
-    series_terms["name[slab]"].
+    but B spans more than a slab; term sizes go to series_terms["name[slab]"].
     """
     dim = B.shape[-1]
     window = RealWindow(n, K, G)
     for i, (rows, pts) in enumerate(_slabs(G, n)):
         B_s = B[pts]
         total = None
-        for name, (source, offset, bracketed) in streams.items():
-            seed = qp_rows(source, rows)
-            if bracketed:
-                seed = bracket_sym(seed, B_s)
-                seed *= 0.5
+        for name, (source, offset) in streams.items():
+            seed = bracket_sym(qp_rows(source, rows), B_s)
+            seed *= 0.5
             acc, series_terms[f"{name}[{i}]"] = _lie_series(seed, B_s, 0.5 * eps, offset, w2)
             if total is None:
                 total = acc
             else:
                 total += acc
         window.put(total.reshape((-1,) + (G,) * (n - 1) + (dim, dim)), rows)
+    return window.coefficients()
+
+
+def _carried(piece: QuadraticForm, Phi: np.ndarray, G: int) -> np.ndarray:
+    """Half-window coefficients of Phi^T S Phi, the piece S carried by the
+    step's time-1 map Phi (flat (G^n, 2J, 2J)), formed slab by slab from the
+    rows of the piece's RealGrid and filed into one RealWindow."""
+    n, K, dim = piece.n, piece.K, Phi.shape[-1]
+    source = RealGrid(piece.coeffs, n, K, G)
+    window = RealWindow(n, K, G)
+    for rows, pts in _slabs(G, n):
+        P = Phi[pts]
+        moved = np.swapaxes(P, -1, -2) @ qp_rows(source, rows) @ P
+        window.put(moved.reshape((-1,) + (G,) * (n - 1) + (dim, dim)), rows)
     return window.coefficients()
 
 
@@ -633,9 +635,10 @@ def push_remainder(
     """Assemble the next remainder family from the four step contributions:
     the high-frequency tail, the double-bracket stream seeded by
     diag(mu) - Gamma R, the single-bracket stream seeded by R_mm, and the
-    Lie-series transport of the higher pieces. Every stream runs slab by slab
-    (_streamed_series), and series_terms holds the term sizes of each slab.
-    A zero piece is transported to zero without a stream.
+    higher pieces carried by the step's own map, Phi^T S Phi (_carried), with
+    no series. The two bracket streams run slab by slab (_streamed_series),
+    and series_terms holds the term sizes of each of their slabs. A zero
+    piece is carried to zero without a grid.
     """
     R_mm = pieces[0]
     n, K, J = R_mm.n, R_mm.K, R_mm.J
@@ -651,15 +654,9 @@ def push_remainder(
     del low
 
     series_terms = {}
-
-    def source(qf: QuadraticForm) -> RealGrid:
-        return RealGrid(qf.coeffs, n, K, grid)  # built once per stream
-
-    def stream(streams: dict) -> np.ndarray:
-        return _streamed_series(streams, flow.B, eps_m, n, K, grid, w2, series_terms)
-
-    bc = stream({"double_bracket": (source(star), 2, True),
-                 "single_bracket": (source(R_mm), 1, True)})
+    bc = _streamed_series({"double_bracket": (RealGrid(star.coeffs, n, K, grid), 2),
+                           "single_bracket": (RealGrid(R_mm.coeffs, n, K, grid), 1)},
+                          flow.B, eps_m, n, K, grid, w2, series_terms)
     del star
 
     first = tail.scaled(eps_m / eps_next)
@@ -669,8 +666,7 @@ def push_remainder(
 
     for idx, piece in enumerate(pieces[1:]):
         if piece.coeffs.any():
-            moved = QuadraticForm(n, K, J,
-                                  stream({f"transport_{idx}": (source(piece), 0, False)}))
+            moved = QuadraticForm(n, K, J, _carried(piece, flow.Phi, grid))
         else:
             moved = QuadraticForm.zeros(n, K, J)
         if idx == 0:
@@ -681,7 +677,7 @@ def push_remainder(
     for piece in new_pieces:
         piece.symmetrize()
 
-    # one decision over the last term of every slab of every stream
+    # one decision over the last term of every slab of both bracket streams
     last_sizes = [s[-1] for s in series_terms.values() if s]
     spec_ok = all(s <= 1e-3 * eps_next for s in last_sizes)
     piece_norms = [form_norm(p, ws, PUSH_NORM_GRID) for p in new_pieces]
@@ -705,7 +701,10 @@ def recompose_generator(
     """Exact transported (q, p) form on the flat flow grid, (G^n, 2J, 2J),
     float64: S+ = -1/2 JR [ Phi^-1 (L Phi - omega . d_theta Phi) ].
 
-    Independent of the series assembly; used to certify each step. The first
+    Independent of the series assembly; used to certify each step. Its term
+    for a piece S is -1/2 JR Phi^-1 L Phi with L = 2 JR S, which equals the
+    push's Phi^T S Phi only when Phi is symplectic: the symplectic_defect
+    gate is what ties this oracle to the carried pieces. The first
     theta axis couples every row, so omega_0 d_theta0 (Phi - I) is taken once
     over the whole grid, straight into the result. Each slab then adds its
     other axes and solves into its own rows, which no other slab reads.
@@ -866,12 +865,13 @@ class KamEngine:
         clock.append(time.perf_counter())
 
         # the small-divisor gate: a ResonanceError leaves the state untouched
-        sol = solve_homological(R_mm, st.normal_form, omega, K_eff, gamma_m,
-                                ws=self.ws, norm_grid=self.opts.norm_grid)
-        if not sol.residual <= PLUGBACK_TOL:  # NaN fails too
+        sol = solve_homological(R_mm, st.normal_form, omega, K_eff, gamma_m)
+        if not sol.residual <= PLUGBACK_TOL:  # NaN fails too, before any SVD of F
             raise CertificateError(
                 f"step m={m}: homological_residual {sol.residual:.3e} > {PLUGBACK_TOL:.1e}"
             )
+        solution_norms = dict(zip(("zz", "zzbar", "zbzb"), block_norms(
+            sol.F.grid_values(self.opts.norm_grid), self.ws.opnorm_weighted)))
 
         nf_new = update_normal_form(st.normal_form, sol.diag_avg, eps_m)
         clock.append(time.perf_counter())
@@ -922,7 +922,7 @@ class KamEngine:
             "strip": float(sched.strip[m]),
             "divisor_min": sol.divisor_min,
             "homological_residual": float(sol.residual),
-            "solution_norms": sol.norm_report,
+            "solution_norms": solution_norms,
             "mu_max_times_j": float(np.max(np.arange(1, self.ws.J_max + 1)
                                            * np.abs(sol.diag_avg.real))),
             "P_norm": flow.P_norm,

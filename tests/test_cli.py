@@ -488,6 +488,26 @@ class TestCertificateAbort:
         assert f"step m=0: {gate}" in err.value.detail
         assert not (out / "steps" / "step_000").exists()
 
+    def test_nan_in_a_remainder_block_fails_the_residual_gate(self, tmp_path, monkeypatch):
+        # the residual is gated before any SVD of the solution, so a NaN in
+        # the solve's input is a failed certificate, not a LinAlgError
+        remainder_blocks = kam._remainder_blocks
+
+        def poisoned(*a):
+            (zz, zzbar, zbzb), diag = remainder_blocks(*a)
+            zz[(0,) * zz.ndim] = np.nan
+            return (zz, zzbar, zbzb), diag
+
+        monkeypatch.setattr(kam, "_remainder_blocks", poisoned)
+        cfg = RunConfig(run_verify=False, J_max=6, K_theta=4, M=2)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg.as_dict()))
+        out = tmp_path / "nan"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CERTIFICATE
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "certificate_failed"
+        assert "step m=0: homological_residual nan" in summary["detail"]
+
 
     def test_conjugacy_outside_tolerance_aborts_with_code_5(self, tmp_path, monkeypatch):
         compare = cli.compare_through_chain

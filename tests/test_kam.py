@@ -646,9 +646,8 @@ class TestStreamedPush:
             for g, w in zip(got, want):
                 assert np.max(np.abs(g.coeffs - w.coeffs)) <= 1e-12 * np.max(np.abs(w.coeffs))
             n_slabs = len(kam._slabs(grid, pieces[0].n))
-            # two bracket streams, and a transport stream per nonzero higher piece
-            streams = 2 + sum(bool(p.coeffs.any()) for p in pieces[1:])
-            assert len(diag.series_terms) == n_slabs * streams
+            # the two bracket streams; the carried higher pieces run no series
+            assert len(diag.series_terms) == 2 * n_slabs
             checked.append(n_slabs)
             return got, diag
 
@@ -672,7 +671,7 @@ class TestStreamedPush:
         w2 = WeightedSpace(2, J).doubled_metric_weights
         eps = 0.05
         terms = {}
-        got = kam._streamed_series({"s": (RealGrid(form.coeffs, n, K, G), 1, True)},
+        got = kam._streamed_series({"s": (RealGrid(form.coeffs, n, K, G), 1)},
                                    B, eps, n, K, G, w2, terms)
         assert terms["s[0]"] == [0.0, 0.0]
         assert 0.0 < terms["s[1]"][0] < 1e-12 * terms["s[2]"][0]
@@ -692,27 +691,40 @@ class TestStreamSources:
         G = kam.product_grid_size(K)
         monkeypatch.setattr(kam, "SLAB_POINTS", slab_points)
         assert len(kam._slabs(G, n)) == 3
-        B = generator_of(small_form(rng, n, K, J).grid_values(G))
+        ws = WeightedSpace(2, J)
+        # a generic generator: small_form's all Poisson-commute (each is a
+        # form in q alone), so their maps would carry small_form's unchanged
+        F = real_form(rng, n, K, J, scale=0.002)
+        flow = flow_transform(F, eps, ws, grid=G, picard_tol=1e-14)
         bracketed, moved = small_form(rng, n, K, J), small_form(rng, n, K, J)
-        w2 = WeightedSpace(2, J).doubled_metric_weights
+        w2 = ws.doubled_metric_weights
+        JS_S = 0.5 * flow.B
+
+        def window(values):
+            return grid_to_window(values.reshape((G,) * n + (2 * J, 2 * J)), n, K)[half_index(n, K)]
+
         terms = {}
-        got = kam._streamed_series(
-            {"b": (RealGrid(bracketed.coeffs, n, K, G), 1, True),
-             "t": (RealGrid(moved.coeffs, n, K, G), 0, False)},
-            B, eps, n, K, G, w2, terms)
-        assert sorted(terms) == ["b[0]", "b[1]", "b[2]", "t[0]", "t[1]", "t[2]"]
-        JS_S = 0.5 * B
+        got = kam._streamed_series({"b": (RealGrid(bracketed.coeffs, n, K, G), 1)},
+                                   flow.B, eps, n, K, G, w2, terms)
+        assert sorted(terms) == ["b[0]", "b[1]", "b[2]"]
         acc_b, _ = kam._lie_series(bracket_sym(bracketed.grid_values(G), JS_S), JS_S, eps, 1, w2)
+        want = window(acc_b)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        # the carried piece Phi^T S Phi is the offset-0 series of the same map
+        got = kam._carried(moved, flow.Phi, G)
         acc_t, _ = kam._lie_series(moved.grid_values(G), JS_S, eps, 0, w2)
-        want = grid_to_window((acc_b + acc_t).reshape((G,) * n + (2 * J, 2 * J)),
-                              n, K)[half_index(n, K)]
+        want = window(acc_t)
+        assert np.max(np.abs(want - moved.coeffs)) > 1e-6 * np.max(np.abs(want))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_one_window_transform_per_stream(self, monkeypatch):
-        # each stream's seeds come from one transform of its window along the
-        # axes before the last, not one per slab (the norm of a nonzero form
-        # makes its own, one per norm; that of a zero form none)
+        # each bracket stream's seeds, and each carried piece's values, come
+        # from one transform of its window along the axes before the last,
+        # not one per slab (the norm of a nonzero form makes its own, one per
+        # norm; that of a zero form none)
         rng = np.random.default_rng(44)
         n, K, J, grid = 2, 3, 3, 12
         qf, sol, _ = small_solution(rng, n=n, K=K, J=J)
@@ -739,12 +751,12 @@ class TestStreamSources:
         monkeypatch.setattr(kam, "form_norm", norm_counted)
         _, diag = push_remainder([qf, other], sol, flow, 1e-3, 1e-4, ws, grid=grid)
         streams = {name.split("[")[0] for name in diag.series_terms}
-        assert streams == {"double_bracket", "single_bracket", "transport_0"}
+        assert streams == {"double_bracket", "single_bracket"}
         assert len(kam._slabs(grid, n)) == 3
         assert in_norms == [1, 0]  # the new piece's; the tail is zero
-        assert len(calls) - sum(in_norms) == len(streams)
+        assert len(calls) - sum(in_norms) == len(streams) + 1  # and the carried piece
 
-    def test_zero_piece_gets_no_stream(self):
+    def test_zero_piece_gets_no_stream(self, monkeypatch):
         rng = np.random.default_rng(45)
         n, K, J, grid = 2, 3, 3, 12
         qf, sol, _ = small_solution(rng, n=n, K=K, J=J)
@@ -752,9 +764,18 @@ class TestStreamSources:
                   small_form(rng, n, K, J)]
         ws = WeightedSpace(2, J)
         flow = flow_transform(sol.F, 1e-3, ws, grid=grid)
+        built = []
+
+        def recording(coeffs, *args):
+            built.append(bool(coeffs.any()))
+            return RealGrid(coeffs, *args)
+
+        monkeypatch.setattr(kam, "RealGrid", recording)
         got, diag = push_remainder(pieces, sol, flow, 1e-3, 1e-4, ws, grid=grid)
+        # the two bracket sources and the two nonzero pieces; none for the zero one
+        assert built == [True] * 4
         streams = {name.split("[")[0] for name in diag.series_terms}
-        assert streams == {"double_bracket", "single_bracket", "transport_0", "transport_2"}
+        assert streams == {"double_bracket", "single_bracket"}
         assert not got[1].coeffs.any() and diag.new_piece_norms[1] == 0.0
         want = whole_grid_push(pieces, sol, flow, 1e-3, 1e-4, ws, grid)
         for g, w in zip(got, want):
