@@ -1,7 +1,6 @@
 """Numerical reducibility engine for the 1D time-quasi-periodic wave operator."""
 
 from .galerkin import (
-    CouplingTensor,
     QuadraticForm,
     RealStructureError,
     WeightedSpace,
@@ -23,7 +22,6 @@ from .kam import (
     TransformChain,
     build_schedule,
     flow_transform,
-    kam_run,
     push_remainder,
     solve_homological,
     update_normal_form,
@@ -34,7 +32,6 @@ from .potential import (
     PotentialFourier,
     PotentialSpec,
     ResourceBudgetError,
-    evaluate_potential,
     fourier_analyze,
     make_potential,
     validate_assumptions,
@@ -42,11 +39,10 @@ from .potential import (
 from .resonance import (
     DivisorQuery,
     ResonanceReport,
-    find_resonant_tau,
     measure_scan,
     screen_tau,
 )
-from .smoothing import DyadicDecomposition, JacksonKernel, decompose, smooth_at_scale
+from .smoothing import DyadicDecomposition, JacksonKernel, decompose
 from .verify import (
     LyapunovEstimate,
     MultiplierEstimate,

@@ -29,7 +29,6 @@ import numpy as np
 from . import resonance
 from .fourier import product_grid_size
 from .galerkin import (
-    CouplingTensor,
     QuadraticForm,
     WeightedSpace,
     assemble_initial_forms,
@@ -461,7 +460,7 @@ class _Front:
 
     freq: FrequencySpec  # at the tau it was built for; a run replaces tau
     pf: PotentialFourier
-    ct: CouplingTensor
+    ct: np.ndarray  # coupling_tensor(J_max)
     ws: WeightedSpace
     sched: Schedule
     pieces: list | None  # the run's engine takes them over
@@ -584,7 +583,7 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings:
         "worst_query": screen.worst.as_dict(),
         "scan": front.scan.as_dict(),
     }
-    _write_resonance_csv(out, front.scan_csv)
+    (out / "resonance.csv").write_text(front.scan_csv)
     _stage_done(timings, "screen", t0)
     if not screen.passed:
         raise PipelineAbort(EXIT_RESONANT, "resonant_tau",
@@ -663,7 +662,7 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings:
     summary["final_weighted_size"] = result.final_weighted_size
     summary["final_remainder_norm"] = result.final_remainder_norm
 
-    mult = multiplier_decay(result.normal_form)
+    mult = multiplier_decay(result.normal_form.lambdas())
     summary["multiplier"] = mult.as_dict()
 
     # 6. verify
@@ -711,13 +710,13 @@ def _verify_stage(config: RunConfig, freq, pf, ct, result, ws, sched: Schedule,
     # residual_tol floors the tolerance at roundoff: at eps=0 every other term is 0
     tol = 10.0 * max(result.final_remainder_norm, result.final_weighted_size,
                      sched.eps_at(sched.M), config.residual_tol)
-    _write_trajectory_csv(out, conj)
+    _write_series_csv(out, "conjugacy.csv", "rel_deviation", conj.times, conj.deviations)
 
     lyap_T = config.lyapunov_T
     est_4T = lyapunov_exponent(sys_full, 4 * lyap_T, config.lyapunov_renorm_dt,
                                ws=ws, seed=config.seed)
     estimate_T = est_4T.prefix_exponent(lyap_T)
-    _write_lyapunov_csv(out, est_4T)
+    _write_series_csv(out, "lyapunov.csv", "cum_log_growth", est_4T.times, est_4T.growth)
 
     norms = ws.state_norm(states)
     energy_drift = None
@@ -753,26 +752,14 @@ def _resonance_csv(scan) -> str:
         f"{t:.6f},{int(flag)}\n" for t, flag in zip(taus[::stride], scan.excluded_mask[::stride]))
 
 
-def _write_resonance_csv(out: Path, text: str):
-    (out / "resonance.csv").write_text(text)
-
-
-def _write_trajectory_csv(out: Path, conj):
+def _write_series_csv(out: Path, name: str, column: str, times, values):
+    """trajectories/<name>: one (t, value) row per time."""
     path = out / "trajectories"
     path.mkdir(parents=True, exist_ok=True)
-    with open(path / "conjugacy.csv", "w") as f:
-        f.write("t,rel_deviation\n")
-        for t, d in zip(conj.times, conj.deviations):
-            f.write(f"{t:.6f},{d:.12e}\n")
-
-
-def _write_lyapunov_csv(out: Path, est):
-    path = out / "trajectories"
-    path.mkdir(parents=True, exist_ok=True)
-    with open(path / "lyapunov.csv", "w") as f:
-        f.write("t,cum_log_growth\n")
-        for t, g in zip(est.times, est.growth):
-            f.write(f"{t:.6f},{g:.12e}\n")
+    with open(path / name, "w") as f:
+        f.write(f"t,{column}\n")
+        for t, v in zip(times, values):
+            f.write(f"{t:.6f},{v:.12e}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +874,8 @@ def _write_timings_report(path: Path, timings: dict):
 
 
 def _cmd_report(out: Path) -> int:
-    """Re-render CSV outputs from stored checkpoints without recomputation."""
+    """Re-render steps_report.csv and timings_report.csv from the run's
+    summary.json, without recomputation."""
     summary_path = out / "summary.json"
     if not summary_path.exists():
         print("no summary.json under --out", file=sys.stderr)

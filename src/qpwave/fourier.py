@@ -280,19 +280,11 @@ def omega_derivative(values: np.ndarray, omega: np.ndarray, n: int,
                for ax in range(first, n))
 
 
-def eval_at_points(coeffs: np.ndarray, n: int, K: int, thetas: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k c_k e^{i k.theta} at arbitrary points, shape (P,) + tail.
-
-    Only modes whose max-magnitude exceeds a relative floor participate, so the
-    cost tracks the active band rather than the full window.
-    """
-    return eval_modes(*active_modes(coeffs, n, K), thetas)
-
-
 def active_modes(coeffs: np.ndarray, n: int, K: int) -> tuple:
-    """(mode vectors (A, n), coefficients (A,) + tail) of the window modes that
-    eval_at_points sums, both read-only: those whose max magnitude exceeds a
-    relative floor."""
+    """(mode vectors (A, n), coefficients (A,) + tail) of the window modes
+    whose max magnitude exceeds a relative floor, both read-only; with
+    eval_modes, the cost of a point value tracks the active band rather than
+    the full window."""
     W = window_width(K)
     flat = coeffs.reshape((W**n,) + coeffs.shape[n:])
     mags = np.abs(flat).reshape(W**n, -1).max(axis=1)
@@ -331,8 +323,3 @@ def reality_enforce(coeffs: np.ndarray, n: int, K: int) -> np.ndarray:
     theta-function is exactly real (c(-k) = conj(c(k)))."""
     rev = coeffs[(slice(None, None, -1),) * n]
     return 0.5 * (coeffs + np.conj(rev))
-
-
-def reality_residual(coeffs: np.ndarray, n: int, K: int) -> float:
-    rev = coeffs[(slice(None, None, -1),) * n]
-    return float(np.max(np.abs(coeffs - np.conj(rev))))

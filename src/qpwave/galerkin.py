@@ -10,7 +10,6 @@ k_last >= 0 half.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,42 +28,16 @@ class DimensionError(ValueError):
 # Coupling tensor
 
 
-@dataclass
-class CouplingTensor:
-    """Sparse c_jlk for 1 <= j,l,k <= J_max; nonzero only when k = +-l +- j."""
-
-    J_max: int
-    entries: dict = field(default_factory=dict)
-
-    def coefficient(self, j: int, l: int, k: int) -> float:
-        return self.entries.get((j, l, k), 0.0)
-
-    @functools.cached_property
-    def _dense(self) -> np.ndarray:
-        J = self.J_max
-        out = np.zeros((J, J, J))
-        for (j, l, k), v in self.entries.items():
-            out[j - 1, l - 1, k - 1] = v
-        out.flags.writeable = False
-        return out
-
-    def dense(self) -> np.ndarray:
-        """Dense (j, l, k) array, 0-based indices shifted by one; built once
-        per tensor and returned read-only."""
-        return self._dense
-
-
-def coupling_tensor(J_max: int) -> CouplingTensor:
-    """Closed-form tensor: pi/2 when k = l+-j >= 1, -pi/2 when k = -l+j >= 1."""
+def coupling_tensor(J_max: int) -> np.ndarray:
+    """Closed-form c_jlk for 1 <= j, l, k <= J_max, dense (J_max,)*3 at 0-based
+    indices (j - 1, l - 1, k - 1), read-only: pi/2 when k = l +- j, -pi/2 when
+    k = j - l, 0 otherwise (at most one case holds for each entry)."""
     if J_max < 1:
         raise ValueError("J_max must be >= 1")
-    entries: dict = {}
-    for j in range(1, J_max + 1):
-        for l in range(1, J_max + 1):
-            for k, val in ((l + j, HALF_PI), (l - j, HALF_PI), (j - l, -HALF_PI)):
-                if 1 <= k <= J_max:
-                    entries[(j, l, k)] = entries.get((j, l, k), 0.0) + val
-    return CouplingTensor(J_max=J_max, entries=entries)
+    j, l, k = np.meshgrid(*[np.arange(1, J_max + 1)] * 3, indexing="ij")
+    out = np.where((k == l + j) | (k == l - j), HALF_PI, np.where(k == j - l, -HALF_PI, 0.0))
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +79,10 @@ def _certified_below(mats: np.ndarray, best: float) -> bool:
 
 
 def max_spectral_norm(mats: np.ndarray) -> float:
-    """Largest spectral norm in a (..., r, c) batch, equal bit for bit to
-    np.max(np.linalg.norm(mats, ord=2, axis=(-2, -1))).
+    """Largest spectral norm in a (..., r, c) batch. For a finite batch it
+    equals np.max(np.linalg.norm(mats, ord=2, axis=(-2, -1))) bit for bit; a
+    batch with a NaN entry gives NaN, and one with an infinite entry (but no
+    NaN) inf, without an SVD, which would not converge on either.
 
     Each matrix's Frobenius norm bounds its spectral norm, so the SVD runs on
     the matrices with the largest bounds first. The others whose bound still
@@ -117,10 +92,14 @@ def max_spectral_norm(mats: np.ndarray) -> float:
     """
     mats = np.asarray(mats)
     flat = mats.reshape((-1,) + mats.shape[-2:])
-    with np.errstate(over="ignore"):  # an infinite bound takes the full sweep
+    # an overflowing bound takes the full sweep; an infinite complex entry
+    # makes its product with its conjugate invalid
+    with np.errstate(over="ignore", invalid="ignore"):
         bound = np.linalg.norm(flat, axis=(-2, -1)) * FROBENIUS_MARGIN
     top = float(np.max(bound))
-    if not _FROBENIUS_FLOOR <= top < np.inf:  # zero, tiny, huge or NaN entries
+    if np.isnan(top) or (top == np.inf and np.isinf(flat).any()):
+        return top  # the bound of a NaN entry is NaN, of an infinite one inf
+    if not _FROBENIUS_FLOOR <= top < np.inf:  # zero, tiny or huge entries
         return float(np.max(np.linalg.norm(mats, ord=2, axis=(-2, -1))))
     order = np.argsort(bound)[::-1]
     best = _sigma_max(flat[order[:_SVD_FIRST]]).max()
@@ -185,10 +164,6 @@ class WeightedSpace:
         """Largest operator norm, for state_norm, in a (..., 2J, 2J) batch of
         linear maps or vector fields on (q, p) states."""
         return metric_opnorm(mats, self.doubled_metric_weights)
-
-    def norm(self, z: np.ndarray) -> float:
-        z = np.asarray(z)
-        return float(np.sqrt(np.sum(self.modes ** (2 * self.N) * np.abs(z) ** 2, axis=-1)))
 
     def opnorm(self, mat: np.ndarray) -> float:
         """Operator norm h_N -> h_N of a (..., J, J) matrix (max over leading dims)."""
@@ -343,9 +318,6 @@ class QuadraticForm:
         if (self.n, self.K, self.J) != (other.n, other.K, other.J):
             raise DimensionError("quadratic forms have mismatched truncations")
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
     def truncate(self, K_cut: int) -> tuple["QuadraticForm", "QuadraticForm"]:
         """Split into (modes |k|_inf <= K_cut, modes |k|_inf > K_cut); exact."""
         if K_cut < 0:
@@ -372,7 +344,7 @@ class QuadraticForm:
 
 
 def assemble_initial_forms(
-    pf: PotentialFourier, ct: CouplingTensor, ws: WeightedSpace
+    pf: PotentialFourier, ct: np.ndarray, ws: WeightedSpace
 ) -> QuadraticForm:
     """Coupling forms of the rescaled lattice Hamiltonian.
 
@@ -383,9 +355,9 @@ def assemble_initial_forms(
     J = ws.J_max
     if pf.J_max < J:
         raise DimensionError("potential holds fewer x-modes than the weighted space")
-    if ct.J_max < J:
+    if ct.shape[0] < J:
         raise DimensionError("coupling tensor smaller than the weighted space")
-    C = ct.dense()[: pf.J_max, :J, :J]  # (j, l, k=row index i)
+    C = ct[: pf.J_max, :J, :J]  # (j, l, k=row index i)
     M = np.einsum("...j,jli->...il", pf.v_hat, C)
     s = ws.sqrt_weights
     M = M / (s[:, None] * s[None, :])
@@ -397,11 +369,12 @@ def form_norm(qf: QuadraticForm, ws: WeightedSpace, G: int) -> float:
     over the three u-form blocks, on a uniform grid of at least window size.
     A zero form has norm 0.0 on any grid, so none is built. Any other value
     is kept in qf.norms, read again for the same space and grid points, and
-    coeffs turns read-only, so that no write can leave it stale."""
+    coeffs turns read-only, so that no write can leave it stale. A NaN block
+    norm gives NaN."""
     if not qf.coeffs.any():
         return 0.0
     key = (ws, grid_points(G, qf.K))
     if key not in qf.norms:
-        qf.norms[key] = float(max(block_norms(qf.grid_values(G), ws.opnorm_weighted)))
+        qf.norms[key] = float(np.max(block_norms(qf.grid_values(G), ws.opnorm_weighted)))
         qf.coeffs.flags.writeable = False
     return qf.norms[key]

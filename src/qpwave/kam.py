@@ -101,7 +101,6 @@ class Schedule:
     gamma: float
     n: int
     M: int
-    log_eps: np.ndarray
     eps: np.ndarray
     strip: np.ndarray
     strip_raw: np.ndarray
@@ -138,8 +137,8 @@ class Schedule:
     @classmethod
     def degenerate_schedule(cls, n: int, N: int, gamma: float) -> "Schedule":
         z = np.zeros(1)
-        return cls(0.0, N, gamma, n, 0, z, z.copy(), z.copy(), z.copy(), z.copy(),
-                   np.array([gamma]), False)
+        return cls(0.0, N, gamma, n, 0, z, z.copy(), z.copy(), z.copy(), np.array([gamma]),
+                   False)
 
 
 def _log_level_weight(eps0: float, level: int) -> float:
@@ -163,7 +162,7 @@ def build_schedule(eps0: float, N: int, gamma: float, n: int, M: int) -> Schedul
     gamma_steps = gamma / 2.0 ** np.arange(M + 1)
     return Schedule(
         eps0=eps0, N=N, gamma=gamma, n=n, M=M,
-        log_eps=log_eps[: M + 1], eps=eps[: M + 1],
+        eps=eps[: M + 1],
         strip=strip, strip_raw=strip_raw, cutoff=cutoff,
         gamma_steps=gamma_steps, clamped=clamped,
     )
@@ -944,11 +943,6 @@ class KamEngine:
         self.step_timings = {key: b - a for key, a, b in zip(STEP_TIMINGS, clock, clock[1:])}
         return record
 
-    def run(self) -> KamResult:
-        while not self.finished:
-            self.step()
-        return self.result()
-
     def result(self) -> KamResult:
         nf = self.state.normal_form
         composed = self.chain.measure_composed_norm(self.ws)
@@ -984,17 +978,3 @@ def seed_pieces(decomposition, eps0: float, schedule: Schedule) -> list:
         pieces[last] = pieces[last] + decomposition.residual_form.scaled(
             eps0 / schedule.eps_at(last))
     return pieces
-
-
-def kam_run(
-    pf,
-    decomposition,
-    freq: FrequencySpec,
-    schedule: Schedule,
-    ws: WeightedSpace,
-    options: KamOptions | None = None,
-) -> KamResult:
-    """Full reduction: truncate, solve, update, flow, push, for m = 0..M-1."""
-    pieces = seed_pieces(decomposition, schedule.eps0, schedule)
-    engine = KamEngine(pieces, freq, schedule, ws, K_theta=pf.K_theta, options=options)
-    return engine.run()

@@ -22,12 +22,10 @@ import numpy as np
 
 from .fourier import (
     active_modes,
-    eval_at_points,
     eval_modes,
     kgrid,
     kvalues,
     reality_enforce,
-    reality_residual,
     theta_grid_points,
 )
 
@@ -35,7 +33,6 @@ MAX_SAMPLE_ENTRIES = 200_000_000  # quadrature sampling budget
 PARITY_TOL = 1e-9  # validate_assumptions' bound on the evenness residual
 AVERAGE_TOL = 1e-9  # validate_assumptions' bound on the x-average residual
 TAIL_TOL = 1e-6  # fourier_analyze flags a weighted tail norm above this
-EVAL_IMAG_TOL = 1e-10  # evaluate_potential's bound on the imaginary residual
 
 
 class InvalidPotentialError(ValueError):
@@ -117,9 +114,6 @@ class PotentialFourier:
     smoothness_N: int = 2
     tail_norm: float = 0.0
     tail_flagged: bool = False
-
-    def reality_defect(self) -> float:
-        return reality_residual(self.v_hat, self.n, self.K_theta)
 
     @functools.cached_property
     def _active_modes(self) -> tuple:
@@ -241,19 +235,6 @@ def fourier_analyze(p: PotentialSpec, K_theta: int, J_max: int) -> PotentialFour
     )
 
 
-def evaluate_potential(pf: PotentialFourier, theta: np.ndarray, x: float) -> float:
-    """Evaluate the truncated expansion sum v_hat(k,j) e^{i k.theta} cos(j x)."""
-    theta = np.asarray(theta, dtype=float)
-    vj = eval_at_points(pf.v_hat, pf.n, pf.K_theta, theta.reshape(1, -1))[0]
-    j = np.arange(1, pf.J_max + 1)
-    val = np.sum(vj * np.cos(j * float(x)))
-    if abs(val.imag) > EVAL_IMAG_TOL:
-        raise InvalidPotentialError(
-            f"imaginary residual {abs(val.imag):.3e} exceeds {EVAL_IMAG_TOL:.1e}"
-        )
-    return float(val.real)
-
-
 # ---------------------------------------------------------------------------
 # Presets
 
@@ -349,4 +330,3 @@ def make_potential(
     hull = _hull_from_table(table, freq.n)
     spec = PotentialSpec(hull=hull, smoothness_N=N, freq=freq, amplitude_eps=eps, name=name)
     return spec, table
-

@@ -44,7 +44,6 @@ class ScreenResult:
     passed: bool
     worst: DivisorQuery
     n_queries: int
-    min_margin: float
 
 
 @dataclass
@@ -165,7 +164,7 @@ def screen_tau(tau: float, nf, omega0, K_m: int, gamma_m: float, J_max: int) -> 
     if A.size == 0:
         dummy = DivisorQuery((0,) * len(tuple(np.atleast_1d(omega0))), 1, 1, "zzbar",
                              np.inf, 0.0)
-        return ScreenResult(True, dummy, 0, np.inf)
+        return ScreenResult(True, dummy, 0)
     margins = np.abs(A * float(tau) + B) - T
     w = int(np.argmin(margins))
     worst = DivisorQuery(
@@ -175,7 +174,7 @@ def screen_tau(tau: float, nf, omega0, K_m: int, gamma_m: float, J_max: int) -> 
         value=float(A[w] * tau + B[w]),
         threshold=float(T[w]),
     )
-    return ScreenResult(bool(margins[w] >= 0.0), worst, int(A.size), float(margins[w]))
+    return ScreenResult(bool(margins[w] >= 0.0), worst, int(A.size))
 
 
 def measure_scan(
@@ -255,21 +254,3 @@ def measure_scan(
         n_queries=int(A.size), per_k_stats=per_k, index_caps=caps,
         excluded_mask=excluded,
     )
-
-
-def find_resonant_tau(omega0, J_max: int = 8, K_search: int = 2) -> tuple:
-    """Construct tau in [1, 2] solving <k, omega0> tau = i - j exactly for a
-    small query (base frequencies lam_j = j)."""
-    omega0 = np.asarray(omega0, dtype=float)
-    n = omega0.shape[0]
-    kv = kgrid(n, K_search).reshape(-1, n)
-    for k in kv:
-        dot = float(k @ omega0)
-        if abs(dot) < 1e-12:
-            continue
-        for d in range(1, J_max):
-            tau = d / dot
-            if 1.0 < tau < 2.0:
-                return tau, DivisorQuery(tuple(int(x) for x in k), d + 1, 1,
-                                         "zzbar", 0.0, 0.0)
-    raise ValueError("no exact resonance found in the search range")

@@ -14,15 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import half_index, half_multiplicity, kgrid
-from .galerkin import (
-    QuadraticForm,
-    WeightedSpace,
-    block_norms,
-    blocks_from_qp,
-    form_norm,
-    max_spectral_norm,
-)
+from .fourier import half_index, kgrid
+from .galerkin import QuadraticForm, WeightedSpace, block_norms, form_norm, max_spectral_norm
 
 
 NORM_GRID = 16  # least theta grid of decompose's piece and residual norms
@@ -65,14 +58,6 @@ class JacksonKernel:
         return self.phi(sigma * radii)
 
 
-def smooth_at_scale(
-    f_hat: np.ndarray, kernel: JacksonKernel, sigma: float, n: int, K: int
-) -> np.ndarray:
-    """Coefficient-side convolution at scale sigma; preserves constants exactly."""
-    env = kernel.envelope(sigma, n, K)
-    return f_hat * env.reshape(env.shape + (1,) * (f_hat.ndim - n))
-
-
 def smooth_form(qf: QuadraticForm, kernel: JacksonKernel, sigma: float) -> QuadraticForm:
     env = kernel.envelope(sigma, qf.n, qf.K)[half_index(qf.n, qf.K)]
     return QuadraticForm(qf.n, qf.K, qf.J, qf.coeffs * env[..., None, None])
@@ -88,27 +73,10 @@ class DyadicDecomposition:
     """
 
     pieces: list
-    strips: list
     residual_form: QuadraticForm
     residual_norm: float
     piece_norms: list = field(default_factory=list)
     bound_constants: list = field(default_factory=list)
-
-    def analyticity_certificate(self, level: int) -> float:
-        """Strip-weighted coefficient sum over the window,
-        max over the u-form blocks of sum_k e^{s_l |k|} |hat(k)|_2.
-
-        Read on the half, each mode standing for k and -k: mode -k of zzbar
-        is the conjugate transpose of mode k, and mode -k of zz the conjugate
-        of mode k of zbzb, so zz and zbzb have one whole-window sum, that of
-        the mean of their norms."""
-        piece = self.pieces[level]
-        n, K = piece.n, piece.K
-        radii = np.linalg.norm(kgrid(n, K)[half_index(n, K)], axis=-1)
-        weight = np.exp(self.strips[level] * radii) * half_multiplicity(n, K)
-        zz, zzbar, zbzb = (np.sum(weight * np.linalg.norm(b, ord=2, axis=(-2, -1)))
-                           for b in blocks_from_qp(piece.coeffs))
-        return float(max(0.5 * (zz + zbzb), zzbar))
 
 
 def decompose(
@@ -149,7 +117,6 @@ def decompose(
 
     return DyadicDecomposition(
         pieces=pieces,
-        strips=strips,
         residual_form=residual,
         residual_norm=supnorm(residual),
         piece_norms=piece_norms,

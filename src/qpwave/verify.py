@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galerkin import CouplingTensor, WeightedSpace
+from .galerkin import WeightedSpace
 from .potential import FrequencySpec, PotentialFourier
 
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -37,7 +37,7 @@ class TruncatedWaveSystem:
     """2*J_max real ODE system in (q, p) with quasi-periodic coupling."""
 
     pf: PotentialFourier
-    ct: CouplingTensor
+    ct: np.ndarray  # coupling_tensor, (J_max,)*3
     freq: FrequencySpec
     eps: float
     J: int
@@ -46,7 +46,7 @@ class TruncatedWaveSystem:
     def __post_init__(self):
         self.theta0 = np.asarray(self.theta0, dtype=float)
         J, Jp = self.J, self.pf.J_max
-        C = self.ct.dense()[:Jp, :J, :J]  # (j, l, k)
+        C = self.ct[:Jp, :J, :J]  # (j, l, k)
         s = np.sqrt(np.arange(1, J + 1, dtype=float))
         # T[j, k, l] = c_jlk / (sqrt(k) sqrt(l))
         self._T = np.transpose(C, (0, 2, 1)) / (s[None, :, None] * s[None, None, :])
@@ -147,13 +147,12 @@ def integrate_full(
     T: float,
     dt: float | None = None,
     record_every: int | None = None,
-    chunk: int = CHUNK_STEPS,
 ) -> tuple:
     """4th-order splitting integration; returns (times, states (S, 2J)).
 
     The state advances by one block propagator @ y per block of at most
     BLOCK_STEPS steps, and every record step ends a block. The propagators
-    of up to ``chunk`` steps are built at once (``_Splitting.span_blocks``).
+    of up to CHUNK_STEPS steps are built at once (``_Splitting.span_blocks``).
     """
     J = sys.J
     n_steps, dt = _step_count(T, dt, J)
@@ -169,8 +168,8 @@ def integrate_full(
     step = 0
     while step < n_steps:
         # spans of equal length that end on record steps or chunk ends
-        span = min(record_every - step % record_every, chunk, n_steps - step)
-        spans = min(chunk, n_steps - step) // span if span == record_every else 1
+        span = min(record_every - step % record_every, CHUNK_STEPS, n_steps - step)
+        spans = min(CHUNK_STEPS, n_steps - step) // span if span == record_every else 1
         M = None
         if coupled:
             M = sys.coupling_at(_stage_times(step, spans * span, dt)).reshape(
@@ -260,7 +259,6 @@ class LyapunovEstimate:
     top_exponent: float
     times: np.ndarray
     growth: np.ndarray
-    horizon: float
     renorm_dt: float
 
     def prefix_exponent(self, T: float) -> float:
@@ -327,7 +325,7 @@ def lyapunov_from_stepper(step_fn, w0: np.ndarray, T: float, renorm_dt: float,
     growth = np.asarray(growth)
     return LyapunovEstimate(
         top_exponent=_tail_slope(times, growth),
-        times=times, growth=growth, horizon=T, renorm_dt=renorm_dt,
+        times=times, growth=growth, renorm_dt=renorm_dt,
     )
 
 
@@ -335,7 +333,6 @@ def lyapunov_exponent(
     sys: TruncatedWaveSystem,
     T: float,
     renorm_dt: float = 1.0,
-    dt: float | None = None,
     ws: WeightedSpace | None = None,
     seed: int = 7,
 ) -> LyapunovEstimate:
@@ -349,7 +346,7 @@ def lyapunov_exponent(
     ws = ws or WeightedSpace(N=2, J_max=sys.J)
     rng = np.random.default_rng(seed)
     w0 = rng.standard_normal(2 * sys.J) * (1.0 / ws.doubled_metric_weights)
-    intervals = _interval_blocks(sys, int(round(T / renorm_dt)), renorm_dt, dt)
+    intervals = _interval_blocks(sys, int(round(T / renorm_dt)), renorm_dt)
 
     def step_fn(t0, y, h):
         for P in next(intervals):
@@ -359,8 +356,7 @@ def lyapunov_exponent(
     return lyapunov_from_stepper(step_fn, w0, T, renorm_dt, ws.state_norm)
 
 
-def _interval_blocks(sys: TruncatedWaveSystem, n_int: int, renorm_dt: float,
-                     dt: float | None):
+def _interval_blocks(sys: TruncatedWaveSystem, n_int: int, renorm_dt: float):
     """Block propagators of each renormalization interval in turn.
 
     Interval i is the system shifted to start at t_i = i renorm_dt (summed
@@ -368,7 +364,7 @@ def _interval_blocks(sys: TruncatedWaveSystem, n_int: int, renorm_dt: float,
     intervals of up to CHUNK_STEPS steps go through the kernel at once.
     """
     J = sys.J
-    n_steps, dt = _step_count(renorm_dt, dt, J)
+    n_steps, dt = _step_count(renorm_dt, None, J)
     splitting = _Splitting(sys, dt)
     stage_t = _stage_times(0, n_steps, dt)
     per_chunk = max(1, CHUNK_STEPS // n_steps)
@@ -406,8 +402,8 @@ class MultiplierEstimate:
         }
 
 
-def multiplier_decay(nf) -> MultiplierEstimate:
-    lam = nf.lambdas() if hasattr(nf, "lambdas") else np.asarray(nf, dtype=float)
+def multiplier_decay(lam: np.ndarray) -> MultiplierEstimate:
+    """xi_j = lam_j^2 - j^2 of the final frequencies lam (NormalForm.lambdas)."""
     j = np.arange(1, lam.shape[0] + 1, dtype=float)
     xi = lam**2 - j**2
     return MultiplierEstimate(

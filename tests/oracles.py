@@ -1,12 +1,18 @@
 """Brute-force oracles the tests compare the engine against: the resonance
-screen point by point, the truncated wave system's vector field and
-Hamiltonian written out per time, and the Lyapunov growth one interval at a
-time."""
+screen point by point and an exactly resonant tau, the potential's expansion
+at a point, a piece's analyticity certificate, the truncated wave system's
+vector field and Hamiltonian written out per time, and the Lyapunov growth
+one interval at a time."""
 
 import numpy as np
 
-from qpwave.fourier import kgrid
+from qpwave.fourier import active_modes, eval_modes, half_index, half_multiplicity, kgrid
+from qpwave.galerkin import blocks_from_qp
+from qpwave.potential import InvalidPotentialError
+from qpwave.resonance import DivisorQuery
 from qpwave.verify import TruncatedWaveSystem, integrate_full, lyapunov_from_stepper
+
+EVAL_IMAG_TOL = 1e-10  # evaluate_potential's bound on the imaginary residual
 
 
 def brute_force_mask(nf, omega0, K_m: int, gamma_m: float, J_max: int, taus: np.ndarray,
@@ -43,6 +49,57 @@ def brute_force_mask(nf, omega0, K_m: int, gamma_m: float, J_max: int, taus: np.
                 vals = np.abs(-kdots[ki] * taus + s)
                 out |= vals < t
     return out
+
+
+def find_resonant_tau(omega0, J_max: int = 8, K_search: int = 2) -> tuple:
+    """Construct tau in [1, 2] solving <k, omega0> tau = i - j exactly for a
+    small query (base frequencies lam_j = j)."""
+    omega0 = np.asarray(omega0, dtype=float)
+    n = omega0.shape[0]
+    kv = kgrid(n, K_search).reshape(-1, n)
+    for k in kv:
+        dot = float(k @ omega0)
+        if abs(dot) < 1e-12:
+            continue
+        for d in range(1, J_max):
+            tau = d / dot
+            if 1.0 < tau < 2.0:
+                return tau, DivisorQuery(tuple(int(x) for x in k), d + 1, 1,
+                                         "zzbar", 0.0, 0.0)
+    raise ValueError("no exact resonance found in the search range")
+
+
+# ---------------------------------------------------------------------------
+# The potential and its pieces
+
+
+def evaluate_potential(pf, theta: np.ndarray, x: float) -> float:
+    """Evaluate the truncated expansion sum v_hat(k,j) e^{i k.theta} cos(j x)."""
+    theta = np.asarray(theta, dtype=float)
+    vj = eval_modes(*active_modes(pf.v_hat, pf.n, pf.K_theta), theta.reshape(1, -1))[0]
+    j = np.arange(1, pf.J_max + 1)
+    val = np.sum(vj * np.cos(j * float(x)))
+    if abs(val.imag) > EVAL_IMAG_TOL:
+        raise InvalidPotentialError(
+            f"imaginary residual {abs(val.imag):.3e} exceeds {EVAL_IMAG_TOL:.1e}"
+        )
+    return float(val.real)
+
+
+def analyticity_certificate(piece, strip: float) -> float:
+    """Strip-weighted coefficient sum over the window,
+    max over the u-form blocks of sum_k e^{s |k|} |hat(k)|_2.
+
+    Read on the half, each mode standing for k and -k: mode -k of zzbar
+    is the conjugate transpose of mode k, and mode -k of zz the conjugate
+    of mode k of zbzb, so zz and zbzb have one whole-window sum, that of
+    the mean of their norms."""
+    n, K = piece.n, piece.K
+    radii = np.linalg.norm(kgrid(n, K)[half_index(n, K)], axis=-1)
+    weight = np.exp(strip * radii) * half_multiplicity(n, K)
+    zz, zzbar, zbzb = (np.sum(weight * np.linalg.norm(b, ord=2, axis=(-2, -1)))
+                       for b in blocks_from_qp(piece.coeffs))
+    return float(max(0.5 * (zz + zbzb), zzbar))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from forms import checkpoint_engine, real_form
+from oracles import find_resonant_tau
 from qpwave import cli, fourier, galerkin, kam
 from qpwave.cli import (
     EXIT_CERTIFICATE,
@@ -22,7 +23,6 @@ from qpwave.cli import (
     run_pipeline,
     sweep_tau,
 )
-from qpwave.resonance import find_resonant_tau
 
 TINY = {
     "n": 2,
@@ -488,6 +488,19 @@ class TestCertificateAbort:
         assert f"step m=0: {gate}" in err.value.detail
         assert not (out / "steps" / "step_000").exists()
 
+    @staticmethod
+    def failed_small_run(tmp_path) -> dict:
+        """Summary of `qpwave run` on a small config without verify, which
+        must end as certificate_failed (exit 5)."""
+        cfg = RunConfig(run_verify=False, J_max=6, K_theta=4, M=2)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg.as_dict()))
+        out = tmp_path / "nan"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CERTIFICATE
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "certificate_failed"
+        return summary
+
     def test_nan_in_a_remainder_block_fails_the_residual_gate(self, tmp_path, monkeypatch):
         # the residual is gated before any SVD of the solution, so a NaN in
         # the solve's input is a failed certificate, not a LinAlgError
@@ -499,15 +512,26 @@ class TestCertificateAbort:
             return (zz, zzbar, zbzb), diag
 
         monkeypatch.setattr(kam, "_remainder_blocks", poisoned)
-        cfg = RunConfig(run_verify=False, J_max=6, K_theta=4, M=2)
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(cfg.as_dict()))
-        out = tmp_path / "nan"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CERTIFICATE
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["status"] == "certificate_failed"
+        summary = self.failed_small_run(tmp_path)
         assert "step m=0: homological_residual nan" in summary["detail"]
 
+    @pytest.mark.parametrize("level, gate", [(0, "homological_residual"),
+                                             (1, "consistency_defect")])
+    def test_nan_in_a_seeded_piece_fails_a_gate(self, tmp_path, monkeypatch, level, gate):
+        # the step's first norm reads the NaN without an SVD (which would not
+        # converge), so the first gate that reads the piece names it: the
+        # solve's residual for the active piece, the oracle for a higher one
+        seed_pieces = cli.seed_pieces
+
+        def poisoned(*a):
+            pieces = seed_pieces(*a)
+            coeffs = pieces[level].coeffs
+            coeffs[(0,) * coeffs.ndim] = np.nan
+            return pieces
+
+        monkeypatch.setattr(cli, "seed_pieces", poisoned)
+        summary = self.failed_small_run(tmp_path)
+        assert f"step m=0: {gate} nan" in summary["detail"]
 
     def test_conjugacy_outside_tolerance_aborts_with_code_5(self, tmp_path, monkeypatch):
         compare = cli.compare_through_chain
@@ -882,10 +906,14 @@ class TestMain:
         assert summary["detail"] == "reduce, step m=0: ValueError: bad value"
 
     def test_os_error_names_its_stage(self, tmp_path, monkeypatch):
-        def broken(*a, **k):
-            raise OSError("disk full")
+        write_text = cli.Path.write_text
 
-        monkeypatch.setattr(cli, "_write_resonance_csv", broken)
+        def broken(path, *a, **k):
+            if path.name == "resonance.csv":
+                raise OSError("disk full")
+            return write_text(path, *a, **k)
+
+        monkeypatch.setattr(cli.Path, "write_text", broken)
         with pytest.raises(PipelineAbort) as err:
             run_pipeline(tiny_config(), tmp_path / "o")
         assert err.value.code == EXIT_INTERNAL

