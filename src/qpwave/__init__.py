@@ -2,7 +2,6 @@
 
 from .galerkin import (
     QuadraticForm,
-    RealStructureError,
     WeightedSpace,
     assemble_initial_forms,
     coupling_tensor,

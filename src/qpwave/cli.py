@@ -430,6 +430,21 @@ def _build_inputs(config: RunConfig, tau: float):
     return freq, spec, table
 
 
+def _schedule(config: RunConfig) -> Schedule:
+    """The run's schedule: degenerate at eps = 0."""
+    if config.eps == 0.0:
+        return Schedule.degenerate_schedule(config.n, config.smoothness_N, config.gamma)
+    return build_schedule(config.eps, config.smoothness_N, config.gamma, config.n, config.M)
+
+
+def _screen(config: RunConfig, sched: Schedule) -> resonance.ScreenResult:
+    """The resonance screen of config.tau at step 0's cutoff K_eff(0) and
+    gamma_0, the one that run and validate both apply."""
+    return resonance.screen_tau(config.tau, NormalForm(J=config.J_max),
+                                np.asarray(config.omega0), sched.K_eff(0, config.K_theta),
+                                float(sched.gamma_steps[0]), config.J_max)
+
+
 @contextlib.contextmanager
 def _stage_errors(stages: list):
     """Turn any error of a stage but a PipelineAbort into a PipelineAbort
@@ -520,20 +535,19 @@ def _front(config: RunConfig, stages: list, timings: dict) -> _Front:
     _stage_done(timings, "analyze", t0)
 
     stages.append("assemble")
+    t0 = time.time()
     ws = WeightedSpace(config.smoothness_N, config.J_max)
     ct = coupling_tensor(config.J_max)
     qf0 = assemble_initial_forms(pf, ct, ws)
+    _stage_done(timings, "assemble", t0)
 
     # 3. schedule, analytic split and the step-0 pieces (a degenerate
     # schedule gets none)
     stages.append("schedule_split")
     t0 = time.time()
-    if config.eps == 0.0:
-        sched = Schedule.degenerate_schedule(config.n, config.smoothness_N, config.gamma)
-        dec = None
-    else:
-        sched = build_schedule(config.eps, config.smoothness_N, config.gamma,
-                               config.n, config.M)
+    sched = _schedule(config)
+    dec = None
+    if not sched.degenerate:
         dec = decompose(qf0, list(sched.strip), JacksonKernel(), ws=ws)
         summary["decomposition"] = {
             "piece_norms": dec.piece_norms,
@@ -575,9 +589,7 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings:
     # 4. screen at entry parameters (the front ran step 0's scan)
     stages.append("screen")
     t0 = time.time()
-    screen = resonance.screen_tau(config.tau, NormalForm(J=config.J_max),
-                                  np.asarray(config.omega0), sched.K_eff(0, config.K_theta),
-                                  float(sched.gamma_steps[0]), config.J_max)
+    screen = _screen(config, sched)
     summary["resonance"] = {
         "screen_passed": screen.passed,
         "worst_query": screen.worst.as_dict(),
@@ -833,10 +845,7 @@ def _cmd_validate(config: RunConfig, out: Path) -> int:
     try:
         freq, spec, _ = _build_inputs(config, config.tau)
         report = validate_assumptions(spec, config.K_check, config.validation_grid)
-        nf0 = NormalForm(J=config.J_max)
-        gamma0 = config.gamma
-        screen = resonance.screen_tau(config.tau, nf0, np.asarray(config.omega0),
-                                      config.K_theta, gamma0, config.J_max)
+        screen = _screen(config, _schedule(config))
         payload = {"validation": report.as_dict(),
                    "screen_passed": screen.passed,
                    "worst_query": screen.worst.as_dict()}

@@ -5,7 +5,9 @@ lattice Hamiltonian whose quadratic coupling forms are built from the cosine
 potential amplitudes v_j(theta) through the tensor c_jlk = integral of
 cos(jx) sin(lx) sin(kx) over [-pi, pi]. All theta-dependence is carried as
 coefficients on a hypercube Fourier window; a real form's, on its
-k_last >= 0 half.
+k_last >= 0 half. A form is its real (q, p) matrix S from assembly on; its
+u-form blocks (zz, zzbar, zbzb) are only the homological solve's view
+(blocks_from_qp, qp_from_blocks) and the three-block norms' (block_norms).
 """
 
 from __future__ import annotations
@@ -176,14 +178,7 @@ class WeightedSpace:
 
 
 # ---------------------------------------------------------------------------
-# Real structure: the u-form blocks and the (q, p) form
-
-STRUCTURE_RTOL = 1e-12  # relative structure defect u-form data may carry into a form
-
-
-class RealStructureError(ValueError):
-    """u-form data is not a real Hamiltonian (conj(zz) != zbzb or zzbar not
-    Hermitian), so its (q, p) form is not real."""
+# The u-form blocks of a (q, p) form: the solve's and the norms' view
 
 
 def qp_from_blocks(zz: np.ndarray, zzbar: np.ndarray, zbzb: np.ndarray) -> np.ndarray:
@@ -238,21 +233,6 @@ def block_norms(S: np.ndarray, norm) -> tuple:
     return zz_norm, norm(zzbar), zz_norm
 
 
-def check_real_structure(zz: np.ndarray, zzbar: np.ndarray, zbzb: np.ndarray, n: int) -> None:
-    """The precondition of a form: its whole-window u-form blocks are a real
-    Hamiltonian to STRUCTURE_RTOL relative, that is, conj(zz) pairs with zbzb
-    and zzbar(theta) is Hermitian at real theta (hat(-k)^H = hat(k))."""
-    rev = (slice(None, None, -1),) * n
-    defect = max(float(np.max(np.abs(np.conj(zz[rev]) - zbzb))),
-                 float(np.max(np.abs(np.swapaxes(np.conj(zzbar[rev]), -1, -2) - zzbar))))
-    scale = max(float(np.max(np.abs(b))) for b in (zz, zzbar, zbzb))
-    if not defect <= STRUCTURE_RTOL * scale:  # NaN fails too
-        raise RealStructureError(
-            f"form is not a real Hamiltonian: structure defect {defect:.3e} > "
-            f"{STRUCTURE_RTOL:.0e} * max |coefficient| {scale:.3e}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Quadratic forms
 
@@ -270,8 +250,8 @@ class QuadraticForm:
 
     coeffs holds S's window Fourier coefficients on the k_last >= 0 half
     (fourier's real-field convention), complex, shape
-    (2K+1,)*(n-1) + (K+1, 2J, 2J). u-form data, <zz z, z> + <zzbar z, zbar>
-    + <zbzb zbar, zbar> in z = (q - i p)/sqrt(2), enters through from_blocks.
+    (2K+1,)*(n-1) + (K+1, 2J, 2J). Its u-form blocks are those of
+    <zz z, z> + <zzbar z, zbar> + <zbzb zbar, zbar> in z = (q - i p)/sqrt(2).
 
     norms is form_norm's memo, keyed by (weighted space, grid points); while
     it holds a value, coeffs is read-only, and a new coeffs (symmetrize)
@@ -292,16 +272,6 @@ class QuadraticForm:
     @classmethod
     def zeros(cls, n: int, K: int, J: int) -> "QuadraticForm":
         return cls(n, K, J, np.zeros((2 * K + 1,) * (n - 1) + (K + 1, 2 * J, 2 * J), complex))
-
-    @classmethod
-    def from_blocks(cls, n: int, K: int, J: int, zz: np.ndarray, zzbar: np.ndarray,
-                    zbzb: np.ndarray) -> "QuadraticForm":
-        """The form of whole-window u-form blocks, (2K+1,)*n + (J, J) each,
-        after the real-structure check (RealStructureError); S is symmetrized."""
-        check_real_structure(zz, zzbar, zbzb, n)
-        qf = cls(n, K, J, qp_from_blocks(zz, zzbar, zbzb)[half_index(n, K)])
-        qf.symmetrize()
-        return qf
 
     def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
         self._check_compatible(other)
@@ -346,11 +316,13 @@ class QuadraticForm:
 def assemble_initial_forms(
     pf: PotentialFourier, ct: np.ndarray, ws: WeightedSpace
 ) -> QuadraticForm:
-    """Coupling forms of the rescaled lattice Hamiltonian.
+    """Coupling form of the rescaled lattice Hamiltonian.
 
-    With M(theta)_{il} = sum_j c_jli v_j(theta) / (sqrt(i) sqrt(l)), the blocks
-    are zz = M/2, zzbar = M, zbzb = M/2. This is where u-form data enters:
-    QuadraticForm.from_blocks checks that it is a real Hamiltonian.
+    The potential couples positions only: with
+    M(theta)_{il} = sum_j c_jli v_j(theta) / (sqrt(i) sqrt(l)), the (q, p)
+    form is S = [[M, 0], [0, 0]], written from v_hat's k_last >= 0 half.
+    M(theta) is symmetric because c_jlk is symmetric in l and k, and real
+    because v_hat(-k) = conj(v_hat(k)), which fourier_analyze makes exact.
     """
     J = ws.J_max
     if pf.J_max < J:
@@ -358,10 +330,11 @@ def assemble_initial_forms(
     if ct.shape[0] < J:
         raise DimensionError("coupling tensor smaller than the weighted space")
     C = ct[: pf.J_max, :J, :J]  # (j, l, k=row index i)
-    M = np.einsum("...j,jli->...il", pf.v_hat, C)
+    M = np.einsum("...j,jli->...il", pf.v_hat[half_index(pf.n, pf.K_theta)], C)
     s = ws.sqrt_weights
-    M = M / (s[:, None] * s[None, :])
-    return QuadraticForm.from_blocks(pf.n, pf.K_theta, J, 0.5 * M, M, 0.5 * M)
+    qf = QuadraticForm.zeros(pf.n, pf.K_theta, J)
+    qf.coeffs[..., :J, :J] = M / (s[:, None] * s[None, :])
+    return qf
 
 
 def form_norm(qf: QuadraticForm, ws: WeightedSpace, G: int) -> float:

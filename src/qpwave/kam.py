@@ -7,7 +7,9 @@ u = (z, zbar) = T x, T = [[I, -iI], [I, iI]] / sqrt(2) (z = (q - i p)/sqrt(2)),
 give the u-form Q = conj(T) S T^H, whose blocks
 <A z, z> + <B z, zbar> + <C zbar, zbar> (Q = [[A, B^T/2], [B/2, C]]) are
 used only where the homological divisors are diagonal: the solve, its
-residual and the three-block norms. Brackets, flows, series and norms on
+residual and the three-block norms. The solve's divisors, thresholds and
+masks live on the k_last >= 0 half it divides, which holds every divisor of
+the whole window. Brackets, flows, series and norms on
 the grid work on float64 arrays, and each step's change of variables is
 stored the same way as a piece: the half-window coefficients of Phi - I.
 The transform chain composes these real maps, and verify reads them in
@@ -328,7 +330,8 @@ class HomologicalSolution:
 
 
 def _divisor_arrays(nf_lam: np.ndarray, omega: np.ndarray, n: int, K: int):
-    kw = kdot(omega, n, K)[..., None, None]
+    """The zz, zzbar and zbzb divisors on the k_last >= 0 half."""
+    kw = kdot(omega, n, K)[half_index(n, K)][..., None, None]
     lam_i = nf_lam[:, None]
     lam_j = nf_lam[None, :]
     div_zz = kw + (lam_i + lam_j)
@@ -363,44 +366,47 @@ def solve_homological(
     <k,w> - lam_i - lam_j (zbzb) and <k,w> - lam_i + lam_j (zzbar); the
     averaged zzbar diagonal is removed and returned for the normal-form
     update, and F is returned as a form with the homological_residual of
-    the division. This is each step's small-divisor gate: every divisor on
-    the whole window is checked against resonance.divisor_threshold first;
-    ResonanceError names the worst divisor of the first block that fails.
+    the division. This is each step's small-divisor gate: every divisor is
+    checked against resonance.divisor_threshold first; ResonanceError names
+    the worst divisor of the first block that fails. The half's three kinds
+    hold every divisor of the whole window (zz at -k is -zbzb at k, zzbar at
+    -k is -zzbar^T at k, at the same thresholds), so the gate and
+    divisor_min are the whole window's.
     """
     qf = remainder_mm
     n, K, J = qf.n, qf.K, qf.J
     lam = nf.lambdas()
     divisors = _divisor_arrays(lam, np.asarray(omega, float), n, K)
 
-    rings = kinf(n, K)[..., None, None]
+    rings = kinf(n, K)[half_index(n, K)][..., None, None]
     in_support = rings <= K_m
     i_idx = np.arange(1, J + 1)
     gap = np.abs(i_idx[:, None] - i_idx[None, :]).astype(float)
     thresholds = resonance.divisor_threshold(gap, rings, gamma_m, n)
 
     diag_sel = (np.arange(J), np.arange(J))
+    center = _center(n, K)
 
     divisor_min = np.inf
     for kind, div in zip(("zz", "zzbar", "zbzb"), divisors):
         checked = np.abs(div) - thresholds
         mask = np.broadcast_to(in_support, checked.shape).copy()
         if kind == "zzbar":
-            mask[(K,) * n][diag_sel] = False  # k = 0 diagonal handled separately
+            mask[center][diag_sel] = False  # k = 0 diagonal handled separately
         if np.any((checked < 0) & mask):
             flat = np.argmin(np.where(mask, checked, np.inf))
             idx = np.unravel_index(flat, checked.shape)
-            kvec = tuple(int(a) - K for a in idx[:n])
+            kvec = tuple(int(a) - c for a, c in zip(idx[:n], center))
             raise ResonanceError(kind, kvec, idx[-2] + 1, idx[-1] + 1,
                                  div[idx], thresholds[idx])
         divisor_min = min(divisor_min, float(np.min(np.abs(div)[mask])))
 
     R, diag_avg = _remainder_blocks(qf, K_m)
-    half_divisors = tuple(div[half_index(n, K)] for div in divisors)
-    div_zz, div_zzbar, div_zbzb = half_divisors
+    div_zz, div_zzbar, div_zbzb = divisors
     safe = div_zzbar.copy()
-    safe[_center(n, K)][diag_sel] = 1.0  # excluded entry, numerator already zero
+    safe[center][diag_sel] = 1.0  # excluded entry, numerator already zero
     blocks = tuple(-1j * r / div for r, div in zip(R, (div_zz, safe, div_zbzb)))
-    residual = homological_residual(blocks, R, half_divisors)
+    residual = homological_residual(blocks, R, divisors)
 
     F = QuadraticForm(n, K, J, qp_from_blocks(*blocks))
     return HomologicalSolution(F=F, diag_avg=diag_avg, divisor_min=divisor_min,

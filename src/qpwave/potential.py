@@ -89,6 +89,11 @@ class PotentialSpec:
     freq: FrequencySpec
     amplitude_eps: float
     name: str = "custom"
+    # largest |k|_inf and j of the hull's coefficient table (make_potential
+    # records them; 0 for a hull without one): fourier_analyze samples finely
+    # enough that no table mode outside the window folds onto a kept one
+    table_k_max: int = 0
+    table_j_max: int = 0
 
     def __post_init__(self):
         if self.smoothness_N < 2:
@@ -194,13 +199,16 @@ def fourier_analyze(p: PotentialSpec, K_theta: int, J_max: int) -> PotentialFour
     """Tensor-product trapezoidal analysis of the hull into v_hat(k, j).
 
     Exact (to roundoff) for trigonometric-polynomial hulls inside the
-    truncation, since uniform trapezoid sums are exact DFTs.
+    truncation, since uniform trapezoid sums are exact DFTs. A mode of the
+    hull's table outside the window is left out: on Gt > K_theta +
+    table_k_max points per theta axis and Gx > J_max + table_j_max in x,
+    none aliases onto a kept mode.
     """
     if K_theta < 1 or J_max < 1:
         raise ValueError("truncation sizes must be >= 1")
     n = p.freq.n
-    Gt = max(4 * K_theta, 8)
-    Gx = max(4 * J_max, 8)
+    Gt = max(4 * K_theta, 8, K_theta + p.table_k_max + 1)
+    Gx = max(4 * J_max, 8, J_max + p.table_j_max + 1)
     if Gt**n * Gx > MAX_SAMPLE_ENTRIES:
         raise ResourceBudgetError(
             f"sampling grid {Gt}^{n} x {Gx} exceeds the memory budget"
@@ -328,5 +336,7 @@ def make_potential(
     else:
         table = preset_table(name, freq.n, N, scale, theta_band)
     hull = _hull_from_table(table, freq.n)
-    spec = PotentialSpec(hull=hull, smoothness_N=N, freq=freq, amplitude_eps=eps, name=name)
+    spec = PotentialSpec(hull=hull, smoothness_N=N, freq=freq, amplitude_eps=eps, name=name,
+                         table_k_max=max(max(abs(x) for x in k) for k, _ in table),
+                         table_j_max=max(j for _, j in table))
     return spec, table

@@ -1,7 +1,7 @@
 """Real Hamiltonians as whole-window u-form blocks, the data the engine
-stores once as half-window (q, p) coefficients, and the u-form
-(z, zbar) route of the conjugacy check; shared by the tests as oracles.
-Also the engine stub the checkpoint tests save."""
+stores once as half-window (q, p) coefficients, the builder of a form from
+such blocks, and the u-form (z, zbar) route of the conjugacy check; shared
+by the tests as oracles. Also the engine stub the checkpoint tests save."""
 
 import math
 from types import SimpleNamespace
@@ -10,7 +10,9 @@ import numpy as np
 
 from qpwave import kam
 from qpwave.fourier import half_index
-from qpwave.galerkin import QuadraticForm, blocks_from_qp
+from qpwave.galerkin import QuadraticForm, blocks_from_qp, qp_from_blocks
+
+STRUCTURE_RTOL = 1e-12  # relative structure defect form_from_blocks accepts
 
 
 def real_blocks(rng, n, K, J, scale=1.0):
@@ -31,8 +33,24 @@ def real_projection(zz, zzbar, n):
     return zz, herm, np.conj(zz[rev])
 
 
+def form_from_blocks(n, K, J, zz, zzbar, zbzb) -> QuadraticForm:
+    """The form of whole-window u-form blocks, (2K+1,)*n + (J, J) each, with
+    S symmetrized. The blocks must be a real Hamiltonian to STRUCTURE_RTOL
+    relative, conj(zz) paired with zbzb and zzbar(theta) Hermitian at real
+    theta (hat(-k)^H = hat(k)), else a ValueError."""
+    rev = (slice(None, None, -1),) * n
+    defect = max(float(np.max(np.abs(np.conj(zz[rev]) - zbzb))),
+                 float(np.max(np.abs(np.swapaxes(np.conj(zzbar[rev]), -1, -2) - zzbar))))
+    scale = max(float(np.max(np.abs(b))) for b in (zz, zzbar, zbzb))
+    if not defect <= STRUCTURE_RTOL * scale:
+        raise ValueError(f"form is not a real Hamiltonian: structure defect {defect:.3e}")
+    qf = QuadraticForm(n, K, J, qp_from_blocks(zz, zzbar, zbzb)[half_index(n, K)])
+    qf.symmetrize()
+    return qf
+
+
 def real_form(rng, n, K, J, scale=1.0) -> QuadraticForm:
-    return QuadraticForm.from_blocks(n, K, J, *real_blocks(rng, n, K, J, scale))
+    return form_from_blocks(n, K, J, *real_blocks(rng, n, K, J, scale))
 
 
 def whole_window(coeffs, n, K):

@@ -10,7 +10,7 @@ import pytest
 
 from forms import checkpoint_engine, real_form
 from oracles import find_resonant_tau
-from qpwave import cli, fourier, galerkin, kam
+from qpwave import cli, fourier, galerkin, kam, resonance
 from qpwave.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -455,8 +455,8 @@ class TestMemory:
         summary = run_pipeline(tiny_config(), tmp_path / "run")
         peaks = summary["timings"]["peak_rss_mb"]
         assert [label for label, _ in peaks] == [
-            "validate", "analyze", "schedule_split", "screen", "step 0", "step 1",
-            "reduce", "verify"]
+            "validate", "analyze", "assemble", "schedule_split", "screen", "step 0",
+            "step 1", "reduce", "verify"]
         mib = [value for _, value in peaks]
         assert mib[0] > 0 and mib == sorted(mib)  # a running peak never falls
         on_disk = json.loads((tmp_path / "run" / "summary.json").read_text())
@@ -673,8 +673,9 @@ class TestSweep:
         timings = on_disk["timings"]
         assert timings == agg["timings"]
         assert [label for label, _ in timings["peak_rss_mb"]] == [
-            "validate", "analyze", "schedule_split", "front"]
-        for stage in ("validate", "analyze", "schedule_split", "screen", "front", "total"):
+            "validate", "analyze", "assemble", "schedule_split", "front"]
+        for stage in ("validate", "analyze", "assemble", "schedule_split", "screen", "front",
+                      "total"):
             assert timings[stage] > 0
         assert timings["front"] <= timings["total"]
         # each tau's timings hold its own stages only, and report renders them
@@ -705,7 +706,8 @@ class TestMain:
         assert rows[0] == ["entry", "seconds", *STEP_COLUMNS, "peak_rss_mb"]
         names = [row[0] for row in rows[1:]]
         assert names == [name for name, _ in summary["timings"]["peak_rss_mb"]] + ["total"]
-        assert names[:5] == ["validate", "analyze", "schedule_split", "screen", "step 0"]
+        assert names[:6] == ["validate", "analyze", "assemble", "schedule_split", "screen",
+                             "step 0"]
         by_name = {row[0]: row for row in rows[1:]}
         for entry in summary["timings"]["steps"]:
             row = by_name[f"step {entry['m']}"]
@@ -755,6 +757,29 @@ class TestMain:
         code = main(["validate", "--config", str(cfg_path), "--out",
                      str(tmp_path / "v")])
         assert code == EXIT_CONVERGED
+
+    @pytest.mark.parametrize("eps", [0.99, 0.0])
+    def test_validate_screens_what_the_run_screens(self, tmp_path, monkeypatch, eps):
+        # at eps = 0.99 step 0's cutoff K_eff(0) = 3 lies below K_theta = 6;
+        # a degenerate schedule screens the whole window
+        screens = []
+        real = resonance.screen_tau
+
+        def spy(tau, nf, omega0, K_m, gamma_m, J_max):
+            result = real(tau, nf, omega0, K_m, gamma_m, J_max)
+            screens.append(((tau, nf.lambdas().tolist(), list(omega0), K_m, gamma_m, J_max),
+                            result.worst.as_dict()))
+            return result
+
+        monkeypatch.setattr(resonance, "screen_tau", spy)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TINY, "eps": eps, "K_theta": 6, "run_verify": False}))
+        main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "v")])
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        (validated, worst), (screened, run_worst) = screens
+        assert validated == screened and validated[3] == (3 if eps else 6)
+        assert worst == run_worst
+        assert json.loads((tmp_path / "v" / "validate.json").read_text())["worst_query"] == worst
 
     def test_threads_in_a_config_is_config_error(self, tmp_path, capsys):
         # the BLAS thread count is the environment's (OPENBLAS_NUM_THREADS)
@@ -830,15 +855,15 @@ class TestMain:
         assert summary["status"] == "internal_error"
         assert summary["detail"].startswith("reduce, step m=0: LinAlgError: Singular matrix")
 
-    def test_real_structure_error_is_internal_error(self, tmp_path, monkeypatch):
-        def broken(*blocks):
-            raise galerkin.RealStructureError("form is not a real Hamiltonian")
+    def test_assemble_error_is_internal_error(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise galerkin.DimensionError("coupling tensor smaller than the weighted space")
 
-        monkeypatch.setattr(galerkin, "check_real_structure", broken)
+        monkeypatch.setattr(cli, "assemble_initial_forms", broken)
         with pytest.raises(PipelineAbort) as err:
             run_pipeline(tiny_config(), tmp_path / "r")
         assert err.value.code == EXIT_INTERNAL
-        assert err.value.detail.startswith("assemble: RealStructureError: ")
+        assert err.value.detail.startswith("assemble: DimensionError: ")
 
     def test_truncated_checkpoint_array_is_internal_error(self, tmp_path):
         cfg_path = tmp_path / "config.json"

@@ -3,12 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from forms import checkpoint_engine, real_blocks, real_form, whole_window
+from forms import checkpoint_engine, form_from_blocks, real_blocks, real_form, whole_window
 from qpwave import cli, fourier, galerkin
 from qpwave.fourier import RealGrid, half_index, kinf, window_to_grid
 from qpwave.galerkin import (
     QuadraticForm,
-    RealStructureError,
     WeightedSpace,
     assemble_initial_forms,
     block_norms,
@@ -120,15 +119,26 @@ class TestAssembly:
         assert np.max(np.abs(S[..., 8:, :])) < 1e-14
         assert np.max(np.abs(S[..., :, 8:])) < 1e-14
 
-    def test_rejects_data_that_is_not_a_real_hamiltonian(self):
-        # v_j(theta) with a one-sided mode is complex, and so are its forms
+    def test_matches_the_uform_route(self):
+        # the (q, p) form [[M, 0], [0, 0]] written from v_hat's half is, bit
+        # for bit, the form of the whole-window u-form blocks (M/2, M, M/2)
+        p, _ = make_potential("finite_smooth", self.freq(), eps=1e-3, N=5)
+        pf = fourier_analyze(p, K_theta=3, J_max=6)
+        ws = WeightedSpace(5, 6)
+        qf = assemble_initial_forms(pf, coupling_tensor(6), ws)
+        s = ws.sqrt_weights
+        M = np.einsum("...j,jli->...il", pf.v_hat, coupling_tensor(6)) / np.outer(s, s)
+        assert np.array_equal(qf.coeffs, form_from_blocks(2, 3, 6, 0.5 * M, M, 0.5 * M).coeffs)
+
+    def test_reads_the_half_only(self):
         p, _ = make_potential("finite_smooth", self.freq(), eps=1e-3, N=5)
         pf = fourier_analyze(p, K_theta=2, J_max=4)
         v_hat = pf.v_hat.copy()
-        v_hat[3, 2, 1] += 1e-3
-        bad = PotentialFourier(v_hat=v_hat, K_theta=2, J_max=4, n=2)
-        with pytest.raises(RealStructureError, match="not a real Hamiltonian"):
-            assemble_initial_forms(bad, coupling_tensor(4), WeightedSpace(5, 4))
+        v_hat[3, 1, 1] += 1e-3  # k = (1, -1): its conjugate mode (-1, 1) is on the half
+        other = PotentialFourier(v_hat=v_hat, K_theta=2, J_max=4, n=2)
+        ct, ws = coupling_tensor(4), WeightedSpace(5, 4)
+        assert np.array_equal(assemble_initial_forms(other, ct, ws).coeffs,
+                              assemble_initial_forms(pf, ct, ws).coeffs)
 
 
 class TestWeightedNorm:
@@ -143,8 +153,7 @@ class TestWeightedNorm:
     def test_single_entry_scalar_block(self):
         zzbar = np.zeros((5, 4, 4))
         zzbar[2, 0, 0] = 0.7  # k = 0, entry (1, 1): weight sqrt(1)*sqrt(1) = 1
-        qf = QuadraticForm.from_blocks(1, 2, 4, np.zeros_like(zzbar), zzbar,
-                                       np.zeros_like(zzbar))
+        qf = form_from_blocks(1, 2, 4, np.zeros_like(zzbar), zzbar, np.zeros_like(zzbar))
         assert form_norm(qf, WeightedSpace(4, 4), 8) == pytest.approx(0.7, abs=1e-13)
 
     def test_matches_dense_svd_oracle(self):
@@ -481,7 +490,7 @@ class TestRealForms:
     @pytest.mark.parametrize("n,K,G", FORM_CASES)
     def test_grid_values_are_the_uform_values(self, n, K, G):
         blocks = real_blocks(np.random.default_rng(60 + G), n, K, 4)
-        qf = QuadraticForm.from_blocks(n, K, 4, *blocks)
+        qf = form_from_blocks(n, K, 4, *blocks)
         assert qf.coeffs.shape == (2 * K + 1,) * (n - 1) + (K + 1, 8, 8)
         want = uform_grid(blocks, n, K, G)
         assert np.max(np.abs(want.imag)) <= 1e-13 * np.max(np.abs(want))
@@ -494,17 +503,17 @@ class TestRealForms:
     def test_arithmetic_commutes_with_the_conversion(self, n, K, G):
         rng = np.random.default_rng(70 + G)
         a, b = real_blocks(rng, n, K, 3), real_blocks(rng, n, K, 3)
-        fa, fb = (QuadraticForm.from_blocks(n, K, 3, *x) for x in (a, b))
-        total = QuadraticForm.from_blocks(n, K, 3, *(x + y for x, y in zip(a, b)))
+        fa, fb = (form_from_blocks(n, K, 3, *x) for x in (a, b))
+        total = form_from_blocks(n, K, 3, *(x + y for x, y in zip(a, b)))
         assert np.max(np.abs((fa + fb).coeffs - total.coeffs)) <= 1e-15
         assert np.max(np.abs((fa - fb).coeffs - (fa + fb.scaled(-1.0)).coeffs)) == 0.0
-        scaled = QuadraticForm.from_blocks(n, K, 3, *(-0.3 * x for x in a))
+        scaled = form_from_blocks(n, K, 3, *(-0.3 * x for x in a))
         assert np.max(np.abs(fa.scaled(-0.3).coeffs - scaled.coeffs)) <= 1e-15
         for K_cut in range(K + 1):
             low_mask = (kinf(n, K) <= K_cut)[..., None, None]
             low, high = fa.truncate(K_cut)
             for part, keep in ((low, low_mask), (high, ~low_mask)):
-                want = QuadraticForm.from_blocks(n, K, 3, *(np.where(keep, x, 0.0) for x in a))
+                want = form_from_blocks(n, K, 3, *(np.where(keep, x, 0.0) for x in a))
                 assert np.max(np.abs(part.coeffs - want.coeffs)) <= 1e-15
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -528,12 +537,12 @@ class TestRealForms:
         ws = WeightedSpace(3, J)
         G_eff = max(G, 2 * K + 1)
         want = max(ws.opnorm_weighted(window_to_grid(b, n, K, G_eff)) for b in blocks)
-        got = form_norm(QuadraticForm.from_blocks(n, K, J, *blocks), ws, G)
+        got = form_norm(form_from_blocks(n, K, J, *blocks), ws, G)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_half_is_the_whole_window_reflected(self):
         blocks = real_blocks(np.random.default_rng(90), 2, 3, 2)
-        qf = QuadraticForm.from_blocks(2, 3, 2, *blocks)
+        qf = form_from_blocks(2, 3, 2, *blocks)
         whole = qp_from_blocks(*blocks)
         assert np.max(np.abs(whole_window(qf.coeffs, 2, 3) - whole)) <= 1e-15
         assert np.array_equal(qf.coeffs, 0.5 * (whole[half_index(2, 3)]

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from forms import qp_unitary, real_form, real_projection, uform_blocks
+from forms import form_from_blocks, qp_unitary, real_form, real_projection, uform_blocks
 from oracles import find_resonant_tau
-from qpwave import fourier, galerkin, kam
+from qpwave import fourier, galerkin, kam, resonance
 from qpwave.fourier import (
     RealGrid,
     active_modes,
@@ -17,7 +17,6 @@ from qpwave.fourier import (
 )
 from qpwave.galerkin import (
     QuadraticForm,
-    RealStructureError,
     WeightedSpace,
     assemble_initial_forms,
     blocks_from_qp,
@@ -204,7 +203,7 @@ def zzbar_entry_form(n, K, J, k, i, j, value):
     zzbar[tuple(K + np.asarray(k)) + (i, j)] = value
     zzbar[tuple(K - np.asarray(k)) + (j, i)] += np.conj(value)
     zero = np.zeros_like(zzbar)
-    return QuadraticForm.from_blocks(n, K, J, zero, zzbar, zero)
+    return form_from_blocks(n, K, J, zero, zzbar, zero)
 
 
 class TestHomologicalSolve:
@@ -235,8 +234,7 @@ class TestHomologicalSolve:
         zzbar = np.zeros((5, 5, 4, 4), complex)
         a = np.array([0.3, -0.1, 0.2, 0.05])
         zzbar[K, K][np.arange(4), np.arange(4)] = a
-        qf = QuadraticForm.from_blocks(2, K, 4, np.zeros_like(zzbar), zzbar,
-                                       np.zeros_like(zzbar))
+        qf = form_from_blocks(2, K, 4, np.zeros_like(zzbar), zzbar, np.zeros_like(zzbar))
         nf = NormalForm(J=4)
         sol = solve_homological(qf, nf, self.freq().omega, K_m=2, gamma_m=0.05)
         assert np.allclose(sol.diag_avg, a)
@@ -305,6 +303,39 @@ class TestHomologicalSolve:
                 solve_homological(empty_form(2, 3, J), nf, tau * omega0, K_m, gamma_m)
         assert rejected >= 60
 
+    def test_gate_reads_every_divisor_of_the_whole_window(self):
+        # the solve builds its divisors on the k_last >= 0 half; its gate and
+        # divisor_min must be those of every divisor on the whole window
+        rng = np.random.default_rng(7)
+        omega0 = np.asarray(OMEGA0)
+        outcomes = []
+        for _ in range(40):
+            J, K, K_m = int(rng.integers(2, 6)), 3, int(rng.integers(1, 4))
+            gamma_m = float(rng.uniform(0.001, 0.2))
+            nf = update_normal_form(NormalForm(J=J), rng.standard_normal(J), 1e-2)
+            omega = rng.uniform(1.0, 2.0) * omega0
+            lam = nf.lambdas()
+            kw = fourier.kdot(omega, 2, K)[..., None, None]
+            ring = fourier.kinf(2, K)[..., None, None]
+            gap = np.abs(np.subtract.outer(np.arange(J), np.arange(J)))
+            thresholds = resonance.divisor_threshold(gap, ring, gamma_m, 2)
+            sums, diffs = np.add.outer(lam, lam), np.subtract.outer(lam, lam)
+            divisors = [np.abs(kw + sums), np.abs(kw - diffs), np.abs(kw - sums)]
+            in_support = np.broadcast_to(ring <= K_m, divisors[0].shape)
+            off_average = in_support.copy()
+            off_average[K, K][np.arange(J), np.arange(J)] = False  # the averaged diagonal
+            masks = [in_support, off_average, in_support]
+            worst = min(float(np.min((d - thresholds)[m])) for d, m in zip(divisors, masks))
+            outcomes.append(worst < 0)
+            if worst < 0:
+                with pytest.raises(ResonanceError):
+                    solve_homological(empty_form(2, K, J), nf, omega, K_m, gamma_m)
+            else:
+                sol = solve_homological(empty_form(2, K, J), nf, omega, K_m, gamma_m)
+                assert sol.divisor_min == min(float(np.min(d[m]))
+                                              for d, m in zip(divisors, masks))
+        assert 5 <= sum(outcomes) <= 35
+
     def test_structure_of_solution(self):
         # real-type symmetric input: F's (q, p) form symmetric, F real
         rng = np.random.default_rng(9)
@@ -312,7 +343,7 @@ class TestHomologicalSolve:
         arr = rng.standard_normal((5, 5, J, J)) + 1j * rng.standard_normal((5, 5, J, J))
         M = reality_enforce(arr, n, K)
         M = 0.5 * (M + np.swapaxes(M, -1, -2))
-        qf = QuadraticForm.from_blocks(n, K, J, 0.5 * M, M, 0.5 * M)
+        qf = form_from_blocks(n, K, J, 0.5 * M, M, 0.5 * M)
         sol = solve_homological(qf, NormalForm(J=J), self.freq(1.41).omega, K_m=2,
                                 gamma_m=1e-5)
         S = sol.F.coeffs
@@ -343,7 +374,7 @@ def small_form(rng, n=2, K=2, J=4):
     arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     M = reality_enforce(0.002 * arr, n, K)
     M = 0.5 * (M + np.swapaxes(M, -1, -2))
-    return QuadraticForm.from_blocks(n, K, J, 0.5 * M, M, 0.5 * M)
+    return form_from_blocks(n, K, J, 0.5 * M, M, 0.5 * M)
 
 
 def small_solution(rng, n=2, K=2, J=4, tau=1.31, gamma=1e-5):
@@ -507,7 +538,7 @@ def rotation_generator(c: float, J: int = 4) -> QuadraticForm:
     """F = c <z, zbar>: generator B = diag(i c I, -i c I), so |B| = |c| while
     its Frobenius norm is |c| sqrt(2J)."""
     zero = np.zeros((1, J, J))
-    return QuadraticForm.from_blocks(1, 0, J, zero, c * np.eye(J)[None], zero)
+    return form_from_blocks(1, 0, J, zero, c * np.eye(J)[None], zero)
 
 
 class TestFlowStepSizeGuard:
@@ -537,7 +568,7 @@ class TestPushRemainder:
         n, K, J = 2, 2, 3
         zero = QuadraticForm.zeros(n, K, J)
         blank = np.zeros((2 * K + 1,) * n + (J, J))
-        other = QuadraticForm.from_blocks(n, K, J, blank, hermitian_zzbar(rng, n, K, J), blank)
+        other = form_from_blocks(n, K, J, blank, hermitian_zzbar(rng, n, K, J), blank)
         sol = solve_homological(zero, NormalForm(J=J), 1.3 * np.asarray(OMEGA0), K, 0.05)
         ws = WeightedSpace(2, J)
         flow = flow_transform(sol.F, 1e-3, ws, grid=8)
@@ -548,13 +579,13 @@ class TestPushRemainder:
     def test_non_hermitian_piece_raises(self):
         # the piece this class's shift test used before the real grid layer:
         # real at real theta, but zzbar not Hermitian; it cannot become a form,
-        # so it never reaches the push
+        # so it never reaches the push (the builder of forms refuses it)
         rng = np.random.default_rng(6)
         n, K, J = 2, 2, 3
         blank = np.zeros((2 * K + 1,) * n + (J, J))
         arr = rng.standard_normal(blank.shape) + 1j * rng.standard_normal(blank.shape)
-        with pytest.raises(RealStructureError, match="not a real Hamiltonian"):
-            QuadraticForm.from_blocks(n, K, J, blank, reality_enforce(arr, n, K), blank)
+        with pytest.raises(ValueError, match="not a real Hamiltonian"):
+            form_from_blocks(n, K, J, blank, reality_enforce(arr, n, K), blank)
 
     def test_pure_tail_rescales(self):
         rng = np.random.default_rng(7)
@@ -564,7 +595,7 @@ class TestPushRemainder:
         full = reality_enforce(arr, n, K)
         full = 0.5 * (full + np.swapaxes(full, -1, -2))
         herm = hermitian_zzbar(rng, n, K, J)
-        _, qf = QuadraticForm.from_blocks(n, K, J, *real_projection(full, herm, n)).truncate(1)
+        _, qf = form_from_blocks(n, K, J, *real_projection(full, herm, n)).truncate(1)
         K_m = 1
         eps, eps_next = 1e-3, 1e-4
         sol = solve_homological(qf, NormalForm(J=J), 1.3 * np.asarray(OMEGA0), K_m, 0.05)
@@ -609,7 +640,7 @@ def whole_grid_push(pieces, sol, flow, eps_m, eps_next, ws, grid):
     # diag(mu) in the u-form zzbar block at k = 0, added in the u-form
     star_blocks = [-b for b in uform_blocks(low)]
     star_blocks[1][(K,) * n][(np.arange(J), np.arange(J))] += sol.diag_avg
-    star = QuadraticForm.from_blocks(n, K, J, *star_blocks)
+    star = form_from_blocks(n, K, J, *star_blocks)
 
     def window(values):
         full = grid_to_window(values.reshape((grid,) * n + (2 * J, 2 * J)), n, K)

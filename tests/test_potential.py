@@ -75,6 +75,20 @@ def test_fourier_zero_hull():
     assert np.max(np.abs(pf.v_hat)) == 0.0
 
 
+def table_window(table, n, K, J):
+    """v_hat of a one-sided coefficient table placed exactly on the window:
+    c at (k, j), conj(c) at (-k, j), k = 0 entries once; modes outside the
+    window are left out."""
+    expect = np.zeros((2 * K + 1,) * n + (J,), dtype=complex)
+    for (k, j), c in table.items():
+        if max(abs(ki) for ki in k) > K or j > J:
+            continue
+        expect[tuple(ki + K for ki in k) + (j - 1,)] += c
+        if any(k):  # k = 0 entries enter once
+            expect[tuple(-ki + K for ki in k) + (j - 1,)] += np.conj(c)
+    return expect
+
+
 def test_fourier_recovers_random_table():
     rng = np.random.default_rng(42)
     table = {}
@@ -88,16 +102,24 @@ def test_fourier_recovers_random_table():
     p, _ = make_potential("custom_coefficients", freq(), eps=1e-3, N=6,
                           coefficients=table)
     pf = fourier_analyze(p, K_theta=4, J_max=8)
-    K = pf.K_theta
-    expect = np.zeros_like(pf.v_hat)
-    for (k, j), c in table.items():
-        idx = tuple(ki + K for ki in k)
-        expect[idx + (j - 1,)] += c
-        idx_m = tuple(-ki + K for ki in k)
-        expect[idx_m + (j - 1,)] += np.conj(c)
-        if all(ki == 0 for ki in k):
-            expect[idx + (j - 1,)] -= np.conj(c)  # k = 0 entries enter once
-    assert np.max(np.abs(pf.v_hat - expect)) < 1e-12
+    assert np.max(np.abs(pf.v_hat - table_window(table, 2, 4, 8))) < 1e-12
+
+
+def test_make_potential_records_the_table_extent():
+    p, _ = make_potential("finite_smooth", freq(), eps=1e-3, N=6)
+    assert (p.table_k_max, p.table_j_max) == (16, 6)
+    p, _ = make_potential("finite_smooth", freq(), eps=1e-3, N=6, theta_band=4)
+    assert (p.table_k_max, p.table_j_max) == (4, 6)
+
+
+@pytest.mark.parametrize("K_theta, J_max", [(4, 8), (8, 2), (3, 1)])
+def test_fourier_leaves_table_modes_outside_the_window_out(K_theta, J_max):
+    # the table reaches |k|_inf = 16 and j = 6: on 4K or 4J points per axis
+    # those modes would fold onto kept ones
+    p, table = make_potential("finite_smooth", freq(), eps=1e-3, N=6)
+    pf = fourier_analyze(p, K_theta=K_theta, J_max=J_max)
+    expect = table_window(table, 2, K_theta, J_max)
+    assert np.max(np.abs(pf.v_hat - expect)) < 1e-14 * np.max(np.abs(expect))
 
 
 def test_fourier_reality_enforced():

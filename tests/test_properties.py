@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forms import real_projection
+from forms import form_from_blocks, real_projection
 from qpwave.fourier import reality_enforce
 from qpwave.galerkin import QuadraticForm, coupling_tensor
 from qpwave.kam import NormalForm, solve_homological
@@ -72,7 +72,7 @@ def test_homological_plugback_property(seed, tau):
     # the real Hamiltonian nearest the three blocks
     zz = 0.5 * (zz + np.conj(zbzb[::-1]))
     zz = 0.5 * (zz + np.swapaxes(zz, -1, -2))
-    qf = QuadraticForm.from_blocks(n, K, J, *real_projection(zz, zzbar, n))
+    qf = form_from_blocks(n, K, J, *real_projection(zz, zzbar, n))
     nf = NormalForm(J=J)
     omega = np.array([tau * np.sqrt(2.0)])
     try:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from forms import real_blocks, uform_blocks
+from forms import form_from_blocks, real_blocks, uform_blocks
 from oracles import analyticity_certificate
 from qpwave.fourier import kgrid
 from qpwave.galerkin import QuadraticForm, WeightedSpace
@@ -81,7 +81,7 @@ def low_band_form(rng, K=6, J=3, band=2, n=2):
 
     mask = (kinf(n, K) <= band)[..., None, None]
     blocks = (np.where(mask, b, 0.0) for b in real_blocks(rng, n, K, J))
-    return QuadraticForm.from_blocks(n, K, J, *blocks)
+    return form_from_blocks(n, K, J, *blocks)
 
 
 class TestDecompose:
@@ -150,7 +150,7 @@ class TestDecompose:
         prof = np.where(ks != 0, 1.0 / np.maximum(np.abs(ks), 1) ** (N + 1.0), 0.0)
         arr = np.zeros((2 * K + 1, J, J), dtype=complex)
         arr[:, 0, 0] = prof
-        qf = QuadraticForm.from_blocks(1, K, J, arr, arr, arr)
+        qf = form_from_blocks(1, K, J, arr, arr, arr)
         strips = [0.2, 0.1, 0.05, 0.025, 0.0125]
         ws = WeightedSpace(N, J)
         dec = decompose(qf, strips, kernel(), ws=ws)
