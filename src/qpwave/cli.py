@@ -6,9 +6,15 @@ deterministic summary.json (timings quarantined under their own key).
 Everything before the screen's tau test is the front, which does not read
 tau; a tau sweep builds it once and runs the rest at each tau.
 
+A run, each sweep tau and the sweep's front run inside one stage context
+(_Stages): `with stages.stage(name):` times each stage into timings[name]
+and records the peak RSS after it, and any error becomes a PipelineAbort
+whose detail names the stage, and the step in reduce.
+
 Exit codes: 0 converged, 2 resonant scaling value, 3 step-size abort,
 4 config error, 5 certificate failed (a step's or the verify stage's
-conjugacy), 6 internal error (any other error in a stage).
+conjugacy), 6 internal error (any other error in a stage). The engine's
+errors take theirs from ENGINE_ERRORS.
 """
 
 from __future__ import annotations
@@ -160,6 +166,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if path:
         with open(path) as f:
             data = json.load(f)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: a config is a JSON object, not {type(data).__name__}")
     data.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig.from_dict(data)
 
@@ -276,17 +284,14 @@ def peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _stage_done(timings: dict, stage: str, t0: float):
-    """Record a pipeline stage's wall time, added to any time already recorded
-    for it, and the peak RSS after it."""
-    timings[stage] = timings.get(stage, 0.0) + time.time() - t0
-    timings["peak_rss_mb"].append([stage, peak_rss_mib()])
-
-
 def _write_json(path: Path, payload: dict):
+    """Write payload through a temporary sibling and a rename, so that a kill
+    mid-write leaves the old file or the new one, never a part of one."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
+    tmp = path.with_name(f".{path.name}.tmp")
+    with open(tmp, "w") as f:
         json.dump(payload, f, indent=1, sort_keys=True)
+    os.replace(tmp, path)
 
 
 def save_checkpoint(out: Path, engine: KamEngine, record: dict, config: RunConfig):
@@ -410,6 +415,51 @@ class PipelineAbort(Exception):
         super().__init__(detail)
 
 
+# the engine's errors that end a run with their own exit code and status
+ENGINE_ERRORS = ((ResonanceError, EXIT_RESONANT, "resonant_tau"),
+                 (StepSizeError, EXIT_STEPSIZE, "step_size_abort"),
+                 (CertificateError, EXIT_CERTIFICATE, "certificate_failed"))
+
+
+class _Stages:
+    """The stage record of one run, or of a sweep's front: the current stage
+    name, timings and the start time. A stage stays current after it ends,
+    until the next one begins. As a context manager it turns any error but a
+    PipelineAbort into one whose detail names the current stage: an engine
+    error by ENGINE_ERRORS, any other as internal_error with its type."""
+
+    def __init__(self):
+        self.name = "setup"
+        self.start = time.time()
+        self.timings: dict = {"peak_rss_mb": []}  # [stage or step, peak RSS so far] in run order
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, e, traceback):
+        if not isinstance(e, Exception) or isinstance(e, PipelineAbort):
+            return False
+        for error, code, status in ENGINE_ERRORS:
+            if isinstance(e, error):
+                raise PipelineAbort(code, status, f"{self.name}: {e}") from e
+        raise PipelineAbort(EXIT_INTERNAL, "internal_error",
+                            f"{self.name}: {type(e).__name__}: {e}") from e
+
+    @contextlib.contextmanager
+    def stage(self, name: str, rss: bool = True):
+        """Make name the current stage; once it ends without an error, add
+        its wall time to timings[name] and, if rss, the peak RSS after it."""
+        self.name = name
+        t0 = time.time()
+        yield
+        self.done(name, t0, rss)
+
+    def done(self, name: str, t0: float, rss: bool = True):
+        self.timings[name] = self.timings.get(name, 0.0) + time.time() - t0
+        if rss:
+            self.timings["peak_rss_mb"].append([name, peak_rss_mib()])
+
+
 def _build_inputs(config: RunConfig, tau: float):
     freq = FrequencySpec(tuple(config.omega0), tau, config.gamma)
     pot_cfg = dict(config.potential)
@@ -445,20 +495,6 @@ def _screen(config: RunConfig, sched: Schedule) -> resonance.ScreenResult:
                                 float(sched.gamma_steps[0]), config.J_max)
 
 
-@contextlib.contextmanager
-def _stage_errors(stages: list):
-    """Turn any error of a stage but a PipelineAbort into a PipelineAbort
-    with status internal_error naming the stage entered last (in reduce,
-    with its step)."""
-    try:
-        yield
-    except PipelineAbort:
-        raise
-    except Exception as e:
-        raise PipelineAbort(EXIT_INTERNAL, "internal_error",
-                            f"{stages[-1]}: {type(e).__name__}: {e}") from e
-
-
 def _open_run_dir(config: RunConfig, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -489,13 +525,9 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
     returns the summary dict (also written).
 
     A resume first checks the stored checkpoints against config; one it
-    refuses (config_error) writes nothing. Any other error than a
-    PipelineAbort becomes one with status internal_error naming the stage,
-    and the step in reduce."""
-    t_start = time.time()
-    stages = ["setup"]  # entered so far; the last is the current one
-    timings: dict = {"peak_rss_mb": []}  # [stage or step, peak RSS so far] in run order
-    with _stage_errors(stages):
+    refuses (config_error) writes nothing. Any other error becomes a
+    PipelineAbort naming the stage, and the step in reduce (_Stages)."""
+    with _Stages() as stages:
         found = None
         if resume and config.eps != 0.0:  # a degenerate run has no steps to resume
             try:
@@ -503,11 +535,11 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
             except (CheckpointSchemaError, CheckpointConfigError) as e:
                 raise PipelineAbort(EXIT_CONFIG, "config_error", f"resume: {e}", record=False)
         out = _open_run_dir(config, out_dir)
-        front = _front(config, stages, timings)
-        return _run_tau(config, out, front, stages, timings, t_start, found)
+        front = _front(config, stages)
+        return _run_tau(config, out, front, stages, found)
 
 
-def _front(config: RunConfig, stages: list, timings: dict) -> _Front:
+def _front(config: RunConfig, stages: _Stages) -> _Front:
     summary: dict = {}
     try:
         freq, spec, _ = _build_inputs(config, config.tau)
@@ -515,65 +547,57 @@ def _front(config: RunConfig, stages: list, timings: dict) -> _Front:
         raise PipelineAbort(EXIT_CONFIG, "config_error", str(e))
 
     # 1. validate
-    stages.append("validate")
-    t0 = time.time()
-    try:
-        report = validate_assumptions(spec, config.K_check, config.validation_grid)
-    except InvalidPotentialError as e:
-        raise PipelineAbort(EXIT_CONFIG, "config_error", str(e))
-    summary["validation"] = report.as_dict()
-    _stage_done(timings, "validate", t0)
+    with stages.stage("validate"):
+        try:
+            report = validate_assumptions(spec, config.K_check, config.validation_grid)
+        except InvalidPotentialError as e:
+            raise PipelineAbort(EXIT_CONFIG, "config_error", str(e))
+        summary["validation"] = report.as_dict()
     if not report.all_ok:
         raise PipelineAbort(EXIT_CONFIG, "config_error",
                             f"potential assumptions failed: {report.as_dict()}")
 
     # 2. analyze
-    stages.append("analyze")
-    t0 = time.time()
-    pf = fourier_analyze(spec, config.K_theta, config.J_max)
-    summary["potential_tail"] = {"tail_norm": pf.tail_norm, "flagged": pf.tail_flagged}
-    _stage_done(timings, "analyze", t0)
+    with stages.stage("analyze"):
+        pf = fourier_analyze(spec, config.K_theta, config.J_max)
+        summary["potential_tail"] = {"tail_norm": pf.tail_norm, "flagged": pf.tail_flagged}
 
-    stages.append("assemble")
-    t0 = time.time()
-    ws = WeightedSpace(config.smoothness_N, config.J_max)
-    ct = coupling_tensor(config.J_max)
-    qf0 = assemble_initial_forms(pf, ct, ws)
-    _stage_done(timings, "assemble", t0)
+    with stages.stage("assemble"):
+        ws = WeightedSpace(config.smoothness_N, config.J_max)
+        ct = coupling_tensor(config.J_max)
+        qf0 = assemble_initial_forms(pf, ct, ws)
 
     # 3. schedule, analytic split and the step-0 pieces (a degenerate
     # schedule gets none)
-    stages.append("schedule_split")
-    t0 = time.time()
-    sched = _schedule(config)
-    dec = None
-    if not sched.degenerate:
-        dec = decompose(qf0, list(sched.strip), JacksonKernel(), ws=ws)
-        summary["decomposition"] = {
-            "piece_norms": dec.piece_norms,
-            "residual_norm": dec.residual_norm,
-            "bound_constants": dec.bound_constants,
-        }
-    del qf0  # the split was its only reader
-    pieces = seed_pieces(dec, sched.eps0, sched)
-    del dec  # the seeding was its only reader
-    summary["schedule"] = sched.as_dict()
-    _stage_done(timings, "schedule_split", t0)
+    with stages.stage("schedule_split"):
+        sched = _schedule(config)
+        dec = None
+        if not sched.degenerate:
+            dec = decompose(qf0, list(sched.strip), JacksonKernel(), ws=ws)
+            summary["decomposition"] = {
+                "piece_norms": dec.piece_norms,
+                "residual_norm": dec.residual_norm,
+                "bound_constants": dec.bound_constants,
+            }
+        del qf0  # the split was its only reader
+        pieces = seed_pieces(dec, sched.eps0, sched)
+        del dec  # the seeding was its only reader
+        summary["schedule"] = sched.as_dict()
 
     # 4. screen, its tau-independent part: step 0's measure scan (base
-    # frequencies, cutoff K_eff(0), gamma_0); a run adds its own screen's time
-    stages.append("screen")
-    t0 = time.time()
-    scan = resonance.measure_scan(NormalForm(J=config.J_max), freq,
-                                  sched.K_eff(0, config.K_theta), float(sched.gamma_steps[0]),
-                                  config.J_max, config.tau_grid_points)
-    scan_csv = _resonance_csv(scan)
-    timings["screen"] = time.time() - t0
+    # frequencies, cutoff K_eff(0), gamma_0); a run adds its own screen's
+    # time and the peak RSS after it
+    with stages.stage("screen", rss=False):
+        scan = resonance.measure_scan(NormalForm(J=config.J_max), freq,
+                                      sched.K_eff(0, config.K_theta),
+                                      float(sched.gamma_steps[0]), config.J_max,
+                                      config.tau_grid_points)
+        scan_csv = _resonance_csv(scan)
     return _Front(freq, pf, ct, ws, sched, pieces, scan, scan_csv, summary)
 
 
-def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings: dict,
-             t_start: float, found: list | None = None) -> dict:
+def _run_tau(config: RunConfig, out: Path, front: _Front, stages: _Stages,
+             found: list | None = None) -> dict:
     """The run at config.tau from its front: screen, reduce, the per-step
     scans for m >= 1, verify and the summary. A resume continues from the
     checkpoint_states found, if any."""
@@ -587,62 +611,51 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings:
     }
 
     # 4. screen at entry parameters (the front ran step 0's scan)
-    stages.append("screen")
-    t0 = time.time()
-    screen = _screen(config, sched)
-    summary["resonance"] = {
-        "screen_passed": screen.passed,
-        "worst_query": screen.worst.as_dict(),
-        "scan": front.scan.as_dict(),
-    }
-    (out / "resonance.csv").write_text(front.scan_csv)
-    _stage_done(timings, "screen", t0)
+    with stages.stage("screen"):
+        screen = _screen(config, sched)
+        summary["resonance"] = {
+            "screen_passed": screen.passed,
+            "worst_query": screen.worst.as_dict(),
+            "scan": front.scan.as_dict(),
+        }
+        (out / "resonance.csv").write_text(front.scan_csv)
     if not screen.passed:
         raise PipelineAbort(EXIT_RESONANT, "resonant_tau",
                             f"tau={config.tau} rejected: {screen.worst.as_dict()}")
 
     # 5. reduce (a degenerate schedule gets no pieces and no steps)
-    stages.append("reduce")
-    t0 = time.time()
-    opts = KamOptions(picard_tol=config.picard_tol,
-                      residual_tol=config.residual_tol,
-                      norm_grid=config.norm_grid)
-    restored = load_checkpoints(out, config, found) if found else None
-    if restored is not None:
-        m_next, mu_history, pieces, chain, records = restored
-        nf = NormalForm(J=config.J_max,
-                        mu_history=[(e, mu) for e, mu in mu_history])
-        engine = KamEngine(pieces, freq, sched, ws, K_theta=config.K_theta,
-                           options=opts, normal_form=nf, chain=chain,
-                           m_start=m_next, diagnostics=list(records))
-    else:
-        engine = KamEngine(front.pieces, freq, sched, ws, K_theta=config.K_theta,
-                           options=opts)
-    # the engine alone holds the step-0 or restored pieces, so that each step
-    # frees the pieces it replaces (a sweep's front keeps its own list of them)
-    restored = pieces = front.pieces = None
-    timings["steps"] = []  # the engine's sub-stage times of each step run here
-    try:
+    timings = stages.timings
+    with stages.stage("reduce"):
+        opts = KamOptions(picard_tol=config.picard_tol,
+                          residual_tol=config.residual_tol,
+                          norm_grid=config.norm_grid)
+        restored = load_checkpoints(out, config, found) if found else None
+        if restored is not None:
+            m_next, mu_history, pieces, chain, records = restored
+            nf = NormalForm(J=config.J_max,
+                            mu_history=[(e, mu) for e, mu in mu_history])
+            engine = KamEngine(pieces, freq, sched, ws, K_theta=config.K_theta,
+                               options=opts, normal_form=nf, chain=chain,
+                               m_start=m_next, diagnostics=list(records))
+        else:
+            engine = KamEngine(front.pieces, freq, sched, ws, K_theta=config.K_theta,
+                               options=opts)
+        # the engine alone holds the step-0 or restored pieces, so that each
+        # step frees the pieces it replaces (a sweep's front keeps its own
+        # list of them)
+        restored = pieces = front.pieces = None
+        timings["steps"] = []  # the engine's sub-stage times of each step run here
         while not engine.finished:
-            stages.append(f"reduce, step m={engine.state.m}")
+            stages.name = f"reduce, step m={engine.state.m}"
             record = engine.step()
             t_save = time.time()
             save_checkpoint(out, engine, record, config)
             timings["steps"].append({"m": record["m"], **engine.step_timings,
                                      "save_s": time.time() - t_save})
             timings["peak_rss_mb"].append([f"step {record['m']}", peak_rss_mib()])
-    except ResonanceError as e:
-        raise PipelineAbort(EXIT_RESONANT, "resonant_tau",
-                            f"reduce, step m={engine.state.m}: {e}")
-    except StepSizeError as e:
-        raise PipelineAbort(EXIT_STEPSIZE, "step_size_abort",
-                            f"reduce, step m={engine.state.m}: {e}")
-    except CertificateError as e:
-        raise PipelineAbort(EXIT_CERTIFICATE, "certificate_failed", f"reduce, {e}")
-    stages.append("reduce")
-    result = engine.result()
-    del engine  # with its last pieces and generator: the rest reads result
-    _stage_done(timings, "reduce", t0)
+        stages.name = "reduce"
+        result = engine.result()
+        del engine  # with its last pieces and generator: the rest reads result
 
     summary["steps"] = result.history
     summary["normal_form"] = {
@@ -680,20 +693,18 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: list, timings:
     # 6. verify
     detail = None
     if config.run_verify:
-        stages.append("verify")
-        t0 = time.time()
-        summary["verify"] = _verify_stage(config, freq, front.pf, front.ct, result, ws,
-                                          sched, out)
-        _stage_done(timings, "verify", t0)
+        with stages.stage("verify"):
+            summary["verify"] = _verify_stage(config, freq, front.pf, front.ct, result, ws,
+                                              sched, out)
         conj = summary["verify"]["conjugacy"]
         if not conj["within_tolerance"]:
             detail = (f"verify: conjugacy max_rel_deviation {conj['max_rel_deviation']:.3e}"
                       f" > tolerance {conj['tolerance']:.3e}")
             summary["detail"] = detail
 
-    stages.append("summary")
+    stages.name = "summary"
     summary["status"] = "converged" if detail is None else "certificate_failed"
-    timings["total"] = time.time() - t_start
+    timings["total"] = time.time() - stages.start
     timings["machine"] = machine_info()
     summary["timings"] = timings
     _write_json(out / "summary.json", summary)
@@ -782,7 +793,7 @@ def sweep_tau(config: RunConfig, out_dir: str | Path) -> dict:
     """Run the pipeline at each tau of config.tau_sweep into tau_<i>/: the
     front once, then the run at each tau. A front that fails gives every tau
     its status; the front's stage times and peak RSS go under timings."""
-    t_start = time.time()
+    front_stages = _Stages()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if config.tau_sweep is None:
@@ -793,27 +804,22 @@ def sweep_tau(config: RunConfig, out_dir: str | Path) -> dict:
     taus = np.linspace(float(lo), float(hi), count)
     runs = [RunConfig.from_dict({**config.as_dict(), "tau": float(tau), "tau_sweep": None})
             for tau in taus]
-    stages = ["setup"]
-    front_timings: dict = {"peak_rss_mb": []}
     try:
-        with _stage_errors(stages):
-            front = _front(runs[0], stages, front_timings)
+        with front_stages:
+            front = _front(runs[0], front_stages)
     except PipelineAbort as e:
         front = e  # every tau fails as the front did
-    _stage_done(front_timings, "front", t_start)
+    front_stages.done("front", front_stages.start)
     results = []
     for i, run in enumerate(runs):
-        t0 = time.time()
-        stages = ["setup"]
         try:
-            with _stage_errors(stages):
+            with _Stages() as stages:
                 run_out = _open_run_dir(run, out / f"tau_{i:03d}")
                 if isinstance(front, PipelineAbort):
                     raise front.with_traceback(None)
                 # the run takes over its own list of the step-0 pieces, so
                 # the front's list keeps them for the next tau
-                s = _run_tau(run, run_out, replace(front, pieces=list(front.pieces)),
-                             stages, {"peak_rss_mb": []}, t0)
+                s = _run_tau(run, run_out, replace(front, pieces=list(front.pieces)), stages)
             results.append({"tau": run.tau, "status": "converged",
                             "max_abs_xi": s["multiplier"]["max_abs"]})
         except PipelineAbort as e:
@@ -822,7 +828,7 @@ def sweep_tau(config: RunConfig, out_dir: str | Path) -> dict:
     # certificates are neither converged nor excluded
     statuses = [r["status"] for r in results]
     excluded = statuses.count("resonant_tau") / count
-    front_timings["total"] = time.time() - t_start  # of the whole sweep
+    front_stages.timings["total"] = time.time() - front_stages.start  # of the whole sweep
     aggregate = {
         "schema_version": SCHEMA_VERSION,
         "taus": taus.tolist(),
@@ -831,7 +837,7 @@ def sweep_tau(config: RunConfig, out_dir: str | Path) -> dict:
         "excluded_fraction": excluded,
         "empirical_constant": excluded / config.gamma ** (1.0 / 3.0),
         "bound_form": "converged_fraction >= 1 - c * gamma^(1/3)",
-        "timings": front_timings,
+        "timings": front_stages.timings,
     }
     _write_json(out / "sweep_summary.json", aggregate)
     return aggregate
@@ -889,8 +895,11 @@ def _cmd_report(out: Path) -> int:
     if not summary_path.exists():
         print("no summary.json under --out", file=sys.stderr)
         return EXIT_CONFIG
-    with open(summary_path) as f:
-        summary = json.load(f)
+    try:
+        summary = json.loads(summary_path.read_text())
+    except json.JSONDecodeError as e:
+        print(f"{summary_path}: not JSON: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     steps = summary.get("steps", [])
     with open(out / "steps_report.csv", "w") as f:
         f.write("m,eps_m,K_eff,divisor_min,homological_residual,P_norm,P_bound,"
@@ -931,7 +940,7 @@ def main(argv: list | None = None) -> int:
                 raise ValueError(f"--tau-sweep must be LO:HI:COUNT, got {args.tau_sweep!r}")
             overrides["tau_sweep"] = [float(parts[0]), float(parts[1]), int(parts[2])]
         config = load_config(args.config, overrides)
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, TypeError, OSError) as e:  # a value of the wrong type is a TypeError
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -243,7 +243,7 @@ def grid_points(G: int, K: int) -> int:
     return max(G, 2 * K + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadraticForm:
     """A real quadratic Hamiltonian piece H(theta) = <S(theta) x, x> in the
     real coordinates x = (q, p), S(theta) real symmetric (2J, 2J).
@@ -254,8 +254,8 @@ class QuadraticForm:
     <zz z, z> + <zzbar z, zbar> + <zbzb zbar, zbar> in z = (q - i p)/sqrt(2).
 
     norms is form_norm's memo, keyed by (weighted space, grid points); while
-    it holds a value, coeffs is read-only, and a new coeffs (symmetrize)
-    clears it.
+    it holds a value, coeffs is read-only. The form is frozen, so coeffs is
+    never rebound and the memo cannot go stale.
     """
 
     n: int
@@ -263,11 +263,6 @@ class QuadraticForm:
     J: int
     coeffs: np.ndarray
     norms: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __setattr__(self, name, value):
-        if name == "coeffs" and "norms" in self.__dict__:
-            self.norms.clear()
-        super().__setattr__(name, value)
 
     @classmethod
     def zeros(cls, n: int, K: int, J: int) -> "QuadraticForm":
@@ -297,10 +292,6 @@ class QuadraticForm:
         return tuple(QuadraticForm(self.n, self.K, self.J, part)
                      for part in (np.where(low_mask, self.coeffs, 0.0),
                                   np.where(low_mask, 0.0, self.coeffs)))
-
-    def symmetrize(self):
-        """Enforce the exact symmetry of S."""
-        self.coeffs = 0.5 * (self.coeffs + np.swapaxes(self.coeffs, -1, -2))
 
     def grid_values(self, G: int) -> np.ndarray:
         """Real values of S on the flat uniform theta grid of at least window

@@ -664,9 +664,8 @@ def push_remainder(
                           flow.B, eps_m, n, K, grid, w2, series_terms)
     del star
 
-    first = tail.scaled(eps_m / eps_next)
-    first.coeffs += (eps_m**2 / eps_next) * bc
-    new_pieces = [first]
+    new_pieces = [tail.scaled(eps_m / eps_next)]
+    new_pieces[0].coeffs[...] += (eps_m**2 / eps_next) * bc
     del bc
 
     for idx, piece in enumerate(pieces[1:]):
@@ -679,8 +678,9 @@ def push_remainder(
         else:
             new_pieces.append(moved)
 
-    for piece in new_pieces:
-        piece.symmetrize()
+    for i, piece in enumerate(new_pieces):  # made exactly symmetric
+        new_pieces[i] = QuadraticForm(n, K, J,
+                                      0.5 * (piece.coeffs + np.swapaxes(piece.coeffs, -1, -2)))
 
     # one decision over the last term of every slab of both bracket streams
     last_sizes = [s[-1] for s in series_terms.values() if s]
@@ -873,8 +873,7 @@ class KamEngine:
         sol = solve_homological(R_mm, st.normal_form, omega, K_eff, gamma_m)
         if not sol.residual <= PLUGBACK_TOL:  # NaN fails too, before any SVD of F
             raise CertificateError(
-                f"step m={m}: homological_residual {sol.residual:.3e} > {PLUGBACK_TOL:.1e}"
-            )
+                f"homological_residual {sol.residual:.3e} > {PLUGBACK_TOL:.1e}")
         solution_norms = dict(zip(("zz", "zzbar", "zbzb"), block_norms(
             sol.F.grid_values(self.opts.norm_grid), self.ws.opnorm_weighted)))
 
@@ -885,21 +884,17 @@ class KamEngine:
                               picard_tol=self.opts.picard_tol)
         if not flow.symplectic_defect <= SYMPLECTIC_TOL:  # NaN fails too
             raise CertificateError(
-                f"step m={m}: symplectic_defect {flow.symplectic_defect:.3e} > "
-                f"{SYMPLECTIC_TOL:.1e}"
-            )
+                f"symplectic_defect {flow.symplectic_defect:.3e} > {SYMPLECTIC_TOL:.1e}")
         P_bound = math.sqrt(eps_m)
         if not flow.P_norm <= P_bound:  # NaN fails too
-            raise CertificateError(
-                f"step m={m}: P_norm {flow.P_norm:.3e} > P_bound {P_bound:.3e}"
-            )
+            raise CertificateError(f"P_norm {flow.P_norm:.3e} > P_bound {P_bound:.3e}")
         clock.append(time.perf_counter())
 
         new_pieces, push_diag = push_remainder(
             st.remainder, sol, flow, eps_m, eps_next, self.ws, self.grid,
         )
         if not push_diag.spec_truncation_ok:
-            raise CertificateError(f"step m={m}: series_truncation_spec_ok is false")
+            raise CertificateError("series_truncation_spec_ok is false")
         clock.append(time.perf_counter())
 
         eps_old = [sched.eps_at(m + i) for i in range(len(st.remainder))]
@@ -909,10 +904,8 @@ class KamEngine:
             nf_new.lambdas(), new_pieces, eps_new_w, flow, omega,
         )
         if not consistency <= self.opts.residual_tol:  # NaN fails too
-            raise CertificateError(
-                f"step m={m}: consistency_defect {consistency:.3e} > "
-                f"residual_tol {self.opts.residual_tol:.1e}"
-            )
+            raise CertificateError(f"consistency_defect {consistency:.3e} > "
+                                   f"residual_tol {self.opts.residual_tol:.1e}")
         clock.append(time.perf_counter())
 
         self.chain.append(flow)

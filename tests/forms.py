@@ -44,9 +44,8 @@ def form_from_blocks(n, K, J, zz, zzbar, zbzb) -> QuadraticForm:
     scale = max(float(np.max(np.abs(b))) for b in (zz, zzbar, zbzb))
     if not defect <= STRUCTURE_RTOL * scale:
         raise ValueError(f"form is not a real Hamiltonian: structure defect {defect:.3e}")
-    qf = QuadraticForm(n, K, J, qp_from_blocks(zz, zzbar, zbzb)[half_index(n, K)])
-    qf.symmetrize()
-    return qf
+    S = qp_from_blocks(zz, zzbar, zbzb)[half_index(n, K)]
+    return QuadraticForm(n, K, J, 0.5 * (S + np.swapaxes(S, -1, -2)))
 
 
 def real_form(rng, n, K, J, scale=1.0) -> QuadraticForm:

@@ -17,6 +17,7 @@ from qpwave.cli import (
     EXIT_CONVERGED,
     EXIT_INTERNAL,
     EXIT_RESONANT,
+    EXIT_STEPSIZE,
     PipelineAbort,
     RunConfig,
     main,
@@ -554,8 +555,6 @@ class TestCertificateAbort:
 
 class TestStepSizeAbort:
     def test_oversized_perturbation_aborts_with_code_3(self, tmp_path):
-        from qpwave.cli import EXIT_STEPSIZE
-
         cfg = tiny_config(eps=0.4, potential={"preset": "finite_smooth",
                                               "scale": 3.0, "theta_band": 2})
         with pytest.raises(PipelineAbort) as err:
@@ -917,18 +916,89 @@ class TestMain:
         assert summary["detail"].startswith(
             f"reduce: ValueError: checkpoint array {path}: {check} ")
 
-    def test_any_error_in_a_step_is_internal_error(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("owner, callee, stage", [
+        (cli, "validate_assumptions", "validate"),
+        (cli, "fourier_analyze", "analyze"),
+        (cli, "assemble_initial_forms", "assemble"),
+        (cli, "decompose", "schedule_split"),
+        (resonance, "measure_scan", "screen"),  # the front's step-0 scan
+        (cli, "_screen", "screen"),
+        (kam.KamEngine, "step", "reduce, step m=0"),
+        (kam.KamEngine, "result", "reduce"),
+        (cli, "_verify_stage", "verify"),
+    ], ids=["validate_assumptions", "fourier_analyze", "assemble_initial_forms", "decompose",
+            "measure_scan", "_screen", "KamEngine.step", "KamEngine.result", "_verify_stage"])
+    def test_every_stage_names_itself(self, tmp_path, monkeypatch, owner, callee, stage):
         def broken(*a, **k):
             raise ValueError("bad value")
 
-        monkeypatch.setattr(kam, "push_remainder", broken)
+        monkeypatch.setattr(owner, callee, broken)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(TINY))
         out = tmp_path / "v"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "internal_error"
-        assert summary["detail"] == "reduce, step m=0: ValueError: bad value"
+        assert summary["detail"] == f"{stage}: ValueError: bad value"
+
+    @pytest.mark.parametrize("error, code, status", [
+        (kam.ResonanceError("zz", (1, 0), 1, 2, 1e-5, 1e-3), EXIT_RESONANT, "resonant_tau"),
+        (kam.StepSizeError("Picard iteration did not converge; reduce eps"), EXIT_STEPSIZE,
+         "step_size_abort"),
+        (kam.CertificateError("P_norm 1.000e+00 > P_bound 3.162e-02"), EXIT_CERTIFICATE,
+         "certificate_failed"),
+    ], ids=["resonance", "step_size", "certificate"])
+    def test_engine_errors_keep_their_exit_code_and_name_the_step(self, tmp_path, monkeypatch,
+                                                                  error, code, status):
+        step = kam.KamEngine.step
+
+        def failing_second_step(engine):
+            if engine.state.m == 1:
+                raise error
+            return step(engine)
+
+        monkeypatch.setattr(kam.KamEngine, "step", failing_second_step)
+        detail = f"reduce, step m=1: {error}"
+        with pytest.raises(PipelineAbort) as err:
+            run_pipeline(tiny_config(run_verify=False), tmp_path / "run")
+        assert (err.value.code, err.value.status, err.value.detail) == (code, status, detail)
+        agg = sweep_tau(tiny_config(tau_sweep=[1.28, 1.29, 2], run_verify=False),
+                        tmp_path / "sweep")
+        assert agg["results"] == [{"tau": tau, "status": status, "detail": detail}
+                                  for tau in (1.28, 1.29)]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("content, message", [
+        ('{"J_max": "8"}', "'<' not supported between instances of 'int' and 'str'"),
+        ("[1, 2]", "a config is a JSON object, not list"),
+    ], ids=["string_J_max", "list"])
+    def test_malformed_config_file_is_config_error(self, tmp_path, capsys, command, content,
+                                                   message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(content)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+    def test_report_of_a_damaged_summary_is_config_error(self, three_step_run, tmp_path,
+                                                         capsys):
+        _, full_out, _ = three_step_run
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").write_bytes((full_out / "summary.json").read_bytes()[:200])
+        assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"{out / 'summary.json'}: not JSON: ")
+        assert not (out / "steps_report.csv").exists()
+
+    def test_a_failed_json_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        cli._write_json(path, {"status": "converged"})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):  # json.dump has written part of it by then
+            cli._write_json(path, {"status": "incomplete", "timings": object()})
+        assert path.read_bytes() == before
 
     def test_os_error_names_its_stage(self, tmp_path, monkeypatch):
         write_text = cli.Path.write_text

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -223,17 +224,17 @@ class TestNormMemo:
         assert (form_norm(qf, first, 8), form_norm(qf, other, 8)) == (a, b)
         assert len(evaluated) == 2 and len(qf.norms) == 2
 
-    def test_new_coefficients_clear_the_memo(self, monkeypatch):
+    def test_coefficients_cannot_be_rebound(self):
+        # a frozen form: new coefficients make a new form with its own memo
         qf = real_form(np.random.default_rng(103), 2, 2, 3)
         ws = WeightedSpace(3, 3)
         norm = form_norm(qf, ws, 8)
-        qf.symmetrize()
-        assert qf.norms == {} and qf.coeffs.flags.writeable
-        qf.coeffs *= 2.0
-        assert form_norm(qf, ws, 8) == pytest.approx(2.0 * norm, rel=1e-14)
-        qf.coeffs = 0.5 * qf.coeffs
-        assert qf.norms == {}
-        assert form_norm(qf, ws, 8) == pytest.approx(norm, rel=1e-14)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            qf.coeffs = 0.5 * qf.coeffs
+        assert form_norm(qf, ws, 8) == norm == form_norm(self.fresh(qf), ws, 8)
+        doubled = qf.scaled(2.0)
+        assert doubled.norms == {} and doubled.coeffs.flags.writeable
+        assert form_norm(doubled, ws, 8) == pytest.approx(2.0 * norm, rel=1e-14)
 
     def test_a_normed_form_refuses_in_place_writes(self):
         qf = real_form(np.random.default_rng(104), 2, 2, 3)
@@ -425,7 +426,7 @@ class TestQuadraticForm:
         before = qf.coeffs.copy()
         low, high = qf.truncate(1)
         for part in (low, high):
-            part.coeffs += 1.0
+            part.coeffs[...] += 1.0
         assert np.array_equal(qf.coeffs, before)
 
     def test_truncate_zero_keeps_average_only(self):

@@ -649,7 +649,7 @@ def whole_grid_push(pieces, sol, flow, eps_m, eps_next, ws, grid):
     acc_b, _ = kam._lie_series(bracket_sym(star.grid_values(grid), JS_S), JS_S, eps_m, 2, w2)
     acc_c, _ = kam._lie_series(bracket_sym(R_mm.grid_values(grid), JS_S), JS_S, eps_m, 1, w2)
     first = tail.scaled(eps_m / eps_next)
-    first.coeffs = first.coeffs + (eps_m**2 / eps_next) * window(acc_b + acc_c)
+    first.coeffs[...] += (eps_m**2 / eps_next) * window(acc_b + acc_c)
     new_pieces = [first]
     for idx, piece in enumerate(pieces[1:]):
         acc_p, _ = kam._lie_series(piece.grid_values(grid), JS_S, eps_m, 0, w2)
@@ -658,9 +658,8 @@ def whole_grid_push(pieces, sol, flow, eps_m, eps_next, ws, grid):
             new_pieces[0] = new_pieces[0] + moved
         else:
             new_pieces.append(moved)
-    for piece in new_pieces:
-        piece.symmetrize()
-    return new_pieces
+    return [QuadraticForm(n, K, J, 0.5 * (p.coeffs + np.swapaxes(p.coeffs, -1, -2)))
+            for p in new_pieces]
 
 
 class TestStreamedPush:
@@ -981,7 +980,7 @@ class TestConsistencyOracle:
         pieces = seed_pieces(dec, sched.eps0, sched)
         engine = KamEngine(pieces, freq, sched, ws, K_theta=pf.K_theta,
                            options=KamOptions(norm_grid=8, residual_tol=1e-30))
-        with pytest.raises(CertificateError, match=r"step m=0: consistency_defect"):
+        with pytest.raises(CertificateError, match=r"^consistency_defect "):
             engine.step()
         # nothing of the failed step was committed
         assert engine.state.m == 0
@@ -1024,7 +1023,7 @@ class TestCertificateGates:
         engine = KamEngine(pieces, freq, sched, ws, K_theta=pf.K_theta,
                            options=KamOptions(norm_grid=8))
         with pytest.raises(CertificateError,
-                           match=r"step m=0: P_norm \S+ > P_bound 3\.162e-02"):
+                           match=r"^P_norm \S+ > P_bound 3\.162e-02$"):
             engine.step()
         assert engine.state.m == 0
         assert engine.state.remainder is pieces
@@ -1040,7 +1039,7 @@ class TestCertificateGates:
         engine = KamEngine(pieces, freq, sched, ws, K_theta=pf.K_theta,
                            options=KamOptions(norm_grid=8))
         fail_certificate(gate)
-        with pytest.raises(CertificateError, match=rf"step m=0: {gate}"):
+        with pytest.raises(CertificateError, match=rf"^{gate} "):
             engine.step()
         assert engine.state.m == 0
         assert engine.state.remainder is pieces

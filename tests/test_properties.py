@@ -16,10 +16,8 @@ HALF_PI = np.pi / 2.0
 def small_form(draw, n=1, K=3, J=4):
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
-    qf = QuadraticForm.zeros(n, K, J)
-    shape = qf.coeffs.shape
-    qf.coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return qf
+    shape = QuadraticForm.zeros(n, K, J).coeffs.shape
+    return QuadraticForm(n, K, J, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 @st.composite
