@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import resonance
-from .fourier import product_grid_size
+from .fourier import half_index, kinf, product_grid_size
 from .galerkin import (
     QuadraticForm,
     WeightedSpace,
@@ -85,6 +85,10 @@ EXIT_INTERNAL = 6
 SCHEMA_VERSION = 1  # of summary.json; checkpoints have CHECKPOINT_SCHEMA
 
 DEFAULT_OMEGA0 = (1.0, 1.4142135623730951, 1.7320508075688772, 2.2360679774997896)
+
+
+# the types RunConfig.from_dict accepts for a field of each scalar annotation
+_SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool}
 
 
 @dataclass
@@ -151,10 +155,19 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """The config of data's keys; an unknown key is a ValueError, and a
+        value of the wrong type in an int, float or bool field a TypeError
+        naming the field (an int field takes no bool, a float field an int)."""
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            kind = cls.__dataclass_fields__[name].type  # a string, by the __future__ import
+            allowed = _SCALAR_TYPES.get(kind)
+            if allowed and (not isinstance(value, allowed)
+                            or (isinstance(value, bool) and kind != "bool")):
+                raise TypeError(f"{name} must be {kind}, not {type(value).__name__}")
         return cls(**data)
 
     def as_dict(self) -> dict:
@@ -175,14 +188,15 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 # Checkpoints: one directory per step, state.json and its arrays
 
-CHECKPOINT_SCHEMA = 5  # format of a step directory
+CHECKPOINT_SCHEMA = 6  # format of a step directory
 CHECKPOINT_ENCODING = (
     "complex128 little-endian float64 (re, im) pairs, row-major. Every array is an "
     "exactly symmetric (q, p) form of shape (k-window half..., 2J, 2J), coefficients "
     "for k_last >= 0, stored as the upper triangle of each matrix, diagonal included "
-    "(numpy.triu_indices(2J)), over shape[:-2]. generator.bin holds the step's "
-    "homological generator F, piece_<i>.bin remainder piece i; only the two newest "
-    "steps keep pieces. An all-zero array has no file and is named in zero_arrays")
+    "(numpy.triu_indices(2J)), on the centred window |k|_inf <= windows[name] of "
+    "shape[:-2] (K if absent; -1 is the zero form, with no file). generator.bin holds "
+    "the step's homological generator F, piece_<i>.bin remainder piece i; only the two "
+    "newest steps keep pieces")
 # the RunConfig fields the reduce reads: checkpoints written under other values
 # hold another run's state
 REDUCE_CONFIG_KEYS = ("n", "omega0", "tau", "gamma", "eps", "smoothness_N", "potential",
@@ -228,19 +242,36 @@ def _load_complex(path: Path, shape) -> np.ndarray:
     return np.frombuffer(data, dtype="<c16").reshape(shape).astype(complex)
 
 
+def _window(n: int, K: int, K_s: int) -> tuple:
+    """Index of the centred window |k|_inf <= K_s in a half-window array of
+    truncation K: rows K-K_s..K+K_s of the first n-1 axes, 0..K_s of the last."""
+    return (slice(K - K_s, K + K_s + 1),) * (n - 1) + (slice(0, K_s + 1),)
+
+
+def _support(coeffs: np.ndarray, n: int, K: int) -> int:
+    """The least K_s whose window holds every nonzero coefficient of a
+    half-window form of truncation K; -1 for the zero form."""
+    rings = kinf(n, K)[half_index(n, K)][coeffs.any(axis=(-2, -1))]
+    return int(rings.max()) if rings.size else -1
+
+
 def _load_form(path: Path, state: dict) -> QuadraticForm:
-    """The symmetric form stored at path as its upper triangles, or the zero
-    form when state.json names it in zero_arrays; (n, K, J) come from the
-    stored shape, (2K+1,)*(n-1) + (K+1, 2J, 2J)."""
+    """The symmetric form stored at path as the upper triangles of its window
+    |k|_inf <= K_s, zero outside it; K_s is state.json's windows entry, K
+    without one, and -1 (the zero form) reads no file. (n, K, J) come from
+    the stored shape, (2K+1,)*(n-1) + (K+1, 2J, 2J)."""
     shape = state["shape"]
     n, K, J = len(shape) - 2, shape[-3] - 1, shape[-1] // 2
-    if path.name in state["zero_arrays"]:
-        return QuadraticForm.zeros(n, K, J)
-    packed = _load_complex(path, shape[:-2] + [J * (2 * J + 1)])
-    out = np.empty(shape, dtype=complex)
-    rows, cols = np.triu_indices(2 * J)
-    out[..., rows, cols] = packed
-    out[..., cols, rows] = packed
+    K_s = state["windows"].get(path.name, K)
+    if type(K_s) is not int or not -1 <= K_s <= K:
+        raise ValueError(f"checkpoint array {path}: window K_s = {K_s!r} outside [-1, {K}]")
+    out = np.zeros(shape, dtype=complex)
+    if K_s >= 0:
+        window = _window(n, K, K_s)
+        packed = _load_complex(path, [2 * K_s + 1] * (n - 1) + [K_s + 1, J * (2 * J + 1)])
+        rows, cols = np.triu_indices(2 * J)
+        out[(*window, rows, cols)] = packed
+        out[(*window, cols, rows)] = packed
     return QuadraticForm(n, K, J, out)
 
 
@@ -300,8 +331,10 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict, config: RunConfi
     directory is either complete or absent. Then drop the pieces of every
     step before m - 1: resume reads the pieces of the newest complete step
     only, and step m - 1 keeps its own for a resume after step m is lost.
-    An all-zero form gets no file. A form that is not exactly symmetric,
-    which its upper triangle would not restore, is a ValueError."""
+    Each form is written on the window its nonzero coefficients fill, named
+    in windows when smaller than K, and an all-zero form gets no file. A
+    form that is not exactly symmetric, which its upper triangle would not
+    restore, is a ValueError."""
     st = engine.state
     forms = {f"piece_{i}.bin": piece.coeffs for i, piece in enumerate(st.remainder)}
     forms["generator.bin"] = engine.generator.coeffs
@@ -316,12 +349,15 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict, config: RunConfi
     if tmp_dir.exists():
         shutil.rmtree(tmp_dir)
     tmp_dir.mkdir(parents=True)
-    shape = engine.generator.coeffs.shape
-    upper = np.triu_indices(shape[-1])
-    zero = [name for name, coeffs in forms.items() if not coeffs.any()]
+    n, K, J = engine.generator.n, engine.generator.K, engine.generator.J
+    upper = np.triu_indices(2 * J)
+    windows = {}
     for name, coeffs in forms.items():
-        if name not in zero:
-            _save_complex(tmp_dir / name, coeffs[(..., *upper)])
+        K_s = _support(coeffs, n, K)
+        if K_s < K:
+            windows[name] = K_s
+        if K_s >= 0:
+            _save_complex(tmp_dir / name, coeffs[_window(n, K, K_s)][(..., *upper)])
     _write_json(tmp_dir / "state.json", {
         "schema": CHECKPOINT_SCHEMA,
         "config": _reduce_config(config),
@@ -329,8 +365,8 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict, config: RunConfi
         "record": record,
         "mu_history": [[e, mu.tolist()] for e, mu in st.normal_form.mu_history],
         "pieces": len(st.remainder),
-        "shape": list(shape),
-        "zero_arrays": zero,
+        "shape": list(engine.generator.coeffs.shape),
+        "windows": windows,
         "encoding": CHECKPOINT_ENCODING,
     })
     if step_dir.exists():
@@ -870,47 +906,62 @@ def _report_cell(value) -> str:
     return "" if value is None else f"{value:.6e}"
 
 
-def _write_timings_report(path: Path, timings: dict):
-    """One row per stage and step in run order (the order of
-    timings.peak_rss_mb): stage seconds, step sub-stage and checkpoint-save
-    seconds, peak RSS so far; then the total. Cells a summary lacks stay
-    empty (a run from before timings.steps has no sub-stage cells)."""
+def _timings_report(timings: dict) -> str:
+    """timings_report.csv: one row per stage and step in run order (the order
+    of timings.peak_rss_mb): stage seconds, step sub-stage and
+    checkpoint-save seconds, peak RSS so far; then the total. Cells a summary
+    lacks stay empty (a run from before timings.steps has no sub-stage
+    cells)."""
     steps = {f"step {entry['m']}": entry for entry in timings.get("steps", [])}
     columns = STEP_TIMINGS + ("save_s",)
-    with open(path, "w") as f:
-        f.write(",".join(("entry", "seconds") + columns + ("peak_rss_mb",)) + "\n")
-        for name, rss in timings.get("peak_rss_mb", []):
-            sub = steps.get(name, {})
-            cells = [name, _report_cell(timings.get(name))]
-            cells += [_report_cell(sub.get(key)) for key in columns]
-            f.write(",".join(cells + [_report_cell(rss)]) + "\n")
-        f.write(",".join(["total", _report_cell(timings.get("total"))]
-                         + [""] * (len(columns) + 1)) + "\n")
+    rows = [("entry", "seconds") + columns + ("peak_rss_mb",)]
+    for name, rss in timings.get("peak_rss_mb", []):
+        sub = steps.get(name, {})
+        rows.append([name, _report_cell(timings.get(name)),
+                     *(_report_cell(sub.get(key)) for key in columns), _report_cell(rss)])
+    rows.append(["total", _report_cell(timings.get("total"))] + [""] * (len(columns) + 1))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _steps_report(steps: list) -> str:
+    """steps_report.csv: one row of certificates per step record."""
+    rows = ["m,eps_m,K_eff,divisor_min,homological_residual,P_norm,P_bound,"
+            "symplectic_defect,consistency_defect,weighted_size"]
+    for rec in steps:
+        cells = [str(rec["m"]), _report_cell(rec["eps_m"]), str(rec["K_eff"])]
+        cells += [_report_cell(rec[key]) for key in
+                  ("divisor_min", "homological_residual", "P_norm", "P_bound",
+                   "symplectic_defect", "consistency_defect", "weighted_size")]
+        rows.append(",".join(cells))
+    return "".join(row + "\n" for row in rows)
 
 
 def _cmd_report(out: Path) -> int:
     """Re-render steps_report.csv and timings_report.csv from the run's
-    summary.json, without recomputation."""
+    summary.json, without recomputation. A summary.json that is not JSON, or
+    not of a run summary's shape, is a config error naming the file, and
+    neither report is written."""
     summary_path = out / "summary.json"
     if not summary_path.exists():
         print("no summary.json under --out", file=sys.stderr)
         return EXIT_CONFIG
     try:
         summary = json.loads(summary_path.read_text())
+        if not isinstance(summary, dict):
+            raise TypeError(f"a summary is a JSON object, not {type(summary).__name__}")
+        steps_csv = _steps_report(summary.get("steps", []))
+        timings_csv = _timings_report(summary.get("timings", {}))
     except json.JSONDecodeError as e:
         print(f"{summary_path}: not JSON: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    steps = summary.get("steps", [])
-    with open(out / "steps_report.csv", "w") as f:
-        f.write("m,eps_m,K_eff,divisor_min,homological_residual,P_norm,P_bound,"
-                "symplectic_defect,consistency_defect,weighted_size\n")
-        for rec in steps:
-            cells = [str(rec["m"]), _report_cell(rec["eps_m"]), str(rec["K_eff"])]
-            cells += [_report_cell(rec[key]) for key in
-                      ("divisor_min", "homological_residual", "P_norm", "P_bound",
-                       "symplectic_defect", "consistency_defect", "weighted_size")]
-            f.write(",".join(cells) + "\n")
-    _write_timings_report(out / "timings_report.csv", summary.get("timings", {}))
+    except KeyError as e:
+        print(f"{summary_path}: missing key {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (TypeError, AttributeError, ValueError) as e:
+        print(f"{summary_path}: not a run summary: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    (out / "steps_report.csv").write_text(steps_csv)
+    (out / "timings_report.csv").write_text(timings_csv)
     print(f"re-rendered reports under {out}")
     return EXIT_CONVERGED
 

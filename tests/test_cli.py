@@ -230,7 +230,7 @@ class TestPipeline:
             state = json.loads((out / "steps" / name / "state.json").read_text())
             # eps_m, P_norm and symplectic_defect live in the step record
             assert sorted(state) == ["config", "encoding", "m_next", "mu_history", "pieces",
-                                     "record", "schema", "shape", "zero_arrays"]
+                                     "record", "schema", "shape", "windows"]
             assert sorted(state["config"]) == sorted(cli.REDUCE_CONFIG_KEYS)
             assert "config" not in state["record"]
 
@@ -259,18 +259,19 @@ class TestPipeline:
         packed = 16 * np.prod(half[:-2]) * (2 * J) * (2 * J + 1) // 2
         step = out / "steps" / "step_001"
         state = json.loads((step / "state.json").read_text())
-        assert state["schema"] == cli.CHECKPOINT_SCHEMA == 5
+        assert state["schema"] == cli.CHECKPOINT_SCHEMA == 6
         assert state["shape"] == half
-        assert state["pieces"] == 1 and state["zero_arrays"] == []
+        # both forms fill the whole window: no windows entry
+        assert state["pieces"] == 1 and state["windows"] == {}
         assert state["encoding"] == cli.CHECKPOINT_ENCODING
         assert sorted(p.name for p in step.iterdir()) == ["generator.bin", "piece_0.bin",
                                                           "state.json"]
         assert (step / "generator.bin").stat().st_size == packed
         assert (step / "piece_0.bin").stat().st_size == packed
-        # step 0 pushes TINY's zero top piece to a zero piece 1: it gets no file
+        # step 0 pushes TINY's zero top piece to a zero piece 1: window -1, no file
         step = out / "steps" / "step_000"
         state = json.loads((step / "state.json").read_text())
-        assert state["pieces"] == 2 and state["zero_arrays"] == ["piece_1.bin"]
+        assert state["pieces"] == 2 and state["windows"] == {"piece_1.bin": -1}
         assert sorted(p.name for p in step.iterdir()) == ["generator.bin", "piece_0.bin",
                                                           "state.json"]
 
@@ -321,8 +322,10 @@ class TestPipeline:
         for step in steps[1:]:
             state = json.loads((step / "state.json").read_text())
             pieces = sorted(step.glob("piece_*.bin"))
-            # a zero piece has no file
-            assert sorted(p.name for p in pieces) + state["zero_arrays"] == \
+            # a zero piece has window -1 and no file; the others fill the whole window
+            zero = sorted(name for name, K_s in state["windows"].items() if K_s == -1)
+            assert zero == sorted(state["windows"])
+            assert sorted(p.name for p in pieces) + zero == \
                    [f"piece_{i}.bin" for i in range(state["pieces"])]
             assert pieces
             for piece in pieces:
@@ -398,6 +401,68 @@ class TestPipeline:
             f"config_error: resume: {path}: not JSON: Expecting value")
         # config.json, summary.json, resonance.csv and steps/ are the converged run's
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
+
+
+class TestCheckpointWindows:
+    def test_round_trip_of_full_band_limited_and_zero_forms(self, tmp_path):
+        rng = np.random.default_rng(7)
+        n, K, J, K_s = 2, 4, 3, 2
+        cfg = RunConfig(J_max=J, K_theta=K)
+        ws = galerkin.WeightedSpace(cfg.smoothness_N, J)
+        band = real_form(rng, n, K, J).truncate(K_s)[0]
+        band.coeffs[0, 0, 0, 0] = -0.0  # k = (-4, 0), outside the kept window
+        pieces = [real_form(rng, n, K, J), band, galerkin.QuadraticForm.zeros(n, K, J)]
+        F = real_form(rng, n, K, J, scale=1e-3).truncate(K_s)[0]
+        flow = kam.flow_transform(F, 1e-3, ws, fourier.product_grid_size(K), cfg.picard_tol)
+        record = {"m": 0, "eps_m": 1e-3, "P_norm": flow.P_norm,
+                  "symplectic_defect": flow.symplectic_defect,
+                  "picard_terms": flow.picard_terms,
+                  "new_piece_norms": [galerkin.form_norm(p, ws, kam.PUSH_NORM_GRID)
+                                      for p in pieces]}
+        cli.save_checkpoint(tmp_path, checkpoint_engine(pieces, F), record, cfg)
+        step = tmp_path / "steps" / "step_000"
+        state = json.loads((step / "state.json").read_text())
+        assert state["windows"] == {"piece_1.bin": K_s, "piece_2.bin": -1,
+                                    "generator.bin": K_s}
+        assert sorted(p.name for p in step.glob("*.bin")) == ["generator.bin", "piece_0.bin",
+                                                              "piece_1.bin"]
+        triangle = J * (2 * J + 1)
+        assert (step / "piece_0.bin").stat().st_size == \
+               (2 * K + 1) ** (n - 1) * (K + 1) * triangle * 16
+        for name in ("piece_1.bin", "generator.bin"):
+            assert (step / name).stat().st_size == \
+                   (2 * K_s + 1) ** (n - 1) * (K_s + 1) * triangle * 16
+        _, _, back, chain, _ = cli.load_checkpoints(tmp_path, cfg)
+        assert np.array_equal(chain.steps[0], flow.P_hat)
+        for got, want in zip(back, pieces):
+            assert (got.n, got.K, got.J) == (n, K, J)
+            assert np.array_equal(got.coeffs, want.coeffs)
+            nonzero = want.coeffs != 0
+            assert got.coeffs[nonzero].tobytes() == want.coeffs[nonzero].tobytes()
+            # every zero, the dropped -0.0 included, reloads as +0.0
+            assert not np.signbit(got.coeffs[~nonzero].view(float)).any()
+
+    @pytest.mark.parametrize("K_s, message", [
+        (2, f"expected {16 * 5 * 3 * 8 * 17} bytes, found {16 * 7 * 4 * 8 * 17} bytes"),
+        (4, "window K_s = 4 outside [-1, 3]"),
+        (-2, "window K_s = -2 outside [-1, 3]"),
+    ], ids=["disagrees_with_file_size", "above_K", "below_minus_one"])
+    def test_a_wrong_window_is_internal_error_naming_the_file(self, three_step_run, tmp_path,
+                                                              K_s, message):
+        cfg, full_out, _ = three_step_run
+        out = tmp_path / "r"
+        shutil.copytree(full_out, out)
+        step = out / "steps" / "step_002"
+        state = json.loads((step / "state.json").read_text())
+        state["windows"]["generator.bin"] = K_s
+        (step / "state.json").write_text(json.dumps(state))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg.as_dict()))
+        assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "internal_error"
+        assert summary["detail"] == (f"reduce: ValueError: checkpoint array "
+                                     f"{step / 'generator.bin'}: {message}")
 
 
 def _watch_lifetimes(monkeypatch, source: str) -> tuple:
@@ -969,7 +1034,7 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("content, message", [
-        ('{"J_max": "8"}', "'<' not supported between instances of 'int' and 'str'"),
+        ('{"J_max": "8"}', "J_max must be int, not str"),
         ("[1, 2]", "a config is a JSON object, not list"),
     ], ids=["string_J_max", "list"])
     def test_malformed_config_file_is_config_error(self, tmp_path, capsys, command, content,
@@ -985,12 +1050,35 @@ class TestMain:
     def test_report_of_a_damaged_summary_is_config_error(self, three_step_run, tmp_path,
                                                          capsys):
         _, full_out, _ = three_step_run
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "summary.json").write_bytes((full_out / "summary.json").read_bytes()[:200])
-        assert main(["report", "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"{out / 'summary.json'}: not JSON: ")
-        assert not (out / "steps_report.csv").exists()
+        text = (full_out / "summary.json").read_text()
+        steps = [{key: value for key, value in step.items() if key != "eps_m"}
+                 for step in json.loads(text)["steps"]]
+        for i, (damaged, message) in enumerate([
+            (text[:200], "not JSON: "),
+            ("[1]", "not a run summary: a summary is a JSON object, not list"),
+            (json.dumps({**json.loads(text), "steps": steps}), "missing key 'eps_m'"),
+        ]):
+            out = tmp_path / f"out_{i}"
+            out.mkdir()
+            (out / "summary.json").write_text(damaged)
+            assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith(f"{out / 'summary.json'}: {message}")
+            assert not (out / "steps_report.csv").exists()
+            assert not (out / "timings_report.csv").exists()
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("seed", "abc", "int, not str"),
+        ("K_check", 8.5, "int, not float"),
+        ("run_verify", "no", "bool, not str"),
+    ])
+    def test_wrong_typed_config_value_is_config_error(self, tmp_path, capsys, field, value,
+                                                      kind):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TINY, field: value}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {field} must be {kind}\n"
+        assert not (out / "steps").exists()
 
     def test_a_failed_json_write_leaves_the_old_file(self, tmp_path):
         path = tmp_path / "summary.json"
