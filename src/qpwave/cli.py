@@ -9,7 +9,8 @@ tau; a tau sweep builds it once and runs the rest at each tau.
 A run, each sweep tau and the sweep's front run inside one stage context
 (_Stages): `with stages.stage(name):` times each stage into timings[name]
 and records the peak RSS after it, and any error becomes a PipelineAbort
-whose detail names the stage, and the step in reduce.
+whose detail names the stage, and the step in reduce. _run_dir alone
+writes a run directory's config.json and summary.json, on every outcome.
 
 Exit codes: 0 converged, 2 resonant scaling value, 3 step-size abort,
 4 config error, 5 certificate failed (a step's or the verify stage's
@@ -204,18 +205,11 @@ REDUCE_CONFIG_KEYS = ("n", "omega0", "tau", "gamma", "eps", "smoothness_N", "pot
 
 
 class CheckpointSchemaError(ValueError):
-    """A checkpoint was written in another format."""
+    """A checkpoint was written in another format, or steps/ has a gap."""
 
 
 class CheckpointConfigError(ValueError):
     """A checkpoint was written under other values of the fields the reduce reads."""
-
-
-def check_schema(state: dict, path: str | Path) -> None:
-    found = state.get("schema")
-    if found != CHECKPOINT_SCHEMA:
-        raise CheckpointSchemaError(
-            f"{path}: checkpoint schema {found}, expected {CHECKPOINT_SCHEMA}")
 
 
 def _reduce_config(config: RunConfig) -> dict:
@@ -315,14 +309,17 @@ def peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _write_json(path: Path, payload: dict):
-    """Write payload through a temporary sibling and a rename, so that a kill
+def _write_text(path: Path, text: str):
+    """Write text through a temporary sibling and a rename, so that a kill
     mid-write leaves the old file or the new one, never a part of one."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
+    tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _write_json(path: Path, payload: dict):
+    _write_text(path, json.dumps(payload, indent=1, sort_keys=True))
 
 
 def save_checkpoint(out: Path, engine: KamEngine, record: dict, config: RunConfig):
@@ -378,22 +375,30 @@ def save_checkpoint(out: Path, engine: KamEngine, record: dict, config: RunConfi
 
 
 def checkpoint_states(out: Path, config: RunConfig) -> list:
-    """(step directory, state.json contents) of each step directory up to
-    the first one without a state.json. A state.json of another
-    CHECKPOINT_SCHEMA, or one that is not JSON, raises CheckpointSchemaError,
-    one written under other values of REDUCE_CONFIG_KEYS than config's
-    CheckpointConfigError naming them."""
+    """(step directory, state.json contents) of step_000, step_001, ...; only
+    the last may lack its state.json. A gap before the last, a state.json of
+    another CHECKPOINT_SCHEMA or one that is not JSON raises
+    CheckpointSchemaError naming it, one written under other values of
+    REDUCE_CONFIG_KEYS than config's CheckpointConfigError naming them."""
     expected = _reduce_config(config)
+    steps = out / "steps"
+    names = sorted(d.name for d in steps.glob("step_*"))
     found = []
-    for d in sorted((out / "steps").glob("step_*")):
+    for m, name in enumerate(names):
+        d = steps / f"step_{m:03d}"
         path = d / "state.json"
-        if not path.exists():
-            break  # an interrupted write: resume recomputes from this step on
+        if name != d.name or not path.exists():
+            if name == d.name == names[-1]:
+                break  # an interrupted write: resume recomputes from this step on
+            raise CheckpointSchemaError(f"{d}: missing or incomplete, yet {steps / names[-1]} "
+                                        "is present")
         try:
             state = json.loads(path.read_text())
         except json.JSONDecodeError as e:
             raise CheckpointSchemaError(f"{path}: not JSON: {e}") from None
-        check_schema(state, path)
+        if state.get("schema") != CHECKPOINT_SCHEMA:
+            raise CheckpointSchemaError(f"{path}: checkpoint schema {state.get('schema')}, "
+                                        f"expected {CHECKPOINT_SCHEMA}")
         differ = sorted(key for key, value in expected.items()
                         if state["config"].get(key) != value)
         if differ:
@@ -403,17 +408,15 @@ def checkpoint_states(out: Path, config: RunConfig) -> list:
     return found
 
 
-def load_checkpoints(out: Path, config: RunConfig, found: list | None = None):
-    """Rebuild (m_next, mu_history, pieces, chain, records) from disk, from
-    the checkpoint_states (read here unless given), or None without any.
+def load_checkpoints(config: RunConfig, found: list | None):
+    """Rebuild (m_next, mu_history, pieces, chain, records) from the
+    checkpoint_states found, or None without any.
 
     Each chain step is the flow of its stored generator, run again as the
     step ran it (_step_map), and the newest step's pieces must have its
     record's new_piece_norms on PUSH_NORM_GRID bit for bit (those norms stay
     in the pieces' form_norm memo for the resumed steps). A mismatch, or a
     missing or mis-sized array, is a ValueError naming the file."""
-    if found is None:
-        found = checkpoint_states(out, config)
     if not found:
         return None
     ws = WeightedSpace(config.smoothness_N, config.J_max)
@@ -439,15 +442,10 @@ def load_checkpoints(out: Path, config: RunConfig, found: list | None = None):
 
 
 class PipelineAbort(Exception):
-    """A run that ends without converging. ``summary`` is the full summary
-    when run_pipeline has already written it to summary.json; ``record`` is
-    False when nothing may be written into the run directory (a refused
-    resume leaves the record of the run it would continue)."""
+    """A run that ends without converging: its exit code, status and detail."""
 
-    def __init__(self, code: int, status: str, detail: str, summary: dict | None = None,
-                 record: bool = True):
+    def __init__(self, code: int, status: str, detail: str):
         self.code, self.status, self.detail = code, status, detail
-        self.summary, self.record = summary, record
         super().__init__(detail)
 
 
@@ -531,13 +529,6 @@ def _screen(config: RunConfig, sched: Schedule) -> resonance.ScreenResult:
                                 float(sched.gamma_steps[0]), config.J_max)
 
 
-def _open_run_dir(config: RunConfig, out_dir: str | Path) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.json", config.as_dict())
-    return out
-
-
 @dataclass
 class _Front:
     """The part of a run that does not read tau: inputs, validation,
@@ -560,19 +551,46 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, resume: bool = False) -
     """Execute the full pipeline, the front and then the run at config.tau;
     returns the summary dict (also written).
 
-    A resume first checks the stored checkpoints against config; one it
-    refuses (config_error) writes nothing. Any other error becomes a
-    PipelineAbort naming the stage, and the step in reduce (_Stages)."""
-    with _Stages() as stages:
-        found = None
-        if resume and config.eps != 0.0:  # a degenerate run has no steps to resume
+    A resume first checks the stored checkpoints against config; a check
+    that fails (config_error if it refuses them) writes nothing. Any other
+    error becomes a PipelineAbort naming the stage, and the step in reduce."""
+    found = None
+    if resume and config.eps != 0.0:  # a degenerate run has no steps to resume
+        with _Stages():
             try:
                 found = checkpoint_states(Path(out_dir), config)
             except (CheckpointSchemaError, CheckpointConfigError) as e:
-                raise PipelineAbort(EXIT_CONFIG, "config_error", f"resume: {e}", record=False)
-        out = _open_run_dir(config, out_dir)
-        front = _front(config, stages)
-        return _run_tau(config, out, front, stages, found)
+                raise PipelineAbort(EXIT_CONFIG, "config_error", f"resume: {e}") from None
+    return _run_dir(config, out_dir, None, found)
+
+
+def _run_dir(config: RunConfig, out_dir: str | Path, front: _Front | PipelineAbort | None,
+             found: list | None = None) -> dict:
+    """Open the run directory (config.json), run config.tau from front (built
+    here if None; a sweep's failed front fails the run) and the checkpoints
+    found, then write summary.json: the full summary if the run reaches its
+    end, else {status, detail, config}. Then raise its PipelineAbort, also if
+    that summary cannot be written."""
+    out = Path(out_dir)
+    try:
+        with _Stages() as stages:
+            _write_json(out / "config.json", config.as_dict())
+            if front is None:
+                front = _front(config, stages)
+            elif isinstance(front, PipelineAbort):
+                raise front.with_traceback(None)
+            else:  # the run's engine takes over its own list of the sweep's pieces
+                front = replace(front, pieces=list(front.pieces))
+            summary = _run_tau(config, out, front, stages, found)
+            _write_json(out / "summary.json", summary)
+    except PipelineAbort as e:
+        with contextlib.suppress(OSError):
+            _write_json(out / "summary.json", {"status": e.status, "detail": e.detail,
+                                               "config": config.as_dict()})
+        raise
+    if summary["status"] != "converged":
+        raise PipelineAbort(EXIT_CERTIFICATE, summary["status"], summary["detail"])
+    return summary
 
 
 def _front(config: RunConfig, stages: _Stages) -> _Front:
@@ -633,9 +651,10 @@ def _front(config: RunConfig, stages: _Stages) -> _Front:
 
 
 def _run_tau(config: RunConfig, out: Path, front: _Front, stages: _Stages,
-             found: list | None = None) -> dict:
+             found: list | None) -> dict:
     """The run at config.tau from its front: screen, reduce, the per-step
-    scans for m >= 1, verify and the summary. A resume continues from the
+    scans for m >= 1 and verify; returns the summary, converged or
+    certificate_failed at verify. A resume continues from the
     checkpoint_states found, if any."""
     freq = replace(front.freq, tau=config.tau)
     sched, ws = front.sched, front.ws
@@ -654,7 +673,7 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: _Stages,
             "worst_query": screen.worst.as_dict(),
             "scan": front.scan.as_dict(),
         }
-        (out / "resonance.csv").write_text(front.scan_csv)
+        _write_text(out / "resonance.csv", front.scan_csv)
     if not screen.passed:
         raise PipelineAbort(EXIT_RESONANT, "resonant_tau",
                             f"tau={config.tau} rejected: {screen.worst.as_dict()}")
@@ -665,11 +684,10 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: _Stages,
         opts = KamOptions(picard_tol=config.picard_tol,
                           residual_tol=config.residual_tol,
                           norm_grid=config.norm_grid)
-        restored = load_checkpoints(out, config, found) if found else None
+        restored = load_checkpoints(config, found)
         if restored is not None:
             m_next, mu_history, pieces, chain, records = restored
-            nf = NormalForm(J=config.J_max,
-                            mu_history=[(e, mu) for e, mu in mu_history])
+            nf = NormalForm(J=config.J_max, mu_history=mu_history)
             engine = KamEngine(pieces, freq, sched, ws, K_theta=config.K_theta,
                                options=opts, normal_form=nf, chain=chain,
                                m_start=m_next, diagnostics=list(records))
@@ -743,9 +761,6 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: _Stages,
     timings["total"] = time.time() - stages.start
     timings["machine"] = machine_info()
     summary["timings"] = timings
-    _write_json(out / "summary.json", summary)
-    if detail is not None:
-        raise PipelineAbort(EXIT_CERTIFICATE, summary["status"], detail, summary=summary)
     return summary
 
 
@@ -813,12 +828,8 @@ def _resonance_csv(scan) -> str:
 
 def _write_series_csv(out: Path, name: str, column: str, times, values):
     """trajectories/<name>: one (t, value) row per time."""
-    path = out / "trajectories"
-    path.mkdir(parents=True, exist_ok=True)
-    with open(path / name, "w") as f:
-        f.write(f"t,{column}\n")
-        for t, v in zip(times, values):
-            f.write(f"{t:.6f},{v:.12e}\n")
+    _write_text(out / "trajectories" / name, f"t,{column}\n" + "".join(
+        f"{t:.6f},{v:.12e}\n" for t, v in zip(times, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -826,15 +837,17 @@ def _write_series_csv(out: Path, name: str, column: str, times, values):
 
 
 def sweep_tau(config: RunConfig, out_dir: str | Path) -> dict:
-    """Run the pipeline at each tau of config.tau_sweep into tau_<i>/: the
-    front once, then the run at each tau. A front that fails gives every tau
-    its status; the front's stage times and peak RSS go under timings."""
-    front_stages = _Stages()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Run the pipeline at each tau of config.tau_sweep into the run
+    directory tau_<i>/ (_run_dir): the front once, then the run at each tau.
+    A front that fails gives every tau its status; the front's stage times
+    and peak RSS go under timings. A config without tau_sweep is a
+    config_error that writes nothing."""
     if config.tau_sweep is None:
         raise PipelineAbort(EXIT_CONFIG, "config_error",
                             "tau_sweep must be [lo, hi, count]")
+    front_stages = _Stages()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     lo, hi, count = config.tau_sweep
     count = int(count)
     taus = np.linspace(float(lo), float(hi), count)
@@ -849,13 +862,7 @@ def sweep_tau(config: RunConfig, out_dir: str | Path) -> dict:
     results = []
     for i, run in enumerate(runs):
         try:
-            with _Stages() as stages:
-                run_out = _open_run_dir(run, out / f"tau_{i:03d}")
-                if isinstance(front, PipelineAbort):
-                    raise front.with_traceback(None)
-                # the run takes over its own list of the step-0 pieces, so
-                # the front's list keeps them for the next tau
-                s = _run_tau(run, run_out, replace(front, pieces=list(front.pieces)), stages)
+            s = _run_dir(run, out / f"tau_{i:03d}", front)
             results.append({"tau": run.tau, "status": "converged",
                             "max_abs_xi": s["multiplier"]["max_abs"]})
         except PipelineAbort as e:
@@ -960,8 +967,8 @@ def _cmd_report(out: Path) -> int:
     except (TypeError, AttributeError, ValueError) as e:
         print(f"{summary_path}: not a run summary: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    (out / "steps_report.csv").write_text(steps_csv)
-    (out / "timings_report.csv").write_text(timings_csv)
+    _write_text(out / "steps_report.csv", steps_csv)
+    _write_text(out / "timings_report.csv", timings_csv)
     print(f"re-rendered reports under {out}")
     return EXIT_CONVERGED
 
@@ -1011,10 +1018,6 @@ def main(argv: list | None = None) -> int:
         print(f"status: {summary['status']}; summary at {out / 'summary.json'}")
         return EXIT_CONVERGED
     except PipelineAbort as e:
-        # unless run_pipeline wrote the full summary, or nothing may be written
-        if e.summary is None and e.record:
-            _write_json(out / "summary.json", {"status": e.status, "detail": e.detail,
-                                               "config": config.as_dict()})
         print(f"{e.status}: {e.detail}", file=sys.stderr)
         return e.code
 

@@ -88,7 +88,6 @@ class PotentialSpec:
     smoothness_N: int
     freq: FrequencySpec
     amplitude_eps: float
-    name: str = "custom"
     # largest |k|_inf and j of the hull's coefficient table (make_potential
     # records them; 0 for a hull without one): fourier_analyze samples finely
     # enough that no table mode outside the window folds onto a kept one
@@ -116,7 +115,6 @@ class PotentialFourier:
     K_theta: int
     J_max: int
     n: int
-    smoothness_N: int = 2
     tail_norm: float = 0.0
     tail_flagged: bool = False
 
@@ -237,7 +235,6 @@ def fourier_analyze(p: PotentialSpec, K_theta: int, J_max: int) -> PotentialFour
         K_theta=K_theta,
         J_max=J_max,
         n=n,
-        smoothness_N=N,
         tail_norm=tail,
         tail_flagged=bool(tail > TAIL_TOL),
     )
@@ -336,7 +333,7 @@ def make_potential(
     else:
         table = preset_table(name, freq.n, N, scale, theta_band)
     hull = _hull_from_table(table, freq.n)
-    spec = PotentialSpec(hull=hull, smoothness_N=N, freq=freq, amplitude_eps=eps, name=name,
+    spec = PotentialSpec(hull=hull, smoothness_N=N, freq=freq, amplitude_eps=eps,
                          table_k_max=max(max(abs(x) for x in k) for k, _ in table),
                          table_j_max=max(j for _, j in table))
     return spec, table

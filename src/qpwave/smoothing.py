@@ -19,6 +19,7 @@ from .galerkin import QuadraticForm, WeightedSpace, block_norms, form_norm, max_
 
 
 NORM_GRID = 16  # least theta grid of decompose's piece and residual norms
+FLAT_RADIUS = 0.5  # the bump is 1 on r <= FLAT_RADIUS
 
 
 class ScheduleError(ValueError):
@@ -34,21 +35,18 @@ def _transition(t: np.ndarray) -> np.ndarray:
     return b / (a + b)
 
 
-@dataclass
 class JacksonKernel:
     """Radially symmetric flat-top bump profile and its Fourier multiplier.
 
-    phi(r) = 1 for r <= flat_radius, smooth monotone decay to 0 at r = 1,
+    phi(r) = 1 for r <= FLAT_RADIUS, smooth monotone decay to 0 at r = 1,
     zero outside the closed unit ball. The Fourier-side action of convolving
     with the scaled kernel is coefficient-wise multiplication by phi(sigma k).
     """
 
-    flat_radius: float = 0.5
-
     def phi(self, r: np.ndarray) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))
-        t = (r - self.flat_radius) / (1.0 - self.flat_radius)
-        return np.where(r >= 1.0, 0.0, np.where(r <= self.flat_radius, 1.0, _transition(t)))
+        t = (r - FLAT_RADIUS) / (1.0 - FLAT_RADIUS)
+        return np.where(r >= 1.0, 0.0, np.where(r <= FLAT_RADIUS, 1.0, _transition(t)))
 
     def envelope(self, sigma: float, n: int, K: int) -> np.ndarray:
         """Multiplier phi(sigma |k|) over the window, Euclidean radius."""

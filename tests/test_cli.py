@@ -300,7 +300,8 @@ class TestPipeline:
         cli.save_checkpoint(tmp_path, checkpoint_engine(pieces, F, [(1e-3, mu)]), record, cfg)
         step = tmp_path / "steps" / "step_000"
         assert not (step / "piece_1.bin").exists()  # the zero piece
-        m_next, mu_history, back, chain, records = cli.load_checkpoints(tmp_path, cfg)
+        m_next, mu_history, back, chain, records = cli.load_checkpoints(
+            cfg, cli.checkpoint_states(tmp_path, cfg))
         assert (m_next, records) == (1, [json.loads(json.dumps(record))])
         assert len(mu_history) == 1 and mu_history[0][0] == 1e-3
         assert np.array_equal(mu_history[0][1], mu)
@@ -402,6 +403,88 @@ class TestPipeline:
         # config.json, summary.json, resonance.csv and steps/ are the converged run's
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
 
+    @pytest.mark.parametrize("gap", ["missing_step", "step_after_an_incomplete_one"])
+    def test_resume_over_a_gap_in_steps_is_config_error(self, three_step_run, tmp_path,
+                                                        capsys, gap):
+        # only the newest step directory may lack its state.json: a resume
+        # across a gap would chain step 2 onto step 0
+        cfg, full_out, _ = three_step_run
+        out = tmp_path / "run"
+        shutil.copytree(full_out, out)
+        step = out / "steps" / "step_001"
+        if gap == "missing_step":
+            shutil.rmtree(step)
+        else:
+            (step / "state.json").unlink()
+        written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg.as_dict()))
+        assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config_error: resume: {step}: missing or incomplete, yet "
+            f"{out / 'steps' / 'step_002'} is present\n")
+        # config.json, summary.json, resonance.csv and steps/ are the converged run's
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
+
+
+class TestRunDirectory:
+    @staticmethod
+    def resonant_tau() -> float:
+        return float(find_resonant_tau((1.0, np.sqrt(2.0)), J_max=8, K_search=2)[0])
+
+    @pytest.mark.parametrize("case, status", [
+        ("resonant_tau", "resonant_tau"), ("diophantine", "config_error"),
+        ("step_size", "step_size_abort"), ("stage_value_error", "internal_error")])
+    def test_a_library_abort_leaves_its_summary(self, tmp_path, monkeypatch, case, status):
+        over = {}
+        if case == "resonant_tau":
+            over = {"tau": self.resonant_tau()}
+        elif case == "diophantine":
+            over = {"omega0": [1.0, 1.0 + 1e-9]}
+        elif case == "step_size":
+            over = {"eps": 0.4, "potential": {"preset": "finite_smooth", "scale": 3.0,
+                                              "theta_band": 2}}
+        else:
+            def broken(*a, **k):
+                raise ValueError("bad value")
+
+            monkeypatch.setattr(cli, "decompose", broken)
+        cfg = tiny_config(**over)
+        out = tmp_path / "run"
+        with pytest.raises(PipelineAbort) as err:
+            run_pipeline(cfg, out)
+        assert err.value.status == status
+        config = json.loads(json.dumps(cfg.as_dict()))
+        assert json.loads((out / "summary.json").read_text()) == {
+            "status": status, "detail": err.value.detail, "config": config}
+        assert json.loads((out / "config.json").read_text()) == config
+
+    def test_an_unwritable_abort_summary_keeps_the_exit_code(self, tmp_path, monkeypatch,
+                                                             capsys):
+        write_text = cli._write_text
+
+        def broken(path, text):
+            if path.name == "summary.json":
+                raise OSError("disk full")
+            write_text(path, text)
+
+        monkeypatch.setattr(cli, "_write_text", broken)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TINY, "tau": self.resonant_tau()}))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_RESONANT
+        assert capsys.readouterr().err.startswith("resonant_tau: tau=")
+        assert not (out / "summary.json").exists()
+
+    def test_sweep_without_tau_sweep_is_config_error_writing_nothing(self, tmp_path,
+                                                                      capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config_error: tau_sweep must be [lo, hi, count]\n"
+        assert not out.exists()
+
 
 class TestCheckpointWindows:
     def test_round_trip_of_full_band_limited_and_zero_forms(self, tmp_path):
@@ -432,7 +515,7 @@ class TestCheckpointWindows:
         for name in ("piece_1.bin", "generator.bin"):
             assert (step / name).stat().st_size == \
                    (2 * K_s + 1) ** (n - 1) * (K_s + 1) * triangle * 16
-        _, _, back, chain, _ = cli.load_checkpoints(tmp_path, cfg)
+        _, _, back, chain, _ = cli.load_checkpoints(cfg, cli.checkpoint_states(tmp_path, cfg))
         assert np.array_equal(chain.steps[0], flow.P_hat)
         for got, want in zip(back, pieces):
             assert (got.n, got.K, got.J) == (n, K, J)
@@ -639,8 +722,13 @@ class TestSweep:
         cfg = tiny_config(tau_sweep=[float(tau), float(tau), 2], run_verify=False)
         agg = sweep_tau(cfg, tmp_path / "sweep2")
         assert agg["converged_fraction"] == 0.0
-        for r in agg["results"]:
+        for i, r in enumerate(agg["results"]):
             assert r["status"] == "resonant_tau"
+            # each rejected tau's run directory holds its summary
+            summary = json.loads((tmp_path / "sweep2" / f"tau_{i:03d}" / "summary.json")
+                                 .read_text())
+            assert (summary["status"], summary["detail"]) == (r["status"], r["detail"])
+            assert summary["config"]["tau"] == r["tau"]
 
     def test_step_size_abort_is_not_a_resonance_exclusion(self, tmp_path):
         tau, _ = find_resonant_tau((1.0, np.sqrt(2.0)), J_max=8, K_search=2)
@@ -1080,23 +1168,34 @@ class TestMain:
         assert capsys.readouterr().err == f"config error: {field} must be {kind}\n"
         assert not (out / "steps").exists()
 
-    def test_a_failed_json_write_leaves_the_old_file(self, tmp_path):
+    def test_a_failed_json_write_leaves_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "summary.json"
         cli._write_json(path, {"status": "converged"})
         before = path.read_bytes()
-        with pytest.raises(TypeError):  # json.dump has written part of it by then
+        with pytest.raises(TypeError):  # raised before any write
             cli._write_json(path, {"status": "incomplete", "timings": object()})
         assert path.read_bytes() == before
 
-    def test_os_error_names_its_stage(self, tmp_path, monkeypatch):
-        write_text = cli.Path.write_text
+        # the new text is written whole, and the rename fails
+        def failed_rename(src, dst):
+            raise OSError("rename failed")
 
-        def broken(path, *a, **k):
+        monkeypatch.setattr(cli.os, "replace", failed_rename)
+        with pytest.raises(OSError, match="rename failed"):
+            cli._write_json(path, {"status": "incomplete"})
+        assert path.read_bytes() == before
+        assert json.loads((tmp_path / ".summary.json.tmp").read_text()) == \
+               {"status": "incomplete"}
+
+    def test_os_error_names_its_stage(self, tmp_path, monkeypatch):
+        write_text = cli._write_text
+
+        def broken(path, text):
             if path.name == "resonance.csv":
                 raise OSError("disk full")
-            return write_text(path, *a, **k)
+            write_text(path, text)
 
-        monkeypatch.setattr(cli.Path, "write_text", broken)
+        monkeypatch.setattr(cli, "_write_text", broken)
         with pytest.raises(PipelineAbort) as err:
             run_pipeline(tiny_config(), tmp_path / "o")
         assert err.value.code == EXIT_INTERNAL

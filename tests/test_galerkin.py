@@ -451,7 +451,8 @@ class TestQuadraticForm:
         rng = np.random.default_rng(5)
         qf = random_form(rng, n=2, K=1, J=2)
         engine = checkpoint_engine([qf], random_form(rng, n=2, K=1, J=2))
-        cli.save_checkpoint(tmp_path, engine, {"m": 0}, cli.RunConfig())
+        cfg = cli.RunConfig()
+        cli.save_checkpoint(tmp_path, engine, {"m": 0}, cfg)
         path = tmp_path / "steps" / "step_000" / "state.json"
         state = json.loads(path.read_text())
         state["schema"] = cli.CHECKPOINT_SCHEMA - 1
@@ -459,7 +460,7 @@ class TestQuadraticForm:
         with pytest.raises(cli.CheckpointSchemaError,
                            match=rf"state\.json: checkpoint schema {cli.CHECKPOINT_SCHEMA - 1}, "
                                  rf"expected {cli.CHECKPOINT_SCHEMA}"):
-            cli.load_checkpoints(tmp_path, cli.RunConfig())
+            cli.load_checkpoints(cfg, cli.checkpoint_states(tmp_path, cfg))
 
     def test_grid_values_match_direct_eval(self):
         rng = np.random.default_rng(4)
