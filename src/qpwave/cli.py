@@ -34,16 +34,15 @@ from pathlib import Path
 import numpy as np
 
 from . import resonance
-from .fourier import half_index, kinf, product_grid_size
+from .fourier import half_index, kinf
 from .galerkin import (
     QuadraticForm,
     WeightedSpace,
     assemble_initial_forms,
     coupling_tensor,
-    form_norm,
 )
 from .kam import (
-    PUSH_NORM_GRID,
+    REPLAY_KEYS,
     STEP_TIMINGS,
     SYMPLECTIC_TOL,
     CertificateError,
@@ -53,9 +52,7 @@ from .kam import (
     ResonanceError,
     Schedule,
     StepSizeError,
-    TransformChain,
     build_schedule,
-    flow_transform,
     seed_pieces,
 )
 from .potential import (
@@ -187,21 +184,24 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: one directory per step, state.json and its arrays
+# Checkpoints: one directory per step, state.json and the step's generator
 
-CHECKPOINT_SCHEMA = 6  # format of a step directory
+CHECKPOINT_SCHEMA = 7  # format of a step directory
 CHECKPOINT_ENCODING = (
-    "complex128 little-endian float64 (re, im) pairs, row-major. Every array is an "
-    "exactly symmetric (q, p) form of shape (k-window half..., 2J, 2J), coefficients "
-    "for k_last >= 0, stored as the upper triangle of each matrix, diagonal included "
-    "(numpy.triu_indices(2J)), on the centred window |k|_inf <= windows[name] of "
-    "shape[:-2] (K if absent; -1 is the zero form, with no file). generator.bin holds "
-    "the step's homological generator F, piece_<i>.bin remainder piece i; only the two "
-    "newest steps keep pieces")
+    "complex128 little-endian float64 (re, im) pairs, row-major. generator.bin holds "
+    "the step's homological generator F, an exactly symmetric (q, p) form of shape "
+    "(k-window half..., 2J, 2J), coefficients for k_last >= 0, stored as the upper "
+    "triangle of each matrix, diagonal included (numpy.triu_indices(2J)), on the "
+    "centred window |k|_inf <= windows[name] of shape[:-2] (K if absent; -1 is the "
+    "zero form, with no file). A resume replays each step's push from the step-0 "
+    "pieces")
 # the RunConfig fields the reduce reads: checkpoints written under other values
 # hold another run's state
 REDUCE_CONFIG_KEYS = ("n", "omega0", "tau", "gamma", "eps", "smoothness_N", "potential",
                       "J_max", "K_theta", "M", "picard_tol", "residual_tol", "norm_grid")
+# the state.json keys a resume reads beside the schema, with their JSON types
+# (the record holds REPLAY_KEYS)
+MANIFEST_KEYS = {"config": dict, "record": dict, "shape": list, "windows": dict}
 
 
 class CheckpointSchemaError(ValueError):
@@ -269,24 +269,6 @@ def _load_form(path: Path, state: dict) -> QuadraticForm:
     return QuadraticForm(n, K, J, out)
 
 
-def _step_map(path: Path, state: dict, ws: WeightedSpace, grid: int,
-              picard_tol: float) -> np.ndarray:
-    """P_hat of a stored step: the flow of its generator at path, which must
-    give the step record's P_norm, symplectic_defect and picard_terms bit for
-    bit (else a ValueError naming the file)."""
-    record = state["record"]
-    try:
-        flow = flow_transform(_load_form(path, state), record["eps_m"], ws, grid, picard_tol)
-    except StepSizeError as e:
-        raise ValueError(f"checkpoint array {path}: {e}") from None
-    keys = ("P_norm", "symplectic_defect", "picard_terms")
-    got, want = [getattr(flow, key) for key in keys], [record[key] for key in keys]
-    if got != want:
-        raise ValueError(f"checkpoint array {path}: its flow gives {dict(zip(keys, got))}, "
-                         f"the step record {dict(zip(keys, want))}")
-    return flow.P_hat
-
-
 def machine_info() -> dict:
     """What a run's timings depend on beyond its config: numpy and its BLAS,
     the core count and the BLAS thread settings of the environment."""
@@ -323,63 +305,47 @@ def _write_json(path: Path, payload: dict):
 
 
 def save_checkpoint(out: Path, engine: KamEngine, record: dict, config: RunConfig):
-    """Write step m's checkpoint, its generator and remainder pieces, into a
-    temporary sibling, then rename it to step_<m>, so that a step_*
-    directory is either complete or absent. Then drop the pieces of every
-    step before m - 1: resume reads the pieces of the newest complete step
-    only, and step m - 1 keeps its own for a resume after step m is lost.
-    Each form is written on the window its nonzero coefficients fill, named
-    in windows when smaller than K, and an all-zero form gets no file. A
-    form that is not exactly symmetric, which its upper triangle would not
-    restore, is a ValueError."""
-    st = engine.state
-    forms = {f"piece_{i}.bin": piece.coeffs for i, piece in enumerate(st.remainder)}
-    forms["generator.bin"] = engine.generator.coeffs
-    for name, coeffs in forms.items():
-        if not np.array_equal(coeffs, np.swapaxes(coeffs, -1, -2)):
-            raise ValueError(f"{name}: the form is not exactly symmetric; "
-                             "its checkpoint stores the upper triangle only")
-    m_done = st.m  # steps completed
-    steps = out / "steps"
-    step_dir = steps / f"step_{m_done - 1:03d}"
+    """Write the checkpoint of the engine's last step m, its record and its
+    generator, into a temporary sibling, then rename it to step_<m>, so that
+    a step_* directory is either complete or absent. The generator is
+    written on the window its nonzero coefficients fill, named in windows
+    when smaller than K; an all-zero generator gets no file. One that is not
+    exactly symmetric, which its upper triangle would not restore, is a
+    ValueError."""
+    name, F = "generator.bin", engine.generator
+    if not np.array_equal(F.coeffs, np.swapaxes(F.coeffs, -1, -2)):
+        raise ValueError(f"{name}: the form is not exactly symmetric; "
+                         "its checkpoint stores the upper triangle only")
+    step_dir = out / "steps" / f"step_{engine.state.m - 1:03d}"
     tmp_dir = step_dir.with_name(f".{step_dir.name}.tmp")  # not matched by step_*
     if tmp_dir.exists():
         shutil.rmtree(tmp_dir)
     tmp_dir.mkdir(parents=True)
-    n, K, J = engine.generator.n, engine.generator.K, engine.generator.J
-    upper = np.triu_indices(2 * J)
-    windows = {}
-    for name, coeffs in forms.items():
-        K_s = _support(coeffs, n, K)
-        if K_s < K:
-            windows[name] = K_s
-        if K_s >= 0:
-            _save_complex(tmp_dir / name, coeffs[_window(n, K, K_s)][(..., *upper)])
+    K_s = _support(F.coeffs, F.n, F.K)
+    if K_s >= 0:
+        _save_complex(tmp_dir / name, F.coeffs[_window(F.n, F.K, K_s)][
+            (..., *np.triu_indices(2 * F.J))])
     _write_json(tmp_dir / "state.json", {
         "schema": CHECKPOINT_SCHEMA,
         "config": _reduce_config(config),
-        "m_next": st.m,
         "record": record,
-        "mu_history": [[e, mu.tolist()] for e, mu in st.normal_form.mu_history],
-        "pieces": len(st.remainder),
-        "shape": list(engine.generator.coeffs.shape),
-        "windows": windows,
+        "shape": list(F.coeffs.shape),
+        "windows": {name: K_s} if K_s < F.K else {},
         "encoding": CHECKPOINT_ENCODING,
     })
     if step_dir.exists():
         shutil.rmtree(step_dir)
     os.replace(tmp_dir, step_dir)
-    for m in range(m_done - 2):
-        for path in (steps / f"step_{m:03d}").glob("piece_*.bin"):
-            path.unlink()
 
 
 def checkpoint_states(out: Path, config: RunConfig) -> list:
     """(step directory, state.json contents) of step_000, step_001, ...; only
-    the last may lack its state.json. A gap before the last, a state.json of
-    another CHECKPOINT_SCHEMA or one that is not JSON raises
-    CheckpointSchemaError naming it, one written under other values of
-    REDUCE_CONFIG_KEYS than config's CheckpointConfigError naming them."""
+    the last may lack its state.json. A gap before the last, or a state.json
+    that is not JSON, not a JSON object, of another CHECKPOINT_SCHEMA or
+    without a key the resume reads (MANIFEST_KEYS of their types, the
+    record's REPLAY_KEYS) raises CheckpointSchemaError naming it, one
+    written under other values of REDUCE_CONFIG_KEYS than config's
+    CheckpointConfigError naming them."""
     expected = _reduce_config(config)
     steps = out / "steps"
     names = sorted(d.name for d in steps.glob("step_*"))
@@ -396,9 +362,18 @@ def checkpoint_states(out: Path, config: RunConfig) -> list:
             state = json.loads(path.read_text())
         except json.JSONDecodeError as e:
             raise CheckpointSchemaError(f"{path}: not JSON: {e}") from None
+        if not isinstance(state, dict):
+            raise CheckpointSchemaError(f"{path}: a checkpoint manifest is a JSON object, "
+                                        f"not {type(state).__name__}")
         if state.get("schema") != CHECKPOINT_SCHEMA:
             raise CheckpointSchemaError(f"{path}: checkpoint schema {state.get('schema')}, "
                                         f"expected {CHECKPOINT_SCHEMA}")
+        lacking = [key for key, kind in MANIFEST_KEYS.items()
+                   if not isinstance(state.get(key), kind)]
+        lacking += [f"record.{key}" for key in REPLAY_KEYS
+                    if isinstance(state.get("record"), dict) and key not in state["record"]]
+        if lacking:
+            raise CheckpointSchemaError(f"{path}: missing or mistyped keys {lacking}")
         differ = sorted(key for key, value in expected.items()
                         if state["config"].get(key) != value)
         if differ:
@@ -408,33 +383,18 @@ def checkpoint_states(out: Path, config: RunConfig) -> list:
     return found
 
 
-def load_checkpoints(config: RunConfig, found: list | None):
-    """Rebuild (m_next, mu_history, pieces, chain, records) from the
-    checkpoint_states found, or None without any.
-
-    Each chain step is the flow of its stored generator, run again as the
-    step ran it (_step_map), and the newest step's pieces must have its
-    record's new_piece_norms on PUSH_NORM_GRID bit for bit (those norms stay
-    in the pieces' form_norm memo for the resumed steps). A mismatch, or a
-    missing or mis-sized array, is a ValueError naming the file."""
-    if not found:
-        return None
-    ws = WeightedSpace(config.smoothness_N, config.J_max)
-    grid = product_grid_size(config.K_theta)
-    chain = TransformChain([_step_map(d / "generator.bin", state, ws, grid, config.picard_tol)
-                            for d, state in found])
-    last, state = found[-1]
-    pieces, norms = [], state["record"]["new_piece_norms"]
-    for i in range(state["pieces"]):
-        path = last / f"piece_{i}.bin"
-        pieces.append(_load_form(path, state))
-        got, want = form_norm(pieces[-1], ws, PUSH_NORM_GRID), norms[i]
-        if got != want:
-            raise ValueError(f"checkpoint array {path}: its form_norm is {got!r}, "
-                             f"the step record's new_piece_norms[{i}] {want!r}")
-    mu_history = [(float(e), np.asarray(mu, dtype=float))
-                  for e, mu in state["mu_history"]]
-    return state["m_next"], mu_history, pieces, chain, [s["record"] for _, s in found]
+def replay_checkpoints(engine: KamEngine, found: list):
+    """Advance the engine, fresh from the step-0 pieces, through the
+    checkpoint_states found: KamEngine.replay redoes each step from its
+    stored generator and record. A missing or mis-sized generator file, or
+    a replay that differs from its record, is a ValueError naming the file."""
+    for d, state in found:
+        path = d / "generator.bin"
+        F = _load_form(path, state)
+        try:
+            engine.replay(F, state["record"])
+        except (ValueError, StepSizeError) as e:
+            raise ValueError(f"checkpoint array {path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -684,20 +644,16 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: _Stages,
         opts = KamOptions(picard_tol=config.picard_tol,
                           residual_tol=config.residual_tol,
                           norm_grid=config.norm_grid)
-        restored = load_checkpoints(config, found)
-        if restored is not None:
-            m_next, mu_history, pieces, chain, records = restored
-            nf = NormalForm(J=config.J_max, mu_history=mu_history)
-            engine = KamEngine(pieces, freq, sched, ws, K_theta=config.K_theta,
-                               options=opts, normal_form=nf, chain=chain,
-                               m_start=m_next, diagnostics=list(records))
-        else:
-            engine = KamEngine(front.pieces, freq, sched, ws, K_theta=config.K_theta,
-                               options=opts)
-        # the engine alone holds the step-0 or restored pieces, so that each
-        # step frees the pieces it replaces (a sweep's front keeps its own
+        engine = KamEngine(front.pieces, freq, sched, ws, K_theta=config.K_theta,
+                           options=opts)
+        # the engine alone holds the step-0 pieces, so that each step or
+        # replay frees the pieces it replaces (a sweep's front keeps its own
         # list of them)
-        restored = pieces = front.pieces = None
+        front.pieces = None
+        if found:
+            t0 = time.time()
+            replay_checkpoints(engine, found)
+            stages.done("replay", t0)
         timings["steps"] = []  # the engine's sub-stage times of each step run here
         while not engine.finished:
             stages.name = f"reduce, step m={engine.state.m}"

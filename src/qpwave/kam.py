@@ -325,7 +325,6 @@ class HomologicalSolution:
     F: QuadraticForm
     diag_avg: np.ndarray
     divisor_min: float
-    K_m: int
     residual: float  # homological_residual of the division
 
 
@@ -410,7 +409,7 @@ def solve_homological(
 
     F = QuadraticForm(n, K, J, qp_from_blocks(*blocks))
     return HomologicalSolution(F=F, diag_avg=diag_avg, divisor_min=divisor_min,
-                               K_m=K_m, residual=residual)
+                               residual=residual)
 
 
 def homological_residual(blocks: tuple, R: tuple, half_divisors: tuple) -> float:
@@ -630,7 +629,8 @@ class PushDiagnostics:
 
 def push_remainder(
     pieces: list,
-    sol: HomologicalSolution,
+    K_m: int,
+    diag_avg: np.ndarray,
     flow: FlowResult,
     eps_m: float,
     eps_next: float,
@@ -641,21 +641,22 @@ def push_remainder(
     the high-frequency tail, the double-bracket stream seeded by
     diag(mu) - Gamma R, the single-bracket stream seeded by R_mm, and the
     higher pieces carried by the step's own map, Phi^T S Phi (_carried), with
-    no series. The two bracket streams run slab by slab (_streamed_series),
-    and series_terms holds the term sizes of each of their slabs. A zero
-    piece is carried to zero without a grid.
+    no series. Of the homological solution it reads the cutoff K_m and the
+    averaged diagonal diag_avg only. The two bracket streams run slab by slab
+    (_streamed_series), and series_terms holds the term sizes of each of
+    their slabs. A zero piece is carried to zero without a grid.
     """
     R_mm = pieces[0]
     n, K, J = R_mm.n, R_mm.K, R_mm.J
     w2 = ws.doubled_metric_weights
 
-    low, tail = R_mm.truncate(min(sol.K_m, K))
+    low, tail = R_mm.truncate(min(K_m, K))
 
     # seed of the double-bracket stream: diag(mu) - truncated R_mm; the
     # u-form diagonal mu <z, zbar> has the (q, p) form diag(mu, mu) / 2
     star = low.scaled(-1.0)
     star.coeffs[_center(n, K)][np.arange(2 * J), np.arange(2 * J)] += \
-        0.5 * np.concatenate([sol.diag_avg, sol.diag_avg])
+        0.5 * np.concatenate([diag_avg, diag_avg])
     del low
 
     series_terms = {}
@@ -803,6 +804,19 @@ class KamResult:
 # the sub-stages of a step that KamEngine.step times, in seconds
 STEP_TIMINGS = ("norms_s", "solve_s", "flow_s", "push_s", "oracle_s")
 
+# the step record's values that KamEngine.replay recomputes from the flow and
+# the push, and every record key it reads
+REPLAY_FLOW = ("P_norm", "symplectic_defect", "picard_terms")
+REPLAY_PUSH = ("new_piece_norms", "tail_norm")
+REPLAY_KEYS = ("eps_m", "eps_next", "K_eff") + REPLAY_FLOW + REPLAY_PUSH
+
+
+def _check_replay(what: str, result, keys: tuple, record: dict):
+    got = {key: getattr(result, key) for key in keys}
+    want = {key: record[key] for key in keys}
+    if got != want:
+        raise ValueError(f"its {what} gives {got}, the step record {want}")
+
 
 class KamEngine:
     """Stepper owning one reduction run (single writer of its state).
@@ -814,7 +828,8 @@ class KamEngine:
 
     generator is the last completed step's homological generator F, the form
     its flow exponentiates, which a checkpoint stores; the next step drops
-    it."""
+    it. A resume starts the engine from the step-0 pieces and replays each
+    stored step from its generator and record."""
 
     def __init__(
         self,
@@ -824,24 +839,14 @@ class KamEngine:
         ws: WeightedSpace,
         K_theta: int,
         options: KamOptions | None = None,
-        normal_form: NormalForm | None = None,
-        chain: TransformChain | None = None,
-        m_start: int = 0,
-        diagnostics: list | None = None,
     ):
         self.opts = options or KamOptions()
         self.freq = freq
         self.schedule = schedule
         self.ws = ws
         self.K_theta = K_theta
-        J = ws.J_max
-        self.state = IterationState(
-            m=m_start,
-            normal_form=normal_form or NormalForm(J=J),
-            remainder=pieces,
-            diagnostics=diagnostics or [],
-        )
-        self.chain = chain or TransformChain()
+        self.state = IterationState(m=0, normal_form=NormalForm(J=ws.J_max), remainder=pieces)
+        self.chain = TransformChain()
         self.grid = product_grid_size(K_theta)
         self.step_timings: dict = {}
         self.generator: QuadraticForm | None = None
@@ -891,7 +896,7 @@ class KamEngine:
         clock.append(time.perf_counter())
 
         new_pieces, push_diag = push_remainder(
-            st.remainder, sol, flow, eps_m, eps_next, self.ws, self.grid,
+            st.remainder, K_eff, sol.diag_avg, flow, eps_m, eps_next, self.ws, self.grid,
         )
         if not push_diag.spec_truncation_ok:
             raise CertificateError("series_truncation_spec_ok is false")
@@ -941,6 +946,29 @@ class KamEngine:
         st.diagnostics.append(record)
         self.step_timings = {key: b - a for key, a, b in zip(STEP_TIMINGS, clock, clock[1:])}
         return record
+
+    def replay(self, F: QuadraticForm, record: dict):
+        """Redo the stored step whose generator is F and whose record is
+        record, without its solve and its oracle. The flow of F at the
+        record's eps_m must give the record's REPLAY_FLOW values, and the
+        push of the current pieces (at the record's eps_m, eps_next and
+        K_eff, with the averaged diagonal of the active piece) its
+        REPLAY_PUSH values, bit for bit; a mismatch is a ValueError. The
+        engine then holds what the step left: the pushed pieces, the
+        updated normal form, the flow in its chain and the record."""
+        st = self.state
+        eps_m, K_eff = record["eps_m"], record["K_eff"]
+        flow = flow_transform(F, eps_m, self.ws, self.grid, picard_tol=self.opts.picard_tol)
+        _check_replay("flow", flow, REPLAY_FLOW, record)
+        _, diag_avg = _remainder_blocks(st.remainder[0], K_eff)
+        new_pieces, push_diag = push_remainder(st.remainder, K_eff, diag_avg, flow, eps_m,
+                                               record["eps_next"], self.ws, self.grid)
+        _check_replay("push", push_diag, REPLAY_PUSH, record)
+        self.chain.append(flow)
+        st.remainder = new_pieces
+        st.normal_form = update_normal_form(st.normal_form, diag_avg, eps_m)
+        st.m += 1
+        st.diagnostics.append(record)
 
     def result(self) -> KamResult:
         nf = self.state.normal_form

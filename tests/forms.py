@@ -8,7 +8,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from qpwave import kam
 from qpwave.fourier import half_index
 from qpwave.galerkin import QuadraticForm, blocks_from_qp, qp_from_blocks
 
@@ -121,11 +120,7 @@ def uform_compare_through_chain(mats_u, full_times, full_states, lam, ws, subsam
     return float(np.max(dev)), drift, dev
 
 
-def checkpoint_engine(pieces, generator, mu_history=()):
-    """What cli.save_checkpoint reads of a KamEngine: its state after step 0,
-    holding the remainder pieces and the mu history, and step 0's generator
-    (a QuadraticForm)."""
-    return SimpleNamespace(
-        state=kam.IterationState(m=1, normal_form=kam.NormalForm(pieces[0].J, list(mu_history)),
-                                 remainder=list(pieces)),
-        generator=generator)
+def checkpoint_engine(generator):
+    """What cli.save_checkpoint reads of a KamEngine after step 0: its step
+    count and step 0's generator (a QuadraticForm)."""
+    return SimpleNamespace(state=SimpleNamespace(m=1), generator=generator)

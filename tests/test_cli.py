@@ -63,8 +63,8 @@ def strip_timings(summary: dict) -> dict:
 
 @pytest.fixture(scope="module")
 def three_step_run(tmp_path_factory):
-    """(config, out, summary) of an uninterrupted TINY run at M = 3, the
-    fewest steps at which a checkpoint drops pieces."""
+    """(config, out, summary) of an uninterrupted TINY run at M = 3, whose
+    resume can lose one step, two or all of them."""
     cfg = tiny_config(M=3)
     out = tmp_path_factory.mktemp("three_steps") / "run"
     return cfg, out, run_pipeline(cfg, out)
@@ -196,7 +196,7 @@ class TestPipeline:
     @pytest.mark.parametrize("norm_grid, evaluations", [(8, 0), (12, 1)])
     def test_resume_reads_the_checked_norms(self, tmp_path, monkeypatch, norm_grid,
                                             evaluations):
-        # load_checkpoints norms the restored pieces on PUSH_NORM_GRID; at
+        # the replayed push norms the pieces it makes on PUSH_NORM_GRID; at
         # K = 3 that grid is norm_grid 8's, so the first resumed step reads
         # its active norm from the memo, and on norm_grid 12 evaluates it
         cfg = tiny_config(norm_grid=norm_grid)
@@ -204,21 +204,21 @@ class TestPipeline:
         run_pipeline(cfg, out)
         shutil.rmtree(sorted((out / "steps").glob("step_*"))[-1])
         restored, evaluated = [], []
-        load, grid_values = cli.load_checkpoints, galerkin.QuadraticForm.grid_values
+        replay, grid_values = cli.replay_checkpoints, galerkin.QuadraticForm.grid_values
 
-        def watched_load(*a, **k):
-            restored.append(load(*a, **k))
+        def watched_replay(engine, found):
+            replay(engine, found)
+            restored.append(engine.state.remainder[0])
             evaluated.clear()
-            return restored[-1]
 
         def counted(qf, G):
             evaluated.append(qf)
             return grid_values(qf, G)
 
-        monkeypatch.setattr(cli, "load_checkpoints", watched_load)
+        monkeypatch.setattr(cli, "replay_checkpoints", watched_replay)
         monkeypatch.setattr(galerkin.QuadraticForm, "grid_values", counted)
         run_pipeline(cfg, out, resume=True)
-        active = restored[0][2][0]
+        active = restored[0]
         assert sum(qf is active for qf in evaluated) == evaluations
 
     def test_checkpoints_leave_only_complete_step_directories(self, tmp_path):
@@ -229,8 +229,8 @@ class TestPipeline:
         for name in names:
             state = json.loads((out / "steps" / name / "state.json").read_text())
             # eps_m, P_norm and symplectic_defect live in the step record
-            assert sorted(state) == ["config", "encoding", "m_next", "mu_history", "pieces",
-                                     "record", "schema", "shape", "windows"]
+            assert sorted(state) == ["config", "encoding", "record", "schema", "shape",
+                                     "windows"]
             assert sorted(state["config"]) == sorted(cli.REDUCE_CONFIG_KEYS)
             assert "config" not in state["record"]
 
@@ -249,99 +249,85 @@ class TestPipeline:
                json.dumps(strip_timings(resumed), sort_keys=True)
         assert (newest / "state.json").exists()
 
-    def test_checkpoint_holds_one_array_per_piece_and_generator(self, tmp_path):
+    def test_checkpoint_holds_the_generator_and_the_manifest_only(self, tmp_path):
         cfg = tiny_config()
         out = tmp_path / "run"
         run_pipeline(cfg, out)
         K, J = cfg.K_theta, cfg.J_max
         half = [2 * K + 1, K + 1, 2 * J, 2 * J]
-        # every array is symmetric: its upper triangles, diagonal included
+        # the generator is symmetric: its upper triangles, diagonal included
         packed = 16 * np.prod(half[:-2]) * (2 * J) * (2 * J + 1) // 2
-        step = out / "steps" / "step_001"
-        state = json.loads((step / "state.json").read_text())
-        assert state["schema"] == cli.CHECKPOINT_SCHEMA == 6
-        assert state["shape"] == half
-        # both forms fill the whole window: no windows entry
-        assert state["pieces"] == 1 and state["windows"] == {}
-        assert state["encoding"] == cli.CHECKPOINT_ENCODING
-        assert sorted(p.name for p in step.iterdir()) == ["generator.bin", "piece_0.bin",
-                                                          "state.json"]
-        assert (step / "generator.bin").stat().st_size == packed
-        assert (step / "piece_0.bin").stat().st_size == packed
-        # step 0 pushes TINY's zero top piece to a zero piece 1: window -1, no file
-        step = out / "steps" / "step_000"
-        state = json.loads((step / "state.json").read_text())
-        assert state["pieces"] == 2 and state["windows"] == {"piece_1.bin": -1}
-        assert sorted(p.name for p in step.iterdir()) == ["generator.bin", "piece_0.bin",
-                                                          "state.json"]
+        for name in ("step_000", "step_001"):
+            step = out / "steps" / name
+            state = json.loads((step / "state.json").read_text())
+            assert state["schema"] == cli.CHECKPOINT_SCHEMA == 7
+            assert state["shape"] == half
+            # each generator fills the whole window: no windows entry
+            assert state["windows"] == {}
+            assert state["encoding"] == cli.CHECKPOINT_ENCODING
+            assert sorted(p.name for p in step.iterdir()) == ["generator.bin", "state.json"]
+            assert (step / "generator.bin").stat().st_size == packed
 
     def test_checkpoint_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        n, K, J = 2, 2, 3
-        cfg = RunConfig(J_max=J, K_theta=K)
-        ws = galerkin.WeightedSpace(cfg.smoothness_N, J)
-        pieces = [real_form(rng, n, K, J), galerkin.QuadraticForm.zeros(n, K, J)]
-        F = real_form(rng, n, K, J, scale=1e-3)
-        mu = rng.standard_normal(J)
-        # the record of the step that F generates, as KamEngine.step writes it
-        flow = kam.flow_transform(F, 1e-3, ws, fourier.product_grid_size(K), cfg.picard_tol)
-        record = {"m": 0, "eps_m": 1e-3, "P_norm": flow.P_norm,
-                  "symplectic_defect": flow.symplectic_defect,
-                  "picard_terms": flow.picard_terms,
-                  "new_piece_norms": [galerkin.form_norm(p, ws, kam.PUSH_NORM_GRID)
-                                      for p in pieces]}
+        # step 0 of TINY, saved, then replayed by an engine fresh from the
+        # seeded pieces: the replayed engine holds what the step left, bit for bit
+        cfg = tiny_config()
+        front = cli._front(cfg, cli._Stages())
+        opts = kam.KamOptions(picard_tol=cfg.picard_tol, residual_tol=cfg.residual_tol,
+                              norm_grid=cfg.norm_grid)
+
+        def seeded():
+            return kam.KamEngine(list(front.pieces), front.freq, front.sched, front.ws,
+                                 K_theta=cfg.K_theta, options=opts)
+
+        ran = seeded()
+        record = ran.step()
         # a form its upper triangle would not restore is refused, and nothing is written
+        F = ran.generator
         skew = F.coeffs.copy()
         skew[..., 0, 1] += 1.0
         with pytest.raises(ValueError, match=r"generator\.bin: the form is not exactly symmetric"):
             cli.save_checkpoint(tmp_path / "skew", checkpoint_engine(
-                pieces, galerkin.QuadraticForm(n, K, J, skew)), record, cfg)
+                galerkin.QuadraticForm(F.n, F.K, F.J, skew)), record, cfg)
         assert not (tmp_path / "skew").exists()
-        cli.save_checkpoint(tmp_path, checkpoint_engine(pieces, F, [(1e-3, mu)]), record, cfg)
+        cli.save_checkpoint(tmp_path, ran, record, cfg)
         step = tmp_path / "steps" / "step_000"
-        assert not (step / "piece_1.bin").exists()  # the zero piece
-        m_next, mu_history, back, chain, records = cli.load_checkpoints(
-            cfg, cli.checkpoint_states(tmp_path, cfg))
-        assert (m_next, records) == (1, [json.loads(json.dumps(record))])
-        assert len(mu_history) == 1 and mu_history[0][0] == 1e-3
-        assert np.array_equal(mu_history[0][1], mu)
-        assert len(back) == len(pieces)
-        for got, want in zip(back, pieces):
-            assert (got.n, got.K, got.J) == (n, K, J)
-            assert np.array_equal(got.coeffs, want.coeffs)
+        assert sorted(p.name for p in step.iterdir()) == ["generator.bin", "state.json"]
+        replayed = seeded()
+        cli.replay_checkpoints(replayed, cli.checkpoint_states(tmp_path, cfg))
+        got, want = replayed.state, ran.state
+        assert (got.m, got.diagnostics) == (1, [json.loads(json.dumps(record))])
+        assert len(got.remainder) == len(want.remainder) == 2
+        for back, piece in zip(got.remainder, want.remainder):
+            assert (back.n, back.K, back.J) == (piece.n, piece.K, piece.J)
+            assert back.coeffs.tobytes() == piece.coeffs.tobytes()
+        assert got.normal_form.lambdas().tobytes() == want.normal_form.lambdas().tobytes()
         # the chain step is the flow of the stored generator, bit for bit
-        assert len(chain.steps) == 1 and np.array_equal(chain.steps[0], flow.P_hat)
+        assert len(replayed.chain.steps) == 1
+        assert replayed.chain.steps[0].tobytes() == ran.chain.steps[0].tobytes()
+        # and the next step runs as it does in the uninterrupted engine
+        assert json.dumps(replayed.step()) == json.dumps(ran.step())
 
-    def test_only_the_two_newest_steps_keep_their_pieces(self, three_step_run, tmp_path):
+    def test_every_lost_step_is_replayed_byte_identically(self, three_step_run, tmp_path):
         cfg, full_out, full = three_step_run
-        K, J = cfg.K_theta, cfg.J_max
         steps = sorted((full_out / "steps").glob("step_*"))
         assert [d.name for d in steps] == ["step_000", "step_001", "step_002"]
-        assert not any(steps[0].glob("piece_*.bin"))
         for step in steps:
-            assert (step / "generator.bin").exists()
-        for step in steps[1:]:
-            state = json.loads((step / "state.json").read_text())
-            pieces = sorted(step.glob("piece_*.bin"))
-            # a zero piece has window -1 and no file; the others fill the whole window
-            zero = sorted(name for name, K_s in state["windows"].items() if K_s == -1)
-            assert zero == sorted(state["windows"])
-            assert sorted(p.name for p in pieces) + zero == \
-                   [f"piece_{i}.bin" for i in range(state["pieces"])]
-            assert pieces
-            for piece in pieces:
-                assert piece.stat().st_size == \
-                       16 * np.prod(state["shape"][:-2]) * (2 * J) * (2 * J + 1) // 2
-            assert state["shape"][:-2] == [2 * K + 1, K + 1]
-        # resume after losing the newest step reads the pieces of the one before
-        out = tmp_path / "partial"
-        shutil.copytree(full_out, out)
-        shutil.rmtree(out / "steps" / "step_002")
-        (out / "summary.json").unlink()
-        resumed = run_pipeline(cfg, out, resume=True)
-        assert json.dumps(strip_timings(full), sort_keys=True) == \
-               json.dumps(strip_timings(resumed), sort_keys=True)
-        assert not any((out / "steps" / "step_000").glob("piece_*.bin"))
+            assert sorted(p.name for p in step.iterdir()) == ["generator.bin", "state.json"]
+        written = {p.relative_to(full_out): p.read_bytes()
+                   for p in (full_out / "steps").rglob("*") if p.is_file()}
+        # a resume after losing the newest step, two, or all of them
+        for lost in (1, 2, 3):
+            out = tmp_path / f"lost_{lost}"
+            shutil.copytree(full_out, out)
+            for step in steps[-lost:]:
+                shutil.rmtree(out / "steps" / step.name)
+            (out / "summary.json").unlink()
+            resumed = run_pipeline(cfg, out, resume=True)
+            assert json.dumps(strip_timings(full), sort_keys=True) == \
+                   json.dumps(strip_timings(resumed), sort_keys=True)
+            assert {p.relative_to(out): p.read_bytes()
+                    for p in (out / "steps").rglob("*") if p.is_file()} == written
 
     @pytest.mark.parametrize("changed, differ", [
         ({"eps": 2e-3, "norm_grid": 10}, ["eps", "norm_grid"]),
@@ -400,6 +386,33 @@ class TestPipeline:
         assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(
             f"config_error: resume: {path}: not JSON: Expecting value")
+        # config.json, summary.json, resonance.csv and steps/ are the converged run's
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
+
+    @pytest.mark.parametrize("content, message", [
+        ({"schema": cli.CHECKPOINT_SCHEMA}, "missing or mistyped keys "
+                                            "['config', 'record', 'shape', 'windows']"),
+        ([1], "a checkpoint manifest is a JSON object, not list"),
+        ("record without tail_norm", "missing or mistyped keys ['record.tail_norm']"),
+        ("windows a list", "missing or mistyped keys ['windows']"),
+    ], ids=["schema_only", "not_an_object", "record_without_tail_norm", "windows_a_list"])
+    def test_resume_over_a_manifest_without_a_key_it_reads_is_config_error(
+            self, tmp_path, capsys, content, message):
+        out = tmp_path / "run"
+        run_pipeline(tiny_config(), out)
+        path = out / "steps" / "step_001" / "state.json"
+        state = json.loads(path.read_text())
+        if content == "record without tail_norm":
+            del state["record"]["tail_norm"]
+            content = state
+        elif content == "windows a list":
+            content = {**state, "windows": []}
+        path.write_text(json.dumps(content))
+        written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY))
+        assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config_error: resume: {path}: {message}\n"
         # config.json, summary.json, resonance.csv and steps/ are the converged run's
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
 
@@ -492,38 +505,32 @@ class TestCheckpointWindows:
         n, K, J, K_s = 2, 4, 3, 2
         cfg = RunConfig(J_max=J, K_theta=K)
         ws = galerkin.WeightedSpace(cfg.smoothness_N, J)
-        band = real_form(rng, n, K, J).truncate(K_s)[0]
+        band = real_form(rng, n, K, J, scale=1e-3).truncate(K_s)[0]
         band.coeffs[0, 0, 0, 0] = -0.0  # k = (-4, 0), outside the kept window
-        pieces = [real_form(rng, n, K, J), band, galerkin.QuadraticForm.zeros(n, K, J)]
-        F = real_form(rng, n, K, J, scale=1e-3).truncate(K_s)[0]
-        flow = kam.flow_transform(F, 1e-3, ws, fourier.product_grid_size(K), cfg.picard_tol)
-        record = {"m": 0, "eps_m": 1e-3, "P_norm": flow.P_norm,
-                  "symplectic_defect": flow.symplectic_defect,
-                  "picard_terms": flow.picard_terms,
-                  "new_piece_norms": [galerkin.form_norm(p, ws, kam.PUSH_NORM_GRID)
-                                      for p in pieces]}
-        cli.save_checkpoint(tmp_path, checkpoint_engine(pieces, F), record, cfg)
-        step = tmp_path / "steps" / "step_000"
-        state = json.loads((step / "state.json").read_text())
-        assert state["windows"] == {"piece_1.bin": K_s, "piece_2.bin": -1,
-                                    "generator.bin": K_s}
-        assert sorted(p.name for p in step.glob("*.bin")) == ["generator.bin", "piece_0.bin",
-                                                              "piece_1.bin"]
         triangle = J * (2 * J + 1)
-        assert (step / "piece_0.bin").stat().st_size == \
-               (2 * K + 1) ** (n - 1) * (K + 1) * triangle * 16
-        for name in ("piece_1.bin", "generator.bin"):
-            assert (step / name).stat().st_size == \
-                   (2 * K_s + 1) ** (n - 1) * (K_s + 1) * triangle * 16
-        _, _, back, chain, _ = cli.load_checkpoints(cfg, cli.checkpoint_states(tmp_path, cfg))
-        assert np.array_equal(chain.steps[0], flow.P_hat)
-        for got, want in zip(back, pieces):
+        # each generator as the window it fills, its file size, and its windows entry
+        cases = {"full": (real_form(rng, n, K, J, scale=1e-3), (2 * K + 1) ** (n - 1) * (K + 1),
+                          {}),
+                 "band": (band, (2 * K_s + 1) ** (n - 1) * (K_s + 1), {"generator.bin": K_s}),
+                 "zero": (galerkin.QuadraticForm.zeros(n, K, J), 0, {"generator.bin": -1})}
+        for case, (F, modes, windows) in cases.items():
+            cli.save_checkpoint(tmp_path / case, checkpoint_engine(F), {"m": 0}, cfg)
+            step = tmp_path / case / "steps" / "step_000"
+            state = json.loads((step / "state.json").read_text())
+            assert state["windows"] == windows
+            path = step / "generator.bin"
+            assert (path.stat().st_size if modes else path.exists()) == modes * triangle * 16
+            got = cli._load_form(path, state)
             assert (got.n, got.K, got.J) == (n, K, J)
-            assert np.array_equal(got.coeffs, want.coeffs)
-            nonzero = want.coeffs != 0
-            assert got.coeffs[nonzero].tobytes() == want.coeffs[nonzero].tobytes()
+            assert np.array_equal(got.coeffs, F.coeffs)
+            nonzero = F.coeffs != 0
+            assert got.coeffs[nonzero].tobytes() == F.coeffs[nonzero].tobytes()
             # every zero, the dropped -0.0 included, reloads as +0.0
             assert not np.signbit(got.coeffs[~nonzero].view(float)).any()
+            # and the restored generator's flow is the saved one's, bit for bit
+            flows = [kam.flow_transform(form, 1e-3, ws, fourier.product_grid_size(K),
+                                        cfg.picard_tol) for form in (got, F)]
+            assert np.array_equal(flows[0].P_hat, flows[1].P_hat)
 
     @pytest.mark.parametrize("K_s, message", [
         (2, f"expected {16 * 5 * 3 * 8 * 17} bytes, found {16 * 7 * 4 * 8 * 17} bytes"),
@@ -548,10 +555,10 @@ class TestCheckpointWindows:
                                      f"{step / 'generator.bin'}: {message}")
 
 
-def _watch_lifetimes(monkeypatch, source: str) -> tuple:
-    """Weakrefs to the decomposition and to the block arrays of the pieces the
-    engine starts from (cli.<source>: seed_pieces or load_checkpoints), and the
-    names still alive at each checkpoint after a gc.collect()."""
+def _watch_lifetimes(monkeypatch) -> tuple:
+    """Weakrefs to the decomposition, to the coefficients of the seeded pieces
+    the engine starts from and, on a resume, of the pieces the replay leaves
+    it, and the names still alive at each checkpoint after a gc.collect()."""
     refs, alive_at = {}, {}
     decompose = cli.decompose
 
@@ -560,14 +567,20 @@ def _watch_lifetimes(monkeypatch, source: str) -> tuple:
         refs["decomposition"] = weakref.ref(dec)
         return dec
 
-    start = getattr(cli, source)
-
-    def watched_start(*a, **k):
-        got = start(*a, **k)
-        pieces = got if source == "seed_pieces" else got[2]
+    def watch(label, pieces):
         for i, piece in enumerate(pieces):
-            refs[f"piece {i} coeffs"] = weakref.ref(piece.coeffs)
-        return got
+            refs[f"{label} piece {i} coeffs"] = weakref.ref(piece.coeffs)
+
+    seed, replay = cli.seed_pieces, cli.replay_checkpoints
+
+    def watched_seed(*a, **k):
+        pieces = seed(*a, **k)
+        watch("seeded", pieces)
+        return pieces
+
+    def watched_replay(engine, found):
+        replay(engine, found)
+        watch("replayed", engine.state.remainder)
 
     save = cli.save_checkpoint
 
@@ -577,16 +590,17 @@ def _watch_lifetimes(monkeypatch, source: str) -> tuple:
         alive_at[record["m"]] = sorted(name for name, ref in refs.items() if ref() is not None)
 
     monkeypatch.setattr(cli, "decompose", watched_decompose)
-    monkeypatch.setattr(cli, source, watched_start)
+    monkeypatch.setattr(cli, "seed_pieces", watched_seed)
+    monkeypatch.setattr(cli, "replay_checkpoints", watched_replay)
     monkeypatch.setattr(cli, "save_checkpoint", watched_save)
     return refs, alive_at
 
 
 class TestMemory:
     def test_stage_data_is_released_once_the_engine_is_seeded(self, tmp_path, monkeypatch):
-        refs, alive_at = _watch_lifetimes(monkeypatch, "seed_pieces")
+        refs, alive_at = _watch_lifetimes(monkeypatch)
         run_pipeline(tiny_config(), tmp_path / "run")
-        assert "decomposition" in refs and "piece 0 coeffs" in refs
+        assert "decomposition" in refs and "seeded piece 0 coeffs" in refs
         assert alive_at[1] == []
 
     def test_restored_pieces_are_released_after_the_first_resumed_step(self, tmp_path,
@@ -594,9 +608,9 @@ class TestMemory:
         out = tmp_path / "run"
         run_pipeline(tiny_config(), out)
         shutil.rmtree(sorted((out / "steps").glob("step_*"))[-1])
-        refs, alive_at = _watch_lifetimes(monkeypatch, "load_checkpoints")
+        refs, alive_at = _watch_lifetimes(monkeypatch)
         run_pipeline(tiny_config(), out, resume=True)
-        assert "decomposition" in refs and "piece 0 coeffs" in refs
+        assert {"decomposition", "seeded piece 0 coeffs", "replayed piece 0 coeffs"} <= set(refs)
         assert list(alive_at) == [1]
         assert alive_at[1] == []
 
@@ -872,6 +886,31 @@ class TestMain:
         assert float(by_name["total"][1]) == pytest.approx(summary["timings"]["total"],
                                                            rel=1e-6)
 
+    def test_a_resume_times_its_replay(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TINY))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONVERGED
+        fresh = json.loads((out / "summary.json").read_text())["timings"]
+        assert "replay" not in fresh
+        assert "replay" not in [label for label, _ in fresh["peak_rss_mb"]]
+        shutil.rmtree(out / "steps" / "step_001")
+        assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONVERGED
+        assert main(["report", "--out", str(out)]) == EXIT_CONVERGED
+        timings = json.loads((out / "summary.json").read_text())["timings"]
+        # the replay of step 0 runs inside the reduce stage, before step 1
+        assert [label for label, _ in timings["peak_rss_mb"]] == [
+            "validate", "analyze", "assemble", "schedule_split", "screen", "replay", "step 1",
+            "reduce", "verify"]
+        assert 0.0 < timings["replay"] <= timings["reduce"]
+        assert [entry["m"] for entry in timings["steps"]] == [1]
+        rows = {row.split(",")[0]: row.split(",") for row in
+                (out / "timings_report.csv").read_text().splitlines()}
+        assert float(rows["replay"][1]) == pytest.approx(timings["replay"], rel=1e-6)
+        assert rows["replay"][2:-1] == [""] * len(STEP_COLUMNS)
+        assert float(rows["replay"][-1]) == pytest.approx(dict(timings["peak_rss_mb"])["replay"],
+                                                          rel=1e-6)
+
     def test_report_with_null_consistency_defect(self, tmp_path):
         step = {"m": 0, "eps_m": 1e-3, "K_eff": 3, "divisor_min": 0.25,
                 "homological_residual": 1e-14, "P_norm": 2e-3, "P_bound": 0.03,
@@ -1022,45 +1061,56 @@ class TestMain:
         cfg_path.write_text(json.dumps(TINY))
         out = tmp_path / "r"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONVERGED
-        piece = out / "steps" / "step_001" / "piece_0.bin"
-        piece.write_bytes(piece.read_bytes()[:-3])
+        generator = out / "steps" / "step_001" / "generator.bin"
+        generator.write_bytes(generator.read_bytes()[:-3])
         assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "internal_error"
         assert summary["detail"].startswith("reduce: ValueError: ")
         want = 16 * 7 * 4 * 16 * 17 // 2  # (2K+1, K+1) upper triangles of 2J = 16
-        assert summary["detail"].endswith(f"step_001/piece_0.bin: expected {want} bytes, "
+        assert summary["detail"].endswith(f"step_001/generator.bin: expected {want} bytes, "
                                           f"found {want - 3} bytes")
 
-    def test_pruned_checkpoint_array_is_internal_error(self, three_step_run, tmp_path):
-        # with the two newest steps lost, the newest left has no pieces
-        cfg, full_out, _ = three_step_run
+    def test_resume_after_two_lost_steps_is_byte_identical(self, three_step_run, tmp_path):
+        # the newest step left holds no pieces: the replay pushes them again
+        cfg, full_out, full = three_step_run
         out = tmp_path / "r"
         shutil.copytree(full_out, out)
         for name in ("step_001", "step_002"):
             shutil.rmtree(out / "steps" / name)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg.as_dict()))
-        assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL
+        assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONVERGED
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["status"] == "internal_error"
-        assert summary["detail"].startswith("reduce: ValueError: checkpoint array ")
-        assert summary["detail"].endswith("step_000/piece_0.bin: expected "
-                                          f"{16 * 7 * 4 * 16 * 17 // 2} bytes, found no file")
+        assert strip_timings(summary) == json.loads(json.dumps(strip_timings(full)))
+        for path in full_out.rglob("*"):
+            if path.is_file() and path.name != "summary.json":
+                assert (out / path.relative_to(full_out)).read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("name, check", [("generator.bin", "its flow gives"),
-                                             ("piece_0.bin", "its form_norm is")])
+    @pytest.mark.parametrize("step, check", [
+        ("step_002", "its flow gives"), ("step_000", "its flow gives"),
+        ("step_001", "its push gives")],
+        ids=["generator.bin-its flow gives", "step_000/generator.bin-its flow gives",
+             "new_piece_norms-its push gives"])
     def test_same_size_checkpoint_corruption_is_internal_error(self, three_step_run,
-                                                               tmp_path, name, check):
-        # one coefficient changed: the byte count is right, the recomputed
-        # flow or norm is not the step record's
+                                                               tmp_path, step, check):
+        # one generator coefficient changed, or the record's first new piece
+        # norm one ulp off: the byte count is right, the replayed flow or push
+        # is not the step record's
         cfg, full_out, _ = three_step_run
         out = tmp_path / "r"
         shutil.copytree(full_out, out)
-        path = out / "steps" / "step_002" / name
-        coeffs = np.frombuffer(path.read_bytes(), dtype="<c16").copy()
-        coeffs[5] += 1e-3
-        path.write_bytes(coeffs.tobytes())
+        path = out / "steps" / step / "generator.bin"
+        if check == "its flow gives":
+            coeffs = np.frombuffer(path.read_bytes(), dtype="<c16").copy()
+            coeffs[5] += 1e-3
+            path.write_bytes(coeffs.tobytes())
+        else:
+            manifest = path.with_name("state.json")
+            state = json.loads(manifest.read_text())
+            norms = state["record"]["new_piece_norms"]
+            norms[0] = float(np.nextafter(norms[0], np.inf))
+            manifest.write_text(json.dumps(state))
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg.as_dict()))
         assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL

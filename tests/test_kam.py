@@ -572,7 +572,7 @@ class TestPushRemainder:
         sol = solve_homological(zero, NormalForm(J=J), 1.3 * np.asarray(OMEGA0), K, 0.05)
         ws = WeightedSpace(2, J)
         flow = flow_transform(sol.F, 1e-3, ws, grid=8)
-        new_pieces, diag = push_remainder([zero, other], sol, flow, 1e-3, 1e-4, ws, grid=8)
+        new_pieces, diag = push_remainder([zero, other], K, sol.diag_avg, flow, 1e-3, 1e-4, ws, grid=8)
         assert len(new_pieces) == 1
         assert np.max(np.abs(new_pieces[0].coeffs - other.coeffs)) < 1e-15
 
@@ -602,7 +602,7 @@ class TestPushRemainder:
         assert not sol.F.coeffs.any()  # nothing inside the cutoff
         ws = WeightedSpace(2, J)
         flow = flow_transform(sol.F, eps, ws, grid=10)
-        new_pieces, _ = push_remainder([qf], sol, flow, eps, eps_next, ws, grid=10)
+        new_pieces, _ = push_remainder([qf], K_m, sol.diag_avg, flow, eps, eps_next, ws, grid=10)
         expect = qf.scaled(eps / eps_next)
         assert np.max(np.abs(new_pieces[0].coeffs - expect.coeffs)) < 1e-12
 
@@ -628,7 +628,7 @@ class TestPushRemainder:
         assert not np.delete(acc, 3, axis=0).any()
 
 
-def whole_grid_push(pieces, sol, flow, eps_m, eps_next, ws, grid):
+def whole_grid_push(pieces, K_m, diag_avg, flow, eps_m, eps_next, ws, grid):
     """The new pieces of push_remainder with every Lie series run on whole
     grid arrays under one stopping rule per stream: the form before the
     slabs, kept as the reference of the streamed push."""
@@ -636,10 +636,10 @@ def whole_grid_push(pieces, sol, flow, eps_m, eps_next, ws, grid):
     n, K, J = R_mm.n, R_mm.K, R_mm.J
     w2 = ws.doubled_metric_weights
     JS_S = 0.5 * flow.B
-    low, tail = R_mm.truncate(min(sol.K_m, K))
+    low, tail = R_mm.truncate(min(K_m, K))
     # diag(mu) in the u-form zzbar block at k = 0, added in the u-form
     star_blocks = [-b for b in uform_blocks(low)]
-    star_blocks[1][(K,) * n][(np.arange(J), np.arange(J))] += sol.diag_avg
+    star_blocks[1][(K,) * n][(np.arange(J), np.arange(J))] += diag_avg
     star = form_from_blocks(n, K, J, *star_blocks)
 
     def window(values):
@@ -679,9 +679,9 @@ class TestStreamedPush:
         push = kam.push_remainder
         checked = []
 
-        def compare(pieces, sol, flow, eps_m, eps_next, ws, grid):
-            want = whole_grid_push(pieces, sol, flow, eps_m, eps_next, ws, grid)
-            got, diag = push(pieces, sol, flow, eps_m, eps_next, ws, grid)
+        def compare(pieces, K_m, diag_avg, flow, eps_m, eps_next, ws, grid):
+            want = whole_grid_push(pieces, K_m, diag_avg, flow, eps_m, eps_next, ws, grid)
+            got, diag = push(pieces, K_m, diag_avg, flow, eps_m, eps_next, ws, grid)
             assert len(got) == len(want) == len(pieces) - 1
             for g, w in zip(got, want):
                 assert np.max(np.abs(g.coeffs - w.coeffs)) <= 1e-12 * np.max(np.abs(w.coeffs))
@@ -804,7 +804,7 @@ class TestStreamSources:
 
         monkeypatch.setattr(fourier, "window_to_grid", counted)
         monkeypatch.setattr(kam, "form_norm", norm_counted)
-        _, diag = push_remainder([qf, other], sol, flow, 1e-3, 1e-4, ws, grid=grid)
+        _, diag = push_remainder([qf, other], K, sol.diag_avg, flow, 1e-3, 1e-4, ws, grid=grid)
         streams = {name.split("[")[0] for name in diag.series_terms}
         assert streams == {"double_bracket", "single_bracket"}
         assert len(kam._slabs(grid, n)) == 3
@@ -826,13 +826,13 @@ class TestStreamSources:
             return RealGrid(coeffs, *args)
 
         monkeypatch.setattr(kam, "RealGrid", recording)
-        got, diag = push_remainder(pieces, sol, flow, 1e-3, 1e-4, ws, grid=grid)
+        got, diag = push_remainder(pieces, K, sol.diag_avg, flow, 1e-3, 1e-4, ws, grid=grid)
         # the two bracket sources and the two nonzero pieces; none for the zero one
         assert built == [True] * 4
         streams = {name.split("[")[0] for name in diag.series_terms}
         assert streams == {"double_bracket", "single_bracket"}
         assert not got[1].coeffs.any() and diag.new_piece_norms[1] == 0.0
-        want = whole_grid_push(pieces, sol, flow, 1e-3, 1e-4, ws, grid)
+        want = whole_grid_push(pieces, K, sol.diag_avg, flow, 1e-3, 1e-4, ws, grid)
         for g, w in zip(got, want):
             assert np.max(np.abs(g.coeffs - w.coeffs)) <= 1e-12 * max(np.max(np.abs(w.coeffs)),
                                                                       1e-300)
