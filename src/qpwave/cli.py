@@ -25,7 +25,6 @@ import contextlib
 import json
 import os
 import resource
-import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -34,15 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import resonance
-from .fourier import half_index, kinf
-from .galerkin import (
-    QuadraticForm,
-    WeightedSpace,
-    assemble_initial_forms,
-    coupling_tensor,
-)
+from .galerkin import WeightedSpace, assemble_initial_forms, coupling_tensor
 from .kam import (
-    REPLAY_KEYS,
+    RECORD_KEYS,
     STEP_TIMINGS,
     SYMPLECTIC_TOL,
     CertificateError,
@@ -71,6 +64,7 @@ from .verify import (
     integrate_full,
     lyapunov_exponent,
     multiplier_decay,
+    require_lyapunov_horizon,
 )
 
 EXIT_CONVERGED = 0
@@ -138,9 +132,21 @@ class RunConfig:
                 raise ValueError("tau_sweep ends must lie in [1, 2]")
             if count < 2 or count != int(count):
                 raise ValueError("tau_sweep needs an integer count >= 2")
-        for name in ("picard_tol", "residual_tol"):
+        # the sizes each stage needs, checked before anything is written
+        positive = ("picard_tol", "residual_tol")
+        if self.run_verify:
+            positive += ("conjugacy_T", "lyapunov_renorm_dt")
+        for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.run_verify:
+            if self.conjugacy_samples < 1:
+                raise ValueError("conjugacy_samples must be >= 1")
+            require_lyapunov_horizon(self.lyapunov_T, self.lyapunov_renorm_dt)
+        if self.K_check < 1 or self.validation_grid < 4:
+            raise ValueError("validation needs K_check >= 1 and validation_grid >= 4")
+        if self.tau_grid_points < 100:
+            raise ValueError("tau_grid_points must be >= 100")
         # a Picard series cut off above the gate can leave a symplectic defect above it
         if self.picard_tol > SYMPLECTIC_TOL:
             raise ValueError(f"picard_tol must be <= {SYMPLECTIC_TOL:.0e}, the bound on "
@@ -184,24 +190,15 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: one directory per step, state.json and the step's generator
+# Checkpoints: steps/step_<m>.json, the step record of each step
 
-CHECKPOINT_SCHEMA = 7  # format of a step directory
-CHECKPOINT_ENCODING = (
-    "complex128 little-endian float64 (re, im) pairs, row-major. generator.bin holds "
-    "the step's homological generator F, an exactly symmetric (q, p) form of shape "
-    "(k-window half..., 2J, 2J), coefficients for k_last >= 0, stored as the upper "
-    "triangle of each matrix, diagonal included (numpy.triu_indices(2J)), on the "
-    "centred window |k|_inf <= windows[name] of shape[:-2] (K if absent; -1 is the "
-    "zero form, with no file). A resume replays each step's push from the step-0 "
-    "pieces")
+CHECKPOINT_SCHEMA = 8  # format of a step file
 # the RunConfig fields the reduce reads: checkpoints written under other values
 # hold another run's state
 REDUCE_CONFIG_KEYS = ("n", "omega0", "tau", "gamma", "eps", "smoothness_N", "potential",
                       "J_max", "K_theta", "M", "picard_tol", "residual_tol", "norm_grid")
-# the state.json keys a resume reads beside the schema, with their JSON types
-# (the record holds REPLAY_KEYS)
-MANIFEST_KEYS = {"config": dict, "record": dict, "shape": list, "windows": dict}
+# the step-file keys beside the schema, each a JSON object
+MANIFEST_KEYS = ("config", "record")
 
 
 class CheckpointSchemaError(ValueError):
@@ -213,60 +210,9 @@ class CheckpointConfigError(ValueError):
 
 
 def _reduce_config(config: RunConfig) -> dict:
-    """config's REDUCE_CONFIG_KEYS fields as state.json stores them."""
+    """config's REDUCE_CONFIG_KEYS fields as a step file stores them."""
     data = config.as_dict()
     return json.loads(json.dumps({key: data[key] for key in REDUCE_CONFIG_KEYS}))
-
-
-def _save_complex(path: Path, arr: np.ndarray):
-    path.write_bytes(np.ascontiguousarray(arr).astype("<c16").tobytes())
-
-
-def _load_complex(path: Path, shape) -> np.ndarray:
-    """The array of shape stored at path; a missing file or one of another
-    byte count is a ValueError naming the file."""
-    expected = 16 * int(np.prod(shape))
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        data = None
-    if data is None or len(data) != expected:
-        found = "no file" if data is None else f"{len(data)} bytes"
-        raise ValueError(f"checkpoint array {path}: expected {expected} bytes, found {found}")
-    return np.frombuffer(data, dtype="<c16").reshape(shape).astype(complex)
-
-
-def _window(n: int, K: int, K_s: int) -> tuple:
-    """Index of the centred window |k|_inf <= K_s in a half-window array of
-    truncation K: rows K-K_s..K+K_s of the first n-1 axes, 0..K_s of the last."""
-    return (slice(K - K_s, K + K_s + 1),) * (n - 1) + (slice(0, K_s + 1),)
-
-
-def _support(coeffs: np.ndarray, n: int, K: int) -> int:
-    """The least K_s whose window holds every nonzero coefficient of a
-    half-window form of truncation K; -1 for the zero form."""
-    rings = kinf(n, K)[half_index(n, K)][coeffs.any(axis=(-2, -1))]
-    return int(rings.max()) if rings.size else -1
-
-
-def _load_form(path: Path, state: dict) -> QuadraticForm:
-    """The symmetric form stored at path as the upper triangles of its window
-    |k|_inf <= K_s, zero outside it; K_s is state.json's windows entry, K
-    without one, and -1 (the zero form) reads no file. (n, K, J) come from
-    the stored shape, (2K+1,)*(n-1) + (K+1, 2J, 2J)."""
-    shape = state["shape"]
-    n, K, J = len(shape) - 2, shape[-3] - 1, shape[-1] // 2
-    K_s = state["windows"].get(path.name, K)
-    if type(K_s) is not int or not -1 <= K_s <= K:
-        raise ValueError(f"checkpoint array {path}: window K_s = {K_s!r} outside [-1, {K}]")
-    out = np.zeros(shape, dtype=complex)
-    if K_s >= 0:
-        window = _window(n, K, K_s)
-        packed = _load_complex(path, [2 * K_s + 1] * (n - 1) + [K_s + 1, J * (2 * J + 1)])
-        rows, cols = np.triu_indices(2 * J)
-        out[(*window, rows, cols)] = packed
-        out[(*window, cols, rows)] = packed
-    return QuadraticForm(n, K, J, out)
 
 
 def machine_info() -> dict:
@@ -304,60 +250,28 @@ def _write_json(path: Path, payload: dict):
     _write_text(path, json.dumps(payload, indent=1, sort_keys=True))
 
 
-def save_checkpoint(out: Path, engine: KamEngine, record: dict, config: RunConfig):
-    """Write the checkpoint of the engine's last step m, its record and its
-    generator, into a temporary sibling, then rename it to step_<m>, so that
-    a step_* directory is either complete or absent. The generator is
-    written on the window its nonzero coefficients fill, named in windows
-    when smaller than K; an all-zero generator gets no file. One that is not
-    exactly symmetric, which its upper triangle would not restore, is a
-    ValueError."""
-    name, F = "generator.bin", engine.generator
-    if not np.array_equal(F.coeffs, np.swapaxes(F.coeffs, -1, -2)):
-        raise ValueError(f"{name}: the form is not exactly symmetric; "
-                         "its checkpoint stores the upper triangle only")
-    step_dir = out / "steps" / f"step_{engine.state.m - 1:03d}"
-    tmp_dir = step_dir.with_name(f".{step_dir.name}.tmp")  # not matched by step_*
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
-    K_s = _support(F.coeffs, F.n, F.K)
-    if K_s >= 0:
-        _save_complex(tmp_dir / name, F.coeffs[_window(F.n, F.K, K_s)][
-            (..., *np.triu_indices(2 * F.J))])
-    _write_json(tmp_dir / "state.json", {
-        "schema": CHECKPOINT_SCHEMA,
-        "config": _reduce_config(config),
-        "record": record,
-        "shape": list(F.coeffs.shape),
-        "windows": {name: K_s} if K_s < F.K else {},
-        "encoding": CHECKPOINT_ENCODING,
-    })
-    if step_dir.exists():
-        shutil.rmtree(step_dir)
-    os.replace(tmp_dir, step_dir)
+def save_checkpoint(out: Path, record: dict, config: RunConfig):
+    """Write the checkpoint of step record["m"], steps/step_<m>.json: the
+    schema, config's REDUCE_CONFIG_KEYS fields and the step record."""
+    _write_json(out / "steps" / f"step_{record['m']:03d}.json", {
+        "schema": CHECKPOINT_SCHEMA, "config": _reduce_config(config), "record": record})
 
 
 def checkpoint_states(out: Path, config: RunConfig) -> list:
-    """(step directory, state.json contents) of step_000, step_001, ...; only
-    the last may lack its state.json. A gap before the last, or a state.json
-    that is not JSON, not a JSON object, of another CHECKPOINT_SCHEMA or
-    without a key the resume reads (MANIFEST_KEYS of their types, the
-    record's REPLAY_KEYS) raises CheckpointSchemaError naming it, one
-    written under other values of REDUCE_CONFIG_KEYS than config's
-    CheckpointConfigError naming them."""
+    """(path, contents) of steps/step_000.json, step_001.json, ... A steps/step_*
+    name other than the next step file (a gap, or the step directory of an
+    older schema), or a step file that is not JSON, not a JSON object, of
+    another CHECKPOINT_SCHEMA, without a MANIFEST_KEYS object or whose record
+    lacks a key of RECORD_KEYS or holds another, raises CheckpointSchemaError
+    naming it; one written under other values of REDUCE_CONFIG_KEYS than
+    config's, CheckpointConfigError naming them."""
     expected = _reduce_config(config)
     steps = out / "steps"
-    names = sorted(d.name for d in steps.glob("step_*"))
     found = []
-    for m, name in enumerate(names):
-        d = steps / f"step_{m:03d}"
-        path = d / "state.json"
-        if name != d.name or not path.exists():
-            if name == d.name == names[-1]:
-                break  # an interrupted write: resume recomputes from this step on
-            raise CheckpointSchemaError(f"{d}: missing or incomplete, yet {steps / names[-1]} "
-                                        "is present")
+    for m, name in enumerate(sorted(p.name for p in steps.glob("step_*"))):
+        path = steps / f"step_{m:03d}.json"
+        if name != path.name:
+            raise CheckpointSchemaError(f"{path}: missing, yet {steps / name} is present")
         try:
             state = json.loads(path.read_text())
         except json.JSONDecodeError as e:
@@ -368,33 +282,40 @@ def checkpoint_states(out: Path, config: RunConfig) -> list:
         if state.get("schema") != CHECKPOINT_SCHEMA:
             raise CheckpointSchemaError(f"{path}: checkpoint schema {state.get('schema')}, "
                                         f"expected {CHECKPOINT_SCHEMA}")
-        lacking = [key for key, kind in MANIFEST_KEYS.items()
-                   if not isinstance(state.get(key), kind)]
-        lacking += [f"record.{key}" for key in REPLAY_KEYS
-                    if isinstance(state.get("record"), dict) and key not in state["record"]]
+        lacking = [key for key in MANIFEST_KEYS if not isinstance(state.get(key), dict)]
+        if not lacking:
+            lacking = [f"record.{key}" for key in RECORD_KEYS if key not in state["record"]]
         if lacking:
             raise CheckpointSchemaError(f"{path}: missing or mistyped keys {lacking}")
+        unknown = [f"record.{key}" for key in state["record"] if key not in RECORD_KEYS]
+        if unknown:
+            raise CheckpointSchemaError(f"{path}: unknown keys {unknown}")
         differ = sorted(key for key, value in expected.items()
                         if state["config"].get(key) != value)
         if differ:
             raise CheckpointConfigError(f"{path}: checkpoint written under other "
                                         f"values of {differ}")
-        found.append((d, state))
+        found.append((path, state))
     return found
+
+
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True)
 
 
 def replay_checkpoints(engine: KamEngine, found: list):
     """Advance the engine, fresh from the step-0 pieces, through the
-    checkpoint_states found: KamEngine.replay redoes each step from its
-    stored generator and record. A missing or mis-sized generator file, or
-    a replay that differs from its record, is a ValueError naming the file."""
-    for d, state in found:
-        path = d / "generator.bin"
-        F = _load_form(path, state)
-        try:
-            engine.replay(F, state["record"])
-        except (ValueError, StepSizeError) as e:
-            raise ValueError(f"checkpoint array {path}: {e}") from None
+    checkpoint_states found: KamEngine.step re-runs each stored step with
+    the stored consistency_defect, which it gates in place of the oracle.
+    The record it gives must equal the stored one in every key and value,
+    as JSON; a mismatch is a ValueError naming the file and the keys."""
+    for path, state in found:
+        stored = state["record"]
+        record = engine.step(consistency=stored["consistency_defect"])
+        differ = [key for key in RECORD_KEYS
+                  if _canonical(record[key]) != _canonical(stored[key])]
+        if differ:
+            raise ValueError(f"{path}: the re-run step differs from its record in {differ}")
 
 
 # ---------------------------------------------------------------------------
@@ -659,13 +580,13 @@ def _run_tau(config: RunConfig, out: Path, front: _Front, stages: _Stages,
             stages.name = f"reduce, step m={engine.state.m}"
             record = engine.step()
             t_save = time.time()
-            save_checkpoint(out, engine, record, config)
+            save_checkpoint(out, record, config)
             timings["steps"].append({"m": record["m"], **engine.step_timings,
                                      "save_s": time.time() - t_save})
             timings["peak_rss_mb"].append([f"step {record['m']}", peak_rss_mib()])
         stages.name = "reduce"
         result = engine.result()
-        del engine  # with its last pieces and generator: the rest reads result
+        del engine  # with its last pieces: the rest reads result
 
     summary["steps"] = result.history
     summary["normal_form"] = {

@@ -804,18 +804,12 @@ class KamResult:
 # the sub-stages of a step that KamEngine.step times, in seconds
 STEP_TIMINGS = ("norms_s", "solve_s", "flow_s", "push_s", "oracle_s")
 
-# the step record's values that KamEngine.replay recomputes from the flow and
-# the push, and every record key it reads
-REPLAY_FLOW = ("P_norm", "symplectic_defect", "picard_terms")
-REPLAY_PUSH = ("new_piece_norms", "tail_norm")
-REPLAY_KEYS = ("eps_m", "eps_next", "K_eff") + REPLAY_FLOW + REPLAY_PUSH
-
-
-def _check_replay(what: str, result, keys: tuple, record: dict):
-    got = {key: getattr(result, key) for key in keys}
-    want = {key: record[key] for key in keys}
-    if got != want:
-        raise ValueError(f"its {what} gives {got}, the step record {want}")
+# the keys of a step record, in KamEngine.step's order
+RECORD_KEYS = ("m", "eps_m", "eps_next", "gamma_m", "K_raw", "K_eff", "K_capped", "strip",
+               "divisor_min", "homological_residual", "solution_norms", "mu_max_times_j",
+               "P_norm", "P_bound", "symplectic_defect", "picard_terms", "active_norm",
+               "weighted_size", "new_piece_norms", "tail_norm", "series_truncation_spec_ok",
+               "consistency_defect")
 
 
 class KamEngine:
@@ -824,12 +818,7 @@ class KamEngine:
     step_timings holds the last completed step's sub-stage wall times, keyed
     by STEP_TIMINGS: the active-piece norm, the homological solve with its
     residual, the flow, the push and the oracle. It is kept apart from the
-    step record, so records and checkpoints stay bit-reproducible.
-
-    generator is the last completed step's homological generator F, the form
-    its flow exponentiates, which a checkpoint stores; the next step drops
-    it. A resume starts the engine from the step-0 pieces and replays each
-    stored step from its generator and record."""
+    step record, so records and checkpoints stay bit-reproducible."""
 
     def __init__(
         self,
@@ -849,19 +838,20 @@ class KamEngine:
         self.chain = TransformChain()
         self.grid = product_grid_size(K_theta)
         self.step_timings: dict = {}
-        self.generator: QuadraticForm | None = None
 
     @property
     def finished(self) -> bool:
         return self.state.m >= self.schedule.M or self.schedule.degenerate
 
-    def step(self) -> dict:
+    def step(self, consistency: float | None = None) -> dict:
+        """Run step m and return its record (keys RECORD_KEYS). A resume
+        re-runs a stored step with its recorded consistency, which the step
+        gates in place of running the oracle."""
         if self.finished:
             raise RuntimeError("iteration already finished")
         st = self.state
         m = st.m
         sched = self.schedule
-        self.generator = None  # the last step's, saved by now
         eps_m = sched.eps_at(m)
         eps_next = sched.eps_at(m + 1)
         gamma_m = float(sched.gamma_steps[m])
@@ -902,12 +892,13 @@ class KamEngine:
             raise CertificateError("series_truncation_spec_ok is false")
         clock.append(time.perf_counter())
 
-        eps_old = [sched.eps_at(m + i) for i in range(len(st.remainder))]
-        eps_new_w = [sched.eps_at(m + 1 + i) for i in range(len(new_pieces))]
-        consistency = consistency_defect(
-            st.normal_form.lambdas(), st.remainder, eps_old,
-            nf_new.lambdas(), new_pieces, eps_new_w, flow, omega,
-        )
+        if consistency is None:
+            eps_old = [sched.eps_at(m + i) for i in range(len(st.remainder))]
+            eps_new_w = [sched.eps_at(m + 1 + i) for i in range(len(new_pieces))]
+            consistency = consistency_defect(
+                st.normal_form.lambdas(), st.remainder, eps_old,
+                nf_new.lambdas(), new_pieces, eps_new_w, flow, omega,
+            )
         if not consistency <= self.opts.residual_tol:  # NaN fails too
             raise CertificateError(f"consistency_defect {consistency:.3e} > "
                                    f"residual_tol {self.opts.residual_tol:.1e}")
@@ -941,34 +932,10 @@ class KamEngine:
         }
         st.remainder = new_pieces
         st.normal_form = nf_new
-        self.generator = sol.F
         st.m = m + 1
         st.diagnostics.append(record)
         self.step_timings = {key: b - a for key, a, b in zip(STEP_TIMINGS, clock, clock[1:])}
         return record
-
-    def replay(self, F: QuadraticForm, record: dict):
-        """Redo the stored step whose generator is F and whose record is
-        record, without its solve and its oracle. The flow of F at the
-        record's eps_m must give the record's REPLAY_FLOW values, and the
-        push of the current pieces (at the record's eps_m, eps_next and
-        K_eff, with the averaged diagonal of the active piece) its
-        REPLAY_PUSH values, bit for bit; a mismatch is a ValueError. The
-        engine then holds what the step left: the pushed pieces, the
-        updated normal form, the flow in its chain and the record."""
-        st = self.state
-        eps_m, K_eff = record["eps_m"], record["K_eff"]
-        flow = flow_transform(F, eps_m, self.ws, self.grid, picard_tol=self.opts.picard_tol)
-        _check_replay("flow", flow, REPLAY_FLOW, record)
-        _, diag_avg = _remainder_blocks(st.remainder[0], K_eff)
-        new_pieces, push_diag = push_remainder(st.remainder, K_eff, diag_avg, flow, eps_m,
-                                               record["eps_next"], self.ws, self.grid)
-        _check_replay("push", push_diag, REPLAY_PUSH, record)
-        self.chain.append(flow)
-        st.remainder = new_pieces
-        st.normal_form = update_normal_form(st.normal_form, diag_avg, eps_m)
-        st.m += 1
-        st.diagnostics.append(record)
 
     def result(self) -> KamResult:
         nf = self.state.normal_form

@@ -268,7 +268,7 @@ class LyapunovEstimate:
         first round(T / renorm_dt) intervals of this one, so its estimate is
         the tail slope of that prefix, bit for bit.
         """
-        _require_lyapunov_horizon(T, self.renorm_dt)
+        require_lyapunov_horizon(T, self.renorm_dt)
         n = int(round(T / self.renorm_dt))
         return _tail_slope(self.times[:n], self.growth[:n])
 
@@ -277,9 +277,10 @@ class RenormIntervalError(RuntimeError):
     pass
 
 
-def _require_lyapunov_horizon(T: float, renorm_dt: float):
+def require_lyapunov_horizon(T: float, renorm_dt: float):
     if T < 100 * renorm_dt:
-        raise ValueError("horizon must cover at least 100 renormalization intervals")
+        raise ValueError(f"the Lyapunov horizon {T} must cover at least 100 "
+                         f"renormalization intervals of {renorm_dt}")
 
 
 def _tail_slope(times: np.ndarray, growth: np.ndarray) -> float:
@@ -342,7 +343,7 @@ def lyapunov_exponent(
     The block propagators of the intervals are built for up to CHUNK_STEPS
     steps at a time (``_interval_blocks``); the estimate does not depend on
     CHUNK_STEPS."""
-    _require_lyapunov_horizon(T, renorm_dt)
+    require_lyapunov_horizon(T, renorm_dt)
     ws = ws or WeightedSpace(N=2, J_max=sys.J)
     rng = np.random.default_rng(seed)
     w0 = rng.standard_normal(2 * sys.J) * (1.0 / ws.doubled_metric_weights)

@@ -1,10 +1,9 @@
 """Real Hamiltonians as whole-window u-form blocks, the data the engine
 stores once as half-window (q, p) coefficients, the builder of a form from
 such blocks, and the u-form (z, zbar) route of the conjugacy check; shared
-by the tests as oracles. Also the engine stub the checkpoint tests save."""
+by the tests as oracles."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -119,8 +118,3 @@ def uform_compare_through_chain(mats_u, full_times, full_states, lam, ws, subsam
     drift = float(np.max(np.abs(moduli - moduli[0])) / max(np.max(moduli[0]), 1e-300))
     return float(np.max(dev)), drift, dev
 
-
-def checkpoint_engine(generator):
-    """What cli.save_checkpoint reads of a KamEngine after step 0: its step
-    count and step 0's generator (a QuadraticForm)."""
-    return SimpleNamespace(state=SimpleNamespace(m=1), generator=generator)

@@ -8,9 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from forms import checkpoint_engine, real_form
 from oracles import find_resonant_tau
-from qpwave import cli, fourier, galerkin, kam, resonance
+from qpwave import cli, galerkin, kam, resonance
 from qpwave.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -100,9 +99,9 @@ class TestPipeline:
         cfg = tiny_config(eps=0.0)
         out = tmp_path / "run0"
         fresh = run_pipeline(cfg, out)
-        # a stray step directory with an unreadable manifest would break a checkpoint read
-        (out / "steps" / "step_000").mkdir(parents=True)
-        (out / "steps" / "step_000" / "state.json").write_text("not json")
+        # a stray step file that is not JSON would break a checkpoint read
+        (out / "steps").mkdir()
+        (out / "steps" / "step_000.json").write_text("not json")
         resumed = run_pipeline(cfg, out, resume=True)
         assert json.dumps(strip_timings(fresh), sort_keys=True) == \
                json.dumps(strip_timings(resumed), sort_keys=True)
@@ -132,7 +131,7 @@ class TestPipeline:
         assert err.value.status == "certificate_failed"
         assert err.value.detail.startswith("reduce, step m=0: P_norm ")
         assert "> P_bound 3.162e-02" in err.value.detail
-        assert not (tmp_path / "custom" / "steps" / "step_000").exists()
+        assert not (tmp_path / "custom" / "steps" / "step_000.json").exists()
 
     def test_invalid_base_frequency_is_config_error(self, tmp_path):
         # near-rationally-dependent base fails the Diophantine margin
@@ -174,7 +173,9 @@ class TestPipeline:
                 assert all(entry[key] >= 0.0 for key in STEP_COLUMNS)
         for rec in s1["steps"]:
             assert not set(rec) & set(STEP_COLUMNS)
-        for state in sorted((tmp_path / "a" / "steps").glob("step_*/state.json")):
+        states = sorted((tmp_path / "a" / "steps").glob("step_*.json"))
+        assert len(states) == 2
+        for state in states:
             text = state.read_text()
             assert "timings" not in text
             assert not any(key in text for key in STEP_COLUMNS)
@@ -187,7 +188,7 @@ class TestPipeline:
         out = tmp_path / "partial"
         run_pipeline(cfg, out)
         steps = sorted((out / "steps").glob("step_*"))
-        shutil.rmtree(steps[-1])
+        steps[-1].unlink()
         (out / "summary.json").unlink()
         resumed = run_pipeline(cfg, out, resume=True)
         assert json.dumps(strip_timings(full), sort_keys=True) == \
@@ -202,7 +203,7 @@ class TestPipeline:
         cfg = tiny_config(norm_grid=norm_grid)
         out = tmp_path / "run"
         run_pipeline(cfg, out)
-        shutil.rmtree(sorted((out / "steps").glob("step_*"))[-1])
+        sorted((out / "steps").glob("step_*"))[-1].unlink()
         restored, evaluated = [], []
         replay, grid_values = cli.replay_checkpoints, galerkin.QuadraticForm.grid_values
 
@@ -222,55 +223,42 @@ class TestPipeline:
         assert sum(qf is active for qf in evaluated) == evaluations
 
     def test_checkpoints_leave_only_complete_step_directories(self, tmp_path):
+        # steps/ holds one JSON file per step, written whole: the schema, the
+        # config fields the reduce reads and the step record, nothing else
         out = tmp_path / "run"
-        run_pipeline(tiny_config(), out)
+        summary = run_pipeline(tiny_config(), out)
         names = sorted(p.name for p in (out / "steps").iterdir())
-        assert names == ["step_000", "step_001"]
-        for name in names:
-            state = json.loads((out / "steps" / name / "state.json").read_text())
-            # eps_m, P_norm and symplectic_defect live in the step record
-            assert sorted(state) == ["config", "encoding", "record", "schema", "shape",
-                                     "windows"]
+        assert names == ["step_000.json", "step_001.json"]
+        for name, record in zip(names, summary["steps"]):
+            state = json.loads((out / "steps" / name).read_text())
+            assert sorted(state) == ["config", "record", "schema"]
+            assert state["schema"] == cli.CHECKPOINT_SCHEMA == 8
             assert sorted(state["config"]) == sorted(cli.REDUCE_CONFIG_KEYS)
-            assert "config" not in state["record"]
+            assert state["record"] == json.loads(json.dumps(record))
+            assert tuple(state["record"]) == tuple(sorted(kam.RECORD_KEYS))
 
     def test_resume_skips_step_without_state_json(self, tmp_path):
+        # an interrupted write of the newest step leaves its temporary file
+        # and no step file: the resume ignores the leftover, reruns the step
+        # and writes the step file through it
         cfg = tiny_config()
         full = run_pipeline(cfg, tmp_path / "full")
-        # an interrupted write of the newest step: binaries, no manifest
         out = tmp_path / "partial"
         run_pipeline(cfg, out)
-        newest = sorted((out / "steps").glob("step_*"))[-1]
-        (newest / "state.json").unlink()
-        assert any(newest.glob("*.bin"))
+        newest = out / "steps" / "step_001.json"
+        leftover = newest.with_name(".step_001.json.tmp")
+        leftover.write_text(newest.read_text()[:100])
+        newest.unlink()
         (out / "summary.json").unlink()
         resumed = run_pipeline(cfg, out, resume=True)
         assert json.dumps(strip_timings(full), sort_keys=True) == \
                json.dumps(strip_timings(resumed), sort_keys=True)
-        assert (newest / "state.json").exists()
-
-    def test_checkpoint_holds_the_generator_and_the_manifest_only(self, tmp_path):
-        cfg = tiny_config()
-        out = tmp_path / "run"
-        run_pipeline(cfg, out)
-        K, J = cfg.K_theta, cfg.J_max
-        half = [2 * K + 1, K + 1, 2 * J, 2 * J]
-        # the generator is symmetric: its upper triangles, diagonal included
-        packed = 16 * np.prod(half[:-2]) * (2 * J) * (2 * J + 1) // 2
-        for name in ("step_000", "step_001"):
-            step = out / "steps" / name
-            state = json.loads((step / "state.json").read_text())
-            assert state["schema"] == cli.CHECKPOINT_SCHEMA == 7
-            assert state["shape"] == half
-            # each generator fills the whole window: no windows entry
-            assert state["windows"] == {}
-            assert state["encoding"] == cli.CHECKPOINT_ENCODING
-            assert sorted(p.name for p in step.iterdir()) == ["generator.bin", "state.json"]
-            assert (step / "generator.bin").stat().st_size == packed
+        assert newest.read_bytes() == (tmp_path / "full" / "steps" / newest.name).read_bytes()
+        assert not leftover.exists()
 
     def test_checkpoint_round_trip(self, tmp_path):
-        # step 0 of TINY, saved, then replayed by an engine fresh from the
-        # seeded pieces: the replayed engine holds what the step left, bit for bit
+        # step 0 of TINY, saved, then re-run by an engine fresh from the
+        # seeded pieces: the re-run engine holds what the step left, bit for bit
         cfg = tiny_config()
         front = cli._front(cfg, cli._Stages())
         opts = kam.KamOptions(picard_tol=cfg.picard_tol, residual_tol=cfg.residual_tol,
@@ -282,38 +270,41 @@ class TestPipeline:
 
         ran = seeded()
         record = ran.step()
-        # a form its upper triangle would not restore is refused, and nothing is written
-        F = ran.generator
-        skew = F.coeffs.copy()
-        skew[..., 0, 1] += 1.0
-        with pytest.raises(ValueError, match=r"generator\.bin: the form is not exactly symmetric"):
-            cli.save_checkpoint(tmp_path / "skew", checkpoint_engine(
-                galerkin.QuadraticForm(F.n, F.K, F.J, skew)), record, cfg)
-        assert not (tmp_path / "skew").exists()
-        cli.save_checkpoint(tmp_path, ran, record, cfg)
-        step = tmp_path / "steps" / "step_000"
-        assert sorted(p.name for p in step.iterdir()) == ["generator.bin", "state.json"]
+        assert tuple(record) == kam.RECORD_KEYS
+        cli.save_checkpoint(tmp_path, record, cfg)
+        assert [p.name for p in (tmp_path / "steps").iterdir()] == ["step_000.json"]
         replayed = seeded()
         cli.replay_checkpoints(replayed, cli.checkpoint_states(tmp_path, cfg))
         got, want = replayed.state, ran.state
-        assert (got.m, got.diagnostics) == (1, [json.loads(json.dumps(record))])
+        assert got.m == 1 and json.dumps(got.diagnostics) == json.dumps([record])
         assert len(got.remainder) == len(want.remainder) == 2
         for back, piece in zip(got.remainder, want.remainder):
             assert (back.n, back.K, back.J) == (piece.n, piece.K, piece.J)
             assert back.coeffs.tobytes() == piece.coeffs.tobytes()
         assert got.normal_form.lambdas().tobytes() == want.normal_form.lambdas().tobytes()
-        # the chain step is the flow of the stored generator, bit for bit
         assert len(replayed.chain.steps) == 1
         assert replayed.chain.steps[0].tobytes() == ran.chain.steps[0].tobytes()
         # and the next step runs as it does in the uninterrupted engine
         assert json.dumps(replayed.step()) == json.dumps(ran.step())
 
+    def test_a_resume_runs_the_oracle_only_for_fresh_steps(self, three_step_run, tmp_path,
+                                                           monkeypatch):
+        cfg, full_out, full = three_step_run
+        out = tmp_path / "run"
+        shutil.copytree(full_out, out)
+        (out / "steps" / "step_002.json").unlink()
+        defects, oracle = [], kam.consistency_defect
+        monkeypatch.setattr(kam, "consistency_defect",
+                            lambda *a: defects.append(oracle(*a)) or defects[-1])
+        resumed = run_pipeline(cfg, out, resume=True)
+        assert defects == [full["steps"][2]["consistency_defect"]]
+        assert json.dumps(strip_timings(full), sort_keys=True) == \
+               json.dumps(strip_timings(resumed), sort_keys=True)
+
     def test_every_lost_step_is_replayed_byte_identically(self, three_step_run, tmp_path):
         cfg, full_out, full = three_step_run
         steps = sorted((full_out / "steps").glob("step_*"))
-        assert [d.name for d in steps] == ["step_000", "step_001", "step_002"]
-        for step in steps:
-            assert sorted(p.name for p in step.iterdir()) == ["generator.bin", "state.json"]
+        assert [p.name for p in steps] == ["step_000.json", "step_001.json", "step_002.json"]
         written = {p.relative_to(full_out): p.read_bytes()
                    for p in (full_out / "steps").rglob("*") if p.is_file()}
         # a resume after losing the newest step, two, or all of them
@@ -321,7 +312,7 @@ class TestPipeline:
             out = tmp_path / f"lost_{lost}"
             shutil.copytree(full_out, out)
             for step in steps[-lost:]:
-                shutil.rmtree(out / "steps" / step.name)
+                (out / "steps" / step.name).unlink()
             (out / "summary.json").unlink()
             resumed = run_pipeline(cfg, out, resume=True)
             assert json.dumps(strip_timings(full), sort_keys=True) == \
@@ -338,7 +329,7 @@ class TestPipeline:
     def test_resume_under_another_config(self, tmp_path, capsys, changed, differ):
         out = tmp_path / "run"
         full = run_pipeline(tiny_config(), out)
-        shutil.rmtree(out / "steps" / "step_001")
+        (out / "steps" / "step_001.json").unlink()
         written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**TINY, **changed}))
@@ -349,36 +340,49 @@ class TestPipeline:
             assert summary["steps"] == json.loads(json.dumps(full["steps"]))
             return
         assert code == EXIT_CONFIG
-        path = out / "steps" / "step_000" / "state.json"
+        path = out / "steps" / "step_000.json"
         assert capsys.readouterr().err == (f"config_error: resume: {path}: checkpoint written "
                                            f"under other values of {differ}\n")
         # the refused resume wrote nothing: config.json, summary.json,
         # resonance.csv and the checkpoints are the converged run's
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
 
-    @pytest.mark.parametrize("manifest", ["state.json"])
+    @pytest.mark.parametrize("manifest", ["state.json", "step_001.json"])
     def test_resume_over_another_checkpoint_schema_is_config_error(self, tmp_path, capsys,
                                                                    manifest):
         out = tmp_path / "run"
         run_pipeline(tiny_config(), out)
-        path = out / "steps" / "step_001" / manifest
-        old = json.loads(path.read_text())
-        old["schema"] = cli.CHECKPOINT_SCHEMA - 1
-        path.write_text(json.dumps(old))
+        steps = out / "steps"
+        if manifest == "state.json":
+            # schema 7's layout, a directory per step: resuming beside it
+            # would recompute every step next to the old directories
+            for path in sorted(steps.glob("step_*.json")):
+                old = path.with_suffix("")
+                old.mkdir()
+                state = json.loads(path.read_text())
+                (old / "state.json").write_text(json.dumps({**state, "schema": 7}))
+                (old / "generator.bin").write_bytes(bytes(16))
+                path.unlink()
+            message = f"{steps / 'step_000.json'}: missing, yet {steps / 'step_000'} is present"
+        else:
+            path = steps / manifest
+            old = json.loads(path.read_text())
+            old["schema"] = cli.CHECKPOINT_SCHEMA - 1
+            path.write_text(json.dumps(old))
+            message = (f"{path}: checkpoint schema {cli.CHECKPOINT_SCHEMA - 1}, "
+                       f"expected {cli.CHECKPOINT_SCHEMA}")
         written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(TINY))
         assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            f"config_error: resume: {path}: checkpoint schema {cli.CHECKPOINT_SCHEMA - 1}, "
-            f"expected {cli.CHECKPOINT_SCHEMA}\n")
+        assert capsys.readouterr().err == f"config_error: resume: {message}\n"
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
 
     def test_resume_over_a_state_json_that_is_not_json_is_config_error(self, tmp_path,
                                                                        capsys):
         out = tmp_path / "run"
         run_pipeline(tiny_config(), out)
-        path = out / "steps" / "step_001" / "state.json"
+        path = out / "steps" / "step_001.json"
         path.write_text("not json")
         written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         cfg_path = tmp_path / "config.json"
@@ -390,23 +394,24 @@ class TestPipeline:
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
 
     @pytest.mark.parametrize("content, message", [
-        ({"schema": cli.CHECKPOINT_SCHEMA}, "missing or mistyped keys "
-                                            "['config', 'record', 'shape', 'windows']"),
+        ({"schema": cli.CHECKPOINT_SCHEMA}, "missing or mistyped keys ['config', 'record']"),
         ([1], "a checkpoint manifest is a JSON object, not list"),
         ("record without tail_norm", "missing or mistyped keys ['record.tail_norm']"),
-        ("windows a list", "missing or mistyped keys ['windows']"),
-    ], ids=["schema_only", "not_an_object", "record_without_tail_norm", "windows_a_list"])
+        ("record with generator", "unknown keys ['record.generator']"),
+    ], ids=["schema_only", "not_an_object", "record_without_tail_norm",
+            "record_with_an_unknown_key"])
     def test_resume_over_a_manifest_without_a_key_it_reads_is_config_error(
             self, tmp_path, capsys, content, message):
         out = tmp_path / "run"
         run_pipeline(tiny_config(), out)
-        path = out / "steps" / "step_001" / "state.json"
+        path = out / "steps" / "step_001.json"
         state = json.loads(path.read_text())
         if content == "record without tail_norm":
             del state["record"]["tail_norm"]
             content = state
-        elif content == "windows a list":
-            content = {**state, "windows": []}
+        elif content == "record with generator":
+            state["record"]["generator"] = []
+            content = state
         path.write_text(json.dumps(content))
         written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         cfg_path = tmp_path / "config.json"
@@ -419,23 +424,22 @@ class TestPipeline:
     @pytest.mark.parametrize("gap", ["missing_step", "step_after_an_incomplete_one"])
     def test_resume_over_a_gap_in_steps_is_config_error(self, three_step_run, tmp_path,
                                                         capsys, gap):
-        # only the newest step directory may lack its state.json: a resume
-        # across a gap would chain step 2 onto step 0
+        # a resume across a gap would chain step 2 onto step 0; a leftover
+        # temporary file of the missing step does not fill the gap
         cfg, full_out, _ = three_step_run
         out = tmp_path / "run"
         shutil.copytree(full_out, out)
-        step = out / "steps" / "step_001"
-        if gap == "missing_step":
-            shutil.rmtree(step)
-        else:
-            (step / "state.json").unlink()
+        step = out / "steps" / "step_001.json"
+        if gap == "step_after_an_incomplete_one":
+            step.with_name(".step_001.json.tmp").write_text(step.read_text()[:100])
+        step.unlink()
         written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg.as_dict()))
         assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"config_error: resume: {step}: missing or incomplete, yet "
-            f"{out / 'steps' / 'step_002'} is present\n")
+            f"config_error: resume: {step}: missing, yet "
+            f"{out / 'steps' / 'step_002.json'} is present\n")
         # config.json, summary.json, resonance.csv and steps/ are the converged run's
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
 
@@ -499,60 +503,49 @@ class TestRunDirectory:
         assert not out.exists()
 
 
-class TestCheckpointWindows:
-    def test_round_trip_of_full_band_limited_and_zero_forms(self, tmp_path):
-        rng = np.random.default_rng(7)
-        n, K, J, K_s = 2, 4, 3, 2
-        cfg = RunConfig(J_max=J, K_theta=K)
-        ws = galerkin.WeightedSpace(cfg.smoothness_N, J)
-        band = real_form(rng, n, K, J, scale=1e-3).truncate(K_s)[0]
-        band.coeffs[0, 0, 0, 0] = -0.0  # k = (-4, 0), outside the kept window
-        triangle = J * (2 * J + 1)
-        # each generator as the window it fills, its file size, and its windows entry
-        cases = {"full": (real_form(rng, n, K, J, scale=1e-3), (2 * K + 1) ** (n - 1) * (K + 1),
-                          {}),
-                 "band": (band, (2 * K_s + 1) ** (n - 1) * (K_s + 1), {"generator.bin": K_s}),
-                 "zero": (galerkin.QuadraticForm.zeros(n, K, J), 0, {"generator.bin": -1})}
-        for case, (F, modes, windows) in cases.items():
-            cli.save_checkpoint(tmp_path / case, checkpoint_engine(F), {"m": 0}, cfg)
-            step = tmp_path / case / "steps" / "step_000"
-            state = json.loads((step / "state.json").read_text())
-            assert state["windows"] == windows
-            path = step / "generator.bin"
-            assert (path.stat().st_size if modes else path.exists()) == modes * triangle * 16
-            got = cli._load_form(path, state)
-            assert (got.n, got.K, got.J) == (n, K, J)
-            assert np.array_equal(got.coeffs, F.coeffs)
-            nonzero = F.coeffs != 0
-            assert got.coeffs[nonzero].tobytes() == F.coeffs[nonzero].tobytes()
-            # every zero, the dropped -0.0 included, reloads as +0.0
-            assert not np.signbit(got.coeffs[~nonzero].view(float)).any()
-            # and the restored generator's flow is the saved one's, bit for bit
-            flows = [kam.flow_transform(form, 1e-3, ws, fourier.product_grid_size(K),
-                                        cfg.picard_tol) for form in (got, F)]
-            assert np.array_equal(flows[0].P_hat, flows[1].P_hat)
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_every_file_goes_through_the_one_writer(self, tmp_path, monkeypatch, command):
+        written, write_text = [], cli._write_text
 
-    @pytest.mark.parametrize("K_s, message", [
-        (2, f"expected {16 * 5 * 3 * 8 * 17} bytes, found {16 * 7 * 4 * 8 * 17} bytes"),
-        (4, "window K_s = 4 outside [-1, 3]"),
-        (-2, "window K_s = -2 outside [-1, 3]"),
-    ], ids=["disagrees_with_file_size", "above_K", "below_minus_one"])
-    def test_a_wrong_window_is_internal_error_naming_the_file(self, three_step_run, tmp_path,
-                                                              K_s, message):
-        cfg, full_out, _ = three_step_run
-        out = tmp_path / "r"
-        shutil.copytree(full_out, out)
-        step = out / "steps" / "step_002"
-        state = json.loads((step / "state.json").read_text())
-        state["windows"]["generator.bin"] = K_s
-        (step / "state.json").write_text(json.dumps(state))
+        def recorded(path, text):
+            written.append(path)
+            write_text(path, text)
+
+        monkeypatch.setattr(cli, "_write_text", recorded)
+        out = tmp_path / "out"
+        if command == "run":
+            run_pipeline(tiny_config(), out)
+        else:
+            sweep_tau(tiny_config(tau_sweep=[1.28, 1.29, 2], run_verify=False), out)
+        files = {p for p in out.rglob("*") if p.is_file()}
+        assert any(p.match("steps/step_001.json") for p in files)
+        assert set(written) == files
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lyapunov_T", 10.0, "the Lyapunov horizon 10.0 must cover at least 100 "
+                             "renormalization intervals of 0.2"),
+        ("conjugacy_samples", 0, "conjugacy_samples must be >= 1"),
+        ("conjugacy_T", 0.0, "conjugacy_T must be positive"),
+        ("lyapunov_renorm_dt", 0.0, "lyapunov_renorm_dt must be positive"),
+        ("tau_grid_points", 50, "tau_grid_points must be >= 100"),
+        ("K_check", 0, "validation needs K_check >= 1 and validation_grid >= 4"),
+        ("validation_grid", 2, "validation needs K_check >= 1 and validation_grid >= 4"),
+    ])
+    def test_a_stage_precondition_is_config_error_writing_nothing(self, tmp_path, capsys,
+                                                                  field, value, message):
+        # each of these once failed in its stage, the verify ones after the
+        # reduce had written its checkpoints
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(cfg.as_dict()))
-        assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["status"] == "internal_error"
-        assert summary["detail"] == (f"reduce: ValueError: checkpoint array "
-                                     f"{step / 'generator.bin'}: {message}")
+        cfg_path.write_text(json.dumps({**TINY, field: value}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_verify_fields_are_checked_only_with_verify(self, tmp_path):
+        summary = run_pipeline(tiny_config(lyapunov_T=10.0, conjugacy_samples=0,
+                                           run_verify=False), tmp_path / "run")
+        assert summary["status"] == "converged" and "verify" not in summary
 
 
 def _watch_lifetimes(monkeypatch) -> tuple:
@@ -584,8 +577,8 @@ def _watch_lifetimes(monkeypatch) -> tuple:
 
     save = cli.save_checkpoint
 
-    def watched_save(out, engine, record, config):
-        save(out, engine, record, config)
+    def watched_save(out, record, config):
+        save(out, record, config)
         gc.collect()
         alive_at[record["m"]] = sorted(name for name, ref in refs.items() if ref() is not None)
 
@@ -607,7 +600,7 @@ class TestMemory:
                                                                          monkeypatch):
         out = tmp_path / "run"
         run_pipeline(tiny_config(), out)
-        shutil.rmtree(sorted((out / "steps").glob("step_*"))[-1])
+        sorted((out / "steps").glob("step_*"))[-1].unlink()
         refs, alive_at = _watch_lifetimes(monkeypatch)
         run_pipeline(tiny_config(), out, resume=True)
         assert {"decomposition", "seeded piece 0 coeffs", "replayed piece 0 coeffs"} <= set(refs)
@@ -636,7 +629,7 @@ class TestCertificateAbort:
         assert err.value.code == EXIT_CERTIFICATE
         assert err.value.status == "certificate_failed"
         assert "step m=0" in err.value.detail
-        assert not (out / "steps" / "step_000").exists()
+        assert not (out / "steps" / "step_000.json").exists()
 
     @pytest.mark.parametrize("gate", ["homological_residual", "symplectic_defect", "P_norm",
                                       "series_truncation_spec_ok"])
@@ -649,7 +642,7 @@ class TestCertificateAbort:
         assert err.value.code == EXIT_CERTIFICATE
         assert err.value.status == "certificate_failed"
         assert f"step m=0: {gate}" in err.value.detail
-        assert not (out / "steps" / "step_000").exists()
+        assert not (out / "steps" / "step_000.json").exists()
 
     @staticmethod
     def failed_small_run(tmp_path) -> dict:
@@ -894,7 +887,7 @@ class TestMain:
         fresh = json.loads((out / "summary.json").read_text())["timings"]
         assert "replay" not in fresh
         assert "replay" not in [label for label, _ in fresh["peak_rss_mb"]]
-        shutil.rmtree(out / "steps" / "step_001")
+        (out / "steps" / "step_001.json").unlink()
         assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONVERGED
         assert main(["report", "--out", str(out)]) == EXIT_CONVERGED
         timings = json.loads((out / "summary.json").read_text())["timings"]
@@ -1056,28 +1049,13 @@ class TestMain:
         assert err.value.code == EXIT_INTERNAL
         assert err.value.detail.startswith("assemble: DimensionError: ")
 
-    def test_truncated_checkpoint_array_is_internal_error(self, tmp_path):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(TINY))
-        out = tmp_path / "r"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONVERGED
-        generator = out / "steps" / "step_001" / "generator.bin"
-        generator.write_bytes(generator.read_bytes()[:-3])
-        assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["status"] == "internal_error"
-        assert summary["detail"].startswith("reduce: ValueError: ")
-        want = 16 * 7 * 4 * 16 * 17 // 2  # (2K+1, K+1) upper triangles of 2J = 16
-        assert summary["detail"].endswith(f"step_001/generator.bin: expected {want} bytes, "
-                                          f"found {want - 3} bytes")
-
     def test_resume_after_two_lost_steps_is_byte_identical(self, three_step_run, tmp_path):
         # the newest step left holds no pieces: the replay pushes them again
         cfg, full_out, full = three_step_run
         out = tmp_path / "r"
         shutil.copytree(full_out, out)
-        for name in ("step_001", "step_002"):
-            shutil.rmtree(out / "steps" / name)
+        for name in ("step_001.json", "step_002.json"):
+            (out / "steps" / name).unlink()
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg.as_dict()))
         assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONVERGED
@@ -1087,37 +1065,33 @@ class TestMain:
             if path.is_file() and path.name != "summary.json":
                 assert (out / path.relative_to(full_out)).read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("step, check", [
-        ("step_002", "its flow gives"), ("step_000", "its flow gives"),
-        ("step_001", "its push gives")],
-        ids=["generator.bin-its flow gives", "step_000/generator.bin-its flow gives",
-             "new_piece_norms-its push gives"])
+    @pytest.mark.parametrize("step, key, value", [
+        ("step_002", "P_norm", "next"), ("step_001", "new_piece_norms", "next"),
+        ("step_001", "divisor_min", "next"), ("step_001", "homological_residual", 9e-13)],
+        ids=["P_norm-its flow gives", "new_piece_norms-its push gives",
+             "divisor_min-its solve gives", "homological_residual-its solve gives"])
     def test_same_size_checkpoint_corruption_is_internal_error(self, three_step_run,
-                                                               tmp_path, step, check):
-        # one generator coefficient changed, or the record's first new piece
-        # norm one ulp off: the byte count is right, the replayed flow or push
-        # is not the step record's
+                                                               tmp_path, step, key, value):
+        # a record value one ulp off, or moved below its gate: the re-run
+        # step's record is not the stored one
         cfg, full_out, _ = three_step_run
         out = tmp_path / "r"
         shutil.copytree(full_out, out)
-        path = out / "steps" / step / "generator.bin"
-        if check == "its flow gives":
-            coeffs = np.frombuffer(path.read_bytes(), dtype="<c16").copy()
-            coeffs[5] += 1e-3
-            path.write_bytes(coeffs.tobytes())
+        path = out / "steps" / f"{step}.json"
+        state = json.loads(path.read_text())
+        record = state["record"]
+        if key == "new_piece_norms":
+            record[key][0] = float(np.nextafter(record[key][0], np.inf))
         else:
-            manifest = path.with_name("state.json")
-            state = json.loads(manifest.read_text())
-            norms = state["record"]["new_piece_norms"]
-            norms[0] = float(np.nextafter(norms[0], np.inf))
-            manifest.write_text(json.dumps(state))
+            record[key] = float(np.nextafter(record[key], np.inf)) if value == "next" else value
+        path.write_text(json.dumps(state))
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg.as_dict()))
         assert main(["resume", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INTERNAL
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "internal_error"
-        assert summary["detail"].startswith(
-            f"reduce: ValueError: checkpoint array {path}: {check} ")
+        assert summary["detail"] == (f"reduce: ValueError: {path}: the re-run step differs "
+                                     f"from its record in ['{key}']")
 
     @pytest.mark.parametrize("owner, callee, stage", [
         (cli, "validate_assumptions", "validate"),

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from forms import checkpoint_engine, form_from_blocks, real_blocks, real_form, whole_window
+from forms import form_from_blocks, real_blocks, real_form, whole_window
 from qpwave import cli, fourier, galerkin
 from qpwave.fourier import RealGrid, half_index, kinf, window_to_grid
 from qpwave.galerkin import (
@@ -448,16 +448,14 @@ class TestQuadraticForm:
             assert np.array_equal(back.coeffs, qf.coeffs)
 
     def test_load_rejects_another_schema(self, tmp_path):
-        rng = np.random.default_rng(5)
-        engine = checkpoint_engine(random_form(rng, n=2, K=1, J=2))
         cfg = cli.RunConfig()
-        cli.save_checkpoint(tmp_path, engine, {"m": 0}, cfg)
-        path = tmp_path / "steps" / "step_000" / "state.json"
+        cli.save_checkpoint(tmp_path, {"m": 0}, cfg)
+        path = tmp_path / "steps" / "step_000.json"
         state = json.loads(path.read_text())
         state["schema"] = cli.CHECKPOINT_SCHEMA - 1
         path.write_text(json.dumps(state))
         with pytest.raises(cli.CheckpointSchemaError,
-                           match=rf"state\.json: checkpoint schema {cli.CHECKPOINT_SCHEMA - 1}, "
+                           match=rf"step_000\.json: checkpoint schema {cli.CHECKPOINT_SCHEMA - 1}, "
                                  rf"expected {cli.CHECKPOINT_SCHEMA}"):
             cli.checkpoint_states(tmp_path, cfg)
 
